@@ -39,6 +39,8 @@ from .sequences import (
     Params,
     deriv_coeffs_oracle,
     deriv_coeffs_printed,
+    explicit_scaled,
+    explicit_sequence,
     explicit_value,
     oracle_sequence,
 )
@@ -171,45 +173,43 @@ def _params_point(params: Params, n: int) -> dict:
     return {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
 
 
-_ORTHO_RUNNERS = {
-    Family.BERNOULLI: "THM4",
-    Family.CAUCHY1: "THM5",
-    Family.CAUCHY2: "THM6",
-}
+# A family's Stirling-sum values 0..N as (numerators, common denominator),
+# as `explicit_scaled` returns them; N may exceed the index being checked.
+Prefix = tuple[list[int], int]
 
 
-def audit_orthogonality(family: Family, n: int, params: Params) -> Verdict:
+def audit_orthogonality(
+    family: Family, n: int, params: Params, prefix: Prefix | None = None
+) -> Verdict:
     """Check one family's Stirling-transform collapse at one point:
 
         bernoulli: sum_m [n m] B_m  = n! / (alpha n + a)^k
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
+
+    `prefix` holds the family's values through index n at `params`, when the
+    caller already has them.
     """
     point = _params_point(params, n)
     if params.singular_index(n) is not None:
         return _undefined(point, SINGULAR_PARAMETER)
+    nums, den = prefix or explicit_scaled(family, n, params)
     if family is Family.BERNOULLI:
-        lhs = sum(
-            stirling1_unsigned(n, m) * explicit_value(family, m, params)
-            for m in range(n + 1)
-        )
+        lhs = sum(stirling1_unsigned(n, m) * nums[m] for m in range(n + 1))
         rhs = factorial(n) * params.weight(n)
     else:
-        lhs = sum(
-            stirling2(n, m) * explicit_value(family, m, params)
-            for m in range(n + 1)
-        )
+        lhs = sum(stirling2(n, m) * nums[m] for m in range(n + 1))
         rhs = params.weight(n)
         if family is Family.CAUCHY2:
             rhs = (-1) ** n * rhs
-    return _compare(point, Fraction(lhs), Fraction(rhs))
+    return _compare(point, Fraction(lhs, den), Fraction(rhs))
 
 
-_PRINTED_PREFACTOR: dict[str, Callable[[int, int], Fraction]] = {
-    "EQ9": lambda n, m: Fraction((-1) ** (m + n) * factorial(m)),
-    "EQ10": lambda n, m: Fraction((-1) ** m * factorial(m)),
-    "EQ11": lambda n, m: Fraction((-1) ** (m + n) * factorial(m)),
-    "EQ12": lambda n, m: Fraction((-1) ** n * factorial(m)),
+_PRINTED_PREFACTOR: dict[str, Callable[[int, int], int]] = {
+    "EQ9": lambda n, m: (-1) ** (m + n) * factorial(m),
+    "EQ10": lambda n, m: (-1) ** m * factorial(m),
+    "EQ11": lambda n, m: (-1) ** (m + n) * factorial(m),
+    "EQ12": lambda n, m: (-1) ** n * factorial(m),
 }
 
 _DUALITY_SHAPE = {
@@ -221,11 +221,34 @@ _DUALITY_SHAPE = {
 }
 
 
+def _duality_weights(
+    identity: str, n: int, prefactor: Callable[[int, int], Fraction] | None = None
+) -> list:
+    """The double sum collapsed onto the summed family: c_0..c_n with
+
+        c_l = sum_{m=l..n} prefactor(n, m) T(n, m) T(m, l),
+
+    integers under the printed prefactor, Fractions under a rational one.
+    """
+    triangle = _DUALITY_SHAPE[identity][2]
+    pf = prefactor if prefactor is not None else _PRINTED_PREFACTOR[identity]
+    weights = [0] * (n + 1)
+    for m in range(n + 1):
+        outer = triangle(n, m)
+        if outer == 0:
+            continue
+        weight = pf(n, m) * outer
+        for l in range(m + 1):
+            weights[l] += weight * triangle(m, l)
+    return weights
+
+
 def audit_duality(
     identity: str,
     n: int,
     params: Params,
     prefactor: Callable[[int, int], Fraction] | None = None,
+    prefixes: dict[Family, Prefix] | None = None,
 ) -> Verdict:
     """Exact check of one double-sum interchange identity at one point.
 
@@ -236,25 +259,24 @@ def audit_duality(
 
     `prefactor(n, m)` substitutes the catalogued prefactor for exploratory
     reruns; the check itself never promotes any variant to "intended".
+    `prefixes` maps both families to their values through index n at
+    `params`, when the caller already has them.
     """
     if identity not in _DUALITY_SHAPE:
         raise ValueError(f"unknown duality identity: {identity!r}")
     point = _params_point(params, n)
     if params.singular_index(n) is not None:
         return _undefined(point, SINGULAR_PARAMETER)
-    lhs_family, summed_family, triangle = _DUALITY_SHAPE[identity]
-    pf = prefactor if prefactor is not None else _PRINTED_PREFACTOR[identity]
-    inner = [explicit_value(summed_family, l, params) for l in range(n + 1)]
-    rhs = Fraction(0)
-    for m in range(n + 1):
-        outer = triangle(n, m)
-        if outer == 0:
-            continue
-        weight = pf(n, m) * outer
-        for l in range(n + 1):
-            rhs += weight * triangle(m, l) * inner[l]
-    lhs = explicit_value(lhs_family, n, params)
-    return _compare(point, lhs, rhs)
+    lhs_family, summed_family, _ = _DUALITY_SHAPE[identity]
+    prefixes = prefixes or {
+        family: explicit_scaled(family, n, params)
+        for family in (lhs_family, summed_family)
+    }
+    lhs_nums, lhs_den = prefixes[lhs_family]
+    inner, inner_den = prefixes[summed_family]
+    weights = _duality_weights(identity, n, prefactor)
+    rhs = sum(w * x for w, x in zip(weights, inner))
+    return _compare(point, Fraction(lhs_nums[n], lhs_den), Fraction(rhs, inner_den))
 
 
 def _invertibility_scan(params: Params, m_max: int, p: int) -> tuple[bool, str | None]:
@@ -349,7 +371,7 @@ def audit_explicit(family: Family, n_max: int, params: Params) -> AuditReport:
     """Stirling-sum path vs generating-function path, index by index."""
     last, undefined_tail = _split_defined(params, n_max, reach=0)
     points = [_params_point(params, n) for n in range(last + 1)]
-    lhs = [explicit_value(family, n, params) for n in range(last + 1)]
+    lhs = explicit_sequence(family, last, params)
     rhs = oracle_sequence(family, last, params) if last >= 0 else []
     verdicts = sequence_comparison(
         points, lhs, rhs, [_params_point(params, n) for n in undefined_tail]
@@ -499,21 +521,30 @@ def run_identity(
                 verdicts.extend(report.verdicts)
         return _sorted_report(identity, verdicts)
 
+    # THM4-THM6 and EQ9-EQ12 read each family's values once per grid point,
+    # up to the last index where they are defined.
     if identity in ("THM4", "THM5", "THM6"):
         family = _FAMILY_BY_IDENTITY[identity]
         for alpha, a in grid.pairs:
             for k in grid.k_values:
                 params = Params(k, alpha, a)
+                last, _ = _split_defined(params, grid.n_max, reach=0)
+                prefix = explicit_scaled(family, last, params)
                 for n in range(grid.n_max + 1):
-                    verdicts.append(audit_orthogonality(family, n, params))
+                    verdicts.append(audit_orthogonality(family, n, params, prefix))
         return _sorted_report(identity, verdicts)
 
     if identity in ("EQ9", "EQ10", "EQ11", "EQ12"):
+        families = _DUALITY_SHAPE[identity][:2]
         for alpha, a in grid.pairs:
             for k in grid.k_values:
                 params = Params(k, alpha, a)
+                last, _ = _split_defined(params, grid.n_max, reach=0)
+                prefixes = {f: explicit_scaled(f, last, params) for f in families}
                 for n in range(grid.n_max + 1):
-                    verdicts.append(audit_duality(identity, n, params, prefactor))
+                    verdicts.append(
+                        audit_duality(identity, n, params, prefactor, prefixes)
+                    )
         return _sorted_report(identity, verdicts, variant_label)
 
     if identity in ("THM8_C1", "THM8_C2", "THM8_B"):

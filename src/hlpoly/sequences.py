@@ -29,6 +29,7 @@ the audit layer's job.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +53,7 @@ __all__ = [
     "Params",
     "deriv_coeffs_oracle",
     "deriv_coeffs_printed",
+    "explicit_scaled",
     "explicit_sequence",
     "explicit_value",
     "oracle_sequence",
@@ -110,62 +112,81 @@ class Params:
         """1 / (alpha*m + a)^k."""
         return pow_rat(self.alpha * m + self.a, -self.k)
 
+    def scaled_weights(self, m_max: int) -> tuple[list[int], int]:
+        """(W, D) with W[m] / D == weight(m) for m in 0..m_max, D the least
+        common denominator, so that weighted sums run over integers."""
+        weights = [self.weight(m) for m in range(m_max + 1)]
+        den = math.lcm(*(w.denominator for w in weights))
+        return [w.numerator * (den // w.denominator) for w in weights], den
+
 
 def _check_index(n: int) -> None:
     if n < 0:
         raise ValueError("sequence index must be >= 0")
 
 
+# (n, m) -> integer coefficient of 1/(alpha m + a)^k in member n
+_STIRLING_COEFF = {
+    Family.BERNOULLI: lambda n, m: (-1) ** (n + m) * factorial(m) * stirling2(n, m),
+    Family.CAUCHY1: lambda n, m: (-1) ** (n + m) * stirling1_unsigned(n, m),
+    Family.CAUCHY2: lambda n, m: (-1) ** n * stirling1_unsigned(n, m),
+}
+
+
+def _scaled_sums(coeff, first: int, last: int, params: Params, reach: int = 0):
+    """Integer sums S over the weights' common denominator D, for n = first..last:
+
+        S[n - first] / D = sum_{m=0..n+reach} coeff(n, m) / (alpha m + a)^k
+    """
+    params.ensure_valid(last + reach)
+    weights, den = params.scaled_weights(last + reach)
+    sums = [
+        sum(coeff(n, m) * weights[m] for m in range(n + reach + 1))
+        for n in range(first, last + 1)
+    ]
+    return sums, den
+
+
+def explicit_scaled(
+    family: Family, n_max: int, params: Params
+) -> tuple[list[int], int]:
+    """Stirling-sum values 0..n_max as integer numerators over one common
+    denominator D: value n is num[n] / D, not reduced."""
+    return _scaled_sums(_STIRLING_COEFF[family], 0, n_max, params)
+
+
+def explicit_value(family: Family, n: int, params: Params) -> Fraction:
+    """Stirling-sum value of one family member."""
+    _check_index(n)
+    (num,), den = _scaled_sums(_STIRLING_COEFF[family], n, n, params)
+    return Fraction(num, den)
+
+
+def explicit_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:
+    nums, den = explicit_scaled(family, n_max, params)
+    return [Fraction(num, den) for num in nums]
+
+
 def poly_bernoulli(n: int, params: Params) -> Fraction:
     """(-1)^n sum_{m=0..n} (-1)^m m! {n m} / (alpha m + a)^k."""
-    _check_index(n)
-    params.ensure_valid(n)
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += (-1) ** m * factorial(m) * stirling2(n, m) * params.weight(m)
-    return (-1) ** n * total
+    return explicit_value(Family.BERNOULLI, n, params)
 
 
 def poly_cauchy1(n: int, params: Params) -> Fraction:
     """(-1)^n sum_{m=0..n} (-1)^m [n m] / (alpha m + a)^k."""
-    _check_index(n)
-    params.ensure_valid(n)
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += (-1) ** m * stirling1_unsigned(n, m) * params.weight(m)
-    return (-1) ** n * total
+    return explicit_value(Family.CAUCHY1, n, params)
 
 
 def poly_cauchy2(n: int, params: Params) -> Fraction:
     """(-1)^n sum_{m=0..n} [n m] / (alpha m + a)^k."""
-    _check_index(n)
-    params.ensure_valid(n)
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += stirling1_unsigned(n, m) * params.weight(m)
-    return (-1) ** n * total
+    return explicit_value(Family.CAUCHY2, n, params)
 
-
-_EXPLICIT = {
-    Family.BERNOULLI: poly_bernoulli,
-    Family.CAUCHY1: poly_cauchy1,
-    Family.CAUCHY2: poly_cauchy2,
-}
 
 _KERNEL_FOR = {
     Family.BERNOULLI: ONE_MINUS_EXP_NEG,
     Family.CAUCHY1: LOG1P,
     Family.CAUCHY2: NEG_LOG1P,
 }
-
-
-def explicit_value(family: Family, n: int, params: Params) -> Fraction:
-    """Stirling-sum value of one family member."""
-    return _EXPLICIT[family](n, params)
-
-
-def explicit_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:
-    return [explicit_value(family, n, params) for n in range(n_max + 1)]
 
 
 def _family_series(family: Family, order: int, params: Params) -> PowerSeries:
@@ -187,6 +208,18 @@ def oracle_sequence(family: Family, n_max: int, params: Params) -> list[Fraction
     return [egf_coeff(f, n) for n in range(n_max + 1)]
 
 
+def _cauchy_deriv_coeff(n: int, m: int) -> int:
+    return (-1) ** (n + m) * m * stirling1_unsigned(n, m)
+
+
+# (n, m) -> integer coefficient of 1/(alpha m + a)^k in the printed D_n
+_DERIV_COEFF = {
+    Family.BERNOULLI: lambda n, m: factorial(m) * stirling2(n, m - 1),
+    Family.CAUCHY1: _cauchy_deriv_coeff,
+    Family.CAUCHY2: _cauchy_deriv_coeff,
+}
+
+
 def deriv_coeffs_printed(family: Family, n_max: int, params: Params) -> list[Fraction]:
     """The closed-form derivative coefficients, evaluated exactly as written:
 
@@ -194,24 +227,9 @@ def deriv_coeffs_printed(family: Family, n_max: int, params: Params) -> list[Fra
         bernoulli:       D_n = sum_{m=1..n+1} {n m-1} m! / (alpha m + a)^k
     """
     _check_index(n_max)
-    out: list[Fraction] = []
-    if family is Family.BERNOULLI:
-        params.ensure_valid(n_max + 1)
-        for n in range(n_max + 1):
-            total = Fraction(0)
-            for m in range(1, n + 2):
-                total += stirling2(n, m - 1) * factorial(m) * params.weight(m)
-            out.append(total)
-    else:
-        params.ensure_valid(n_max)
-        for n in range(n_max + 1):
-            total = Fraction(0)
-            for m in range(1, n + 1):
-                total += (
-                    stirling1_unsigned(n, m) * m * (-1) ** (n + m) * params.weight(m)
-                )
-            out.append(total)
-    return out
+    reach = 1 if family is Family.BERNOULLI else 0
+    nums, den = _scaled_sums(_DERIV_COEFF[family], 0, n_max, params, reach)
+    return [Fraction(num, den) for num in nums]
 
 
 def _one_plus_t(order: int) -> PowerSeries:

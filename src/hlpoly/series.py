@@ -13,6 +13,7 @@ which is what makes this module usable as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,32 +203,58 @@ def _check_parameters(order: int, alpha: Fraction, a: Fraction) -> None:
             )
 
 
-def phi_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
-    """sum_{m=0..order} g(t)^m / (alpha*m + a)^k, exact at g's order."""
+def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:
+    """sum_m weights[m] * g^m at g's order, on integers in EGF form.
+
+    With g = sum G_n t^n / (L n!) for integers G_n (L clears the EGF
+    denominators of g) and weights[m] = W_m / D, the EGF integers of
+    (L g)^m follow by binomial convolution, and the sum has EGF value
+    sum_m W_m L^(N-m) [(L g)^m]_n / (D L^N) at t^n / n!.
+    """
+    order = g.order
+    egf = [c * factorial(n) for n, c in enumerate(g.coeffs)]
+    scale = math.lcm(*(c.denominator for c in egf))
+    G = [c.numerator * (scale // c.denominator) for c in egf]
+    den = math.lcm(*(w.denominator for w in weights))
+    binom = [[math.comb(n, j) for j in range(n + 1)] for n in range(order + 1)]
+    power = [1] + [0] * order  # EGF integers of (L g)^m, zero below index m
+    total = [0] * (order + 1)
+    for m, w in enumerate(weights):
+        if m:
+            power = [0] * m + [
+                sum(binom[n][j] * G[j] * power[n - j] for j in range(1, n - m + 2))
+                for n in range(m, order + 1)
+            ]
+        coeff = w.numerator * (den // w.denominator) * scale ** (order - m)
+        for n in range(m, order + 1):
+            total[n] += coeff * power[n]
+    common = den * scale**order
+    return PowerSeries(
+        tuple(Fraction(v, common * factorial(n)) for n, v in enumerate(total))
+    )
+
+
+def _power_weights(g: PowerSeries, k: int, alpha, a) -> list[Fraction]:
+    """1 / (alpha*m + a)^k for m = 0..g's order, after checking that the
+    composition is defined."""
     alpha, a = Fraction(alpha), Fraction(a)
     if g.coeffs[0] != 0:
         raise NonzeroConstantTermError(
             "composition requires a series with zero constant term"
         )
     _check_parameters(g.order, alpha, a)
-    total = PowerSeries.constant(0, g.order)
-    for m, g_power in enumerate(compose_powers(g, g.order)):
-        total = total + g_power * pow_rat(alpha * m + a, -k)
-    return total
+    return [pow_rat(alpha * m + a, -k) for m in range(g.order + 1)]
+
+
+def phi_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
+    """sum_{m=0..order} g(t)^m / (alpha*m + a)^k, exact at g's order."""
+    return _weighted_power_sum(g, _power_weights(g, k, alpha, a))
 
 
 def phif_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
     """Like phi_apply with each m-term additionally divided by m!."""
-    alpha, a = Fraction(alpha), Fraction(a)
-    if g.coeffs[0] != 0:
-        raise NonzeroConstantTermError(
-            "composition requires a series with zero constant term"
-        )
-    _check_parameters(g.order, alpha, a)
-    total = PowerSeries.constant(0, g.order)
-    for m, g_power in enumerate(compose_powers(g, g.order)):
-        total = total + g_power * (pow_rat(alpha * m + a, -k) / factorial(m))
-    return total
+    weights = _power_weights(g, k, alpha, a)
+    return _weighted_power_sum(g, [w / factorial(m) for m, w in enumerate(weights)])
 
 
 def egf_coeff(f: PowerSeries, n: int) -> Fraction:

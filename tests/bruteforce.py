@@ -87,6 +87,23 @@ def stirling1_unsigned_row(n: int) -> list[int]:
     return coeffs + [0] * (n + 1 - len(coeffs))
 
 
+def family_closed_form(family: str, n: int, k: int, alpha, a) -> Fraction:
+    """The family's Stirling-sum formula at index n, with both triangles
+    taken from the recurrence-free helpers above and plain Fraction sums."""
+    total = Fraction(0)
+    first = stirling1_unsigned_row(n)
+    for m in range(n + 1):
+        weight = Fraction(1) / (Fraction(alpha) * m + Fraction(a)) ** k
+        if family == "bernoulli":
+            coeff = (-1) ** (n + m) * factorial(m) * stirling2_explicit(n, m)
+        elif family == "cauchy1":
+            coeff = (-1) ** (n + m) * first[m]
+        else:
+            coeff = (-1) ** n * first[m]
+        total += coeff * weight
+    return total
+
+
 def bell_numbers(n_max: int) -> list[int]:
     """Bell triangle recurrence, independent of any Stirling table."""
     out = [1]

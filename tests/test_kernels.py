@@ -1,0 +1,111 @@
+"""Property tests of the integer common-denominator kernels against plain
+Fraction reference computations.
+
+The Stirling-sum path, the generating-function path and the collapsed
+EQ9-EQ12 right-hand side all sum integers over one common denominator
+internally; each test below recomputes the same value the slow, obvious way.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hlpoly.audit import _DUALITY_SHAPE, _PRINTED_PREFACTOR, audit_duality
+from hlpoly.exact import factorial
+from hlpoly.sequences import FAMILIES, Params, explicit_sequence, explicit_value
+from hlpoly.series import PowerSeries, compose_powers, phi_apply, phif_apply
+
+from bruteforce import family_closed_form
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+nonzero_rationals = rationals.filter(lambda q: q != 0)
+exponents = st.integers(-4, 5)
+families = st.sampled_from(FAMILIES)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _params(k, alpha, a, m_max) -> Params:
+    params = Params(k, alpha, a)
+    assume(params.singular_index(m_max) is None)
+    return params
+
+
+@SETTINGS
+@given(families, st.integers(0, 9), exponents, nonzero_rationals, rationals)
+def test_explicit_kernels_match_the_closed_form(family, n_max, k, alpha, a):
+    params = _params(k, alpha, a, n_max)
+    expected = [
+        family_closed_form(family.value, n, k, alpha, a) for n in range(n_max + 1)
+    ]
+    assert explicit_sequence(family, n_max, params) == expected
+    assert explicit_value(family, n_max, params) == expected[-1]
+
+
+def _power_sum(g: PowerSeries, k, alpha, a, factorial_scaled: bool) -> PowerSeries:
+    total = PowerSeries.constant(0, g.order)
+    for m, power in enumerate(compose_powers(g, g.order)):
+        weight = Fraction(1) / (alpha * m + a) ** k
+        if factorial_scaled:
+            weight /= factorial(m)
+        total = total + power * weight
+    return total
+
+
+def test_non_integral_egf_kernel_example():
+    # t/3 + 2t^2/7: EGF coefficients 1/3 and 4/7, so the kernel has to clear
+    # denominators before its integer convolutions
+    g = PowerSeries.from_coeffs([0, Fraction(1, 3), Fraction(2, 7), 0, 0, 0])
+    k, alpha, a = 2, Fraction(1, 2), Fraction(3)
+    assert phi_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, False)
+    assert phif_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, True)
+
+
+@SETTINGS
+@given(
+    st.lists(rationals, min_size=0, max_size=7),
+    exponents,
+    nonzero_rationals,
+    rationals,
+)
+def test_series_kernels_match_a_compose_powers_sum(tail, k, alpha, a):
+    g = PowerSeries.from_coeffs([Fraction(0)] + tail)
+    _params(k, alpha, a, g.order)
+    assert phi_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, False)
+    assert phif_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, True)
+
+
+def _double_sum(identity, n, params, prefactor) -> Fraction:
+    """The EQ9-EQ12 right-hand side as printed: a Fraction double sum."""
+    _, summed_family, triangle = _DUALITY_SHAPE[identity]
+    inner = explicit_sequence(summed_family, n, params)
+    rhs = Fraction(0)
+    for m in range(n + 1):
+        for l in range(n + 1):
+            rhs += prefactor(n, m) * triangle(n, m) * triangle(m, l) * inner[l]
+    return rhs
+
+
+@SETTINGS
+@given(
+    st.sampled_from(sorted(_DUALITY_SHAPE)),
+    st.integers(0, 8),
+    exponents,
+    nonzero_rationals,
+    rationals,
+    nonzero_rationals,
+)
+def test_collapsed_duality_equals_the_double_sum(identity, n, k, alpha, a, scale):
+    params = _params(k, alpha, a, n)
+    printed = _PRINTED_PREFACTOR[identity]
+    assert audit_duality(identity, n, params).rhs == _double_sum(
+        identity, n, params, printed
+    )
+
+    def variant(n, m):
+        return scale * printed(n, m) / (m + 1)
+
+    assert audit_duality(identity, n, params, variant).rhs == _double_sum(
+        identity, n, params, variant
+    )
