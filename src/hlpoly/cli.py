@@ -233,6 +233,13 @@ def _as_rational(value, label: str) -> Fraction:
         raise UsageError(f"{label} must be a rational like 3 or 1/2, got {value!r}")
 
 
+def _as_alpha(value) -> Fraction:
+    alpha = _as_rational(value, "alpha")
+    if alpha == 0:
+        raise UsageError("alpha must be nonzero")
+    return alpha
+
+
 def _as_int_list(value, label: str) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)):
         items = list(value)
@@ -257,16 +264,12 @@ def _as_pairs(value) -> tuple[tuple[Fraction, Fraction], ...]:
         parts = str(item).split(",")
         if len(parts) != 2:
             raise UsageError(f"pair must look like ALPHA,A, got {item!r}")
-        alpha = _as_rational(parts[0], "alpha")
-        a = _as_rational(parts[1], "a")
-        if alpha == 0:
-            raise UsageError("alpha must be nonzero")
-        pairs.append((alpha, a))
+        pairs.append((_as_alpha(parts[0]), _as_rational(parts[1], "a")))
     return tuple(pairs)
 
 
 def _validated_params(k, alpha, a, n_max: int, reach: int = 0) -> Params:
-    params = Params(_as_int(k, "k"), _as_rational(alpha, "alpha"), _as_rational(a, "a"))
+    params = Params(_as_int(k, "k"), _as_alpha(alpha), _as_rational(a, "a"))
     m = params.singular_index(n_max + reach)
     if m is not None:
         raise UsageError(

@@ -68,6 +68,13 @@ def test_table_singular_parameter_is_usage_error(capsys):
     assert "singular parameter" in err
 
 
+def test_table_zero_alpha_is_usage_error(capsys):
+    code, out, err = run(capsys, "table", "--family", "bernoulli", "--alpha", "0")
+    assert code == 64
+    assert out == ""
+    assert "alpha must be nonzero" in err
+
+
 def test_table_requires_exactly_one_mode(capsys):
     code, _, err = run(capsys, "table")
     assert code == 64
