@@ -221,28 +221,6 @@ _DUALITY_SHAPE = {
 }
 
 
-def _duality_weights(
-    identity: str, n: int, prefactor: Callable[[int, int], Fraction] | None = None
-) -> list:
-    """The double sum collapsed onto the summed family: c_0..c_n with
-
-        c_l = sum_{m=l..n} prefactor(n, m) T(n, m) T(m, l),
-
-    integers under the printed prefactor, Fractions under a rational one.
-    """
-    triangle = _DUALITY_SHAPE[identity][2]
-    pf = prefactor if prefactor is not None else _PRINTED_PREFACTOR[identity]
-    weights = [0] * (n + 1)
-    for m in range(n + 1):
-        outer = triangle(n, m)
-        if outer == 0:
-            continue
-        weight = pf(n, m) * outer
-        for l in range(m + 1):
-            weights[l] += weight * triangle(m, l)
-    return weights
-
-
 def audit_duality(
     identity: str,
     n: int,
@@ -261,20 +239,32 @@ def audit_duality(
     reruns; the check itself never promotes any variant to "intended".
     `prefixes` maps both families to their values through index n at
     `params`, when the caller already has them.
+
+    The double sum is evaluated as sum_l c_l x_l over the summed family's
+    values x_l, with c_l = sum_{m=l..n} prefactor(n, m) T(n, m) T(m, l):
+    integers under the printed prefactor, Fractions under a rational one.
     """
     if identity not in _DUALITY_SHAPE:
         raise ValueError(f"unknown duality identity: {identity!r}")
     point = _params_point(params, n)
     if params.singular_index(n) is not None:
         return _undefined(point, SINGULAR_PARAMETER)
-    lhs_family, summed_family, _ = _DUALITY_SHAPE[identity]
+    lhs_family, summed_family, triangle = _DUALITY_SHAPE[identity]
+    pf = prefactor if prefactor is not None else _PRINTED_PREFACTOR[identity]
+    weights = [0] * (n + 1)
+    for m in range(n + 1):
+        outer = triangle(n, m)
+        if outer == 0:
+            continue
+        weight = pf(n, m) * outer
+        for l in range(m + 1):
+            weights[l] += weight * triangle(m, l)
     prefixes = prefixes or {
         family: explicit_scaled(family, n, params)
         for family in (lhs_family, summed_family)
     }
     lhs_nums, lhs_den = prefixes[lhs_family]
     inner, inner_den = prefixes[summed_family]
-    weights = _duality_weights(identity, n, prefactor)
     rhs = sum(w * x for w, x in zip(weights, inner))
     return _compare(point, Fraction(lhs_nums[n], lhs_den), Fraction(rhs, inner_den))
 
