@@ -48,6 +48,7 @@ from .stirling import stirling1_unsigned, stirling2
 
 __all__ = [
     "AuditReport",
+    "CATALOGUE",
     "DEFAULT_GRID",
     "FAILS",
     "GridSpec",
@@ -78,26 +79,6 @@ UNDEFINED = "UNDEFINED"
 SINGULAR_PARAMETER = "SINGULAR_PARAMETER"
 NONREDUCIBLE_DENOMINATOR = "NONREDUCIBLE_DENOMINATOR"
 P_DIVIDES_ALPHA = "P_DIVIDES_ALPHA"
-
-IDENTITIES = (
-    "THM1",
-    "THM2",
-    "THM3",
-    "THM4",
-    "THM5",
-    "THM6",
-    "EQ9",
-    "EQ10",
-    "EQ11",
-    "EQ12",
-    "THM8_C1",
-    "THM8_C2",
-    "THM8_B",
-    "THM9",
-    "THM10",
-    "THM11",
-    "STIRLING_ORTHO",
-)
 
 
 class PrimeDividesAlphaError(ValueError):
@@ -278,13 +259,6 @@ def _invertibility_scan(params: Params, m_max: int, p: int) -> tuple[bool, str |
     return True, None
 
 
-_CONGRUENCE_IDENTITY = {
-    Family.CAUCHY1: "THM8_C1",
-    Family.CAUCHY2: "THM8_C2",
-    Family.BERNOULLI: "THM8_B",
-}
-
-
 def audit_congruence(
     family: Family, n: int, k: int, alpha, a, p: int
 ) -> Verdict:
@@ -307,7 +281,7 @@ def audit_congruence(
             f"p = {p} divides alpha = {format_rational(alpha)}"
         )
     params = Params(k, alpha, a)
-    point = {"k": k, "alpha": params.alpha, "a": params.a, "n": n, "p": p}
+    point = {**_params_point(params, n), "p": p}
     hyp_ok, hyp_note = _invertibility_scan(params, n * p, p)
     flags = {"hypothesis_ok": hyp_ok, "hypothesis_note": hyp_note}
     if params.singular_index(n * p) is not None:
@@ -350,30 +324,34 @@ def _split_defined(params: Params, n_max: int, reach: int) -> tuple[int, list[in
     return last, list(range(last + 1, n_max + 1))
 
 
-_EXPLICIT_IDENTITY = {
-    Family.BERNOULLI: "THM1",
-    Family.CAUCHY1: "THM2",
-    Family.CAUCHY2: "THM3",
-}
+def _index_comparison(
+    family: Family, n_max: int, params: Params, reach: int, formula, series_side
+) -> list[Verdict]:
+    """formula(family, N, params) vs series_side(family, N, params) index by
+    index over 0..n_max, where index n touches alpha*m + a up to m = n + reach."""
+    last, undefined_tail = _split_defined(params, n_max, reach)
+    points = [_params_point(params, n) for n in range(last + 1)]
+    if last >= 0:
+        lhs, rhs = formula(family, last, params), series_side(family, last, params)
+    else:
+        lhs, rhs = [], []
+    return sequence_comparison(
+        points, lhs, rhs, [_params_point(params, n) for n in undefined_tail]
+    )
+
+
+def _label(rows, family: Family) -> str:
+    return next(
+        label for label, (_, r, f) in CATALOGUE.items() if r is rows and f is family
+    )
 
 
 def audit_explicit(family: Family, n_max: int, params: Params) -> AuditReport:
     """Stirling-sum path vs generating-function path, index by index."""
-    last, undefined_tail = _split_defined(params, n_max, reach=0)
-    points = [_params_point(params, n) for n in range(last + 1)]
-    lhs = explicit_sequence(family, last, params)
-    rhs = oracle_sequence(family, last, params) if last >= 0 else []
-    verdicts = sequence_comparison(
-        points, lhs, rhs, [_params_point(params, n) for n in undefined_tail]
+    verdicts = _index_comparison(
+        family, n_max, params, 0, explicit_sequence, oracle_sequence
     )
-    return AuditReport(_EXPLICIT_IDENTITY[family], verdicts)
-
-
-_DERIVATIVE_IDENTITY = {
-    Family.CAUCHY1: "THM9",
-    Family.CAUCHY2: "THM10",
-    Family.BERNOULLI: "THM11",
-}
+    return AuditReport(_label(_explicit_rows, family), verdicts)
 
 
 def audit_derivative(family: Family, n_max: int, params: Params) -> AuditReport:
@@ -381,17 +359,10 @@ def audit_derivative(family: Family, n_max: int, params: Params) -> AuditReport:
 
     FAILS rows carry the (printed, series) pair as lhs/rhs witness.
     """
-    last, undefined_tail = _split_defined(params, n_max, reach=1)
-    points = [_params_point(params, n) for n in range(last + 1)]
-    if last >= 0:
-        printed = deriv_coeffs_printed(family, last, params)
-        oracle = deriv_coeffs_oracle(family, last, params)
-    else:
-        printed, oracle = [], []
-    verdicts = sequence_comparison(
-        points, printed, oracle, [_params_point(params, n) for n in undefined_tail]
+    verdicts = _index_comparison(
+        family, n_max, params, 1, deriv_coeffs_printed, deriv_coeffs_oracle
     )
-    return AuditReport(_DERIVATIVE_IDENTITY[family], verdicts)
+    return AuditReport(_label(_derivative_rows, family), verdicts)
 
 
 def audit_stirling_orthogonality(n_max: int) -> AuditReport:
@@ -466,20 +437,88 @@ def _sorted_report(identity: str, verdicts: list[Verdict], variant=None) -> Audi
     return AuditReport(identity, sorted(verdicts, key=_point_sort_key), variant)
 
 
-_FAMILY_BY_IDENTITY = {
-    "THM1": Family.BERNOULLI,
-    "THM2": Family.CAUCHY1,
-    "THM3": Family.CAUCHY2,
-    "THM4": Family.BERNOULLI,
-    "THM5": Family.CAUCHY1,
-    "THM6": Family.CAUCHY2,
-    "THM8_C1": Family.CAUCHY1,
-    "THM8_C2": Family.CAUCHY2,
-    "THM8_B": Family.BERNOULLI,
-    "THM9": Family.CAUCHY1,
-    "THM10": Family.CAUCHY2,
-    "THM11": Family.BERNOULLI,
+# Row functions: the verdicts of one identity at one (k, alpha, a) point,
+# called as rows(label, family, params, grid, prefactor).
+
+
+def _explicit_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    return audit_explicit(family, grid.n_max, params).verdicts
+
+
+def _derivative_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    return audit_derivative(family, grid.n_max, params).verdicts
+
+
+# THM4-THM6 and EQ9-EQ12 read each family's values once per grid point, up to
+# the last index where they are defined.
+
+
+def _orthogonality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    last, _ = _split_defined(params, grid.n_max, reach=0)
+    prefix = explicit_scaled(family, last, params)
+    return [
+        audit_orthogonality(family, n, params, prefix) for n in range(grid.n_max + 1)
+    ]
+
+
+def _duality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    last, _ = _split_defined(params, grid.n_max, reach=0)
+    prefixes = {f: explicit_scaled(f, last, params) for f in _DUALITY_SHAPE[label][:2]}
+    return [
+        audit_duality(label, n, params, prefactor, prefixes)
+        for n in range(grid.n_max + 1)
+    ]
+
+
+def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    """Congruences are stated for k >= 1 only; other k give no rows."""
+    if params.k < 1:
+        return []
+    verdicts = []
+    for n in grid.multipliers:
+        for p in grid.primes:
+            try:
+                verdicts.append(
+                    audit_congruence(family, n, params.k, params.alpha, params.a, p)
+                )
+            except PrimeDividesAlphaError:
+                hyp_ok, hyp_note = _invertibility_scan(params, n * p, p)
+                verdicts.append(
+                    _undefined(
+                        {**_params_point(params, n), "p": p},
+                        P_DIVIDES_ALPHA,
+                        hypothesis_ok=hyp_ok,
+                        hypothesis_note=hyp_note,
+                    )
+                )
+    return verdicts
+
+
+# The identity catalogue, in the run order of `audit --identity all`:
+# label -> (CLI token, row function, family). EQ9..EQ12 carry their lhs
+# family. STIRLING_ORTHO does not depend on (k, alpha, a) and has no row
+# function.
+CATALOGUE = {
+    "THM1": ("thm1", _explicit_rows, Family.BERNOULLI),
+    "THM2": ("thm2", _explicit_rows, Family.CAUCHY1),
+    "THM3": ("thm3", _explicit_rows, Family.CAUCHY2),
+    "THM4": ("thm4", _orthogonality_rows, Family.BERNOULLI),
+    "THM5": ("thm5", _orthogonality_rows, Family.CAUCHY1),
+    "THM6": ("thm6", _orthogonality_rows, Family.CAUCHY2),
+    "EQ9": ("eq9", _duality_rows, Family.BERNOULLI),
+    "EQ10": ("eq10", _duality_rows, Family.BERNOULLI),
+    "EQ11": ("eq11", _duality_rows, Family.CAUCHY1),
+    "EQ12": ("eq12", _duality_rows, Family.CAUCHY2),
+    "THM8_C1": ("thm8", _congruence_rows, Family.CAUCHY1),
+    "THM8_C2": ("thm8", _congruence_rows, Family.CAUCHY2),
+    "THM8_B": ("thm8", _congruence_rows, Family.BERNOULLI),
+    "THM9": ("thm9", _derivative_rows, Family.CAUCHY1),
+    "THM10": ("thm10", _derivative_rows, Family.CAUCHY2),
+    "THM11": ("thm11", _derivative_rows, Family.BERNOULLI),
+    "STIRLING_ORTHO": ("stirling-ortho", None, None),
 }
+
+IDENTITIES = tuple(CATALOGUE)
 
 
 def run_identity(
@@ -491,92 +530,22 @@ def run_identity(
     """Evaluate one catalogued identity over the grid.
 
     The report's rows are canonically sorted (k, alpha, a, then indices), so
-    identical grids always serialize to identical bytes. `prefactor` is only
-    honoured for EQ9..EQ12.
+    identical grids always serialize to identical bytes. `prefactor` and
+    `variant_label` are only honoured for EQ9..EQ12.
     """
-    if identity not in IDENTITIES:
+    if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
-    if prefactor is not None and not identity.startswith("EQ"):
+    _, rows, family = CATALOGUE[identity]
+    if prefactor is not None and rows is not _duality_rows:
         raise ValueError("a variant prefactor only applies to EQ9..EQ12")
-
-    verdicts: list[Verdict] = []
-    if identity == "STIRLING_ORTHO":
+    if rows is None:
         return audit_stirling_orthogonality(grid.stirling_n_max)
-
-    if identity in ("THM1", "THM2", "THM3"):
-        family = _FAMILY_BY_IDENTITY[identity]
-        for alpha, a in grid.pairs:
-            for k in grid.k_values:
-                report = audit_explicit(family, grid.n_max, Params(k, alpha, a))
-                verdicts.extend(report.verdicts)
-        return _sorted_report(identity, verdicts)
-
-    # THM4-THM6 and EQ9-EQ12 read each family's values once per grid point,
-    # up to the last index where they are defined.
-    if identity in ("THM4", "THM5", "THM6"):
-        family = _FAMILY_BY_IDENTITY[identity]
-        for alpha, a in grid.pairs:
-            for k in grid.k_values:
-                params = Params(k, alpha, a)
-                last, _ = _split_defined(params, grid.n_max, reach=0)
-                prefix = explicit_scaled(family, last, params)
-                for n in range(grid.n_max + 1):
-                    verdicts.append(audit_orthogonality(family, n, params, prefix))
-        return _sorted_report(identity, verdicts)
-
-    if identity in ("EQ9", "EQ10", "EQ11", "EQ12"):
-        families = _DUALITY_SHAPE[identity][:2]
-        for alpha, a in grid.pairs:
-            for k in grid.k_values:
-                params = Params(k, alpha, a)
-                last, _ = _split_defined(params, grid.n_max, reach=0)
-                prefixes = {f: explicit_scaled(f, last, params) for f in families}
-                for n in range(grid.n_max + 1):
-                    verdicts.append(
-                        audit_duality(identity, n, params, prefactor, prefixes)
-                    )
-        return _sorted_report(identity, verdicts, variant_label)
-
-    if identity in ("THM8_C1", "THM8_C2", "THM8_B"):
-        family = _FAMILY_BY_IDENTITY[identity]
-        for alpha, a in grid.pairs:
-            for k in grid.k_values:
-                if k < 1:
-                    continue
-                for n in grid.multipliers:
-                    for p in grid.primes:
-                        try:
-                            verdicts.append(
-                                audit_congruence(family, n, k, alpha, a, p)
-                            )
-                        except PrimeDividesAlphaError:
-                            point = {
-                                "k": k,
-                                "alpha": Fraction(alpha),
-                                "a": Fraction(a),
-                                "n": n,
-                                "p": p,
-                            }
-                            hyp_ok, hyp_note = _invertibility_scan(
-                                Params(k, alpha, a), n * p, p
-                            )
-                            verdicts.append(
-                                _undefined(
-                                    point,
-                                    P_DIVIDES_ALPHA,
-                                    hypothesis_ok=hyp_ok,
-                                    hypothesis_note=hyp_note,
-                                )
-                            )
-        return _sorted_report(identity, verdicts)
-
-    # THM9 / THM10 / THM11
-    family = _FAMILY_BY_IDENTITY[identity]
+    verdicts: list[Verdict] = []
     for alpha, a in grid.pairs:
         for k in grid.k_values:
-            report = audit_derivative(family, grid.n_max, Params(k, alpha, a))
-            verdicts.extend(report.verdicts)
-    return _sorted_report(identity, verdicts)
+            verdicts.extend(rows(identity, family, Params(k, alpha, a), grid, prefactor))
+    variant = variant_label if rows is _duality_rows else None
+    return _sorted_report(identity, verdicts, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ import ast
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import __version__
 from .audit import (
+    CATALOGUE,
     DEFAULT_GRID,
     GridSpec,
     exit_code,
@@ -60,30 +62,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# identity tokens accepted on the command line, in canonical run order
-_IDENTITY_TOKENS = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm6",
-    "eq9",
-    "eq10",
-    "eq11",
-    "eq12",
-    "thm8",
-    "thm9",
-    "thm10",
-    "thm11",
-    "stirling-ortho",
-)
-
-_TOKEN_TO_IDENTITIES = {
-    **{t: (t.upper(),) for t in _IDENTITY_TOKENS if t not in ("thm8", "stirling-ortho")},
-    "thm8": ("THM8_C1", "THM8_C2", "THM8_B"),
-    "stirling-ortho": ("STIRLING_ORTHO",),
-}
+# The one congruence token, and the row function that eq9..eq12 share: only
+# they take a variant prefactor.
+_CONGRUENCE_TOKEN = "thm8"
+_DUALITY_ROWS = CATALOGUE["EQ9"][1]
 
 
 def canonical_json(payload) -> str:
@@ -134,7 +116,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add("audit", "check catalogued identities over a parameter grid")
     p.add_argument(
         "--identity",
-        choices=list(_IDENTITY_TOKENS) + ["all"],
+        choices=list(dict.fromkeys(token for token, _, _ in CATALOGUE.values()))
+        + ["all"],
         required=True,
     )
     p.add_argument("--n-max", default="12", help="largest sequence index (default 12)")
@@ -179,11 +162,29 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subparsers
 
 
-def _apply_config(parser: _Parser, subparsers, argv, args):
-    """Merge --config file values as defaults, then re-parse so that flags
-    given on the command line still win."""
-    if not getattr(args, "config", None):
-        return args
+def _parse_args(parser: _Parser, subparsers, argv: list[str]):
+    """Parse argv with the --config file's values spliced in as flags right
+    after the command, so that argparse checks them (choices, store_true,
+    required) as it checks flags, and flags given on the command line win."""
+    # The first pass only finds the command and its config file, which may
+    # hold a required flag, so nothing is required yet.
+    required = [a for p in subparsers.values() for a in p._actions if a.required]
+    for action in required:
+        action.required = False
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        for action in required:
+            action.required = True
+    if args.command is None:
+        raise UsageError("a command is required (table, series, audit, congruence-scan)")
+    if args.config:
+        at = argv.index(args.command) + 1
+        argv = argv[:at] + _config_flags(subparsers[args.command], args) + argv[at:]
+    return parser.parse_args(argv)
+
+
+def _config_flags(command_parser: _Parser, args) -> list[str]:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -193,18 +194,38 @@ def _apply_config(parser: _Parser, subparsers, argv, args):
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise UsageError("config file must hold a flat JSON object")
-    command_parser = subparsers[args.command]
-    valid = {action.dest for action in command_parser._actions}
-    defaults = {}
+    actions = {
+        action.dest: action
+        for action in command_parser._actions
+        if action.dest not in ("help", "config")
+    }
+    flags = []
     for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest not in valid:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"unknown config key: {key!r}")
-        if dest == "pair" and isinstance(value, str):
-            value = [value]
-        defaults[dest] = value
-    command_parser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # store_true
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false")
+            flags += [flag] if value else []
+        elif isinstance(action, argparse._AppendAction):
+            # a command-line --pair replaces the file's pairs
+            if getattr(args, action.dest) is None:
+                items = value if isinstance(value, list) else [value]
+                flags += [f"{flag}={_config_text(key, item)}" for item in items]
+        else:
+            flags.append(f"{flag}={_config_text(key, value)}")
+    return flags
+
+
+def _config_text(key: str, value) -> str:
+    """A config value as the flag text it stands for; a list joins with commas."""
+    if isinstance(value, list):
+        return ",".join(_config_text(key, item) for item in value)
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key!r} must be a string, a number or a list")
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +262,7 @@ def _as_alpha(value) -> Fraction:
 
 
 def _as_int_list(value, label: str) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [part for part in str(value).split(",") if part.strip()]
+    items = [part for part in str(value).split(",") if part.strip()]
     if not items:
         raise UsageError(f"{label} must not be empty")
     return tuple(_as_int(item, label) for item in items)
@@ -390,20 +408,23 @@ def _aligned_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _report_rows(report) -> tuple[list[str], list[list[str]]]:
+def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
+    """The report's column header and a lazy iterator over its rows."""
     point_keys = list(report.verdicts[0].point.keys()) if report.verdicts else []
     with_hyp = any(v.hypothesis_ok is not None for v in report.verdicts)
     header = point_keys + ["status", "lhs", "rhs", "reason"]
     if with_hyp:
         header += ["hypothesis_ok", "hypothesis_note"]
-    rows = []
-    for v in report.verdicts:
-        row = [_cell(v.point[key]) for key in point_keys]
-        row += [v.status, _cell(v.lhs), _cell(v.rhs), _cell(v.reason)]
-        if with_hyp:
-            row += [_cell(v.hypothesis_ok), _cell(v.hypothesis_note)]
-        rows.append(row)
-    return header, rows
+
+    def rows():
+        for v in report.verdicts:
+            row = [_cell(v.point[key]) for key in point_keys]
+            row += [v.status, _cell(v.lhs), _cell(v.rhs), _cell(v.reason)]
+            if with_hyp:
+                row += [_cell(v.hypothesis_ok), _cell(v.hypothesis_note)]
+            yield row
+
+    return header, rows()
 
 
 def _render_reports_text(reports) -> str:
@@ -419,6 +440,7 @@ def _render_reports_text(reports) -> str:
             f"holds={s['holds']} fails={s['fails']} undefined={s['undefined']}"
         )
         header, rows = _report_rows(report)
+        rows = list(rows)
         if rows:
             lines.append(_aligned_table(header, rows))
     return "\n".join(lines) + "\n"
@@ -519,11 +541,10 @@ def _cmd_series(args) -> int:
 
 
 def _grid_from_args(args) -> GridSpec:
-    pairs = _as_pairs(args.pair) if args.pair else DEFAULT_GRID.pairs
-    return GridSpec(
+    grid = GridSpec(
         n_max=_as_nonneg_int(getattr(args, "n_max", DEFAULT_GRID.n_max), "n-max"),
         k_values=_as_int_list(args.k_values, "k-values"),
-        pairs=pairs,
+        pairs=_as_pairs(args.pair) if args.pair else DEFAULT_GRID.pairs,
         primes=_as_primes(args.primes),
         multipliers=_as_int_list(args.multipliers, "multipliers"),
         stirling_n_max=_as_nonneg_int(
@@ -531,6 +552,9 @@ def _grid_from_args(args) -> GridSpec:
             "stirling-n-max",
         ),
     )
+    if min(grid.multipliers) < 1:
+        raise UsageError("multipliers must be >= 1")
+    return grid
 
 
 def _grid_to_dict(grid: GridSpec) -> dict:
@@ -546,108 +570,56 @@ def _grid_to_dict(grid: GridSpec) -> dict:
 
 def _cmd_audit(args) -> int:
     grid = _grid_from_args(args)
-    for multiplier in grid.multipliers:
-        if multiplier < 1:
-            raise UsageError("multipliers must be >= 1")
+    labels = [
+        label
+        for label, (token, _, _) in CATALOGUE.items()
+        if args.identity in (token, "all")
+    ]
+    if args.identity == _CONGRUENCE_TOKEN and max(grid.k_values) < 1:
+        raise UsageError("thm8 needs at least one k >= 1 in --k-values")
     prefactor = None
     if args.variant_prefactor is not None:
-        if args.identity not in ("eq9", "eq10", "eq11", "eq12"):
+        if any(CATALOGUE[label][1] is not _DUALITY_ROWS for label in labels):
             raise UsageError("--variant-prefactor only applies to eq9..eq12")
         prefactor = parse_prefactor(args.variant_prefactor)
 
-    if args.identity == "all":
-        tokens = list(_IDENTITY_TOKENS)
-    else:
-        tokens = [args.identity]
-    identity_keys = [key for token in tokens for key in _TOKEN_TO_IDENTITIES[token]]
     reports = [
-        run_identity(
-            key,
-            grid,
-            prefactor=prefactor,
-            variant_label=args.variant_prefactor,
-        )
-        for key in identity_keys
+        run_identity(label, grid, prefactor, args.variant_prefactor)
+        for label in labels
     ]
-
-    if args.format == "json":
-        payload = {
-            "command": "audit",
-            "grid": _grid_to_dict(grid),
-            "reports": [report_to_dict(r) for r in reports],
-        }
-        sys.stdout.write(canonical_json(payload))
-    else:
-        sys.stdout.write(_render_reports_text(reports))
-    return exit_code(reports)
+    return _write_reports(args, grid, reports)
 
 
 def _cmd_congruence_scan(args) -> int:
-    pairs = _as_pairs(args.pair) if args.pair else DEFAULT_GRID.pairs
-    k_values = _as_int_list(args.k_values, "k-values")
-    for k in k_values:
-        if k < 1:
-            raise UsageError("congruence scans require k >= 1")
-    multipliers = _as_int_list(args.multipliers, "multipliers")
-    for multiplier in multipliers:
-        if multiplier < 1:
-            raise UsageError("multipliers must be >= 1")
-    grid = GridSpec(
-        k_values=k_values,
-        pairs=pairs,
-        primes=_as_primes(args.primes),
-        multipliers=multipliers,
-    )
-    if args.family == "all":
-        identity_keys = ["THM8_C1", "THM8_C2", "THM8_B"]
-    else:
-        identity_keys = {
-            "cauchy1": ["THM8_C1"],
-            "cauchy2": ["THM8_C2"],
-            "bernoulli": ["THM8_B"],
-        }[args.family]
-    reports = [run_identity(key, grid) for key in identity_keys]
+    grid = _grid_from_args(args)
+    if min(grid.k_values) < 1:
+        raise UsageError("congruence scans require k >= 1")
+    reports = [
+        run_identity(label, grid)
+        for label, (token, _, family) in CATALOGUE.items()
+        if token == _CONGRUENCE_TOKEN and args.family in ("all", family.value)
+    ]
+    return _write_reports(args, grid, reports)
 
+
+def _write_reports(args, grid: GridSpec, reports) -> int:
+    """Print an audit or congruence-scan result in the requested format and
+    return the exit code its verdicts give."""
     if args.format == "json":
         payload = {
-            "command": "congruence-scan",
+            "command": args.command,
             "grid": _grid_to_dict(grid),
             "reports": [report_to_dict(r) for r in reports],
         }
         sys.stdout.write(canonical_json(payload))
     elif args.format == "csv":
-        header = [
-            "identity",
-            "k",
-            "alpha",
-            "a",
-            "n",
-            "p",
-            "status",
-            "lhs",
-            "rhs",
-            "reason",
-            "hypothesis_ok",
-            "hypothesis_note",
-        ]
-        print(",".join(header))
+        # Only congruence-scan offers csv. Its reports all have the columns
+        # k, alpha, a, n, p and the hypothesis flag, and none is empty.
+        print(",".join(["identity"] + _report_rows(reports[0])[0]))
         for report in reports:
-            for v in report.verdicts:
-                row = [
-                    report.identity.lower(),
-                    _cell(v.point["k"]),
-                    _cell(v.point["alpha"]),
-                    _cell(v.point["a"]),
-                    _cell(v.point["n"]),
-                    _cell(v.point["p"]),
-                    v.status,
-                    _cell(v.lhs),
-                    _cell(v.rhs),
-                    _cell(v.reason),
-                    _cell(v.hypothesis_ok),
-                    _cell(v.hypothesis_note),
-                ]
-                print(",".join(row))
+            label = report.identity.lower()
+            for row in _report_rows(report)[1]:
+                print(",".join([label] + row))
     else:
         sys.stdout.write(_render_reports_text(reports))
     return exit_code(reports)
@@ -665,10 +637,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a command is required (table, series, audit, congruence-scan)")
-        args = _apply_config(parser, subparsers, argv, args)
+        args = _parse_args(parser, subparsers, argv)
         try:
             return _HANDLERS[args.command](args)
         except SingularParameterError as exc:

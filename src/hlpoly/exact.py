@@ -25,6 +25,7 @@ __all__ = [
     "pow_rat",
     "rational_from_json",
     "rational_to_json",
+    "singular_index",
 ]
 
 
@@ -86,6 +87,16 @@ def pow_rat(base: Fraction | int, k: int) -> Fraction:
     if k < 0 and base == 0:
         raise ZeroDivisionError("cannot raise 0 to a negative power")
     return base**k
+
+
+def singular_index(alpha: Fraction, a: Fraction, m_max: int) -> int | None:
+    """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
+    if not alpha:
+        return 0 if not a and m_max >= 0 else None
+    root = -a / alpha
+    if root.denominator == 1 and 0 <= root <= m_max:
+        return int(root)
+    return None
 
 
 def factorial(n: int) -> int:

@@ -33,7 +33,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SingularParameterError, factorial, format_rational, pow_rat
+from .exact import (
+    SingularParameterError,
+    factorial,
+    format_rational,
+    pow_rat,
+    singular_index,
+)
 from .series import (
     EXP_POS,
     LOG1P,
@@ -95,10 +101,7 @@ class Params:
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
-        root = -self.a / self.alpha
-        if root.denominator == 1 and 0 <= root <= m_max:
-            return int(root)
-        return None
+        return singular_index(self.alpha, self.a, m_max)
 
     def ensure_valid(self, m_max: int) -> None:
         m = self.singular_index(m_max)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SingularParameterError, factorial, pow_rat
+from .exact import SingularParameterError, factorial, pow_rat, singular_index
 
 __all__ = [
     "EXP_NEG",
@@ -195,14 +195,6 @@ def compose_powers(g: PowerSeries, m_max: int) -> list[PowerSeries]:
     return powers
 
 
-def _check_parameters(order: int, alpha: Fraction, a: Fraction) -> None:
-    for m in range(order + 1):
-        if alpha * m + a == 0:
-            raise SingularParameterError(
-                f"alpha*m + a vanishes at m = {m} (excluded parameter point)"
-            )
-
-
 def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:
     """sum_m weights[m] * g^m at g's order, on integers in EGF form.
 
@@ -242,7 +234,11 @@ def _power_weights(g: PowerSeries, k: int, alpha, a) -> list[Fraction]:
         raise NonzeroConstantTermError(
             "composition requires a series with zero constant term"
         )
-    _check_parameters(g.order, alpha, a)
+    m = singular_index(alpha, a, g.order)
+    if m is not None:
+        raise SingularParameterError(
+            f"alpha*m + a vanishes at m = {m} (excluded parameter point)"
+        )
     return [pow_rat(alpha * m + a, -k) for m in range(g.order + 1)]
 
 

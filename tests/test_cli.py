@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hlpoly.audit import CATALOGUE
 from hlpoly.cli import main, parse_prefactor, UsageError
 
 
@@ -272,6 +273,48 @@ def test_audit_all_identities_present(capsys):
     ]
 
 
+def test_audit_thm8_without_positive_k_is_usage_error(capsys):
+    code, out, err = run(capsys, "audit", "--identity", "thm8", "--k-values=-1,0")
+    assert code == 64
+    assert out == ""
+    assert "k >= 1" in err
+
+
+# the README's token table: each --identity token and the reports it runs
+TOKEN_LABELS = {
+    "thm1": ["THM1"],
+    "thm2": ["THM2"],
+    "thm3": ["THM3"],
+    "thm4": ["THM4"],
+    "thm5": ["THM5"],
+    "thm6": ["THM6"],
+    "eq9": ["EQ9"],
+    "eq10": ["EQ10"],
+    "eq11": ["EQ11"],
+    "eq12": ["EQ12"],
+    "thm8": ["THM8_C1", "THM8_C2", "THM8_B"],
+    "thm9": ["THM9"],
+    "thm10": ["THM10"],
+    "thm11": ["THM11"],
+    "stirling-ortho": ["STIRLING_ORTHO"],
+}
+
+
+@pytest.mark.parametrize("token, labels", TOKEN_LABELS.items())
+def test_identity_token_runs_its_catalogue_labels_in_order(capsys, token, labels):
+    assert set(TOKEN_LABELS) == {t for t, _, _ in CATALOGUE.values()}
+    code, out, _ = run(
+        capsys,
+        "audit", "--identity", token, "--n-max", "1", "--k-values", "1",
+        "--pair", "1,1", "--primes", "3", "--multipliers", "1",
+        "--stirling-n-max", "1", "--format", "json",
+    )
+    assert code in (0, 1)
+    names = [r["identity"] for r in json.loads(out)["reports"]]
+    assert names == labels
+    assert names == [label for label, (t, _, _) in CATALOGUE.items() if t == token]
+
+
 # -- congruence-scan ----------------------------------------------------------
 
 
@@ -341,6 +384,46 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--config", str(config))
     assert code == 64
     assert "unknown config key" in err
+
+
+# Config values go through the same checks as flags; a usage error has no
+# stdout. `out` is a part of stdout on success.
+CONFIG_CASES = [
+    (["table"], {"family": "bogus"}, 64, None),
+    (["table"], {"family": "cauchy1", "method": "xyz"}, 64, None),
+    (["table"], {"family": "cauchy1", "format": "xml"}, 64, None),
+    (["table"], {"stirling": "3"}, 64, None),
+    (["table"], {"stirling": 1, "max_n": 3}, 0, "1\n0,1\n0,1,1\n0,2,3,1\n"),
+    (["series", "--kernel", "log1p", "--order", "2"], {"egf": "no"}, 64, None),
+    (["series", "--order", "3"], {"kernel": "log1p"}, 0, "0,0\n1,1\n2,-1/2\n3,1/3\n"),
+    (["congruence-scan"], {"family": "nope"}, 64, None),
+    (["table"], {"n_max": None, "family": "cauchy1"}, 64, None),
+    (
+        ["audit", "--n-max", "0", "--k-values", "1", "--pair", "1,1"],
+        {"identity": "thm2"},
+        0,
+        "identity thm2: points=1 holds=1 ",
+    ),
+    # a command-line --pair replaces the file's pairs
+    (
+        ["audit", "--identity", "thm1", "--n-max", "0", "--k-values", "1", "--pair", "1,2"],
+        {"pair": ["1,1", "2,1"]},
+        0,
+        "identity thm1: points=1 holds=1 ",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, config, code, out_part", CONFIG_CASES)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config, code, out_part):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    got, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert got == code, err
+    if out_part is None:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert out_part in out
 
 
 def test_config_file_missing(capsys):

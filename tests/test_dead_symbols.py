@@ -1,0 +1,64 @@
+"""Every module-level private name in the package is used somewhere.
+
+A private helper or table that nothing reads is dead code that still looks
+load-bearing, so one that outlives its last caller fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import hlpoly
+
+PACKAGE = Path(hlpoly.__file__).parent
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in the tree;
+    a definition alone (def, class, assignment target) is not a reference."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set().union(*map(_references, trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    )
+
+
+def test_every_private_module_level_name_is_referenced():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _unreferenced(sources) == []
+
+
+def test_guard_sees_definitions_and_references():
+    sources = {
+        "a": "_TABLE = {1: 2}\n_USED = 3\ndef _helper():\n    return _USED\n",
+        "b": "from .a import _helper\nclass _Dead:\n    pass\n_helper()\n",
+    }
+    assert _unreferenced(sources) == ["a._TABLE", "b._Dead"]

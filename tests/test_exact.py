@@ -15,6 +15,7 @@ from hlpoly.exact import (
     pow_rat,
     rational_from_json,
     rational_to_json,
+    singular_index,
 )
 
 rationals = st.builds(
@@ -100,6 +101,12 @@ def test_format_rational():
 @given(rationals)
 def test_json_round_trip(q):
     assert rational_from_json(rational_to_json(q)) == q
+
+
+@given(rationals, rationals, st.integers(-1, 30))
+def test_singular_index_is_the_first_vanishing_m(alpha, a, m_max):
+    scan = next((m for m in range(m_max + 1) if alpha * m + a == 0), None)
+    assert singular_index(alpha, a, m_max) == scan
 
 
 # -- primality and modular reduction ----------------------------------------
