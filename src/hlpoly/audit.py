@@ -186,19 +186,24 @@ def audit_orthogonality(
     return _compare(point, Fraction(lhs, den), Fraction(rhs))
 
 
-_PRINTED_PREFACTOR: dict[str, Callable[[int, int], int]] = {
-    "EQ9": lambda n, m: (-1) ** (m + n) * factorial(m),
-    "EQ10": lambda n, m: (-1) ** m * factorial(m),
-    "EQ11": lambda n, m: (-1) ** (m + n) * factorial(m),
-    "EQ12": lambda n, m: (-1) ** n * factorial(m),
-}
-
 _DUALITY_SHAPE = {
-    # identity -> (lhs family, summed family, stirling triangle)
-    "EQ9": (Family.BERNOULLI, Family.CAUCHY1, stirling2),
-    "EQ10": (Family.BERNOULLI, Family.CAUCHY2, stirling2),
-    "EQ11": (Family.CAUCHY1, Family.BERNOULLI, stirling1_unsigned),
-    "EQ12": (Family.CAUCHY2, Family.BERNOULLI, stirling1_unsigned),
+    # identity -> (lhs family, summed family, stirling triangle, printed prefactor)
+    "EQ9": (
+        Family.BERNOULLI, Family.CAUCHY1, stirling2,
+        lambda n, m: (-1) ** (m + n) * factorial(m),
+    ),
+    "EQ10": (
+        Family.BERNOULLI, Family.CAUCHY2, stirling2,
+        lambda n, m: (-1) ** m * factorial(m),
+    ),
+    "EQ11": (
+        Family.CAUCHY1, Family.BERNOULLI, stirling1_unsigned,
+        lambda n, m: (-1) ** (m + n) * factorial(m),
+    ),
+    "EQ12": (
+        Family.CAUCHY2, Family.BERNOULLI, stirling1_unsigned,
+        lambda n, m: (-1) ** n * factorial(m),
+    ),
 }
 
 
@@ -230,8 +235,8 @@ def audit_duality(
     point = _params_point(params, n)
     if params.singular_index(n) is not None:
         return _undefined(point, SINGULAR_PARAMETER)
-    lhs_family, summed_family, triangle = _DUALITY_SHAPE[identity]
-    pf = prefactor if prefactor is not None else _PRINTED_PREFACTOR[identity]
+    lhs_family, summed_family, triangle, printed = _DUALITY_SHAPE[identity]
+    pf = prefactor if prefactor is not None else printed
     weights = [0] * (n + 1)
     for m in range(n + 1):
         outer = triangle(n, m)
@@ -315,12 +320,13 @@ def sequence_comparison(
 
 
 def _split_defined(params: Params, n_max: int, reach: int) -> tuple[int, list[int]]:
-    """Largest index whose check is evaluable, given that index n touches
-    alpha*m + a up to m = n + reach."""
+    """The largest index whose check is evaluable (-1 if none is) and the
+    indices after it, given that index n touches alpha*m + a up to
+    m = n + reach."""
     s = params.singular_index(n_max + reach)
     if s is None:
         return n_max, []
-    last = min(n_max, s - 1 - reach)
+    last = max(-1, min(n_max, s - 1 - reach))
     return last, list(range(last + 1, n_max + 1))
 
 

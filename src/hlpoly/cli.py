@@ -45,7 +45,7 @@ from .sequences import (
     oracle_sequence,
 )
 from .series import KERNEL_NAMES, egf_coeff, kernel
-from .stirling import FIRST_UNSIGNED, SECOND, triangle_rows
+from .stirling import FIRST_UNSIGNED, SECOND, build_table
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -286,17 +286,6 @@ def _as_pairs(value) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(pairs)
 
 
-def _validated_params(k, alpha, a, n_max: int, reach: int = 0) -> Params:
-    params = Params(_as_int(k, "k"), _as_alpha(alpha), _as_rational(a, "a"))
-    m = params.singular_index(n_max + reach)
-    if m is not None:
-        raise UsageError(
-            f"singular parameter: alpha*m + a = 0 at m = {m} "
-            f"(alpha = {format_rational(params.alpha)}, a = {format_rational(params.a)})"
-        )
-    return params
-
-
 # ---------------------------------------------------------------------------
 # variant prefactor expressions
 # ---------------------------------------------------------------------------
@@ -458,7 +447,7 @@ def _cmd_table(args) -> int:
     if args.stirling is not None:
         max_n = _as_nonneg_int(args.max_n, "max-n")
         kind = FIRST_UNSIGNED if args.stirling == "1" else SECOND
-        rows = triangle_rows(kind, max_n)
+        rows = build_table(kind, max_n)
         if args.format == "json":
             payload = {
                 "command": "table",
@@ -474,7 +463,7 @@ def _cmd_table(args) -> int:
 
     family = Family(args.family)
     n_max = _as_nonneg_int(args.n_max, "n-max")
-    params = _validated_params(args.k, args.alpha, args.a, n_max)
+    params = Params(_as_int(args.k, "k"), _as_alpha(args.alpha), _as_rational(args.a, "a"))
     values: dict[str, list[Fraction]] = {}
     if args.method in ("formula", "both"):
         values["formula"] = explicit_sequence(family, n_max, params)

@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SingularParameterError, factorial, pow_rat, singular_index
+from .exact import (
+    SingularParameterError,
+    factorial,
+    format_rational,
+    pow_rat,
+    singular_index,
+)
 
 __all__ = [
     "EXP_NEG",
@@ -237,7 +243,8 @@ def _power_weights(g: PowerSeries, k: int, alpha, a) -> list[Fraction]:
     m = singular_index(alpha, a, g.order)
     if m is not None:
         raise SingularParameterError(
-            f"alpha*m + a vanishes at m = {m} (excluded parameter point)"
+            f"alpha*m + a vanishes at m = {m} for "
+            f"alpha = {format_rational(alpha)}, a = {format_rational(a)}"
         )
     return [pow_rat(alpha * m + a, -k) for m in range(g.order + 1)]
 

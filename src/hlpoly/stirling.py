@@ -9,99 +9,68 @@ entry(n,n) = 1, and grow row by row:
 First-kind values are stored unsigned; callers apply (-1)^(n-m)-style signs
 at the point of use, which keeps every stored entry nonnegative and the sign
 bookkeeping visible in each formula.
+
+Each triangle is one module-level list of rows. A lookup past the last row
+appends the missing rows in place; rows are only ever appended, so a row
+never changes once built (growth takes no lock: the package starts no
+threads). `build_table` runs the same recurrence on a fresh list, so no
+caller ever holds the shared rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "FIRST_UNSIGNED",
     "SECOND",
-    "StirlingTable",
     "build_table",
     "stirling1_unsigned",
     "stirling2",
-    "triangle_rows",
 ]
 
 FIRST_UNSIGNED = "first_unsigned"
 SECOND = "second"
 
-_KINDS = (FIRST_UNSIGNED, SECOND)
+
+def _grow(rows: list[list[int]], kind: str, max_n: int) -> list[list[int]]:
+    """Append rows of `kind` to `rows` until it holds rows 0..max_n."""
+    first = kind == FIRST_UNSIGNED
+    while len(rows) <= max_n:
+        prev = rows[-1]
+        n = len(prev) - 1
+        rows.append(
+            [0]
+            + [prev[m - 1] + (n if first else m) * prev[m] for m in range(1, n + 1)]
+            + [1]
+        )
+    return rows
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Immutable lower-triangular table of one kind, rows 0..max_n."""
-
-    kind: str
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.rows) - 1
-
-    def entry(self, n: int, m: int) -> int:
-        """Entry (n, m); indices outside the triangle give 0, not an error."""
-        if n < 0 or m < 0 or m > n:
-            return 0
-        return self.rows[n][m]
-
-
-def build_table(kind: str, max_n: int) -> StirlingTable:
-    if kind not in _KINDS:
+def build_table(kind: str, max_n: int) -> list[list[int]]:
+    """A fresh copy of triangle rows 0..max_n (row n holds columns 0..n)."""
+    if kind not in (FIRST_UNSIGNED, SECOND):
         raise ValueError(f"unknown Stirling kind: {kind!r}")
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    return _extended(StirlingTable(kind, ((1,),)), max_n)
+    return _grow([[1]], kind, max_n)
 
 
-def _extended(table: StirlingTable, max_n: int) -> StirlingTable:
-    rows = list(table.rows)
-    while len(rows) - 1 < max_n:
-        n = len(rows) - 1
-        prev = rows[-1]
-        new_row = [0] * (n + 2)
-        for m in range(1, n + 2):
-            above = prev[m] if m <= n else 0
-            factor = n if table.kind == FIRST_UNSIGNED else m
-            new_row[m] = prev[m - 1] + factor * above
-        rows.append(tuple(new_row))
-    return StirlingTable(table.kind, tuple(rows))
-
-
-_cache: dict[str, StirlingTable] = {}
-
-
-def _table(kind: str, n: int) -> StirlingTable:
-    # Tables are immutable values; growth swaps in a bigger one. Geometric
-    # growth keeps repeated queries over overlapping ranges cheap.
-    table = _cache.get(kind)
-    if table is None:
-        table = build_table(kind, max(n, 16))
-        _cache[kind] = table
-    elif table.max_n < n:
-        table = _extended(table, max(n, 2 * table.max_n))
-        _cache[kind] = table
-    return table
+_first_rows = [[1]]
+_second_rows = [[1]]
 
 
 def stirling1_unsigned(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind [n m]; 0 outside the triangle."""
     if n < 0 or m < 0 or m > n:
         return 0
-    return _table(FIRST_UNSIGNED, n).entry(n, m)
+    if n >= len(_first_rows):
+        _grow(_first_rows, FIRST_UNSIGNED, n)
+    return _first_rows[n][m]
 
 
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind {n m}; 0 outside the triangle."""
     if n < 0 or m < 0 or m > n:
         return 0
-    return _table(SECOND, n).entry(n, m)
-
-
-def triangle_rows(kind: str, max_n: int) -> list[list[int]]:
-    """Dense triangle rows 0..max_n (row n holds columns 0..n), for export."""
-    table = build_table(kind, max_n)
-    return [list(table.rows[n]) for n in range(max_n + 1)]
+    if n >= len(_second_rows):
+        _grow(_second_rows, SECOND, n)
+    return _second_rows[n][m]

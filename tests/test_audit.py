@@ -66,6 +66,13 @@ def test_orthogonality_singular_point_undefined():
 # -- duality ------------------------------------------------------------------
 
 
+def test_duality_singular_point_undefined():
+    for identity in ("EQ9", "EQ10", "EQ11", "EQ12"):
+        verdict = audit_duality(identity, 4, Params(1, 1, -2))
+        assert verdict.status == UNDEFINED
+        assert verdict.reason == SINGULAR_PARAMETER
+
+
 def test_eq9_holds():
     for n in range(7):
         assert audit_duality("EQ9", n, P111).status == HOLDS
@@ -161,6 +168,14 @@ def test_audit_explicit_singular_tail():
     assert statuses[:3] == [HOLDS, HOLDS, HOLDS]
     assert statuses[3:] == [UNDEFINED] * 3
     assert all(v.reason == SINGULAR_PARAMETER for v in report.verdicts[3:])
+
+
+def test_audit_derivative_all_singular_has_no_negative_index():
+    # alpha*m + a vanishes at m = 0, so no index is evaluable
+    report = audit_derivative(Family.CAUCHY1, 2, Params(1, 1, 0))
+    assert [v.point["n"] for v in report.verdicts] == [0, 1, 2]
+    assert all(v.status == UNDEFINED for v in report.verdicts)
+    assert all(v.reason == SINGULAR_PARAMETER for v in report.verdicts)
 
 
 def test_audit_derivative_fixtures():

@@ -58,15 +58,29 @@ def test_table_method_both_disagreement_column_empty(capsys):
         assert disagreement == ""
 
 
-def test_table_singular_parameter_is_usage_error(capsys):
+@pytest.mark.parametrize("method", ["formula", "oracle", "both"])
+def test_table_singular_parameter_is_usage_error(capsys, method):
     code, out, err = run(
         capsys,
         "table", "--family", "bernoulli", "--alpha", "1", "--a", "-2",
-        "--n-max", "3",
+        "--n-max", "3", "--method", method,
     )
     assert code == 64
     assert out == ""
     assert "singular parameter" in err
+    assert "at m = 2 for alpha = 1, a = -2" in err
+
+
+def test_table_method_both_json_rows_agree(capsys):
+    code, out, _ = run(
+        capsys,
+        "table", "--family", "cauchy2", "--k", "2", "--alpha", "1/2", "--a", "1",
+        "--n-max", "4", "--method", "both", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["values"]
+    assert [row["n"] for row in rows] == [0, 1, 2, 3, 4]
+    assert all(row["agree"] is True and row["formula"] == row["oracle"] for row in rows)
 
 
 def test_table_zero_alpha_is_usage_error(capsys):
@@ -247,6 +261,16 @@ def test_audit_variant_prefactor(capsys):
     assert payload["reports"][0]["variant"] == "(-1)**(m+n)*fact(m)"
 
 
+def test_audit_variant_prefactor_text_title(capsys):
+    code, out, _ = run(
+        capsys,
+        "audit", "--identity", "eq9", "--n-max", "2", "--k-values", "1",
+        "--pair", "1,1", "--variant-prefactor", "(-1)**(m+n)*fact(m)",
+    )
+    assert code == 0
+    assert "identity eq9 (variant prefactor: (-1)**(m+n)*fact(m)): points=3 " in out
+
+
 def test_audit_variant_only_for_duality(capsys):
     code, _, err = run(
         capsys,
@@ -411,6 +435,26 @@ CONFIG_CASES = [
         0,
         "identity thm1: points=1 holds=1 ",
     ),
+    # with no --pair on the command line the file's pairs are used
+    (
+        ["audit", "--identity", "thm1", "--n-max", "0", "--k-values", "1"],
+        {"pair": ["1,1", "2,1"]},
+        0,
+        "identity thm1: points=2 holds=2 ",
+    ),
+    (
+        ["audit", "--identity", "thm2", "--n-max", "0", "--pair", "1,1"],
+        {"k_values": [1, 2, 3]},
+        0,
+        "identity thm2: points=3 holds=3 ",
+    ),
+    (
+        ["series", "--kernel", "log1p", "--order", "3"],
+        {"egf": True},
+        0,
+        "0,0\n1,1\n2,-1\n3,2\n",
+    ),
+    (["congruence-scan", "--multipliers", "0"], {}, 64, None),
 ]
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlpoly.audit import _DUALITY_SHAPE, _PRINTED_PREFACTOR, audit_duality
+from hlpoly.audit import _DUALITY_SHAPE, audit_duality
 from hlpoly.exact import factorial
 from hlpoly.sequences import FAMILIES, Params, explicit_sequence, explicit_value
 from hlpoly.series import PowerSeries, compose_powers, phi_apply, phif_apply
@@ -78,7 +78,7 @@ def test_series_kernels_match_a_compose_powers_sum(tail, k, alpha, a):
 
 def _double_sum(identity, n, params, prefactor) -> Fraction:
     """The EQ9-EQ12 right-hand side as printed: a Fraction double sum."""
-    _, summed_family, triangle = _DUALITY_SHAPE[identity]
+    _, summed_family, triangle, _ = _DUALITY_SHAPE[identity]
     inner = explicit_sequence(summed_family, n, params)
     rhs = Fraction(0)
     for m in range(n + 1):
@@ -98,7 +98,7 @@ def _double_sum(identity, n, params, prefactor) -> Fraction:
 )
 def test_collapsed_duality_equals_the_double_sum(identity, n, k, alpha, a, scale):
     params = _params(k, alpha, a, n)
-    printed = _PRINTED_PREFACTOR[identity]
+    printed = _DUALITY_SHAPE[identity][3]
     assert audit_duality(identity, n, params).rhs == _double_sum(
         identity, n, params, printed
     )

@@ -10,7 +10,6 @@ from hlpoly.stirling import (
     build_table,
     stirling1_unsigned,
     stirling2,
-    triangle_rows,
 )
 
 from bruteforce import bell_numbers, stirling1_unsigned_row, stirling2_explicit
@@ -96,12 +95,13 @@ def test_signed_orthogonality():
 
 
 def test_table_value_semantics():
-    table = build_table(SECOND, 5)
-    assert table.max_n == 5
-    assert table.entry(4, 2) == 7
-    assert table.entry(3, 9) == 0
+    rows = build_table(SECOND, 5)
+    assert len(rows) == 6
+    assert rows[4][2] == 7
     with pytest.raises(ValueError):
         build_table("third", 4)
+    with pytest.raises(ValueError):
+        build_table(SECOND, -1)
 
 
 def test_tables_grow_on_demand():
@@ -111,6 +111,21 @@ def test_tables_grow_on_demand():
 
 
 def test_triangle_rows_shape():
-    rows = triangle_rows(FIRST_UNSIGNED, 4)
+    rows = build_table(FIRST_UNSIGNED, 4)
     assert [len(r) for r in rows] == [1, 2, 3, 4, 5]
     assert rows[4] == [0, 6, 11, 6, 1]
+
+
+@pytest.mark.parametrize(
+    "kind, lookup", [(FIRST_UNSIGNED, stirling1_unsigned), (SECOND, stirling2)]
+)
+def test_build_table_rows_are_a_fresh_copy(kind, lookup):
+    lookup(8, 0)  # the lookup rows reach at least row 8
+    for top in (8, 120):  # within the lookup rows, then past them
+        rows = build_table(kind, top)
+        expected = [list(row) for row in rows]
+        for row in rows:
+            row[:] = [-1] * len(row)
+        assert all(
+            lookup(n, m) == expected[n][m] for n in range(top + 1) for m in range(n + 1)
+        )
