@@ -11,11 +11,6 @@ from .audit import (
     DEFAULT_GRID,
     GridSpec,
     Verdict,
-    audit_congruence,
-    audit_derivative,
-    audit_duality,
-    audit_explicit,
-    audit_orthogonality,
     audit_stirling_orthogonality,
     exit_code,
     run_identity,
@@ -57,11 +52,6 @@ __all__ = [
     "SingularParameterError",
     "Verdict",
     "__version__",
-    "audit_congruence",
-    "audit_derivative",
-    "audit_duality",
-    "audit_explicit",
-    "audit_orthogonality",
     "audit_stirling_orthogonality",
     "deriv_coeffs_oracle",
     "deriv_coeffs_printed",

@@ -28,8 +28,8 @@ from typing import Callable
 
 from .exact import (
     NonreducibleDenominatorError,
-    format_rational,
     factorial,
+    format_rational,
     is_prime,
     mod_reduce,
     rational_to_json,
@@ -56,20 +56,13 @@ __all__ = [
     "IDENTITIES",
     "NONREDUCIBLE_DENOMINATOR",
     "P_DIVIDES_ALPHA",
-    "PrimeDividesAlphaError",
     "SINGULAR_PARAMETER",
     "UNDEFINED",
     "Verdict",
-    "audit_congruence",
-    "audit_derivative",
-    "audit_duality",
-    "audit_explicit",
-    "audit_orthogonality",
     "audit_stirling_orthogonality",
     "exit_code",
     "report_to_dict",
     "run_identity",
-    "sequence_comparison",
 ]
 
 HOLDS = "HOLDS"
@@ -79,10 +72,6 @@ UNDEFINED = "UNDEFINED"
 SINGULAR_PARAMETER = "SINGULAR_PARAMETER"
 NONREDUCIBLE_DENOMINATOR = "NONREDUCIBLE_DENOMINATOR"
 P_DIVIDES_ALPHA = "P_DIVIDES_ALPHA"
-
-
-class PrimeDividesAlphaError(ValueError):
-    """The congruence's standing assumption p does not divide alpha fails."""
 
 
 @dataclass(frozen=True)
@@ -120,10 +109,6 @@ class AuditReport:
     variant: str | None = None
 
     @property
-    def grid(self) -> list[dict]:
-        return [v.point for v in self.verdicts]
-
-    @property
     def summary(self) -> dict[str, int]:
         counts = {HOLDS: 0, FAILS: 0, UNDEFINED: 0}
         for v in self.verdicts:
@@ -146,44 +131,89 @@ def exit_code(reports) -> int:
 
 
 # ---------------------------------------------------------------------------
-# single-point checks
+# checks
 # ---------------------------------------------------------------------------
+# Row functions: the verdicts of one identity at one (k, alpha, a) point,
+# called as rows(label, family, params, grid, prefactor).
 
 
 def _params_point(params: Params, n: int) -> dict:
     return {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
 
 
-# A family's Stirling-sum values 0..N as (numerators, common denominator),
-# as `explicit_scaled` returns them; N may exceed the index being checked.
-Prefix = tuple[list[int], int]
+def _last_defined(params: Params, n_max: int, reach: int) -> int:
+    """The largest index whose check is evaluable (-1 if none is), given that
+    index n touches alpha*m + a up to m = n + reach."""
+    s = params.singular_index(n_max + reach)
+    return n_max if s is None else max(-1, min(n_max, s - 1 - reach))
 
 
-def audit_orthogonality(
-    family: Family, n: int, params: Params, prefix: Prefix | None = None
-) -> Verdict:
-    """Check one family's Stirling-transform collapse at one point:
+def _singular_tail(params: Params, last: int, n_max: int) -> list[Verdict]:
+    """UNDEFINED rows for the indices after `last`, through n_max."""
+    return [
+        _undefined(_params_point(params, n), SINGULAR_PARAMETER)
+        for n in range(last + 1, n_max + 1)
+    ]
+
+
+def _index_comparison(
+    family: Family, n_max: int, params: Params, reach: int, formula, series_side
+) -> list[Verdict]:
+    """formula(family, N, params) vs series_side(family, N, params) index by
+    index over 0..n_max, where index n touches alpha*m + a up to m = n + reach."""
+    last = _last_defined(params, n_max, reach)
+    verdicts = []
+    if last >= 0:
+        lhs, rhs = formula(family, last, params), series_side(family, last, params)
+        verdicts = [
+            _compare(_params_point(params, n), x, y)
+            for n, (x, y) in enumerate(zip(lhs, rhs))
+        ]
+    return verdicts + _singular_tail(params, last, n_max)
+
+
+def _explicit_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    """Stirling-sum path vs generating-function path, index by index."""
+    return _index_comparison(
+        family, grid.n_max, params, 0, explicit_sequence, oracle_sequence
+    )
+
+
+def _derivative_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    """Closed-form derivative coefficients vs series-forced ones, index by
+    index. FAILS rows carry the (printed, series) pair as lhs/rhs witness."""
+    return _index_comparison(
+        family, grid.n_max, params, 1, deriv_coeffs_printed, deriv_coeffs_oracle
+    )
+
+
+# THM4-THM6 and EQ9-EQ12 read each family's values once per grid point, up to
+# the last index where they are defined.
+
+
+def _orthogonality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    """One family's Stirling-transform collapse at n = 0..n_max:
 
         bernoulli: sum_m [n m] B_m  = n! / (alpha n + a)^k
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
-
-    `prefix` holds the family's values through index n at `params`, when the
-    caller already has them.
     """
-    point = _params_point(params, n)
-    if params.singular_index(n) is not None:
-        return _undefined(point, SINGULAR_PARAMETER)
-    nums, den = prefix or explicit_scaled(family, n, params)
-    if family is Family.BERNOULLI:
-        lhs = sum(stirling1_unsigned(n, m) * nums[m] for m in range(n + 1))
-        rhs = factorial(n) * params.weight(n)
-    else:
-        lhs = sum(stirling2(n, m) * nums[m] for m in range(n + 1))
-        rhs = params.weight(n)
-        if family is Family.CAUCHY2:
-            rhs = (-1) ** n * rhs
-    return _compare(point, Fraction(lhs, den), Fraction(rhs))
+    last = _last_defined(params, grid.n_max, 0)
+    nums, den = explicit_scaled(family, last, params)
+    verdicts = []
+    for n in range(last + 1):
+        if family is Family.BERNOULLI:
+            lhs = sum(stirling1_unsigned(n, m) * nums[m] for m in range(n + 1))
+            rhs = factorial(n) * params.weight(n)
+        else:
+            lhs = sum(stirling2(n, m) * nums[m] for m in range(n + 1))
+            rhs = params.weight(n)
+            if family is Family.CAUCHY2:
+                rhs = (-1) ** n * rhs
+        verdicts.append(
+            _compare(_params_point(params, n), Fraction(lhs, den), Fraction(rhs))
+        )
+    return verdicts + _singular_tail(params, last, grid.n_max)
 
 
 _DUALITY_SHAPE = {
@@ -207,52 +237,46 @@ _DUALITY_SHAPE = {
 }
 
 
-def audit_duality(
-    identity: str,
-    n: int,
-    params: Params,
-    prefactor: Callable[[int, int], Fraction] | None = None,
-    prefixes: dict[Family, Prefix] | None = None,
-) -> Verdict:
-    """Exact check of one double-sum interchange identity at one point.
+def _duality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    """One double-sum interchange identity at n = 0..n_max:
 
         EQ9:  B_n  = sum_{l,m<=n} (-1)^(m+n) m! {n m} {m l} c_l
         EQ10: B_n  = sum_{l,m<=n} (-1)^m     m! {n m} {m l} ch_l
         EQ11: c_n  = sum_{l,m<=n} (-1)^(m+n) m! [n m] [m l] B_l
         EQ12: ch_n = sum_{l,m<=n} (-1)^n     m! [n m] [m l] B_l
 
-    `prefactor(n, m)` substitutes the catalogued prefactor for exploratory
-    reruns; the check itself never promotes any variant to "intended".
-    `prefixes` maps both families to their values through index n at
-    `params`, when the caller already has them.
+    A `prefactor(n, m)` other than None substitutes the catalogued one for
+    exploratory reruns; the check itself never promotes any variant to
+    "intended".
 
     The double sum is evaluated as sum_l c_l x_l over the summed family's
     values x_l, with c_l = sum_{m=l..n} prefactor(n, m) T(n, m) T(m, l):
     integers under the printed prefactor, Fractions under a rational one.
     """
-    if identity not in _DUALITY_SHAPE:
-        raise ValueError(f"unknown duality identity: {identity!r}")
-    point = _params_point(params, n)
-    if params.singular_index(n) is not None:
-        return _undefined(point, SINGULAR_PARAMETER)
-    lhs_family, summed_family, triangle, printed = _DUALITY_SHAPE[identity]
+    lhs_family, summed_family, triangle, printed = _DUALITY_SHAPE[label]
     pf = prefactor if prefactor is not None else printed
-    weights = [0] * (n + 1)
-    for m in range(n + 1):
-        outer = triangle(n, m)
-        if outer == 0:
-            continue
-        weight = pf(n, m) * outer
-        for l in range(m + 1):
-            weights[l] += weight * triangle(m, l)
-    prefixes = prefixes or {
-        family: explicit_scaled(family, n, params)
-        for family in (lhs_family, summed_family)
-    }
-    lhs_nums, lhs_den = prefixes[lhs_family]
-    inner, inner_den = prefixes[summed_family]
-    rhs = sum(w * x for w, x in zip(weights, inner))
-    return _compare(point, Fraction(lhs_nums[n], lhs_den), Fraction(rhs, inner_den))
+    last = _last_defined(params, grid.n_max, 0)
+    lhs_nums, lhs_den = explicit_scaled(lhs_family, last, params)
+    inner, inner_den = explicit_scaled(summed_family, last, params)
+    verdicts = []
+    for n in range(last + 1):
+        weights = [0] * (n + 1)
+        for m in range(n + 1):
+            outer = triangle(n, m)
+            if outer == 0:
+                continue
+            weight = pf(n, m) * outer
+            for l in range(m + 1):
+                weights[l] += weight * triangle(m, l)
+        rhs = sum(w * x for w, x in zip(weights, inner))
+        verdicts.append(
+            _compare(
+                _params_point(params, n),
+                Fraction(lhs_nums[n], lhs_den),
+                Fraction(rhs, inner_den),
+            )
+        )
+    return verdicts + _singular_tail(params, last, grid.n_max)
 
 
 def _invertibility_scan(params: Params, m_max: int, p: int) -> tuple[bool, str | None]:
@@ -264,111 +288,49 @@ def _invertibility_scan(params: Params, m_max: int, p: int) -> tuple[bool, str |
     return True, None
 
 
-def audit_congruence(
-    family: Family, n: int, k: int, alpha, a, p: int
-) -> Verdict:
-    """Check s_{n*p} = s_0 (mod p) for one family at one parameter point.
+def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+    """s_{n*p} = s_0 (mod p) for each multiplier n and prime p of the grid.
 
-    Both sequence values are computed exactly and then reduced mod p. A
-    denominator divisible by p makes the point UNDEFINED (the congruence is
-    not evaluable), never a pass or a fail. Every verdict also records
-    whether (alpha*m + a) stays invertible mod p over the whole range
-    m = 0..n*p, the assumption under which the congruence is claimed. The
-    flag is reported, never used to suppress a result.
+    Congruences are stated for k >= 1 only; other k give no rows. Both
+    sequence values are computed exactly and then reduced mod p. A point is
+    UNDEFINED, never a pass or a fail, when p divides alpha (the standing
+    assumption fails) or a denominator (the congruence is not evaluable).
+    Every verdict also records whether (alpha*m + a) stays invertible mod p
+    over the whole range m = 0..n*p, the assumption under which the
+    congruence is claimed. The flag is reported, never used to suppress a
+    result.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if n < 1 or k < 1:
-        raise ValueError("congruence check requires n >= 1 and k >= 1")
-    alpha, a = Fraction(alpha), Fraction(a)
-    if alpha.numerator % p == 0:
-        raise PrimeDividesAlphaError(
-            f"p = {p} divides alpha = {format_rational(alpha)}"
-        )
-    params = Params(k, alpha, a)
-    point = {**_params_point(params, n), "p": p}
-    hyp_ok, hyp_note = _invertibility_scan(params, n * p, p)
-    flags = {"hypothesis_ok": hyp_ok, "hypothesis_note": hyp_note}
-    if params.singular_index(n * p) is not None:
-        return _undefined(point, SINGULAR_PARAMETER, **flags)
-    lhs_exact = explicit_value(family, n * p, params)
-    rhs_exact = explicit_value(family, 0, params)
-    try:
-        lhs = mod_reduce(lhs_exact, p)
-        rhs = mod_reduce(rhs_exact, p)
-    except NonreducibleDenominatorError:
-        return _undefined(
-            point, NONREDUCIBLE_DENOMINATOR, lhs=lhs_exact, rhs=rhs_exact, **flags
-        )
-    return _compare(point, lhs.value, rhs.value, **flags)
-
-
-def sequence_comparison(
-    points: list[dict],
-    lhs_values: list[Fraction],
-    rhs_values: list[Fraction],
-    undefined_points: list[dict] | None = None,
-) -> list[Verdict]:
-    """Index-by-index comparison of two value lists, plus UNDEFINED tails."""
-    verdicts = [
-        _compare(point, lhs, rhs)
-        for point, lhs, rhs in zip(points, lhs_values, rhs_values)
-    ]
-    for point in undefined_points or []:
-        verdicts.append(_undefined(point, SINGULAR_PARAMETER))
+    if params.k < 1:
+        return []
+    for p in grid.primes:
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+    if min(grid.multipliers, default=1) < 1:
+        raise ValueError("congruence check requires multipliers >= 1")
+    verdicts = []
+    for n in grid.multipliers:
+        for p in grid.primes:
+            point = {**_params_point(params, n), "p": p}
+            hyp_ok, hyp_note = _invertibility_scan(params, n * p, p)
+            flags = {"hypothesis_ok": hyp_ok, "hypothesis_note": hyp_note}
+            if params.alpha.numerator % p == 0:
+                verdicts.append(_undefined(point, P_DIVIDES_ALPHA, **flags))
+            elif params.singular_index(n * p) is not None:
+                verdicts.append(_undefined(point, SINGULAR_PARAMETER, **flags))
+            else:
+                lhs = explicit_value(family, n * p, params)
+                rhs = explicit_value(family, 0, params)
+                try:
+                    residues = mod_reduce(lhs, p).value, mod_reduce(rhs, p).value
+                except NonreducibleDenominatorError:
+                    verdicts.append(
+                        _undefined(
+                            point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags
+                        )
+                    )
+                else:
+                    verdicts.append(_compare(point, *residues, **flags))
     return verdicts
-
-
-def _split_defined(params: Params, n_max: int, reach: int) -> tuple[int, list[int]]:
-    """The largest index whose check is evaluable (-1 if none is) and the
-    indices after it, given that index n touches alpha*m + a up to
-    m = n + reach."""
-    s = params.singular_index(n_max + reach)
-    if s is None:
-        return n_max, []
-    last = max(-1, min(n_max, s - 1 - reach))
-    return last, list(range(last + 1, n_max + 1))
-
-
-def _index_comparison(
-    family: Family, n_max: int, params: Params, reach: int, formula, series_side
-) -> list[Verdict]:
-    """formula(family, N, params) vs series_side(family, N, params) index by
-    index over 0..n_max, where index n touches alpha*m + a up to m = n + reach."""
-    last, undefined_tail = _split_defined(params, n_max, reach)
-    points = [_params_point(params, n) for n in range(last + 1)]
-    if last >= 0:
-        lhs, rhs = formula(family, last, params), series_side(family, last, params)
-    else:
-        lhs, rhs = [], []
-    return sequence_comparison(
-        points, lhs, rhs, [_params_point(params, n) for n in undefined_tail]
-    )
-
-
-def _label(rows, family: Family) -> str:
-    return next(
-        label for label, (_, r, f) in CATALOGUE.items() if r is rows and f is family
-    )
-
-
-def audit_explicit(family: Family, n_max: int, params: Params) -> AuditReport:
-    """Stirling-sum path vs generating-function path, index by index."""
-    verdicts = _index_comparison(
-        family, n_max, params, 0, explicit_sequence, oracle_sequence
-    )
-    return AuditReport(_label(_explicit_rows, family), verdicts)
-
-
-def audit_derivative(family: Family, n_max: int, params: Params) -> AuditReport:
-    """Closed-form derivative coefficients vs series-forced ones, 0..n_max.
-
-    FAILS rows carry the (printed, series) pair as lhs/rhs witness.
-    """
-    verdicts = _index_comparison(
-        family, n_max, params, 1, deriv_coeffs_printed, deriv_coeffs_oracle
-    )
-    return AuditReport(_label(_derivative_rows, family), verdicts)
 
 
 def audit_stirling_orthogonality(n_max: int) -> AuditReport:
@@ -439,67 +401,6 @@ def _point_sort_key(verdict: Verdict):
     )
 
 
-def _sorted_report(identity: str, verdicts: list[Verdict], variant=None) -> AuditReport:
-    return AuditReport(identity, sorted(verdicts, key=_point_sort_key), variant)
-
-
-# Row functions: the verdicts of one identity at one (k, alpha, a) point,
-# called as rows(label, family, params, grid, prefactor).
-
-
-def _explicit_rows(label, family, params, grid, prefactor) -> list[Verdict]:
-    return audit_explicit(family, grid.n_max, params).verdicts
-
-
-def _derivative_rows(label, family, params, grid, prefactor) -> list[Verdict]:
-    return audit_derivative(family, grid.n_max, params).verdicts
-
-
-# THM4-THM6 and EQ9-EQ12 read each family's values once per grid point, up to
-# the last index where they are defined.
-
-
-def _orthogonality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
-    last, _ = _split_defined(params, grid.n_max, reach=0)
-    prefix = explicit_scaled(family, last, params)
-    return [
-        audit_orthogonality(family, n, params, prefix) for n in range(grid.n_max + 1)
-    ]
-
-
-def _duality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
-    last, _ = _split_defined(params, grid.n_max, reach=0)
-    prefixes = {f: explicit_scaled(f, last, params) for f in _DUALITY_SHAPE[label][:2]}
-    return [
-        audit_duality(label, n, params, prefactor, prefixes)
-        for n in range(grid.n_max + 1)
-    ]
-
-
-def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
-    """Congruences are stated for k >= 1 only; other k give no rows."""
-    if params.k < 1:
-        return []
-    verdicts = []
-    for n in grid.multipliers:
-        for p in grid.primes:
-            try:
-                verdicts.append(
-                    audit_congruence(family, n, params.k, params.alpha, params.a, p)
-                )
-            except PrimeDividesAlphaError:
-                hyp_ok, hyp_note = _invertibility_scan(params, n * p, p)
-                verdicts.append(
-                    _undefined(
-                        {**_params_point(params, n), "p": p},
-                        P_DIVIDES_ALPHA,
-                        hypothesis_ok=hyp_ok,
-                        hypothesis_note=hyp_note,
-                    )
-                )
-    return verdicts
-
-
 # The identity catalogue, in the run order of `audit --identity all`:
 # label -> (CLI token, row function, family). EQ9..EQ12 carry their lhs
 # family. STIRLING_ORTHO does not depend on (k, alpha, a) and has no row
@@ -537,7 +438,8 @@ def run_identity(
 
     The report's rows are canonically sorted (k, alpha, a, then indices), so
     identical grids always serialize to identical bytes. `prefactor` and
-    `variant_label` are only honoured for EQ9..EQ12.
+    `variant_label` are only honoured for EQ9..EQ12. A THM8 grid with a
+    k >= 1 raises ValueError if a prime is not prime or a multiplier is < 1.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -551,7 +453,7 @@ def run_identity(
         for k in grid.k_values:
             verdicts.extend(rows(identity, family, Params(k, alpha, a), grid, prefactor))
     variant = variant_label if rows is _duality_rows else None
-    return _sorted_report(identity, verdicts, variant)
+    return AuditReport(identity, sorted(verdicts, key=_point_sort_key), variant)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add("series", "coefficients of a named kernel series")
     p.add_argument("--kernel", choices=list(KERNEL_NAMES), required=True)
-    p.add_argument("--order", default=None, help="truncation order (required)")
+    p.add_argument("--order", required=True, help="truncation order")
     p.add_argument(
         "--egf", action="store_true", help="print n!*c_n instead of c_n"
     )
@@ -271,6 +271,10 @@ def _as_int_list(value, label: str) -> tuple[int, ...]:
 def _as_primes(value) -> tuple[int, ...]:
     primes = _as_int_list(value, "primes")
     for p in primes:
+        # is_prime is trial division, meant for moduli below 2**16; a larger
+        # prime would also take a sequence index of at least 2**16
+        if p >= 2**16:
+            raise UsageError(f"{p} is too large: primes must be below 2**16 = 65536")
         if not is_prime(p):
             raise UsageError(f"{p} is not prime")
     return primes
@@ -509,8 +513,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.order is None:
-        raise UsageError("series requires --order")
     order = _as_nonneg_int(args.order, "order")
     f = kernel(args.kernel, order)
     out = [egf_coeff(f, n) if args.egf else f.coefficient(n) for n in range(order + 1)]

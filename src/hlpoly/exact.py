@@ -17,6 +17,7 @@ __all__ = [
     "NonreducibleDenominatorError",
     "ResidueModP",
     "SingularParameterError",
+    "ensure_nonsingular",
     "factorial",
     "format_rational",
     "is_prime",
@@ -97,6 +98,16 @@ def singular_index(alpha: Fraction, a: Fraction, m_max: int) -> int | None:
     if root.denominator == 1 and 0 <= root <= m_max:
         return int(root)
     return None
+
+
+def ensure_nonsingular(alpha: Fraction, a: Fraction, m_max: int) -> None:
+    """Raise SingularParameterError if alpha*m + a vanishes for an m in 0..m_max."""
+    m = singular_index(alpha, a, m_max)
+    if m is not None:
+        raise SingularParameterError(
+            f"alpha*m + a vanishes at m = {m} for "
+            f"alpha = {format_rational(alpha)}, a = {format_rational(a)}"
+        )
 
 
 def factorial(n: int) -> int:

@@ -33,13 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    SingularParameterError,
-    factorial,
-    format_rational,
-    pow_rat,
-    singular_index,
-)
+from .exact import ensure_nonsingular, factorial, pow_rat, singular_index
 from .series import (
     EXP_POS,
     LOG1P,
@@ -103,14 +97,6 @@ class Params:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
         return singular_index(self.alpha, self.a, m_max)
 
-    def ensure_valid(self, m_max: int) -> None:
-        m = self.singular_index(m_max)
-        if m is not None:
-            raise SingularParameterError(
-                f"alpha*m + a vanishes at m = {m} for "
-                f"alpha = {format_rational(self.alpha)}, a = {format_rational(self.a)}"
-            )
-
     def weight(self, m: int) -> Fraction:
         """1 / (alpha*m + a)^k."""
         return pow_rat(self.alpha * m + self.a, -self.k)
@@ -141,7 +127,7 @@ def _scaled_sums(coeff, first: int, last: int, params: Params, reach: int = 0):
 
         S[n - first] / D = sum_{m=0..n+reach} coeff(n, m) / (alpha m + a)^k
     """
-    params.ensure_valid(last + reach)
+    ensure_nonsingular(params.alpha, params.a, last + reach)
     weights, den = params.scaled_weights(last + reach)
     sums = [
         sum(coeff(n, m) * weights[m] for m in range(n + reach + 1))
@@ -251,7 +237,7 @@ def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Frac
     1/(1+t)- or e^-t-prefactor display of d/dt G true.
     """
     _check_index(n_max)
-    params.ensure_valid(n_max + 1)
+    ensure_nonsingular(params.alpha, params.a, n_max + 1)
     g_series = _family_series(family, n_max + 1, params)
     dg = g_series.derivative()
     if family is Family.BERNOULLI:

@@ -17,13 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    SingularParameterError,
-    factorial,
-    format_rational,
-    pow_rat,
-    singular_index,
-)
+from .exact import ensure_nonsingular, factorial, pow_rat
 
 __all__ = [
     "EXP_NEG",
@@ -240,12 +234,7 @@ def _power_weights(g: PowerSeries, k: int, alpha, a) -> list[Fraction]:
         raise NonzeroConstantTermError(
             "composition requires a series with zero constant term"
         )
-    m = singular_index(alpha, a, g.order)
-    if m is not None:
-        raise SingularParameterError(
-            f"alpha*m + a vanishes at m = {m} for "
-            f"alpha = {format_rational(alpha)}, a = {format_rational(a)}"
-        )
+    ensure_nonsingular(alpha, a, g.order)
     return [pow_rat(alpha * m + a, -k) for m in range(g.order + 1)]
 
 

@@ -12,10 +12,10 @@ from fractions import Fraction
 from hlpoly.audit import (
     DEFAULT_GRID,
     FAILS,
+    GridSpec,
     HOLDS,
     NONREDUCIBLE_DENOMINATOR,
     UNDEFINED,
-    audit_congruence,
     report_to_dict,
     run_identity,
 )
@@ -120,11 +120,20 @@ def test_criterion_6_audit_determinism_and_witnesses():
 
 def test_criterion_7_congruence_fixtures():
     with criterion(7, "congruence fixtures and hypothesis flags"):
-        holds = audit_congruence(Family.CAUCHY1, 1, 1, 1, 1, 3)
+        def congruence(identity, alpha):
+            # s_p = s_0 (mod 3) at k = 1, a = 1: a one-point grid
+            grid = GridSpec(
+                k_values=(1,), pairs=((Fraction(alpha), Fraction(1)),),
+                primes=(3,), multipliers=(1,),
+            )
+            [verdict] = run_identity(identity, grid).verdicts
+            return verdict
+
+        holds = congruence("THM8_C1", 1)
         assert holds.status == HOLDS and (holds.lhs, holds.rhs) == (1, 1)
-        fails = audit_congruence(Family.BERNOULLI, 1, 1, 1, 1, 3)
+        fails = congruence("THM8_B", 1)
         assert fails.status == FAILS and (fails.lhs, fails.rhs) == (0, 1)
-        undefined = audit_congruence(Family.CAUCHY1, 1, 1, 2, 1, 3)
+        undefined = congruence("THM8_C1", 2)
         assert undefined.status == UNDEFINED
         assert undefined.reason == NONREDUCIBLE_DENOMINATOR
         for identity in ("THM8_C1", "THM8_C2", "THM8_B"):

@@ -10,23 +10,42 @@ from hlpoly.audit import (
     HOLDS,
     NONREDUCIBLE_DENOMINATOR,
     P_DIVIDES_ALPHA,
-    PrimeDividesAlphaError,
     SINGULAR_PARAMETER,
     UNDEFINED,
-    audit_congruence,
-    audit_derivative,
-    audit_duality,
-    audit_explicit,
-    audit_orthogonality,
+    _index_comparison,
     audit_stirling_orthogonality,
     exit_code,
     report_to_dict,
     run_identity,
-    sequence_comparison,
 )
 from hlpoly.sequences import Family, Params, deriv_coeffs_oracle
 
 P111 = Params(1, 1, 1)
+
+EXPLICIT = {Family.BERNOULLI: "THM1", Family.CAUCHY1: "THM2", Family.CAUCHY2: "THM3"}
+ORTHOGONALITY = {
+    Family.BERNOULLI: "THM4",
+    Family.CAUCHY1: "THM5",
+    Family.CAUCHY2: "THM6",
+}
+CONGRUENCE = {
+    Family.BERNOULLI: "THM8_B",
+    Family.CAUCHY1: "THM8_C1",
+    Family.CAUCHY2: "THM8_C2",
+}
+
+
+def one_point(identity, params, n_max=0, prefactor=None, **grid):
+    """run_identity on a grid of the single point (k, alpha, a) of `params`."""
+    grid = GridSpec(
+        n_max=n_max, k_values=(params.k,), pairs=((params.alpha, params.a),), **grid
+    )
+    return run_identity(identity, grid, prefactor)
+
+
+def congruence(family, n, params, p):
+    """The congruence verdicts of s_{n*p} = s_0 (mod p) at one point."""
+    return one_point(CONGRUENCE[family], params, primes=(p,), multipliers=(n,)).verdicts
 
 
 # -- orthogonality ------------------------------------------------------------
@@ -35,15 +54,16 @@ P111 = Params(1, 1, 1)
 def test_orthogonality_base_cases():
     for family in Family:
         for params in [P111, Params(-2, 2, Fraction(1, 3))]:
-            assert audit_orthogonality(family, 0, params).status == HOLDS
+            [verdict] = one_point(ORTHOGONALITY[family], params).verdicts
+            assert verdict.status == HOLDS
 
 
 def test_orthogonality_fixtures():
     # cauchy1 at n=2: {2 1} c_1 + {2 2} c_2 = 1/2 - 1/6 = 1/3 = 1/(2+1)
-    verdict = audit_orthogonality(Family.CAUCHY1, 2, P111)
+    verdict = one_point("THM5", P111, 2).verdicts[2]
     assert verdict.status == HOLDS
     assert verdict.lhs == Fraction(1, 3)
-    verdict = audit_orthogonality(Family.CAUCHY2, 2, P111)
+    verdict = one_point("THM6", P111, 2).verdicts[2]
     assert verdict.status == HOLDS
     assert verdict.lhs == Fraction(1, 3)
 
@@ -53,12 +73,12 @@ def test_orthogonality_holds_broadly():
         for k in (-2, 0, 1, 3):
             for alpha, a in [(1, 1), (Fraction(1, 2), 1), (3, Fraction(1, 3))]:
                 params = Params(k, alpha, a)
-                for n in range(9):
-                    assert audit_orthogonality(family, n, params).status == HOLDS
+                verdicts = one_point(ORTHOGONALITY[family], params, 8).verdicts
+                assert [v.status for v in verdicts] == [HOLDS] * 9
 
 
 def test_orthogonality_singular_point_undefined():
-    verdict = audit_orthogonality(Family.BERNOULLI, 4, Params(1, 1, -2))
+    verdict = one_point("THM4", Params(1, 1, -2), 4).verdicts[4]
     assert verdict.status == UNDEFINED
     assert verdict.reason == SINGULAR_PARAMETER
 
@@ -68,38 +88,33 @@ def test_orthogonality_singular_point_undefined():
 
 def test_duality_singular_point_undefined():
     for identity in ("EQ9", "EQ10", "EQ11", "EQ12"):
-        verdict = audit_duality(identity, 4, Params(1, 1, -2))
+        verdict = one_point(identity, Params(1, 1, -2), 4).verdicts[4]
         assert verdict.status == UNDEFINED
         assert verdict.reason == SINGULAR_PARAMETER
 
 
 def test_eq9_holds():
-    for n in range(7):
-        assert audit_duality("EQ9", n, P111).status == HOLDS
+    verdicts = one_point("EQ9", P111, 6).verdicts
+    assert [v.status for v in verdicts] == [HOLDS] * 7
 
 
 def test_eq11_witness_fixture():
-    verdict = audit_duality("EQ11", 2, P111)
+    verdict = one_point("EQ11", P111, 2).verdicts[2]
     assert verdict.status == FAILS
     assert verdict.lhs == Fraction(-1, 6)
     assert verdict.rhs == Fraction(5, 6)
 
 
 def test_eq11_holds_at_n1():
-    assert audit_duality("EQ11", 1, P111).status == HOLDS
-
-
-def test_unknown_duality_identity():
-    with pytest.raises(ValueError):
-        audit_duality("EQ13", 1, P111)
+    assert one_point("EQ11", P111, 1).verdicts[1].status == HOLDS
 
 
 def test_duality_variant_prefactor():
     # a variant prefactor changes the double sum; geometry stays the same
-    printed = audit_duality("EQ11", 2, P111)
-    variant = audit_duality(
-        "EQ11", 2, P111, prefactor=lambda n, m: Fraction((-1) ** (m + n), 1)
-    )
+    printed = one_point("EQ11", P111, 2).verdicts[2]
+    variant = one_point(
+        "EQ11", P111, 2, prefactor=lambda n, m: Fraction((-1) ** (m + n), 1)
+    ).verdicts[2]
     assert printed.rhs != variant.rhs
 
 
@@ -107,17 +122,17 @@ def test_duality_variant_prefactor():
 
 
 def test_congruence_fixtures():
-    verdict = audit_congruence(Family.CAUCHY1, 1, 1, 1, 1, 3)
+    [verdict] = congruence(Family.CAUCHY1, 1, P111, 3)
     assert verdict.status == HOLDS
     assert (verdict.lhs, verdict.rhs) == (1, 1)
     assert verdict.hypothesis_ok is False
     assert "m = 2" in verdict.hypothesis_note
 
-    verdict = audit_congruence(Family.BERNOULLI, 1, 1, 1, 1, 3)
+    [verdict] = congruence(Family.BERNOULLI, 1, P111, 3)
     assert verdict.status == FAILS
     assert (verdict.lhs, verdict.rhs) == (0, 1)
 
-    verdict = audit_congruence(Family.CAUCHY1, 1, 1, 2, 1, 3)
+    [verdict] = congruence(Family.CAUCHY1, 1, Params(1, 2, 1), 3)
     assert verdict.status == UNDEFINED
     assert verdict.reason == NONREDUCIBLE_DENOMINATOR
     assert verdict.lhs == Fraction(22, 105)
@@ -125,13 +140,14 @@ def test_congruence_fixtures():
 
 def test_congruence_preconditions():
     with pytest.raises(ValueError):
-        audit_congruence(Family.CAUCHY1, 0, 1, 1, 1, 3)
+        congruence(Family.CAUCHY1, 0, P111, 3)
+    # congruences are stated for k >= 1 only
+    assert congruence(Family.CAUCHY1, 1, Params(0, 1, 1), 3) == []
     with pytest.raises(ValueError):
-        audit_congruence(Family.CAUCHY1, 1, 0, 1, 1, 3)
-    with pytest.raises(ValueError):
-        audit_congruence(Family.CAUCHY1, 1, 1, 1, 1, 4)
-    with pytest.raises(PrimeDividesAlphaError):
-        audit_congruence(Family.CAUCHY1, 1, 1, 3, 1, 3)
+        congruence(Family.CAUCHY1, 1, P111, 4)
+    [verdict] = congruence(Family.CAUCHY1, 1, Params(1, 3, 1), 3)
+    assert verdict.status == UNDEFINED
+    assert verdict.reason == P_DIVIDES_ALPHA
 
 
 def test_congruence_consistent_with_exact_recomputation():
@@ -142,10 +158,10 @@ def test_congruence_consistent_with_exact_recomputation():
 
     for family in Family:
         for p in (3, 5):
-            verdict = audit_congruence(family, 1, 1, 1, 2, p)
+            params = Params(1, 1, 2)
+            [verdict] = congruence(family, 1, params, p)
             if verdict.status == UNDEFINED:
                 continue
-            params = Params(1, 1, 2)
             values = oracle_sequence(family, p, params)
             lhs = mod_reduce(values[p], p).value
             rhs = mod_reduce(values[0], p).value
@@ -158,12 +174,12 @@ def test_congruence_consistent_with_exact_recomputation():
 
 def test_audit_explicit_all_holds():
     for family in Family:
-        report = audit_explicit(family, 6, P111)
+        report = one_point(EXPLICIT[family], P111, 6)
         assert report.summary == {"holds": 7, "fails": 0, "undefined": 0}
 
 
 def test_audit_explicit_singular_tail():
-    report = audit_explicit(Family.CAUCHY1, 5, Params(1, 1, -3))
+    report = one_point("THM2", Params(1, 1, -3), 5)
     statuses = [v.status for v in report.verdicts]
     assert statuses[:3] == [HOLDS, HOLDS, HOLDS]
     assert statuses[3:] == [UNDEFINED] * 3
@@ -172,14 +188,14 @@ def test_audit_explicit_singular_tail():
 
 def test_audit_derivative_all_singular_has_no_negative_index():
     # alpha*m + a vanishes at m = 0, so no index is evaluable
-    report = audit_derivative(Family.CAUCHY1, 2, Params(1, 1, 0))
+    report = one_point("THM9", Params(1, 1, 0), 2)
     assert [v.point["n"] for v in report.verdicts] == [0, 1, 2]
     assert all(v.status == UNDEFINED for v in report.verdicts)
     assert all(v.reason == SINGULAR_PARAMETER for v in report.verdicts)
 
 
 def test_audit_derivative_fixtures():
-    report = audit_derivative(Family.CAUCHY1, 1, P111)
+    report = one_point("THM9", P111, 1)
     assert report.identity == "THM9"
     first, second = report.verdicts
     assert first.status == FAILS and (first.lhs, first.rhs) == (0, Fraction(1, 2))
@@ -190,14 +206,15 @@ def test_audit_derivative_fixtures():
 def test_audit_derivative_self_consistency_control():
     # x = x control: the comparison machinery reports HOLDS when both sides
     # are the oracle's own recomputation
-    oracle = deriv_coeffs_oracle(Family.CAUCHY1, 10, P111)
-    points = [{"n": n} for n in range(11)]
-    verdicts = sequence_comparison(points, oracle, list(oracle))
+    verdicts = _index_comparison(
+        Family.CAUCHY1, 10, P111, 1, deriv_coeffs_oracle, deriv_coeffs_oracle
+    )
+    assert len(verdicts) == 11
     assert all(v.status == HOLDS for v in verdicts)
 
 
 def test_audit_derivative_bernoulli_agrees_then_diverges():
-    report = audit_derivative(Family.BERNOULLI, 3, P111)
+    report = one_point("THM11", P111, 3)
     assert [v.status for v in report.verdicts] == [HOLDS, HOLDS, FAILS, FAILS]
     assert report.verdicts[2].lhs == Fraction(13, 6)
     assert report.verdicts[2].rhs == Fraction(5, 6)

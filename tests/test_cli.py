@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hlpoly.audit import CATALOGUE
-from hlpoly.cli import main, parse_prefactor, UsageError
+from hlpoly.cli import _as_primes, main, parse_prefactor, UsageError
 
 
 def run(capsys, *argv):
@@ -156,6 +156,7 @@ def test_series_egf(capsys):
 def test_series_requires_order(capsys):
     code, _, err = run(capsys, "series", "--kernel", "log1p")
     assert code == 64
+    assert "--order" in err
 
 
 def test_series_unknown_kernel(capsys):
@@ -241,6 +242,19 @@ def test_audit_rejects_nonprime(capsys):
     )
     assert code == 64
     assert "not prime" in err
+
+
+def test_huge_prime_is_rejected_before_the_primality_test(capsys):
+    # trial division of this Mersenne prime would not finish
+    code, out, err = run(capsys, "congruence-scan", "--primes", "2305843009213693951")
+    assert code == 64 and out == ""
+    assert "below 2**16" in err
+
+
+def test_prime_bound_is_two_to_the_sixteen():
+    assert _as_primes("65521") == (65521,)
+    with pytest.raises(UsageError):
+        _as_primes("3,65537")
 
 
 def test_audit_rejects_unknown_identity(capsys):
@@ -455,6 +469,7 @@ CONFIG_CASES = [
         "0,0\n1,1\n2,-1\n3,2\n",
     ),
     (["congruence-scan", "--multipliers", "0"], {}, 64, None),
+    (["series", "--kernel", "log1p"], {"order": 2}, 0, "0,0\n1,1\n2,-1/2\n"),
 ]
 
 

@@ -1,10 +1,14 @@
-"""Every module-level private name in the package is used somewhere.
+"""Every module-level private name in the package is used somewhere, and
+every exported name exists.
 
 A private helper or table that nothing reads is dead code that still looks
-load-bearing, so one that outlives its last caller fails here.
+load-bearing, so one that outlives its last caller fails here. So does a
+deleted function left behind in an `__all__` list.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import hlpoly
@@ -62,3 +66,28 @@ def test_guard_sees_definitions_and_references():
         "b": "from .a import _helper\nclass _Dead:\n    pass\n_helper()\n",
     }
     assert _unreferenced(sources) == ["a._TABLE", "b._Dead"]
+
+
+def _unresolved_exports(module) -> list[str]:
+    return [
+        f"{module.__name__}.{name}"
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+
+
+def test_every_all_entry_resolves():
+    modules = [hlpoly] + [
+        importlib.import_module(f"hlpoly.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if not path.stem.startswith("__")
+    ]
+    assert sum(hasattr(m, "__all__") for m in modules) >= 6
+    assert [name for m in modules for name in _unresolved_exports(m)] == []
+
+
+def test_export_guard_sees_a_missing_name():
+    module = types.ModuleType("fake")
+    module.__all__ = ["present", "gone"]
+    module.present = 1
+    assert _unresolved_exports(module) == ["fake.gone"]

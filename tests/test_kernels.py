@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlpoly.audit import _DUALITY_SHAPE, audit_duality
+from hlpoly.audit import _DUALITY_SHAPE, GridSpec, run_identity
 from hlpoly.exact import factorial
 from hlpoly.sequences import FAMILIES, Params, explicit_sequence, explicit_value
 from hlpoly.series import PowerSeries, compose_powers, phi_apply, phif_apply
@@ -87,6 +87,12 @@ def _double_sum(identity, n, params, prefactor) -> Fraction:
     return rhs
 
 
+def _audited_rhs(identity, n, params, prefactor=None) -> Fraction:
+    """The collapsed right-hand side the audit reports at index n."""
+    grid = GridSpec(n_max=n, k_values=(params.k,), pairs=((params.alpha, params.a),))
+    return run_identity(identity, grid, prefactor).verdicts[n].rhs
+
+
 @SETTINGS
 @given(
     st.sampled_from(sorted(_DUALITY_SHAPE)),
@@ -99,13 +105,13 @@ def _double_sum(identity, n, params, prefactor) -> Fraction:
 def test_collapsed_duality_equals_the_double_sum(identity, n, k, alpha, a, scale):
     params = _params(k, alpha, a, n)
     printed = _DUALITY_SHAPE[identity][3]
-    assert audit_duality(identity, n, params).rhs == _double_sum(
+    assert _audited_rhs(identity, n, params) == _double_sum(
         identity, n, params, printed
     )
 
     def variant(n, m):
         return scale * printed(n, m) / (m + 1)
 
-    assert audit_duality(identity, n, params, variant).rhs == _double_sum(
+    assert _audited_rhs(identity, n, params, variant) == _double_sum(
         identity, n, params, variant
     )

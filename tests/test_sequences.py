@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hlpoly.exact import SingularParameterError, factorial
+from hlpoly.exact import SingularParameterError, ensure_nonsingular, factorial
 from hlpoly.sequences import (
     FAMILIES,
     Family,
@@ -44,7 +44,7 @@ def test_params_singular_index():
     assert Params(2, Fraction(1, 2), -1).singular_index(5) == 2
     assert Params(1, 1, Fraction(1, 2)).singular_index(100) is None
     with pytest.raises(SingularParameterError):
-        Params(1, 1, -2).ensure_valid(3)
+        ensure_nonsingular(Fraction(1), Fraction(-2), 3)
 
 
 def test_params_weight():
