@@ -17,7 +17,6 @@ from .audit import (
 )
 from .exact import (
     NonreducibleDenominatorError,
-    ResidueModP,
     SingularParameterError,
     format_rational,
     mod_reduce,
@@ -48,7 +47,6 @@ __all__ = [
     "NonreducibleDenominatorError",
     "Params",
     "PowerSeries",
-    "ResidueModP",
     "SingularParameterError",
     "Verdict",
     "__version__",

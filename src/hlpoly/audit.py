@@ -321,7 +321,7 @@ def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
                 lhs = explicit_value(family, n * p, params)
                 rhs = explicit_value(family, 0, params)
                 try:
-                    residues = mod_reduce(lhs, p).value, mod_reduce(rhs, p).value
+                    residues = mod_reduce(lhs, p), mod_reduce(rhs, p)
                 except NonreducibleDenominatorError:
                     verdicts.append(
                         _undefined(

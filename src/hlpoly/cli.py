@@ -10,6 +10,7 @@ Exit codes (stable, for CI use):
     1   at least one audited point FAILS
     2   no failures, but some points UNDEFINED
     64  usage, parse, or parameter-validation error
+    70  internal error: a bug, reported on one stderr line, never as FAILS
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_UNDEFINED = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 
 class UsageError(Exception):
@@ -636,6 +639,19 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Exit 1 means FAILS, so an uncaught exception must not end with it.
+        # traceback is imported here so that a normal run does not load it.
+        import traceback
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        print(
+            f"error: internal error: {detail} "
+            f"(in {where.name}, {os.path.basename(where.filename)}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

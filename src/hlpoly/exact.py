@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "NonreducibleDenominatorError",
-    "ResidueModP",
     "SingularParameterError",
     "ensure_nonsingular",
     "factorial",
@@ -126,27 +124,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ResidueModP:
-    """An element of Z/pZ for prime p, stored as its canonical representative."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"residue {self.value} out of range for modulus {self.modulus}"
-            )
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.modulus})"
-
-
-def mod_reduce(value: Fraction | int, p: int) -> ResidueModP:
-    """Reduce num/den to (num * den^-1) mod p.
+def mod_reduce(value: Fraction | int, p: int) -> int:
+    """Reduce num/den to its residue (num * den^-1) mod p, in 0..p-1.
 
     Raises NonreducibleDenominatorError when p divides the denominator; the
     caller decides what that means (for identity audits it marks the point
@@ -158,4 +137,4 @@ def mod_reduce(value: Fraction | int, p: int) -> ResidueModP:
     if value.denominator % p == 0:
         raise NonreducibleDenominatorError(value, p)
     inv = pow(value.denominator % p, -1, p)
-    return ResidueModP((value.numerator * inv) % p, p)
+    return (value.numerator * inv) % p

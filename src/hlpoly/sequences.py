@@ -221,13 +221,6 @@ def deriv_coeffs_printed(family: Family, n_max: int, params: Params) -> list[Fra
     return [Fraction(num, den) for num in nums]
 
 
-def _one_plus_t(order: int) -> PowerSeries:
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
-    if order >= 1:
-        coeffs[1] = Fraction(1)
-    return PowerSeries.from_coeffs(coeffs)
-
-
 def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Fraction]:
     """Derivative coefficients forced by the generating function itself.
 
@@ -238,11 +231,11 @@ def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Frac
     """
     _check_index(n_max)
     ensure_nonsingular(params.alpha, params.a, n_max + 1)
-    g_series = _family_series(family, n_max + 1, params)
-    dg = g_series.derivative()
+    dg = _family_series(family, n_max + 1, params).derivative()
     if family is Family.BERNOULLI:
         prefactor_inverse = kernel(EXP_POS, n_max)
     else:
-        prefactor_inverse = _one_plus_t(n_max)
+        # 1 + t has EGF values 1, 1, 0, ...; the product truncates at dg's order
+        prefactor_inverse = PowerSeries((1, 1) + (0,) * (n_max - 1))
     product = prefactor_inverse * dg
     return [egf_coeff(product, n) for n in range(n_max + 1)]

@@ -1,14 +1,14 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated exponential generating functions over exact integers.
 
-A series of order N stores coefficients c_0..c_N and stands for
-sum(c_i * t^i) + O(t^(N+1)). Binary operations truncate to the smaller
-operand's order and nothing is ever zero-extended, so a result's order is an
-honest statement of how many coefficients are exact.
+A series of order N stores integer EGF numerators v_0..v_N over one positive
+denominator D and stands for sum(v_n / D * t^n / n!) + O(t^(N+1)). Products
+truncate to the smaller operand's order and nothing is ever zero-extended, so
+a result's order is an honest statement of how many coefficients are exact.
 
 The composition kernels here (1 - e^-t, +/-ln(1+t), e^+-t, 1/(1+t)) all have
-closed-form rational Taylor coefficients; summing powers of a kernel with
-zero constant term against rational weights is exact at any truncation order,
-which is what makes this module usable as an independent oracle.
+closed-form integer EGF values; summing powers of a kernel with zero constant
+term against rational weights is exact at any truncation order, which is what
+makes this module usable as an independent oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "ONE_MINUS_EXP_NEG",
     "PowerSeries",
     "TruncationExceededError",
-    "compose_powers",
     "egf_coeff",
     "kernel",
     "phi_apply",
@@ -48,82 +47,53 @@ class TruncationExceededError(ValueError):
 
 @dataclass(frozen=True)
 class PowerSeries:
-    coeffs: tuple[Fraction, ...]
+    """sum(nums[n] / den * t^n / n!) truncated at order len(nums) - 1.
+
+    The numerators and the denominator are ints, kept in lowest terms (their
+    gcd divided out), so equal series compare equal.
+    """
+
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("a series stores at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "PowerSeries":
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def constant(cls, value, order: int) -> "PowerSeries":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        return cls((Fraction(value),) + (Fraction(0),) * order)
+        if self.den <= 0:
+            raise ValueError("the denominator must be positive")
+        common = math.gcd(self.den, *self.nums)
+        object.__setattr__(self, "nums", tuple(v // common for v in self.nums))
+        object.__setattr__(self, "den", self.den // common)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError("coefficient index must be >= 0")
-        if i > self.order:
-            raise TruncationExceededError(
-                f"coefficient {i} requested but series is truncated at order {self.order}"
-            )
-        return self.coeffs[i]
+        """The ordinary Taylor coefficient c_i = egf_coeff(self, i) / i!."""
+        return egf_coeff(self, i) / factorial(i)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        """Discard coefficients above `order`; never extends."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order > self.order:
-            raise TruncationExceededError(
-                f"cannot truncate order-{self.order} series to order {order}"
-            )
-        return PowerSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """EGF product: binomial convolution of the numerators at the smaller
+        order, over the product of the denominators."""
+        f, g = self.nums, other.nums
         return PowerSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
+            tuple(
+                sum(math.comb(n, j) * f[j] * g[n - j] for j in range(n + 1) if f[j])
+                for n in range(min(self.order, other.order) + 1)
+            ),
+            self.den * other.den,
         )
 
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return PowerSeries(tuple(out))
-        scalar = Fraction(other)
-        return PowerSeries(tuple(c * scalar for c in self.coeffs))
-
+    # The product commutes. bench/tracer.py counts series products by
+    # wrapping both names, so the reflected name stays bound.
     __rmul__ = __mul__
 
     def derivative(self) -> "PowerSeries":
-        """Termwise derivative; order drops by one (order-0 input rejected)."""
+        """d/dt shifts the EGF values down by one (order-0 input rejected)."""
         if self.order < 1:
             raise ValueError("derivative requires order >= 1")
-        return PowerSeries(
-            tuple((i + 1) * self.coeffs[i + 1] for i in range(self.order))
-        )
+        return PowerSeries(self.nums[1:], self.den)
 
 
 ONE_MINUS_EXP_NEG = "one_minus_exp_neg"
@@ -144,69 +114,42 @@ KERNEL_NAMES = (
 
 
 def kernel(name: str, order: int) -> PowerSeries:
-    """Exact Taylor expansion of a named kernel, truncated at `order`.
+    """Exact expansion of a named kernel, truncated at `order`, as EGF values
+    v_n (the Taylor coefficient of t^n is v_n / n!):
 
-    one_minus_exp_neg: c_0 = 0, c_n = (-1)^(n+1)/n!
-    log1p:             c_0 = 0, c_n = (-1)^(n+1)/n
-    neg_log1p:         c_0 = 0, c_n = (-1)^n/n
-    exp_pos / exp_neg: c_n = (+-1)^n/n!
-    geom_1_over_1_plus_t: c_n = (-1)^n
+    one_minus_exp_neg: v_0 = 0, v_n = (-1)^(n+1)
+    log1p:             v_0 = 0, v_n = (-1)^(n+1) (n-1)!
+    neg_log1p:         v_0 = 0, v_n = (-1)^n (n-1)!
+    exp_pos / exp_neg: v_n = (+-1)^n
+    geom_1_over_1_plus_t: v_n = (-1)^n n!
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if name == ONE_MINUS_EXP_NEG:
-        coeffs = [Fraction(0)] + [
-            Fraction((-1) ** (n + 1), factorial(n)) for n in range(1, order + 1)
-        ]
+        nums = [0] + [(-1) ** (n + 1) for n in range(1, order + 1)]
     elif name == LOG1P:
-        coeffs = [Fraction(0)] + [
-            Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)
-        ]
+        nums = [0] + [(-1) ** (n + 1) * factorial(n - 1) for n in range(1, order + 1)]
     elif name == NEG_LOG1P:
-        coeffs = [Fraction(0)] + [
-            Fraction((-1) ** n, n) for n in range(1, order + 1)
-        ]
+        nums = [0] + [(-1) ** n * factorial(n - 1) for n in range(1, order + 1)]
     elif name == EXP_POS:
-        coeffs = [Fraction(1, factorial(n)) for n in range(order + 1)]
+        nums = [1] * (order + 1)
     elif name == EXP_NEG:
-        coeffs = [Fraction((-1) ** n, factorial(n)) for n in range(order + 1)]
+        nums = [(-1) ** n for n in range(order + 1)]
     elif name == GEOM_1_OVER_1_PLUS_T:
-        coeffs = [Fraction((-1) ** n) for n in range(order + 1)]
+        nums = [(-1) ** n * factorial(n) for n in range(order + 1)]
     else:
         raise ValueError(f"unknown kernel: {name!r}")
-    return PowerSeries(tuple(coeffs[: order + 1]))
-
-
-def compose_powers(g: PowerSeries, m_max: int) -> list[PowerSeries]:
-    """[g^0, g^1, ..., g^m_max], each truncated at g's order.
-
-    g must have zero constant term, so g^m has valuation >= m and powers
-    beyond the truncation order vanish identically at this order.
-    """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    if g.coeffs[0] != 0:
-        raise NonzeroConstantTermError(
-            "composition requires a series with zero constant term"
-        )
-    powers = [PowerSeries.constant(1, g.order)]
-    for _ in range(m_max):
-        powers.append(powers[-1] * g)
-    return powers
+    return PowerSeries(tuple(nums))
 
 
 def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:
     """sum_m weights[m] * g^m at g's order, on integers in EGF form.
 
-    With g = sum G_n t^n / (L n!) for integers G_n (L clears the EGF
-    denominators of g) and weights[m] = W_m / D, the EGF integers of
-    (L g)^m follow by binomial convolution, and the sum has EGF value
+    With g = sum G_n t^n / (L n!) and weights[m] = W_m / D, the EGF integers
+    of (L g)^m follow by binomial convolution, and the sum has EGF value
     sum_m W_m L^(N-m) [(L g)^m]_n / (D L^N) at t^n / n!.
     """
-    order = g.order
-    egf = [c * factorial(n) for n, c in enumerate(g.coeffs)]
-    scale = math.lcm(*(c.denominator for c in egf))
-    G = [c.numerator * (scale // c.denominator) for c in egf]
+    order, G, scale = g.order, g.nums, g.den
     den = math.lcm(*(w.denominator for w in weights))
     binom = [[math.comb(n, j) for j in range(n + 1)] for n in range(order + 1)]
     power = [1] + [0] * order  # EGF integers of (L g)^m, zero below index m
@@ -220,17 +163,14 @@ def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:
         coeff = w.numerator * (den // w.denominator) * scale ** (order - m)
         for n in range(m, order + 1):
             total[n] += coeff * power[n]
-    common = den * scale**order
-    return PowerSeries(
-        tuple(Fraction(v, common * factorial(n)) for n, v in enumerate(total))
-    )
+    return PowerSeries(tuple(total), den * scale**order)
 
 
 def _power_weights(g: PowerSeries, k: int, alpha, a) -> list[Fraction]:
     """1 / (alpha*m + a)^k for m = 0..g's order, after checking that the
     composition is defined."""
     alpha, a = Fraction(alpha), Fraction(a)
-    if g.coeffs[0] != 0:
+    if g.nums[0] != 0:
         raise NonzeroConstantTermError(
             "composition requires a series with zero constant term"
         )
@@ -250,11 +190,11 @@ def phif_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
 
 
 def egf_coeff(f: PowerSeries, n: int) -> Fraction:
-    """n! * c_n: the coefficient in the sum(v_n t^n / n!) reading of f."""
+    """v_n = n! * c_n: the coefficient in the sum(v_n t^n / n!) reading of f."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > f.order:
         raise TruncationExceededError(
-            f"EGF coefficient {n} requested but series is truncated at order {f.order}"
+            f"coefficient {n} requested but series is truncated at order {f.order}"
         )
-    return f.coeffs[n] * factorial(n)
+    return Fraction(f.nums[n], f.den)

@@ -8,7 +8,7 @@ package against these helpers is a genuine two-path check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 
 def mul_trunc(f: list[Fraction], g: list[Fraction], order: int) -> list[Fraction]:
@@ -19,6 +19,27 @@ def mul_trunc(f: list[Fraction], g: list[Fraction], order: int) -> list[Fraction
         for j, b in enumerate(g[: order + 1 - i]):
             out[i + j] += a * b
     return out
+
+
+def compose_powers(g: list[Fraction], m_max: int) -> list[list[Fraction]]:
+    """[g^0, g^1, ..., g^m_max] as ordinary coefficient lists, each truncated
+    at g's order. g must have zero constant term, so g^m has valuation >= m
+    and powers beyond the truncation order vanish at this order."""
+    if g[0] != 0:
+        raise ValueError("composition requires a series with zero constant term")
+    order = len(g) - 1
+    powers = [[Fraction(1)] + [Fraction(0)] * order]
+    for _ in range(m_max):
+        powers.append(mul_trunc(powers[-1], g, order))
+    return powers
+
+
+def to_egf(coeffs: list[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Ordinary coefficients c_n as (nums, den): integer EGF numerators over
+    one positive denominator, with nums[n] / den == c_n * n!."""
+    values = [Fraction(c) * factorial(n) for n, c in enumerate(coeffs)]
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def taylor(name: str, order: int) -> list[Fraction]:

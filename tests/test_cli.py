@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from hlpoly import cli
 from hlpoly.audit import CATALOGUE
 from hlpoly.cli import _as_primes, main, parse_prefactor, UsageError
 
@@ -498,6 +500,54 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "table", "--familly", "cauchy1")
     assert code == 64
+
+
+# Values past CPython's int-to-str limit (4300 digits by default) make the
+# renderer raise. That is a bug, not a verdict, so it must not exit 1 (FAILS).
+INTERNAL_ERROR_ARGV = [
+    pytest.param(
+        ["table", "--family", "cauchy1", "--k", "5000", "--n-max", "3"],
+        id="table-k5000",
+    ),
+    pytest.param(
+        [
+            "audit", "--identity", "eq9", "--k-values", "6000", "--pair", "1,1",
+            "--n-max", "3", "--format", "json",
+        ],
+        id="audit-eq9-k6000",
+    ),
+]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="this interpreter has no int-to-str digit limit",
+)
+@pytest.mark.parametrize("argv", INTERNAL_ERROR_ARGV)
+def test_internal_error_exits_70_on_one_stderr_line(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 70
+    assert err.startswith("error: internal error: ValueError: ")
+    assert err.count("\n") == 1
+
+
+def test_a_3000_digit_table_still_exits_zero(capsys):
+    code, out, err = run(
+        capsys, "table", "--family", "cauchy1", "--k", "3000", "--n-max", "3"
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
+
+
+def test_any_unexpected_exception_exits_70(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "series", broken)
+    code, out, err = run(capsys, "series", "--kernel", "log1p", "--order", "2")
+    assert (code, out) == (70, "")
+    assert err.startswith("error: internal error: RuntimeError: first line (in broken, ")
+    assert err.count("\n") == 1
 
 
 def test_parse_prefactor():

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from hlpoly.audit import _DUALITY_SHAPE, GridSpec, run_identity
 from hlpoly.exact import factorial
 from hlpoly.sequences import FAMILIES, Params, explicit_sequence, explicit_value
-from hlpoly.series import PowerSeries, compose_powers, phi_apply, phif_apply
+from hlpoly.series import PowerSeries, phi_apply, phif_apply
 
-from bruteforce import family_closed_form
+from bruteforce import compose_powers, family_closed_form, to_egf
 
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -43,23 +43,27 @@ def test_explicit_kernels_match_the_closed_form(family, n_max, k, alpha, a):
     assert explicit_value(family, n_max, params) == expected[-1]
 
 
-def _power_sum(g: PowerSeries, k, alpha, a, factorial_scaled: bool) -> PowerSeries:
-    total = PowerSeries.constant(0, g.order)
-    for m, power in enumerate(compose_powers(g, g.order)):
+def _power_sum(coeffs, k, alpha, a, factorial_scaled: bool) -> PowerSeries:
+    """sum_m g^m / (alpha m + a)^k (or / m! too) for g with ordinary
+    coefficients `coeffs`, as a plain Fraction sum of compose_powers."""
+    total = [Fraction(0)] * len(coeffs)
+    for m, power in enumerate(compose_powers(coeffs, len(coeffs) - 1)):
         weight = Fraction(1) / (alpha * m + a) ** k
         if factorial_scaled:
             weight /= factorial(m)
-        total = total + power * weight
-    return total
+        total = [c + p * weight for c, p in zip(total, power)]
+    return PowerSeries(*to_egf(total))
 
 
 def test_non_integral_egf_kernel_example():
     # t/3 + 2t^2/7: EGF coefficients 1/3 and 4/7, so the kernel has to clear
     # denominators before its integer convolutions
-    g = PowerSeries.from_coeffs([0, Fraction(1, 3), Fraction(2, 7), 0, 0, 0])
+    coeffs = [Fraction(0), Fraction(1, 3), Fraction(2, 7), 0, 0, 0]
+    g = PowerSeries(*to_egf(coeffs))
+    assert g.den == 21
     k, alpha, a = 2, Fraction(1, 2), Fraction(3)
-    assert phi_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, False)
-    assert phif_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, True)
+    assert phi_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, False)
+    assert phif_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, True)
 
 
 @SETTINGS
@@ -70,10 +74,11 @@ def test_non_integral_egf_kernel_example():
     rationals,
 )
 def test_series_kernels_match_a_compose_powers_sum(tail, k, alpha, a):
-    g = PowerSeries.from_coeffs([Fraction(0)] + tail)
+    coeffs = [Fraction(0)] + tail
+    g = PowerSeries(*to_egf(coeffs))
     _params(k, alpha, a, g.order)
-    assert phi_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, False)
-    assert phif_apply(g, k, alpha, a) == _power_sum(g, k, alpha, a, True)
+    assert phi_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, False)
+    assert phif_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, True)
 
 
 def _double_sum(identity, n, params, prefactor) -> Fraction:

@@ -19,7 +19,7 @@ from hlpoly.sequences import (
 from hlpoly.series import PowerSeries, kernel
 from hlpoly.stirling import stirling1_unsigned
 
-from bruteforce import family_egf
+from bruteforce import family_egf, to_egf
 
 P111 = Params(1, 1, 1)
 
@@ -204,17 +204,17 @@ def test_deriv_oracle_reconstructs_derivative():
     for family in FAMILIES:
         for params in [P111, Params(2, Fraction(1, 2), 1), Params(-2, 1, 2)]:
             oracle = deriv_coeffs_oracle(family, n_max, params)
-            claimed = PowerSeries.from_coeffs(
+            claimed = PowerSeries(*to_egf(
                 [oracle[n] / factorial(n) for n in range(n_max + 1)]
-            )
+            ))
             prefactor = kernel(
                 "exp_neg" if family is Family.BERNOULLI else "geom_1_over_1_plus_t",
                 n_max,
             )
             g_values = oracle_sequence(family, n_max + 1, params)
-            g_prime = PowerSeries.from_coeffs(
+            g_prime = PowerSeries(*to_egf(
                 [g_values[n + 1] / factorial(n) for n in range(n_max + 1)]
-            )
+            ))
             assert prefactor * claimed == g_prime
 
 
