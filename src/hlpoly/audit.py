@@ -17,7 +17,7 @@ Identity catalogue and labels:
 
 Reports are deterministic: rows are sorted by a canonical point key, no
 timestamps or environment data are recorded, and rerunning the same grid
-reproduces the same report byte for byte once serialized.
+reproduces the same report, which the CLI renders to the same bytes.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from typing import Callable
 from .exact import (
     NonreducibleDenominatorError,
     factorial,
-    format_rational,
     is_prime,
     mod_reduce,
-    rational_to_json,
 )
 from .sequences import (
     Family,
@@ -53,7 +51,6 @@ __all__ = [
     "FAILS",
     "GridSpec",
     "HOLDS",
-    "IDENTITIES",
     "NONREDUCIBLE_DENOMINATOR",
     "P_DIVIDES_ALPHA",
     "SINGULAR_PARAMETER",
@@ -61,7 +58,6 @@ __all__ = [
     "Verdict",
     "audit_stirling_orthogonality",
     "exit_code",
-    "report_to_dict",
     "run_identity",
 ]
 
@@ -425,8 +421,6 @@ CATALOGUE = {
     "STIRLING_ORTHO": ("stirling-ortho", None, None),
 }
 
-IDENTITIES = tuple(CATALOGUE)
-
 
 def run_identity(
     identity: str,
@@ -455,44 +449,3 @@ def run_identity(
     variant = variant_label if rows is _duality_rows else None
     return AuditReport(identity, sorted(verdicts, key=_point_sort_key), variant)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _json_value(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return rational_to_json(value)
-    raise TypeError(f"cannot serialize {value!r}")
-
-
-def _json_point(point: dict) -> dict:
-    out = {}
-    for key, value in point.items():
-        out[key] = format_rational(value) if isinstance(value, Fraction) else value
-    return out
-
-
-def verdict_to_dict(verdict: Verdict) -> dict:
-    return {
-        "point": _json_point(verdict.point),
-        "status": verdict.status,
-        "lhs": _json_value(verdict.lhs),
-        "rhs": _json_value(verdict.rhs),
-        "reason": verdict.reason,
-        "hypothesis_ok": verdict.hypothesis_ok,
-        "hypothesis_note": verdict.hypothesis_note,
-    }
-
-
-def report_to_dict(report: AuditReport) -> dict:
-    return {
-        "identity": report.identity,
-        "variant": report.variant,
-        "points": len(report.verdicts),
-        "summary": report.summary,
-        "verdicts": [verdict_to_dict(v) for v in report.verdicts],
-    }

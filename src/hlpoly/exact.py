@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing and rendering, signed integer powers,
+"""Exact rational scalars: parsing and "p/q" text, signed integer powers,
 factorials, and reduction modulo a prime.
 
 `fractions.Fraction` is the value type throughout the package. It already
@@ -22,8 +22,6 @@ __all__ = [
     "mod_reduce",
     "parse_rational",
     "pow_rat",
-    "rational_from_json",
-    "rational_to_json",
     "singular_index",
 ]
 
@@ -64,16 +62,6 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def rational_to_json(value: Fraction | int) -> dict[str, str]:
-    """Numerator/denominator as decimal strings, safe for any precision."""
-    value = Fraction(value)
-    return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def rational_from_json(obj: dict[str, str]) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def pow_rat(base: Fraction | int, k: int) -> Fraction:

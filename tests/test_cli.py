@@ -1,7 +1,10 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hlpoly import cli
 from hlpoly.audit import CATALOGUE
@@ -228,6 +231,54 @@ def test_audit_json_runs_are_byte_identical(capsys):
     assert first == second
     reparsed = json.dumps(json.loads(first), indent=2, sort_keys=True) + "\n"
     assert reparsed == first
+
+
+def test_report_json_is_canonical_ascii_with_explicit_verdicts(capsys):
+    """README's promise: audit and congruence JSON are canonical, sorted and
+    ASCII, and every verdict spells out all seven fields."""
+    _, audit_out, _ = run(
+        capsys,
+        "audit", "--identity", "eq11", "--n-max", "2", "--pair", "1,1",
+        "--k-values", "1", "--format", "json",
+    )
+    _, scan_out, _ = run(
+        capsys,
+        "congruence-scan", "--format", "json", "--multipliers", "1", "--primes", "3,5",
+    )
+    for out in (audit_out, scan_out):
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+        assert out.isascii()
+
+    (report,) = json.loads(audit_out)["reports"]
+    assert report["verdicts"][2] == {
+        "point": {"a": "1", "alpha": "1", "k": 1, "n": 2},
+        "status": "FAILS",
+        "lhs": {"num": "-1", "den": "6"},
+        "rhs": {"num": "5", "den": "6"},
+        "reason": None,
+        "hypothesis_ok": None,
+        "hypothesis_note": None,
+    }
+
+    # A congruence verdict carries its residues as plain ints.
+    reports = {r["identity"]: r for r in json.loads(scan_out)["reports"]}
+    point = {"a": "1", "alpha": "1", "k": 1, "n": 1, "p": 3}
+    (row,) = [v for v in reports["THM8_C2"]["verdicts"] if v["point"] == point]
+    assert row == {
+        "point": point,
+        "status": "FAILS",
+        "lhs": 0,
+        "rhs": 1,
+        "reason": None,
+        "hypothesis_ok": False,
+        "hypothesis_note": "alpha*m + a not invertible mod 3 at m = 2",
+    }
+
+
+@given(st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)))
+def test_json_rational_round_trip(q):
+    encoded = cli._json_rational(q)
+    assert Fraction(int(encoded["num"]), int(encoded["den"])) == q
 
 
 def test_audit_text_runs_are_byte_identical(capsys):
@@ -503,11 +554,16 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 # Values past CPython's int-to-str limit (4300 digits by default) make the
-# renderer raise. That is a bug, not a verdict, so it must not exit 1 (FAILS).
+# renderer raise. That is a bug, not a verdict, so it must not exit 1 (FAILS),
+# and the rows rendered before it must not reach stdout.
 INTERNAL_ERROR_ARGV = [
     pytest.param(
         ["table", "--family", "cauchy1", "--k", "5000", "--n-max", "3"],
         id="table-k5000",
+    ),
+    pytest.param(
+        ["series", "--kernel", "geom_1_over_1_plus_t", "--order", "1600", "--egf"],
+        id="series-egf-1600",
     ),
     pytest.param(
         [
@@ -525,8 +581,8 @@ INTERNAL_ERROR_ARGV = [
 )
 @pytest.mark.parametrize("argv", INTERNAL_ERROR_ARGV)
 def test_internal_error_exits_70_on_one_stderr_line(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 70
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (70, "")
     assert err.startswith("error: internal error: ValueError: ")
     assert err.count("\n") == 1
 

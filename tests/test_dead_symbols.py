@@ -1,9 +1,11 @@
-"""Every module-level private name in the package is used somewhere, and
+"""Every module-level name in the package is used somewhere in it, and
 every exported name exists.
 
-A private helper or table that nothing reads is dead code that still looks
+A helper or table that nothing reads is dead code that still looks
 load-bearing, so one that outlives its last caller fails here. So does a
-deleted function left behind in an `__all__` list.
+deleted function left behind in an `__all__` list. A public name counts as
+used only when package code reads or imports it: being listed in `__all__`
+or used by a test is not enough.
 """
 
 import ast
@@ -16,7 +18,8 @@ import hlpoly
 PACKAGE = Path(hlpoly.__file__).parent
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
+def _definitions(tree: ast.Module) -> set[str]:
+    """Module-level names bound by def, class or assignment; dunders aside."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -24,7 +27,7 @@ def _private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return {name for name in names if not name.startswith("__")}
 
 
 def _references(tree: ast.AST) -> set[str]:
@@ -41,23 +44,31 @@ def _references(tree: ast.AST) -> set[str]:
     return names
 
 
-def _unreferenced(sources: dict[str, str]) -> list[str]:
+def _unreferenced(sources: dict[str, str], private: bool = True) -> list[str]:
+    """The private (or public) module-level names nothing in `sources` reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = set().union(*map(_references, trees.values()))
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name in _private_definitions(tree)
-        if name not in used
+        for name in _definitions(tree)
+        if name.startswith("_") == private and name not in used
     )
 
 
-def test_every_private_module_level_name_is_referenced():
-    sources = {
+def _package_sources() -> dict[str, str]:
+    return {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert _unreferenced(sources) == []
+
+
+def test_every_private_module_level_name_is_referenced():
+    assert _unreferenced(_package_sources()) == []
+
+
+def test_every_public_module_level_name_is_referenced():
+    assert _unreferenced(_package_sources(), private=False) == []
 
 
 def test_guard_sees_definitions_and_references():
@@ -66,6 +77,15 @@ def test_guard_sees_definitions_and_references():
         "b": "from .a import _helper\nclass _Dead:\n    pass\n_helper()\n",
     }
     assert _unreferenced(sources) == ["a._TABLE", "b._Dead"]
+
+
+def test_public_guard_counts_imports_but_not_all_strings():
+    sources = {
+        "a": '__all__ = ["dead", "read", "imported"]\n'
+        "dead = 1\nread = 2\ndef imported():\n    return read\n",
+        "__init__": '__version__ = "1"\nfrom .a import imported\n',
+    }
+    assert _unreferenced(sources, private=False) == ["a.dead"]
 
 
 def _unresolved_exports(module) -> list[str]:

@@ -12,8 +12,6 @@ from hlpoly.exact import (
     mod_reduce,
     parse_rational,
     pow_rat,
-    rational_from_json,
-    rational_to_json,
     singular_index,
 )
 
@@ -95,11 +93,6 @@ def test_format_rational():
     assert format_rational(Fraction(-1, 6)) == "-1/6"
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(0) == "0"
-
-
-@given(rationals)
-def test_json_round_trip(q):
-    assert rational_from_json(rational_to_json(q)) == q
 
 
 @given(rationals, rationals, st.integers(-1, 30))
