@@ -298,11 +298,6 @@ def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     """
     if params.k < 1:
         return []
-    for p in grid.primes:
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-    if min(grid.multipliers, default=1) < 1:
-        raise ValueError("congruence check requires multipliers >= 1")
     verdicts = []
     for n in grid.multipliers:
         for p in grid.primes:
@@ -375,7 +370,8 @@ class GridSpec:
     `multipliers` is the n of s_{n*p} in congruence checks (kept small by
     default: the sequence index reaches multiplier * prime). `k_values` is
     filtered to k >= 1 for congruence identities, which are only stated for
-    positive k.
+    positive k. Construction raises ValueError unless n_max and stirling_n_max
+    are >= 0, every prime is a prime below 2**16 and every multiplier is >= 1.
     """
 
     n_max: int = 12
@@ -384,6 +380,19 @@ class GridSpec:
     primes: tuple[int, ...] = (3, 5, 7, 11)
     multipliers: tuple[int, ...] = (1, 2, 3)
     stirling_n_max: int = 20
+
+    def __post_init__(self):
+        if min(self.n_max, self.stirling_n_max) < 0:
+            raise ValueError("n_max and stirling_n_max must be >= 0")
+        for p in self.primes:
+            # is_prime is trial division, meant for moduli below 2**16; a larger
+            # prime would also take a sequence index of at least 2**16
+            if p >= 2**16:
+                raise ValueError(f"{p} is too large: primes must be below 2**16 = 65536")
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        if min(self.multipliers, default=1) < 1:
+            raise ValueError("multipliers must be >= 1")
 
 
 DEFAULT_GRID = GridSpec()
@@ -432,8 +441,7 @@ def run_identity(
 
     The report's rows are canonically sorted (k, alpha, a, then indices), so
     identical grids always serialize to identical bytes. `prefactor` and
-    `variant_label` are only honoured for EQ9..EQ12. A THM8 grid with a
-    k >= 1 raises ValueError if a prime is not prime or a multiplier is < 1.
+    `variant_label` are only honoured for EQ9..EQ12.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")

@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import operator
 import os
 import sys
+from argparse import ArgumentTypeError
 from fractions import Fraction
 from typing import Iterator
 
@@ -35,7 +37,6 @@ from .exact import (
     SingularParameterError,
     factorial,
     format_rational,
-    is_prime,
     parse_rational,
 )
 from .sequences import (
@@ -107,6 +108,68 @@ def _json_report(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# flag types, applied by argparse to flags, config values and string defaults
+# ---------------------------------------------------------------------------
+
+# A triangle of 300 rows is about 11 MB of CSV (first kind, largest entry 614
+# digits); the text is built whole, so the size is bounded before any work.
+_MAX_TRIANGLE_N = 300
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _triangle_size(text: str) -> int:
+    value = _count(text)
+    if value > _MAX_TRIANGLE_N:
+        raise ArgumentTypeError(f"must be <= {_MAX_TRIANGLE_N}, got {value}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise ArgumentTypeError(f"must be a rational like 3 or 1/2, got {text!r}") from None
+
+
+def _alpha(text: str) -> Fraction:
+    alpha = _rational(text)
+    if alpha == 0:
+        raise ArgumentTypeError("alpha must be nonzero")
+    return alpha
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    items = [part for part in text.split(",") if part.strip()]
+    if not items:
+        raise ArgumentTypeError("must be a comma list of integers, got none")
+    return tuple(_integer(item) for item in items)
+
+
+def _pair(text: str) -> tuple[Fraction, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ArgumentTypeError(f"must look like ALPHA,A, got {text!r}")
+    return _alpha(parts[0]), _rational(parts[1])
+
+
+def _listed(values) -> str:
+    return ",".join(map(str, values))
+
+
+# ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
@@ -114,7 +177,7 @@ def _json_report(report) -> dict:
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="hlpoly", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hlpoly {__version__}")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     subparsers: dict[str, _Parser] = {}
 
     def add(name: str, help_text: str) -> _Parser:
@@ -126,11 +189,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add("table", "sequence-family tables or Stirling triangles")
     p.add_argument("--family", choices=[f.value for f in Family])
     p.add_argument("--stirling", choices=["1", "2"])
-    p.add_argument("--k", default="1", help="integer exponent (default 1)")
-    p.add_argument("--alpha", default="1", help="rational, e.g. 1/2 (default 1)")
-    p.add_argument("--a", default="1", help="rational (default 1)")
-    p.add_argument("--n-max", default="8", help="last index (default 8)")
-    p.add_argument("--max-n", default="10", help="triangle size (default 10)")
+    p.add_argument("--k", type=_integer, default="1", help="integer exponent (default 1)")
+    p.add_argument("--alpha", type=_alpha, default="1", help="rational, e.g. 1/2 (default 1)")
+    p.add_argument("--a", type=_rational, default="1", help="rational (default 1)")
+    p.add_argument("--n-max", type=_count, default="8", help="last index (default 8)")
+    p.add_argument(
+        "--max-n", type=_triangle_size, default="10", help="last triangle row (default 10)"
+    )
     p.add_argument(
         "--method",
         choices=["formula", "oracle", "both"],
@@ -141,57 +206,60 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add("series", "coefficients of a named kernel series")
     p.add_argument("--kernel", choices=list(KERNEL_NAMES), required=True)
-    p.add_argument("--order", required=True, help="truncation order")
+    p.add_argument("--order", type=_count, required=True, help="truncation order")
     p.add_argument(
         "--egf", action="store_true", help="print n!*c_n instead of c_n"
     )
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = add("audit", "check catalogued identities over a parameter grid")
-    p.add_argument(
+    # The grid flags have no defaults: GridSpec fills them in (see _grid_from_args).
+    grid = DEFAULT_GRID
+    audit = add("audit", "check catalogued identities over a parameter grid")
+    audit.add_argument(
         "--identity",
         choices=list(dict.fromkeys(token for token, _, _ in CATALOGUE.values()))
         + ["all"],
         required=True,
     )
-    p.add_argument("--n-max", default="12", help="largest sequence index (default 12)")
-    p.add_argument(
+    audit.add_argument(
+        "--n-max", type=_integer, help=f"largest sequence index (default {grid.n_max})"
+    )
+    audit.add_argument(
         "--k-values",
-        default="-2,-1,0,1,2,3",
-        help="comma list; write --k-values=-2,... for negatives (default -2..3)",
+        type=_integers,
+        help="comma list; write --k-values=-2,... for negatives "
+        f"(default {_listed(grid.k_values)})",
     )
-    p.add_argument(
-        "--pair",
-        action="append",
-        help="alpha,a pair, repeatable (default six standard pairs)",
-    )
-    p.add_argument("--primes", default="3,5,7,11", help="comma list of primes")
-    p.add_argument(
-        "--multipliers",
-        default="1,2,3",
-        help="congruence checks use index multiplier*prime (default 1,2,3)",
-    )
-    p.add_argument(
+    scan = add("congruence-scan", "prime-period congruence scan across families")
+    scan.add_argument("--family", choices=[f.value for f in Family] + ["all"], default="all")
+    scan.add_argument("--k-values", type=_integers, default="1,2,3", help="comma list, k >= 1")
+    pairs = " ".join(f"{format_rational(al)},{format_rational(a)}" for al, a in grid.pairs)
+    for p in (audit, scan):
+        p.add_argument(
+            "--pair", type=_pair, action="append", help=f"ALPHA,A, repeatable (default {pairs})"
+        )
+        p.add_argument(
+            "--primes",
+            type=_integers,
+            help=f"comma list of primes below 2**16 (default {_listed(grid.primes)})",
+        )
+        p.add_argument(
+            "--multipliers",
+            type=_integers,
+            help=f"congruence index multiplier*prime (default {_listed(grid.multipliers)})",
+        )
+    audit.add_argument(
         "--stirling-n-max",
-        default="20",
-        help="triangle size for stirling-ortho (default 20)",
+        type=_integer,
+        help=f"triangle size for stirling-ortho (default {grid.stirling_n_max})",
     )
-    p.add_argument(
+    audit.add_argument(
         "--variant-prefactor",
         default=None,
         help="replacement prefactor over n, m for eq9..eq12, e.g. '(-1)**(m+n)/fact(m)'",
     )
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = add("congruence-scan", "prime-period congruence scan across families")
-    p.add_argument(
-        "--family", choices=[f.value for f in Family] + ["all"], default="all"
-    )
-    p.add_argument("--k-values", default="1,2,3", help="comma list of k >= 1")
-    p.add_argument("--pair", action="append", help="alpha,a pair, repeatable")
-    p.add_argument("--primes", default="3,5,7,11", help="comma list of primes")
-    p.add_argument("--multipliers", default="1,2,3", help="comma list of n >= 1")
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    audit.add_argument("--format", choices=["text", "json"], default="text")
+    scan.add_argument("--format", choices=["text", "csv", "json"], default="text")
 
     return parser, subparsers
 
@@ -210,8 +278,6 @@ def _parse_args(parser: _Parser, subparsers, argv: list[str]):
     finally:
         for action in required:
             action.required = True
-    if args.command is None:
-        raise UsageError("a command is required (table, series, audit, congruence-scan)")
     if args.config:
         at = argv.index(args.command) + 1
         argv = argv[:at] + _config_flags(subparsers[args.command], args) + argv[at:]
@@ -224,7 +290,7 @@ def _config_flags(command_parser: _Parser, args) -> list[str]:
             config = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise UsageError("config file must hold a flat JSON object")
@@ -247,88 +313,53 @@ def _config_flags(command_parser: _Parser, args) -> list[str]:
             # a command-line --pair replaces the file's pairs
             if getattr(args, action.dest) is None:
                 items = value if isinstance(value, list) else [value]
-                flags += [f"{flag}={_config_text(key, item)}" for item in items]
+                flags += [f"{flag}={_config_text(item)}" for item in items]
         else:
-            flags.append(f"{flag}={_config_text(key, value)}")
+            flags.append(f"{flag}={_config_text(value)}")
     return flags
 
 
-def _config_text(key: str, value) -> str:
-    """A config value as the flag text it stands for; a list joins with commas."""
-    if isinstance(value, list):
-        return ",".join(_config_text(key, item) for item in value)
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise UsageError(f"config key {key!r} must be a string, a number or a list")
-    return str(value)
-
-
-# ---------------------------------------------------------------------------
-# value parsing helpers (accept both flag strings and config-file values)
-# ---------------------------------------------------------------------------
-
-
-def _as_int(value, label: str) -> int:
-    try:
-        return int(str(value).strip())
-    except ValueError:
-        raise UsageError(f"{label} must be an integer, got {value!r}")
-
-
-def _as_nonneg_int(value, label: str) -> int:
-    parsed = _as_int(value, label)
-    if parsed < 0:
-        raise UsageError(f"{label} must be >= 0, got {parsed}")
-    return parsed
-
-
-def _as_rational(value, label: str) -> Fraction:
-    try:
-        return parse_rational(str(value).strip())
-    except ValueError:
-        raise UsageError(f"{label} must be a rational like 3 or 1/2, got {value!r}")
-
-
-def _as_alpha(value) -> Fraction:
-    alpha = _as_rational(value, "alpha")
-    if alpha == 0:
-        raise UsageError("alpha must be nonzero")
-    return alpha
-
-
-def _as_int_list(value, label: str) -> tuple[int, ...]:
-    items = [part for part in str(value).split(",") if part.strip()]
-    if not items:
-        raise UsageError(f"{label} must not be empty")
-    return tuple(_as_int(item, label) for item in items)
-
-
-def _as_primes(value) -> tuple[int, ...]:
-    primes = _as_int_list(value, "primes")
-    for p in primes:
-        # is_prime is trial division, meant for moduli below 2**16; a larger
-        # prime would also take a sequence index of at least 2**16
-        if p >= 2**16:
-            raise UsageError(f"{p} is too large: primes must be below 2**16 = 65536")
-        if not is_prime(p):
-            raise UsageError(f"{p} is not prime")
-    return primes
-
-
-def _as_pairs(value) -> tuple[tuple[Fraction, Fraction], ...]:
-    pairs = []
-    for item in value:
-        parts = str(item).split(",")
-        if len(parts) != 2:
-            raise UsageError(f"pair must look like ALPHA,A, got {item!r}")
-        pairs.append((_as_alpha(parts[0]), _as_rational(parts[1], "a")))
-    return tuple(pairs)
+def _config_text(value) -> str:
+    """A config value as the flag text it stands for; a list joins with commas.
+    The flag's type or choices then check the text."""
+    return ",".join(map(_config_text, value)) if isinstance(value, list) else str(value)
 
 
 # ---------------------------------------------------------------------------
 # variant prefactor expressions
 # ---------------------------------------------------------------------------
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+def _divide(left: Fraction, right: Fraction) -> Fraction:
+    if right == 0:
+        raise UsageError("prefactor divides by zero")
+    return left / right
+
+
+def _power(base: Fraction, exponent: Fraction) -> Fraction:
+    if exponent.denominator != 1:
+        raise UsageError("** requires an integer exponent")
+    if base == 0 and exponent < 0:
+        raise UsageError("prefactor raises 0 to a negative power")
+    return base ** int(exponent)
+
+
+def _fact(arg: Fraction) -> Fraction:
+    if arg.denominator != 1 or arg < 0:
+        raise UsageError("fact(...) requires a nonnegative integer")
+    return Fraction(factorial(int(arg)))
+
+
+# The prefactor grammar's binary and unary operators, by ast node type.
+_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: _divide,
+    ast.Pow: _power,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+}
 
 
 def parse_prefactor(expression: str):
@@ -342,71 +373,38 @@ def parse_prefactor(expression: str):
     except SyntaxError as exc:
         raise UsageError(f"bad prefactor expression: {exc.msg}")
 
-    def check(node) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, int):
-            pass
-        elif isinstance(node, ast.Name) and node.id in ("n", "m"):
-            pass
-        elif (
+    # One Python frame per tree level, in the build and in each evaluation, so
+    # that an expression nests as deep as the recursion limit allows.
+    def build(node):
+        """The node's evaluator, a function of (n, m), built as the node is checked."""
+        op = _OPERATORS.get(type(getattr(node, "op", None)))
+        if isinstance(node, ast.BinOp) and op is not None:
+            left, right = build(node.left), build(node.right)
+            return lambda n, m: op(left(n, m), right(n, m))
+        if isinstance(node, ast.UnaryOp) and op is not None:
+            operand = build(node.operand)
+            return lambda n, m: op(operand(n, m))
+        if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "fact"
             and len(node.args) == 1
             and not node.keywords
         ):
-            check(node.args[0])
-        else:
-            raise UsageError(
-                "prefactor may only use integers, n, m, fact(...), + - * / ** "
-                "and parentheses"
-            )
+            arg = build(node.args[0])
+            return lambda n, m: _fact(arg(n, m))
+        # bool is a subclass of int, but True and False are not integer literals
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            value = Fraction(node.value)
+            return lambda n, m: value
+        if isinstance(node, ast.Name) and node.id in ("n", "m"):
+            name = node.id
+            return lambda n, m: Fraction(n if name == "n" else m)
+        raise UsageError(
+            "prefactor may only use integers, n, m, fact(...), + - * / ** and parentheses"
+        )
 
-    check(tree)
-
-    def evaluate(node, env):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.Constant):
-            return Fraction(node.value)
-        if isinstance(node, ast.Name):
-            return Fraction(env[node.id])
-        if isinstance(node, ast.UnaryOp):
-            operand = evaluate(node.operand, env)
-            return operand if isinstance(node.op, ast.UAdd) else -operand
-        if isinstance(node, ast.Call):
-            arg = evaluate(node.args[0], env)
-            if arg.denominator != 1 or arg < 0:
-                raise UsageError("fact(...) requires a nonnegative integer")
-            return Fraction(factorial(int(arg)))
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if right == 0:
-                raise UsageError("prefactor divides by zero")
-            return left / right
-        if right.denominator != 1:
-            raise UsageError("** requires an integer exponent")
-        if left == 0 and right < 0:
-            raise UsageError("prefactor raises 0 to a negative power")
-        return left ** int(right)
-
-    def prefactor(n: int, m: int) -> Fraction:
-        return evaluate(tree, {"n": n, "m": m})
-
-    return prefactor
+    return build(tree.body)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +481,13 @@ def _cmd_table(args) -> int:
         raise UsageError("table needs exactly one of --family or --stirling")
 
     if args.stirling is not None:
-        max_n = _as_nonneg_int(args.max_n, "max-n")
         kind = FIRST_UNSIGNED if args.stirling == "1" else SECOND
-        rows = build_table(kind, max_n)
+        rows = build_table(kind, args.max_n)
         if args.format == "json":
             payload = {
                 "command": "table",
                 "kind": f"stirling{args.stirling}",
-                "max_n": max_n,
+                "max_n": args.max_n,
                 "rows": [[str(entry) for entry in row] for row in rows],
             }
             sys.stdout.write(canonical_json(payload))
@@ -499,17 +496,16 @@ def _cmd_table(args) -> int:
         return EXIT_OK
 
     family = Family(args.family)
-    n_max = _as_nonneg_int(args.n_max, "n-max")
-    params = Params(_as_int(args.k, "k"), _as_alpha(args.alpha), _as_rational(args.a, "a"))
+    params = Params(args.k, args.alpha, args.a)
     values: dict[str, list[Fraction]] = {}
     if args.method in ("formula", "both"):
-        values["formula"] = explicit_sequence(family, n_max, params)
+        values["formula"] = explicit_sequence(family, args.n_max, params)
     if args.method in ("oracle", "both"):
-        values["oracle"] = oracle_sequence(family, n_max, params)
+        values["oracle"] = oracle_sequence(family, args.n_max, params)
 
     if args.format == "json":
         rows = []
-        for n in range(n_max + 1):
+        for n in range(args.n_max + 1):
             entry: dict = {"n": n}
             if args.method == "both":
                 entry["formula"] = _json_rational(values["formula"][n])
@@ -531,7 +527,7 @@ def _cmd_table(args) -> int:
     else:
         # Built whole, so that a row that fails to render leaves no partial table.
         lines = []
-        for n in range(n_max + 1):
+        for n in range(args.n_max + 1):
             if args.method == "both":
                 formula = format_rational(values["formula"][n])
                 oracle = format_rational(values["oracle"][n])
@@ -544,14 +540,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    order = _as_nonneg_int(args.order, "order")
-    f = kernel(args.kernel, order)
-    out = [egf_coeff(f, n) if args.egf else f.coefficient(n) for n in range(order + 1)]
+    f = kernel(args.kernel, args.order)
+    out = [egf_coeff(f, n) if args.egf else f.coefficient(n) for n in range(args.order + 1)]
     if args.format == "json":
         payload = {
             "command": "series",
             "kernel": args.kernel,
-            "order": order,
+            "order": args.order,
             "egf": bool(args.egf),
             "coefficients": [_json_rational(c) for c in out],
         }
@@ -562,20 +557,13 @@ def _cmd_series(args) -> int:
 
 
 def _grid_from_args(args) -> GridSpec:
-    grid = GridSpec(
-        n_max=_as_nonneg_int(getattr(args, "n_max", DEFAULT_GRID.n_max), "n-max"),
-        k_values=_as_int_list(args.k_values, "k-values"),
-        pairs=_as_pairs(args.pair) if args.pair else DEFAULT_GRID.pairs,
-        primes=_as_primes(args.primes),
-        multipliers=_as_int_list(args.multipliers, "multipliers"),
-        stirling_n_max=_as_nonneg_int(
-            getattr(args, "stirling_n_max", DEFAULT_GRID.stirling_n_max),
-            "stirling-n-max",
-        ),
-    )
-    if min(grid.multipliers) < 1:
-        raise UsageError("multipliers must be >= 1")
-    return grid
+    """The grid of the flags given; GridSpec fills in the rest and checks it."""
+    given = {field: getattr(args, field, None) for field in GridSpec.__dataclass_fields__}
+    given["pairs"] = tuple(args.pair) if args.pair else None
+    try:
+        return GridSpec(**{key: value for key, value in given.items() if value is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _cmd_audit(args) -> int:

@@ -259,6 +259,23 @@ def test_run_identity_rejects_unknown():
         run_identity("THM4", QUICK_GRID, prefactor=lambda n, m: Fraction(1))
 
 
+# A prime of 2**16 or more would hang run_identity in trial division.
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"primes": (4,)},
+        {"primes": (65537,)},
+        {"primes": (2305843009213693951,)},
+        {"multipliers": (0,)},
+        {"n_max": -1},
+        {"stirling_n_max": -1},
+    ],
+)
+def test_grid_rules_raise_at_construction(fields):
+    with pytest.raises(ValueError):
+        GridSpec(**fields)
+
+
 def test_run_identity_shapes():
     report = run_identity("THM5", QUICK_GRID)
     assert report.identity == "THM5"

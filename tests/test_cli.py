@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlpoly import cli
-from hlpoly.audit import CATALOGUE
-from hlpoly.cli import _as_primes, main, parse_prefactor, UsageError
+from hlpoly.audit import CATALOGUE, GridSpec
+from hlpoly.cli import main, parse_prefactor, UsageError
 
 
 def run(capsys, *argv):
@@ -305,9 +305,9 @@ def test_huge_prime_is_rejected_before_the_primality_test(capsys):
 
 
 def test_prime_bound_is_two_to_the_sixteen():
-    assert _as_primes("65521") == (65521,)
-    with pytest.raises(UsageError):
-        _as_primes("3,65537")
+    assert GridSpec(primes=(65521,)).primes == (65521,)
+    with pytest.raises(ValueError):
+        GridSpec(primes=(3, 65537))
 
 
 def test_audit_rejects_unknown_identity(capsys):
@@ -538,6 +538,14 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config, co
         assert out_part in out
 
 
+def test_config_file_with_an_oversized_integer_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"family": ' + "7" * 5000 + "}")
+    code, out, err = run(capsys, "table", "--config", str(config))
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_missing(capsys):
     code, _, err = run(capsys, "table", "--config", "/nonexistent/run.json")
     assert code == 64
@@ -618,3 +626,72 @@ def test_parse_prefactor():
         parse_prefactor("m.denominator")
     with pytest.raises(UsageError):
         parse_prefactor("x + 1")
+
+
+# -- usage errors -------------------------------------------------------------
+
+TABLE = ["table", "--family", "cauchy1"]
+EQ9 = ["audit", "--identity", "eq9", "--n-max", "1", "--pair", "1,1", "--k-values", "1"]
+
+# (command argv, flag, bad value): every flag type, every GridSpec rule, the
+# triangle bound and the prefactor grammar, each given once as a flag and
+# once as a config value.
+USAGE_ERRORS = [
+    (TABLE, "k", "x"),
+    (TABLE, "n-max", "-1"),
+    (["series", "--kernel", "log1p"], "order", "-1"),
+    (TABLE, "a", "1.5"),
+    (TABLE, "alpha", "0"),
+    (["audit", "--identity", "thm1"], "k-values", ","),
+    (["congruence-scan"], "multipliers", "1,x"),
+    (["audit", "--identity", "thm1"], "pair", "1"),
+    (["audit", "--identity", "thm1"], "pair", "0,1"),
+    (["audit", "--identity", "thm1"], "n-max", "-1"),
+    (["audit", "--identity", "stirling-ortho"], "stirling-n-max", "-1"),
+    (["audit", "--identity", "thm8"], "primes", "3,9"),
+    (["congruence-scan"], "primes", "65537"),
+    (["congruence-scan"], "primes", "2305843009213693951"),
+    (["congruence-scan"], "multipliers", "0"),
+    (["table", "--stirling", "1"], "max-n", "301"),
+    (EQ9, "variant-prefactor", "True*fact(m)"),
+    (EQ9, "variant-prefactor", "False"),
+    (EQ9, "variant-prefactor", "fact(-1)"),
+    (EQ9, "variant-prefactor", "1/(m-m)"),
+    (EQ9, "variant-prefactor", "2**(1/2)"),
+    (EQ9, "variant-prefactor", "0**(-1)"),
+]
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize(
+    "argv, flag, value", USAGE_ERRORS, ids=[f"{a[0]} --{f}={v}" for a, f, v in USAGE_ERRORS]
+)
+def test_bad_input_is_one_usage_error_line(tmp_path, capsys, argv, flag, value, via_config):
+    if via_config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({flag: value}))
+        argv = [argv[0], "--config", str(path), *argv[1:]]
+    else:
+        argv = [*argv, f"--{flag}={value}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_triangle_bound_is_300_rows(capsys, monkeypatch):
+    # The 300-row triangle itself is not built here: a stub stands in.
+    built = []
+    monkeypatch.setattr(cli, "build_table", lambda kind, max_n: built.append(max_n) or [[1]])
+    code, out, err = run(capsys, "table", "--stirling", "1", "--max-n", "300")
+    assert (code, out, err, built) == (0, "1\n", "", [300])
+    code, out, err = run(capsys, "table", "--stirling", "2", "--max-n", "301")
+    assert (code, out, built) == (64, "", [300])
+    assert err == "error: argument --max-n: must be <= 300, got 301\n"
+
+
+def test_a_deep_prefactor_still_parses_and_evaluates():
+    # Building and evaluating take one frame per tree level: at two frames per
+    # level, 600 levels would pass the default recursion limit.
+    pf = parse_prefactor("+".join(["m"] * 600))
+    assert pf(0, 2) == 1200
+    assert parse_prefactor("-" * 600 + "n")(3, 0) == 3
