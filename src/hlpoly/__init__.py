@@ -11,7 +11,6 @@ from .audit import (
     DEFAULT_GRID,
     GridSpec,
     Verdict,
-    audit_stirling_orthogonality,
     exit_code,
     run_identity,
 )
@@ -31,9 +30,6 @@ from .sequences import (
     explicit_sequence,
     explicit_value,
     oracle_sequence,
-    poly_bernoulli,
-    poly_cauchy1,
-    poly_cauchy2,
 )
 from .series import PowerSeries, egf_coeff, kernel, phi_apply, phif_apply
 from .stirling import stirling1_unsigned, stirling2
@@ -50,7 +46,6 @@ __all__ = [
     "SingularParameterError",
     "Verdict",
     "__version__",
-    "audit_stirling_orthogonality",
     "deriv_coeffs_oracle",
     "deriv_coeffs_printed",
     "egf_coeff",
@@ -64,9 +59,6 @@ __all__ = [
     "parse_rational",
     "phi_apply",
     "phif_apply",
-    "poly_bernoulli",
-    "poly_cauchy1",
-    "poly_cauchy2",
     "run_identity",
     "stirling1_unsigned",
     "stirling2",

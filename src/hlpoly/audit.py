@@ -22,16 +22,12 @@ reproduces the same report, which the CLI renders to the same bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exact import (
-    NonreducibleDenominatorError,
-    factorial,
-    is_prime,
-    mod_reduce,
-)
+from .exact import NonreducibleDenominatorError, is_prime, mod_reduce
 from .sequences import (
     Family,
     Params,
@@ -56,7 +52,6 @@ __all__ = [
     "SINGULAR_PARAMETER",
     "UNDEFINED",
     "Verdict",
-    "audit_stirling_orthogonality",
     "exit_code",
     "run_identity",
 ]
@@ -102,7 +97,6 @@ def _undefined(point: dict, reason: str, **extra) -> Verdict:
 class AuditReport:
     identity: str
     verdicts: list[Verdict]
-    variant: str | None = None
 
     @property
     def summary(self) -> dict[str, int]:
@@ -137,50 +131,46 @@ def _params_point(params: Params, n: int) -> dict:
     return {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
 
 
-def _last_defined(params: Params, n_max: int, reach: int) -> int:
-    """The largest index whose check is evaluable (-1 if none is), given that
-    index n touches alpha*m + a up to m = n + reach."""
+def _value_rows(params: Params, n_max: int, reach: int, sides) -> list[Verdict]:
+    """The rows of a value identity at one point, n = 0..n_max.
+
+    Index n touches alpha*m + a up to m = n + reach. `sides(last)` returns the
+    identity's two sides, each the values at n = 0..last, for `last` the
+    largest evaluable index; it is not called when no index is. The indices
+    after `last` are SINGULAR_PARAMETER.
+    """
     s = params.singular_index(n_max + reach)
-    return n_max if s is None else max(-1, min(n_max, s - 1 - reach))
-
-
-def _singular_tail(params: Params, last: int, n_max: int) -> list[Verdict]:
-    """UNDEFINED rows for the indices after `last`, through n_max."""
-    return [
+    last = n_max if s is None else max(-1, min(n_max, s - 1 - reach))
+    verdicts = []
+    if last >= 0:
+        verdicts = [
+            _compare(_params_point(params, n), x, y)
+            for n, (x, y) in enumerate(zip(*sides(last)))
+        ]
+    return verdicts + [
         _undefined(_params_point(params, n), SINGULAR_PARAMETER)
         for n in range(last + 1, n_max + 1)
     ]
 
 
-def _index_comparison(
-    family: Family, n_max: int, params: Params, reach: int, formula, series_side
-) -> list[Verdict]:
-    """formula(family, N, params) vs series_side(family, N, params) index by
-    index over 0..n_max, where index n touches alpha*m + a up to m = n + reach."""
-    last = _last_defined(params, n_max, reach)
-    verdicts = []
-    if last >= 0:
-        lhs, rhs = formula(family, last, params), series_side(family, last, params)
-        verdicts = [
-            _compare(_params_point(params, n), x, y)
-            for n, (x, y) in enumerate(zip(lhs, rhs))
-        ]
-    return verdicts + _singular_tail(params, last, n_max)
-
-
 def _explicit_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     """Stirling-sum path vs generating-function path, index by index."""
-    return _index_comparison(
-        family, grid.n_max, params, 0, explicit_sequence, oracle_sequence
-    )
+
+    def sides(last):
+        return explicit_sequence(family, last, params), oracle_sequence(family, last, params)
+
+    return _value_rows(params, grid.n_max, 0, sides)
 
 
 def _derivative_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     """Closed-form derivative coefficients vs series-forced ones, index by
     index. FAILS rows carry the (printed, series) pair as lhs/rhs witness."""
-    return _index_comparison(
-        family, grid.n_max, params, 1, deriv_coeffs_printed, deriv_coeffs_oracle
-    )
+
+    def sides(last):
+        printed = deriv_coeffs_printed(family, last, params)
+        return printed, deriv_coeffs_oracle(family, last, params)
+
+    return _value_rows(params, grid.n_max, 1, sides)
 
 
 # THM4-THM6 and EQ9-EQ12 read each family's values once per grid point, up to
@@ -194,41 +184,43 @@ def _orthogonality_rows(label, family, params, grid, prefactor) -> list[Verdict]
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
     """
-    last = _last_defined(params, grid.n_max, 0)
-    nums, den = explicit_scaled(family, last, params)
-    verdicts = []
-    for n in range(last + 1):
-        if family is Family.BERNOULLI:
-            lhs = sum(stirling1_unsigned(n, m) * nums[m] for m in range(n + 1))
-            rhs = factorial(n) * params.weight(n)
-        else:
-            lhs = sum(stirling2(n, m) * nums[m] for m in range(n + 1))
-            rhs = params.weight(n)
-            if family is Family.CAUCHY2:
-                rhs = (-1) ** n * rhs
-        verdicts.append(
-            _compare(_params_point(params, n), Fraction(lhs, den), Fraction(rhs))
-        )
-    return verdicts + _singular_tail(params, last, grid.n_max)
+
+    def sides(last):
+        nums, den = explicit_scaled(family, last, params)
+        lhs, rhs = [], []
+        for n in range(last + 1):
+            if family is Family.BERNOULLI:
+                total = sum(stirling1_unsigned(n, m) * nums[m] for m in range(n + 1))
+                value = math.factorial(n) * params.weight(n)
+            else:
+                total = sum(stirling2(n, m) * nums[m] for m in range(n + 1))
+                value = params.weight(n)
+                if family is Family.CAUCHY2:
+                    value = (-1) ** n * value
+            lhs.append(Fraction(total, den))
+            rhs.append(Fraction(value))
+        return lhs, rhs
+
+    return _value_rows(params, grid.n_max, 0, sides)
 
 
 _DUALITY_SHAPE = {
     # identity -> (lhs family, summed family, stirling triangle, printed prefactor)
     "EQ9": (
         Family.BERNOULLI, Family.CAUCHY1, stirling2,
-        lambda n, m: (-1) ** (m + n) * factorial(m),
+        lambda n, m: (-1) ** (m + n) * math.factorial(m),
     ),
     "EQ10": (
         Family.BERNOULLI, Family.CAUCHY2, stirling2,
-        lambda n, m: (-1) ** m * factorial(m),
+        lambda n, m: (-1) ** m * math.factorial(m),
     ),
     "EQ11": (
         Family.CAUCHY1, Family.BERNOULLI, stirling1_unsigned,
-        lambda n, m: (-1) ** (m + n) * factorial(m),
+        lambda n, m: (-1) ** (m + n) * math.factorial(m),
     ),
     "EQ12": (
         Family.CAUCHY2, Family.BERNOULLI, stirling1_unsigned,
-        lambda n, m: (-1) ** n * factorial(m),
+        lambda n, m: (-1) ** n * math.factorial(m),
     ),
 }
 
@@ -251,28 +243,24 @@ def _duality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     """
     lhs_family, summed_family, triangle, printed = _DUALITY_SHAPE[label]
     pf = prefactor if prefactor is not None else printed
-    last = _last_defined(params, grid.n_max, 0)
-    lhs_nums, lhs_den = explicit_scaled(lhs_family, last, params)
-    inner, inner_den = explicit_scaled(summed_family, last, params)
-    verdicts = []
-    for n in range(last + 1):
-        weights = [0] * (n + 1)
-        for m in range(n + 1):
-            outer = triangle(n, m)
-            if outer == 0:
-                continue
-            weight = pf(n, m) * outer
-            for l in range(m + 1):
-                weights[l] += weight * triangle(m, l)
-        rhs = sum(w * x for w, x in zip(weights, inner))
-        verdicts.append(
-            _compare(
-                _params_point(params, n),
-                Fraction(lhs_nums[n], lhs_den),
-                Fraction(rhs, inner_den),
-            )
-        )
-    return verdicts + _singular_tail(params, last, grid.n_max)
+
+    def sides(last):
+        lhs_nums, lhs_den = explicit_scaled(lhs_family, last, params)
+        inner, inner_den = explicit_scaled(summed_family, last, params)
+        rhs = []
+        for n in range(last + 1):
+            weights = [0] * (n + 1)
+            for m in range(n + 1):
+                outer = triangle(n, m)
+                if outer == 0:
+                    continue
+                weight = pf(n, m) * outer
+                for l in range(m + 1):
+                    weights[l] += weight * triangle(m, l)
+            rhs.append(Fraction(sum(w * x for w, x in zip(weights, inner)), inner_den))
+        return [Fraction(num, lhs_den) for num in lhs_nums], rhs
+
+    return _value_rows(params, grid.n_max, 0, sides)
 
 
 def _invertibility_scan(params: Params, m_max: int, p: int) -> tuple[bool, str | None]:
@@ -324,15 +312,13 @@ def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     return verdicts
 
 
-def audit_stirling_orthogonality(n_max: int) -> AuditReport:
+def _stirling_orthogonality(n_max: int) -> AuditReport:
     """sum_{m=l..n} T(n,m) U(m,l) (-1)^m = (-1)^n delta_{n,l} over the full
     triangle 0 <= l <= n <= n_max, for both triangle orders:
 
         form first_second: T = [..], U = {..}
         form second_first: T = {..}, U = [..]
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     verdicts = []
     for form, outer, inner in (
         ("first_second", stirling1_unsigned, stirling2),
@@ -435,13 +421,13 @@ def run_identity(
     identity: str,
     grid: GridSpec = DEFAULT_GRID,
     prefactor: Callable[[int, int], Fraction] | None = None,
-    variant_label: str | None = None,
 ) -> AuditReport:
     """Evaluate one catalogued identity over the grid.
 
     The report's rows are canonically sorted (k, alpha, a, then indices), so
-    identical grids always serialize to identical bytes. `prefactor` and
-    `variant_label` are only honoured for EQ9..EQ12.
+    identical grids always serialize to identical bytes. A `prefactor` is
+    only accepted for EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
+    `grid.stirling_n_max` rows.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -449,11 +435,10 @@ def run_identity(
     if prefactor is not None and rows is not _duality_rows:
         raise ValueError("a variant prefactor only applies to EQ9..EQ12")
     if rows is None:
-        return audit_stirling_orthogonality(grid.stirling_n_max)
+        return _stirling_orthogonality(grid.stirling_n_max)
     verdicts: list[Verdict] = []
     for alpha, a in grid.pairs:
         for k in grid.k_values:
             verdicts.extend(rows(identity, family, Params(k, alpha, a), grid, prefactor))
-    variant = variant_label if rows is _duality_rows else None
-    return AuditReport(identity, sorted(verdicts, key=_point_sort_key), variant)
+    return AuditReport(identity, sorted(verdicts, key=_point_sort_key))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import operator
 import os
 import sys
@@ -33,12 +34,7 @@ from .audit import (
     exit_code,
     run_identity,
 )
-from .exact import (
-    SingularParameterError,
-    factorial,
-    format_rational,
-    parse_rational,
-)
+from .exact import SingularParameterError, format_rational, parse_rational
 from .sequences import (
     Family,
     Params,
@@ -85,11 +81,11 @@ def _json_params(point: dict) -> dict:
     }
 
 
-def _json_report(report) -> dict:
+def _json_report(report, variant: str | None) -> dict:
     """One report as JSON data; lhs/rhs is a Fraction, an int residue or None."""
     return {
         "identity": report.identity,
-        "variant": report.variant,
+        "variant": variant,
         "points": len(report.verdicts),
         "summary": report.summary,
         "verdicts": [
@@ -347,7 +343,7 @@ def _power(base: Fraction, exponent: Fraction) -> Fraction:
 def _fact(arg: Fraction) -> Fraction:
     if arg.denominator != 1 or arg < 0:
         raise UsageError("fact(...) requires a nonnegative integer")
-    return Fraction(factorial(int(arg)))
+    return Fraction(math.factorial(int(arg)))
 
 
 # The prefactor grammar's binary and unary operators, by ast node type.
@@ -362,19 +358,33 @@ _OPERATORS = {
 }
 
 
+# Building and evaluating a prefactor take one Python frame per tree level,
+# and evaluation runs some 10 frames deep: past about 990 levels it would
+# exceed the default recursion limit of 1000 (measured on 3.10-3.13).
+_MAX_PREFACTOR_DEPTH = 800
+
+
 def parse_prefactor(expression: str):
     """Compile a prefactor expression over the names n and m.
 
-    Allowed: integer literals, n, m, fact(...), + - * / ** and parentheses.
-    Evaluates to an exact rational for each (n, m).
+    Allowed: integer literals, n, m, fact(...), + - * / ** and parentheses,
+    nested at most _MAX_PREFACTOR_DEPTH levels deep. Evaluates to an exact
+    rational for each (n, m).
     """
+    too_deep = UsageError(f"prefactor nests deeper than {_MAX_PREFACTOR_DEPTH} levels")
     try:
         tree = ast.parse(expression, mode="eval")
     except SyntaxError as exc:
         raise UsageError(f"bad prefactor expression: {exc.msg}")
+    except (RecursionError, MemoryError):  # the parser's own stack overflowed
+        raise too_deep from None
+    stack = [(tree.body, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_PREFACTOR_DEPTH:
+            raise too_deep
+        stack += [(c, depth + 1) for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)]
 
-    # One Python frame per tree level, in the build and in each evaluation, so
-    # that an expression nests as deep as the recursion limit allows.
     def build(node):
         """The node's evaluator, a function of (n, m), built as the node is checked."""
         op = _OPERATORS.get(type(getattr(node, "op", None)))
@@ -452,13 +462,13 @@ def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
     return header, rows()
 
 
-def _render_reports_text(reports) -> str:
+def _render_reports_text(reports, variant: str | None) -> str:
     lines = [f"# hlpoly {__version__}"]
     for report in reports:
         s = report.summary
         title = f"identity {report.identity.lower()}"
-        if report.variant:
-            title += f" (variant prefactor: {report.variant})"
+        if variant:
+            title += f" (variant prefactor: {variant})"
         lines.append("")
         lines.append(
             f"{title}: points={len(report.verdicts)} "
@@ -581,10 +591,7 @@ def _cmd_audit(args) -> int:
             raise UsageError("--variant-prefactor only applies to eq9..eq12")
         prefactor = parse_prefactor(args.variant_prefactor)
 
-    reports = [
-        run_identity(label, grid, prefactor, args.variant_prefactor)
-        for label in labels
-    ]
+    reports = [run_identity(label, grid, prefactor) for label in labels]
     return _write_reports(args, grid, reports)
 
 
@@ -603,12 +610,14 @@ def _cmd_congruence_scan(args) -> int:
 def _write_reports(args, grid: GridSpec, reports) -> int:
     """Print an audit or congruence-scan result in the requested format and
     return the exit code its verdicts give."""
+    # Every report of a run with --variant-prefactor is one of eq9..eq12.
+    variant = getattr(args, "variant_prefactor", None)
     if args.format == "json":
         pairs = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
         payload = {
             "command": args.command,
             "grid": {**vars(grid), "pairs": pairs},
-            "reports": [_json_report(r) for r in reports],
+            "reports": [_json_report(r, variant) for r in reports],
         }
         sys.stdout.write(canonical_json(payload))
     elif args.format == "csv":
@@ -621,7 +630,7 @@ def _write_reports(args, grid: GridSpec, reports) -> int:
             for row in _report_rows(report)[1]:
                 print(",".join([label] + row))
     else:
-        sys.stdout.write(_render_reports_text(reports))
+        sys.stdout.write(_render_reports_text(reports, variant))
     return exit_code(reports)
 
 

@@ -1,5 +1,5 @@
 """Exact rational scalars: parsing and "p/q" text, signed integer powers,
-factorials, and reduction modulo a prime.
+and reduction modulo a prime.
 
 `fractions.Fraction` is the value type throughout the package. It already
 maintains the invariants everything else relies on: arbitrary-precision
@@ -16,7 +16,6 @@ __all__ = [
     "NonreducibleDenominatorError",
     "SingularParameterError",
     "ensure_nonsingular",
-    "factorial",
     "format_rational",
     "is_prime",
     "mod_reduce",
@@ -94,10 +93,6 @@ def ensure_nonsingular(alpha: Fraction, a: Fraction, m_max: int) -> None:
             f"alpha*m + a vanishes at m = {m} for "
             f"alpha = {format_rational(alpha)}, a = {format_rational(a)}"
         )
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 def is_prime(n: int) -> bool:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ensure_nonsingular, factorial, pow_rat, singular_index
+from .exact import ensure_nonsingular, pow_rat, singular_index
 from .series import (
     EXP_POS,
     LOG1P,
@@ -57,9 +57,6 @@ __all__ = [
     "explicit_sequence",
     "explicit_value",
     "oracle_sequence",
-    "poly_bernoulli",
-    "poly_cauchy1",
-    "poly_cauchy2",
 ]
 
 
@@ -116,7 +113,7 @@ def _check_index(n: int) -> None:
 
 # (n, m) -> integer coefficient of 1/(alpha m + a)^k in member n
 _STIRLING_COEFF = {
-    Family.BERNOULLI: lambda n, m: (-1) ** (n + m) * factorial(m) * stirling2(n, m),
+    Family.BERNOULLI: lambda n, m: (-1) ** (n + m) * math.factorial(m) * stirling2(n, m),
     Family.CAUCHY1: lambda n, m: (-1) ** (n + m) * stirling1_unsigned(n, m),
     Family.CAUCHY2: lambda n, m: (-1) ** n * stirling1_unsigned(n, m),
 }
@@ -141,6 +138,7 @@ def explicit_scaled(
 ) -> tuple[list[int], int]:
     """Stirling-sum values 0..n_max as integer numerators over one common
     denominator D: value n is num[n] / D, not reduced."""
+    _check_index(n_max)
     return _scaled_sums(_STIRLING_COEFF[family], 0, n_max, params)
 
 
@@ -154,21 +152,6 @@ def explicit_value(family: Family, n: int, params: Params) -> Fraction:
 def explicit_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:
     nums, den = explicit_scaled(family, n_max, params)
     return [Fraction(num, den) for num in nums]
-
-
-def poly_bernoulli(n: int, params: Params) -> Fraction:
-    """(-1)^n sum_{m=0..n} (-1)^m m! {n m} / (alpha m + a)^k."""
-    return explicit_value(Family.BERNOULLI, n, params)
-
-
-def poly_cauchy1(n: int, params: Params) -> Fraction:
-    """(-1)^n sum_{m=0..n} (-1)^m [n m] / (alpha m + a)^k."""
-    return explicit_value(Family.CAUCHY1, n, params)
-
-
-def poly_cauchy2(n: int, params: Params) -> Fraction:
-    """(-1)^n sum_{m=0..n} [n m] / (alpha m + a)^k."""
-    return explicit_value(Family.CAUCHY2, n, params)
 
 
 _KERNEL_FOR = {
@@ -203,7 +186,7 @@ def _cauchy_deriv_coeff(n: int, m: int) -> int:
 
 # (n, m) -> integer coefficient of 1/(alpha m + a)^k in the printed D_n
 _DERIV_COEFF = {
-    Family.BERNOULLI: lambda n, m: factorial(m) * stirling2(n, m - 1),
+    Family.BERNOULLI: lambda n, m: math.factorial(m) * stirling2(n, m - 1),
     Family.CAUCHY1: _cauchy_deriv_coeff,
     Family.CAUCHY2: _cauchy_deriv_coeff,
 }
@@ -230,7 +213,6 @@ def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Frac
     1/(1+t)- or e^-t-prefactor display of d/dt G true.
     """
     _check_index(n_max)
-    ensure_nonsingular(params.alpha, params.a, n_max + 1)
     dg = _family_series(family, n_max + 1, params).derivative()
     if family is Family.BERNOULLI:
         prefactor_inverse = kernel(EXP_POS, n_max)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ensure_nonsingular, factorial, pow_rat
+from .exact import ensure_nonsingular, pow_rat
 
 __all__ = [
     "EXP_NEG",
@@ -71,7 +71,7 @@ class PowerSeries:
 
     def coefficient(self, i: int) -> Fraction:
         """The ordinary Taylor coefficient c_i = egf_coeff(self, i) / i!."""
-        return egf_coeff(self, i) / factorial(i)
+        return egf_coeff(self, i) / math.factorial(i)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         """EGF product: binomial convolution of the numerators at the smaller
@@ -128,15 +128,15 @@ def kernel(name: str, order: int) -> PowerSeries:
     if name == ONE_MINUS_EXP_NEG:
         nums = [0] + [(-1) ** (n + 1) for n in range(1, order + 1)]
     elif name == LOG1P:
-        nums = [0] + [(-1) ** (n + 1) * factorial(n - 1) for n in range(1, order + 1)]
+        nums = [0] + [(-1) ** (n + 1) * math.factorial(n - 1) for n in range(1, order + 1)]
     elif name == NEG_LOG1P:
-        nums = [0] + [(-1) ** n * factorial(n - 1) for n in range(1, order + 1)]
+        nums = [0] + [(-1) ** n * math.factorial(n - 1) for n in range(1, order + 1)]
     elif name == EXP_POS:
         nums = [1] * (order + 1)
     elif name == EXP_NEG:
         nums = [(-1) ** n for n in range(order + 1)]
     elif name == GEOM_1_OVER_1_PLUS_T:
-        nums = [(-1) ** n * factorial(n) for n in range(order + 1)]
+        nums = [(-1) ** n * math.factorial(n) for n in range(order + 1)]
     else:
         raise ValueError(f"unknown kernel: {name!r}")
     return PowerSeries(tuple(nums))
@@ -186,7 +186,7 @@ def phi_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
 def phif_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
     """Like phi_apply with each m-term additionally divided by m!."""
     weights = _power_weights(g, k, alpha, a)
-    return _weighted_power_sum(g, [w / factorial(m) for m, w in enumerate(weights)])
+    return _weighted_power_sum(g, [w / math.factorial(m) for m, w in enumerate(weights)])
 
 
 def egf_coeff(f: PowerSeries, n: int) -> Fraction:

@@ -8,6 +8,7 @@ import contextlib
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 from hlpoly.audit import (
     DEFAULT_GRID,
@@ -19,7 +20,6 @@ from hlpoly.audit import (
     run_identity,
 )
 from hlpoly.cli import main
-from hlpoly.exact import factorial
 from hlpoly.sequences import Family, Params, oracle_sequence
 from hlpoly.series import KERNEL_NAMES, PowerSeries, egf_coeff, kernel
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hlpoly.audit import (
+    CATALOGUE,
     DEFAULT_GRID,
     FAILS,
     GridSpec,
@@ -11,8 +12,9 @@ from hlpoly.audit import (
     P_DIVIDES_ALPHA,
     SINGULAR_PARAMETER,
     UNDEFINED,
-    _index_comparison,
-    audit_stirling_orthogonality,
+    _congruence_rows,
+    _derivative_rows,
+    _value_rows,
     exit_code,
     run_identity,
 )
@@ -204,11 +206,35 @@ def test_audit_derivative_fixtures():
 def test_audit_derivative_self_consistency_control():
     # x = x control: the comparison machinery reports HOLDS when both sides
     # are the oracle's own recomputation
-    verdicts = _index_comparison(
-        Family.CAUCHY1, 10, P111, 1, deriv_coeffs_oracle, deriv_coeffs_oracle
+    verdicts = _value_rows(
+        P111, 10, 1, lambda last: [deriv_coeffs_oracle(Family.CAUCHY1, last, P111)] * 2
     )
     assert len(verdicts) == 11
     assert all(v.status == HOLDS for v in verdicts)
+
+
+# The 13 value identities, each comparing two value sequences index by index.
+VALUE_IDENTITIES = [
+    label
+    for label, (_, rows, _) in CATALOGUE.items()
+    if rows not in (None, _congruence_rows)
+]
+
+
+@pytest.mark.parametrize("identity", VALUE_IDENTITIES)
+@pytest.mark.parametrize("k", [-1, 1, 2])
+@pytest.mark.parametrize("a, s", [(0, 0), (-1, 1), (-3, 3), (1, None)])
+def test_value_rows_are_evaluable_exactly_below_the_singular_index(identity, k, a, s):
+    # alpha = 1: alpha*m + a vanishes at m = s, and index n touches m <= n + reach
+    reach = 1 if CATALOGUE[identity][1] is _derivative_rows else 0
+    last = 5 if s is None else min(5, s - 1 - reach)
+    verdicts = one_point(identity, Params(k, 1, a), 5).verdicts
+    assert [v.point["n"] for v in verdicts] == list(range(6))
+    for v in verdicts:
+        if v.point["n"] <= last:
+            assert v.status in (HOLDS, FAILS), v
+        else:
+            assert (v.status, v.reason) == (UNDEFINED, SINGULAR_PARAMETER), v
 
 
 def test_audit_derivative_bernoulli_agrees_then_diverges():
@@ -222,7 +248,7 @@ def test_audit_derivative_bernoulli_agrees_then_diverges():
 
 
 def test_stirling_orthogonality_holds_to_20():
-    report = audit_stirling_orthogonality(20)
+    report = run_identity("STIRLING_ORTHO", GridSpec(stirling_n_max=20))
     assert report.summary["fails"] == 0
     assert report.summary["undefined"] == 0
     # both triangle orders, full triangle each
@@ -230,7 +256,7 @@ def test_stirling_orthogonality_holds_to_20():
 
 
 def test_stirling_orthogonality_diagonal_points():
-    report = audit_stirling_orthogonality(3)
+    report = run_identity("STIRLING_ORTHO", GridSpec(stirling_n_max=3))
     by_point = {
         (v.point["form"], v.point["n"], v.point["l"]): v for v in report.verdicts
     }

@@ -659,12 +659,23 @@ USAGE_ERRORS = [
     (EQ9, "variant-prefactor", "1/(m-m)"),
     (EQ9, "variant-prefactor", "2**(1/2)"),
     (EQ9, "variant-prefactor", "0**(-1)"),
+    # deeper than the prefactor depth bound; the last two overflow the parser
+    # itself: the 3500-term chain on 3.11 and 3.12, the 6000 minuses on 3.10-3.13
+    (EQ9, "variant-prefactor", "+".join(["m"] * 1200)),
+    (EQ9, "variant-prefactor", "-" * 1200 + "n"),
+    (EQ9, "variant-prefactor", "+".join(["m"] * 3500)),
+    (EQ9, "variant-prefactor", "-" * 6000 + "n"),
 ]
+
+
+def _usage_error_id(argv, flag, value):
+    shown = value if len(value) <= 40 else f"{value[:6]}...{len(value)} chars"
+    return f"{argv[0]} --{flag}={shown}"
 
 
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
 @pytest.mark.parametrize(
-    "argv, flag, value", USAGE_ERRORS, ids=[f"{a[0]} --{f}={v}" for a, f, v in USAGE_ERRORS]
+    "argv, flag, value", USAGE_ERRORS, ids=[_usage_error_id(*row) for row in USAGE_ERRORS]
 )
 def test_bad_input_is_one_usage_error_line(tmp_path, capsys, argv, flag, value, via_config):
     if via_config:

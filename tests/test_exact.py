@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from hlpoly.exact import (
     NonreducibleDenominatorError,
-    factorial,
     format_rational,
     is_prime,
     mod_reduce,
@@ -64,12 +63,6 @@ def test_pow_rat_zero_negative_exponent():
 @given(nonzero_rationals, st.integers(-8, 8))
 def test_pow_rat_inverse_pairs(x, k):
     assert pow_rat(x, k) * pow_rat(x, -k) == 1
-
-
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
 
 
 # -- parsing and rendering ---------------------------------------------------

@@ -7,12 +7,12 @@ internally; each test below recomputes the same value the slow, obvious way.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlpoly.audit import _DUALITY_SHAPE, GridSpec, run_identity
-from hlpoly.exact import factorial
 from hlpoly.sequences import FAMILIES, Params, explicit_sequence, explicit_value
 from hlpoly.series import PowerSeries, phi_apply, phif_apply
 

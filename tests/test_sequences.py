@@ -1,20 +1,19 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from hlpoly.exact import SingularParameterError, ensure_nonsingular, factorial
+from hlpoly.exact import SingularParameterError, ensure_nonsingular
 from hlpoly.sequences import (
     FAMILIES,
     Family,
     Params,
     deriv_coeffs_oracle,
     deriv_coeffs_printed,
+    explicit_scaled,
     explicit_sequence,
     explicit_value,
     oracle_sequence,
-    poly_bernoulli,
-    poly_cauchy1,
-    poly_cauchy2,
 )
 from hlpoly.series import PowerSeries, kernel
 from hlpoly.stirling import stirling1_unsigned
@@ -57,21 +56,24 @@ def test_params_weight():
 
 
 def test_bernoulli_values():
-    assert poly_bernoulli(0, Params(3, 2, Fraction(1, 2))) == 8
-    assert poly_bernoulli(2, P111) == Fraction(1, 6)
-    assert poly_bernoulli(3, P111) == 0
+    B = Family.BERNOULLI
+    assert explicit_value(B, 0, Params(3, 2, Fraction(1, 2))) == 8
+    assert explicit_value(B, 2, P111) == Fraction(1, 6)
+    assert explicit_value(B, 3, P111) == 0
 
 
 def test_cauchy1_values():
-    assert poly_cauchy1(0, Params(2, 1, 3)) == Fraction(1, 9)
-    assert poly_cauchy1(2, P111) == Fraction(-1, 6)
-    assert poly_cauchy1(3, Params(1, 2, 1)) == Fraction(22, 105)
+    C1 = Family.CAUCHY1
+    assert explicit_value(C1, 0, Params(2, 1, 3)) == Fraction(1, 9)
+    assert explicit_value(C1, 2, P111) == Fraction(-1, 6)
+    assert explicit_value(C1, 3, Params(1, 2, 1)) == Fraction(22, 105)
 
 
 def test_cauchy2_values():
-    assert poly_cauchy2(0, Params(1, 5, 4)) == Fraction(1, 4)
-    assert poly_cauchy2(1, P111) == Fraction(-1, 2)
-    assert poly_cauchy2(2, P111) == Fraction(5, 6)
+    C2 = Family.CAUCHY2
+    assert explicit_value(C2, 0, Params(1, 5, 4)) == Fraction(1, 4)
+    assert explicit_value(C2, 1, P111) == Fraction(-1, 2)
+    assert explicit_value(C2, 2, P111) == Fraction(5, 6)
 
 
 def test_index_zero_is_a_power_of_a():
@@ -81,16 +83,28 @@ def test_index_zero_is_a_power_of_a():
             assert explicit_value(family, 0, params) == expected
 
 
-def test_negative_index_rejected():
-    with pytest.raises(ValueError):
-        poly_bernoulli(-1, P111)
+@pytest.mark.parametrize(
+    "function",
+    [
+        explicit_value,
+        explicit_sequence,
+        explicit_scaled,
+        oracle_sequence,
+        deriv_coeffs_printed,
+        deriv_coeffs_oracle,
+    ],
+    ids=lambda function: function.__name__,
+)
+def test_negative_index_rejected(function):
+    with pytest.raises(ValueError, match="sequence index must be >= 0"):
+        function(Family.BERNOULLI, -1, P111)
 
 
 def test_singular_parameter_raises():
     bad = Params(1, 1, -2)
-    assert poly_cauchy1(1, bad) is not None  # below the singular index: fine
+    assert explicit_value(Family.CAUCHY1, 1, bad) is not None  # below the singular index: fine
     with pytest.raises(SingularParameterError):
-        poly_cauchy1(2, bad)
+        explicit_value(Family.CAUCHY1, 2, bad)
 
 
 # -- oracle path --------------------------------------------------------------

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlpoly.exact import SingularParameterError, factorial
+from hlpoly.exact import SingularParameterError
 from hlpoly.series import (
     KERNEL_NAMES,
     NonzeroConstantTermError,

@@ -1,8 +1,8 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from hlpoly.exact import factorial
 from hlpoly.series import kernel
 from hlpoly.stirling import (
     FIRST_UNSIGNED,
