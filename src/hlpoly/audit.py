@@ -103,11 +103,7 @@ class AuditReport:
         counts = {HOLDS: 0, FAILS: 0, UNDEFINED: 0}
         for v in self.verdicts:
             counts[v.status] += 1
-        return {
-            "holds": counts[HOLDS],
-            "fails": counts[FAILS],
-            "undefined": counts[UNDEFINED],
-        }
+        return {status.lower(): count for status, count in counts.items()}
 
 
 def exit_code(reports) -> int:
@@ -127,6 +123,7 @@ def exit_code(reports) -> int:
 # called as rows(label, family, params, grid, prefactor).
 
 
+# Keys in canonical order: run_identity sorts rows by the point's values.
 def _params_point(params: Params, n: int) -> dict:
     return {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
 
@@ -187,18 +184,19 @@ def _orthogonality_rows(label, family, params, grid, prefactor) -> list[Verdict]
 
     def sides(last):
         nums, den = explicit_scaled(family, last, params)
+        weights, weight_den = params.scaled_weights(last)
         lhs, rhs = [], []
         for n in range(last + 1):
             if family is Family.BERNOULLI:
                 total = sum(stirling1_unsigned(n, m) * nums[m] for m in range(n + 1))
-                value = math.factorial(n) * params.weight(n)
+                value = math.factorial(n) * weights[n]
             else:
                 total = sum(stirling2(n, m) * nums[m] for m in range(n + 1))
-                value = params.weight(n)
+                value = weights[n]
                 if family is Family.CAUCHY2:
                     value = (-1) ** n * value
             lhs.append(Fraction(total, den))
-            rhs.append(Fraction(value))
+            rhs.append(Fraction(value, weight_den))
         return lhs, rhs
 
     return _value_rows(params, grid.n_max, 0, sides)
@@ -383,14 +381,6 @@ class GridSpec:
 
 DEFAULT_GRID = GridSpec()
 
-_POINT_KEY_ORDER = ("form", "k", "alpha", "a", "n", "l", "p")
-
-
-def _point_sort_key(verdict: Verdict):
-    return tuple(
-        verdict.point[key] for key in _POINT_KEY_ORDER if key in verdict.point
-    )
-
 
 # The identity catalogue, in the run order of `audit --identity all`:
 # label -> (CLI token, row function, family). EQ9..EQ12 carry their lhs
@@ -440,5 +430,5 @@ def run_identity(
     for alpha, a in grid.pairs:
         for k in grid.k_values:
             verdicts.extend(rows(identity, family, Params(k, alpha, a), grid, prefactor))
-    return AuditReport(identity, sorted(verdicts, key=_point_sort_key))
+    return AuditReport(identity, sorted(verdicts, key=lambda v: tuple(v.point.values())))
 

@@ -176,13 +176,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     subparsers: dict[str, _Parser] = {}
 
-    def add(name: str, help_text: str) -> _Parser:
+    def add(name: str, help_text: str, handler) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key/value JSON file mirroring flags")
+        p.set_defaults(handler=handler)
         subparsers[name] = p
         return p
 
-    p = add("table", "sequence-family tables or Stirling triangles")
+    p = add("table", "sequence-family tables or Stirling triangles", _cmd_table)
     p.add_argument("--family", choices=[f.value for f in Family])
     p.add_argument("--stirling", choices=["1", "2"])
     p.add_argument("--k", type=_integer, default="1", help="integer exponent (default 1)")
@@ -200,7 +201,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = add("series", "coefficients of a named kernel series")
+    p = add("series", "coefficients of a named kernel series", _cmd_series)
     p.add_argument("--kernel", choices=list(KERNEL_NAMES), required=True)
     p.add_argument("--order", type=_count, required=True, help="truncation order")
     p.add_argument(
@@ -210,7 +211,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     # The grid flags have no defaults: GridSpec fills them in (see _grid_from_args).
     grid = DEFAULT_GRID
-    audit = add("audit", "check catalogued identities over a parameter grid")
+    audit = add("audit", "check catalogued identities over a parameter grid", _cmd_audit)
     audit.add_argument(
         "--identity",
         choices=list(dict.fromkeys(token for token, _, _ in CATALOGUE.values()))
@@ -226,7 +227,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         help="comma list; write --k-values=-2,... for negatives "
         f"(default {_listed(grid.k_values)})",
     )
-    scan = add("congruence-scan", "prime-period congruence scan across families")
+    scan = add(
+        "congruence-scan", "prime-period congruence scan across families", _cmd_congruence_scan
+    )
     scan.add_argument("--family", choices=[f.value for f in Family] + ["all"], default="all")
     scan.add_argument("--k-values", type=_integers, default="1,2,3", help="comma list, k >= 1")
     pairs = " ".join(f"{format_rational(al)},{format_rational(a)}" for al, a in grid.pairs)
@@ -264,20 +267,26 @@ def _parse_args(parser: _Parser, subparsers, argv: list[str]):
     """Parse argv with the --config file's values spliced in as flags right
     after the command, so that argparse checks them (choices, store_true,
     required) as it checks flags, and flags given on the command line win."""
-    # The first pass only finds the command and its config file, which may
-    # hold a required flag, so nothing is required yet.
-    required = [a for p in subparsers.values() for a in p._actions if a.required]
-    for action in required:
-        action.required = False
     try:
         args = parser.parse_args(argv)
-    finally:
+    except UsageError:
+        # A config file may supply the missing required flag: find the command
+        # and its config with nothing required. Without one, the error stands.
+        required = [a for p in subparsers.values() for a in p._actions if a.required]
         for action in required:
-            action.required = True
-    if args.config:
-        at = argv.index(args.command) + 1
-        argv = argv[:at] + _config_flags(subparsers[args.command], args) + argv[at:]
-    return parser.parse_args(argv)
+            action.required = False
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            for action in required:
+                action.required = True
+        if not args.config:
+            raise
+    if not args.config:
+        return args
+    at = argv.index(args.command) + 1
+    flags = _config_flags(subparsers[args.command], args)
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _config_flags(command_parser: _Parser, args) -> list[str]:
@@ -634,21 +643,13 @@ def _write_reports(args, grid: GridSpec, reports) -> int:
     return exit_code(reports)
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "series": _cmd_series,
-    "audit": _cmd_audit,
-    "congruence-scan": _cmd_congruence_scan,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = _build_parser()
     try:
         args = _parse_args(parser, subparsers, argv)
         try:
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
         except SingularParameterError as exc:
             raise UsageError(f"singular parameter: {exc}")
     except UsageError as exc:

@@ -34,17 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ensure_nonsingular, pow_rat, singular_index
-from .series import (
-    EXP_POS,
-    LOG1P,
-    NEG_LOG1P,
-    ONE_MINUS_EXP_NEG,
-    PowerSeries,
-    egf_coeff,
-    kernel,
-    phi_apply,
-    phif_apply,
-)
+from .series import PowerSeries, egf_coeff, kernel, phi_apply, phif_apply
 from .stirling import stirling1_unsigned, stirling2
 
 __all__ = [
@@ -64,9 +54,6 @@ class Family(enum.Enum):
     BERNOULLI = "bernoulli"
     CAUCHY1 = "cauchy1"
     CAUCHY2 = "cauchy2"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 FAMILIES = (Family.BERNOULLI, Family.CAUCHY1, Family.CAUCHY2)
@@ -94,14 +81,10 @@ class Params:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
         return singular_index(self.alpha, self.a, m_max)
 
-    def weight(self, m: int) -> Fraction:
-        """1 / (alpha*m + a)^k."""
-        return pow_rat(self.alpha * m + self.a, -self.k)
-
     def scaled_weights(self, m_max: int) -> tuple[list[int], int]:
-        """(W, D) with W[m] / D == weight(m) for m in 0..m_max, D the least
-        common denominator, so that weighted sums run over integers."""
-        weights = [self.weight(m) for m in range(m_max + 1)]
+        """(W, D) with W[m] / D == 1 / (alpha*m + a)^k for m in 0..m_max, D the
+        least common denominator, so that weighted sums run over integers."""
+        weights = [pow_rat(self.alpha * m + self.a, -self.k) for m in range(m_max + 1)]
         den = math.lcm(*(w.denominator for w in weights))
         return [w.numerator * (den // w.denominator) for w in weights], den
 
@@ -154,18 +137,17 @@ def explicit_sequence(family: Family, n_max: int, params: Params) -> list[Fracti
     return [Fraction(num, den) for num in nums]
 
 
-_KERNEL_FOR = {
-    Family.BERNOULLI: ONE_MINUS_EXP_NEG,
-    Family.CAUCHY1: LOG1P,
-    Family.CAUCHY2: NEG_LOG1P,
+# family -> (kernel name, composition) of its defining generating function
+_SERIES_FOR = {
+    Family.BERNOULLI: ("one_minus_exp_neg", phi_apply),
+    Family.CAUCHY1: ("log1p", phif_apply),
+    Family.CAUCHY2: ("neg_log1p", phif_apply),
 }
 
 
 def _family_series(family: Family, order: int, params: Params) -> PowerSeries:
-    g = kernel(_KERNEL_FOR[family], order)
-    if family is Family.BERNOULLI:
-        return phi_apply(g, params.k, params.alpha, params.a)
-    return phif_apply(g, params.k, params.alpha, params.a)
+    name, compose = _SERIES_FOR[family]
+    return compose(kernel(name, order), params.k, params.alpha, params.a)
 
 
 def oracle_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:
@@ -215,7 +197,7 @@ def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Frac
     _check_index(n_max)
     dg = _family_series(family, n_max + 1, params).derivative()
     if family is Family.BERNOULLI:
-        prefactor_inverse = kernel(EXP_POS, n_max)
+        prefactor_inverse = kernel("exp_pos", n_max)
     else:
         # 1 + t has EGF values 1, 1, 0, ...; the product truncates at dg's order
         prefactor_inverse = PowerSeries((1, 1) + (0,) * (n_max - 1))

@@ -5,10 +5,11 @@ denominator D and stands for sum(v_n / D * t^n / n!) + O(t^(N+1)). Products
 truncate to the smaller operand's order and nothing is ever zero-extended, so
 a result's order is an honest statement of how many coefficients are exact.
 
-The composition kernels here (1 - e^-t, +/-ln(1+t), e^+-t, 1/(1+t)) all have
-closed-form integer EGF values; summing powers of a kernel with zero constant
-term against rational weights is exact at any truncation order, which is what
-makes this module usable as an independent oracle.
+The composition kernels (1 - e^-t, +/-ln(1+t), e^+-t, 1/(1+t)) all have
+closed-form integer EGF values, written once in the `_KERNELS` table; summing
+powers of a kernel with zero constant term against rational weights is exact
+at any truncation order, which is what makes this module usable as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -20,14 +21,8 @@ from fractions import Fraction
 from .exact import ensure_nonsingular, pow_rat
 
 __all__ = [
-    "EXP_NEG",
-    "EXP_POS",
-    "GEOM_1_OVER_1_PLUS_T",
     "KERNEL_NAMES",
-    "LOG1P",
-    "NEG_LOG1P",
     "NonzeroConstantTermError",
-    "ONE_MINUS_EXP_NEG",
     "PowerSeries",
     "TruncationExceededError",
     "egf_coeff",
@@ -96,50 +91,27 @@ class PowerSeries:
         return PowerSeries(self.nums[1:], self.den)
 
 
-ONE_MINUS_EXP_NEG = "one_minus_exp_neg"
-LOG1P = "log1p"
-NEG_LOG1P = "neg_log1p"
-EXP_POS = "exp_pos"
-EXP_NEG = "exp_neg"
-GEOM_1_OVER_1_PLUS_T = "geom_1_over_1_plus_t"
+# name -> EGF value v_n of the kernel (the Taylor coefficient of t^n is v_n / n!)
+_KERNELS = {
+    "one_minus_exp_neg": lambda n: (-1) ** (n + 1) if n else 0,
+    "log1p": lambda n: (-1) ** (n + 1) * math.factorial(n - 1) if n else 0,
+    "neg_log1p": lambda n: (-1) ** n * math.factorial(n - 1) if n else 0,
+    "exp_pos": lambda n: 1,
+    "exp_neg": lambda n: (-1) ** n,
+    "geom_1_over_1_plus_t": lambda n: (-1) ** n * math.factorial(n),
+}
 
-KERNEL_NAMES = (
-    ONE_MINUS_EXP_NEG,
-    LOG1P,
-    NEG_LOG1P,
-    EXP_POS,
-    EXP_NEG,
-    GEOM_1_OVER_1_PLUS_T,
-)
+KERNEL_NAMES = tuple(_KERNELS)
 
 
 def kernel(name: str, order: int) -> PowerSeries:
-    """Exact expansion of a named kernel, truncated at `order`, as EGF values
-    v_n (the Taylor coefficient of t^n is v_n / n!):
-
-    one_minus_exp_neg: v_0 = 0, v_n = (-1)^(n+1)
-    log1p:             v_0 = 0, v_n = (-1)^(n+1) (n-1)!
-    neg_log1p:         v_0 = 0, v_n = (-1)^n (n-1)!
-    exp_pos / exp_neg: v_n = (+-1)^n
-    geom_1_over_1_plus_t: v_n = (-1)^n n!
-    """
+    """Exact expansion of a named kernel, truncated at `order`, as the EGF
+    values v_0..v_order that `_KERNELS` gives for `name`."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if name == ONE_MINUS_EXP_NEG:
-        nums = [0] + [(-1) ** (n + 1) for n in range(1, order + 1)]
-    elif name == LOG1P:
-        nums = [0] + [(-1) ** (n + 1) * math.factorial(n - 1) for n in range(1, order + 1)]
-    elif name == NEG_LOG1P:
-        nums = [0] + [(-1) ** n * math.factorial(n - 1) for n in range(1, order + 1)]
-    elif name == EXP_POS:
-        nums = [1] * (order + 1)
-    elif name == EXP_NEG:
-        nums = [(-1) ** n for n in range(order + 1)]
-    elif name == GEOM_1_OVER_1_PLUS_T:
-        nums = [(-1) ** n * math.factorial(n) for n in range(order + 1)]
-    else:
+    if name not in _KERNELS:
         raise ValueError(f"unknown kernel: {name!r}")
-    return PowerSeries(tuple(nums))
+    return PowerSeries(tuple(map(_KERNELS[name], range(order + 1))))
 
 
 def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:

@@ -12,6 +12,7 @@ from hlpoly.audit import (
     P_DIVIDES_ALPHA,
     SINGULAR_PARAMETER,
     UNDEFINED,
+    Verdict,
     _congruence_rows,
     _derivative_rows,
     _value_rows,
@@ -148,6 +149,19 @@ def test_congruence_preconditions():
     [verdict] = congruence(Family.CAUCHY1, 1, Params(1, 3, 1), 3)
     assert verdict.status == UNDEFINED
     assert verdict.reason == P_DIVIDES_ALPHA
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_congruence_singular_parameter_row(family):
+    # alpha*m + a vanishes at m = 2 < n*p = 3, so s_3 is not defined
+    [verdict] = congruence(family, 1, Params(1, 1, -2), 3)
+    assert verdict == Verdict(
+        status=UNDEFINED,
+        point={"k": 1, "alpha": 1, "a": -2, "n": 1, "p": 3},
+        reason=SINGULAR_PARAMETER,
+        hypothesis_ok=False,
+        hypothesis_note="alpha*m + a not invertible mod 3 at m = 2",
+    )
 
 
 def test_congruence_consistent_with_exact_recomputation():

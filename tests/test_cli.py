@@ -164,6 +164,18 @@ def test_series_requires_order(capsys):
     assert "--order" in err
 
 
+@pytest.mark.parametrize(
+    "command, flags", [("series", ["--kernel", "--order"]), ("audit", ["--identity"])]
+)
+def test_help_shows_required_flags_as_required(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    for flag in flags:
+        assert flag in usage and f"[{flag}" not in usage
+
+
 def test_series_unknown_kernel(capsys):
     code, _, _ = run(capsys, "series", "--kernel", "sinh", "--order", "3")
     assert code == 64
@@ -427,6 +439,13 @@ def test_congruence_scan_requires_positive_k(capsys):
     assert code == 64
 
 
+def test_congruence_scan_singular_parameter_exits_two(capsys):
+    argv = ["--pair=1,-2", "--primes", "3", "--multipliers", "1", "--k-values", "1"]
+    code, out, _ = run(capsys, "congruence-scan", *argv)
+    assert code == 2
+    assert out.count("SINGULAR_PARAMETER") == 3
+
+
 def test_congruence_scan_all_families(capsys):
     code, out, _ = run(
         capsys,
@@ -523,6 +542,9 @@ CONFIG_CASES = [
     ),
     (["congruence-scan", "--multipliers", "0"], {}, 64, None),
     (["series", "--kernel", "log1p"], {"order": 2}, 0, "0,0\n1,1\n2,-1/2\n"),
+    (["table"], [{"family": "cauchy1"}], 64, None),
+    # the command's handler is a parser default, not a flag
+    (["series", "--kernel", "log1p", "--order", "1"], {"handler": "x"}, 64, None),
 ]
 
 
@@ -607,7 +629,7 @@ def test_any_unexpected_exception_exits_70(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("first line\nsecond line")
 
-    monkeypatch.setitem(cli._HANDLERS, "series", broken)
+    monkeypatch.setattr(cli, "_cmd_series", broken)
     code, out, err = run(capsys, "series", "--kernel", "log1p", "--order", "2")
     assert (code, out) == (70, "")
     assert err.startswith("error: internal error: RuntimeError: first line (in broken, ")
@@ -659,6 +681,7 @@ USAGE_ERRORS = [
     (EQ9, "variant-prefactor", "1/(m-m)"),
     (EQ9, "variant-prefactor", "2**(1/2)"),
     (EQ9, "variant-prefactor", "0**(-1)"),
+    (EQ9, "variant-prefactor", "m +"),
     # deeper than the prefactor depth bound; the last two overflow the parser
     # itself: the 3500-term chain on 3.11 and 3.12, the 6000 minuses on 3.10-3.13
     (EQ9, "variant-prefactor", "+".join(["m"] * 1200)),

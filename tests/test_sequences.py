@@ -47,9 +47,13 @@ def test_params_singular_index():
 
 
 def test_params_weight():
-    assert Params(2, 1, 1).weight(1) == Fraction(1, 4)
-    assert Params(-2, 1, 1).weight(2) == 9
-    assert Params(0, 7, 5).weight(3) == 1
+    def weight(params, m):
+        weights, den = params.scaled_weights(m)
+        return Fraction(weights[m], den)
+
+    assert weight(Params(2, 1, 1), 1) == Fraction(1, 4)
+    assert weight(Params(-2, 1, 1), 2) == 9
+    assert weight(Params(0, 7, 5), 3) == 1
 
 
 # -- explicit formulas: frozen fixtures ---------------------------------------
@@ -78,7 +82,7 @@ def test_cauchy2_values():
 
 def test_index_zero_is_a_power_of_a():
     for params in SMALL_GRID:
-        expected = params.weight(0)
+        expected = params.a ** -params.k
         for family in FAMILIES:
             assert explicit_value(family, 0, params) == expected
 
