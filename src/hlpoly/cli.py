@@ -24,7 +24,8 @@ import os
 import sys
 from argparse import ArgumentTypeError
 from fractions import Fraction
-from typing import Iterator
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from . import __version__
 from .audit import (
@@ -73,34 +74,83 @@ def _json_rational(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _json_params(point: dict) -> dict:
-    """A point's parameters, each Fraction as "p/q" text."""
-    return {
-        key: format_rational(value) if isinstance(value, Fraction) else value
-        for key, value in point.items()
-    }
+# JSON of the verdict fields that hold None or a bool.
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _json_report(report, variant: str | None) -> dict:
-    """One report as JSON data; lhs/rhs is a Fraction, an int residue or None."""
-    return {
-        "identity": report.identity,
-        "variant": variant,
-        "points": len(report.verdicts),
-        "summary": report.summary,
-        "verdicts": [
-            {
-                "point": _json_params(v.point),
-                "status": v.status,
-                "lhs": _json_rational(v.lhs) if isinstance(v.lhs, Fraction) else v.lhs,
-                "rhs": _json_rational(v.rhs) if isinstance(v.rhs, Fraction) else v.rhs,
-                "reason": v.reason,
-                "hypothesis_ok": v.hypothesis_ok,
-                "hypothesis_note": v.hypothesis_note,
-            }
+def _json_text(value: str | None) -> str:
+    return "null" if value is None else encode_basestring_ascii(value)
+
+
+def _json_param(value: Fraction | int | str) -> str:
+    """A point's parameter: a Fraction as "p/q" text, a string, or an int."""
+    if isinstance(value, Fraction):
+        return f'"{format_rational(value)}"'
+    return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
+
+
+def _json_point(point: dict) -> str:
+    """A verdict's point, indented as a verdict field."""
+    fields = [
+        f"            {encode_basestring_ascii(key)}: {_json_param(value)}"
+        for key, value in sorted(point.items())
+    ]
+    return "{\n" + ",\n".join(fields) + "\n          }" if fields else "{}"
+
+
+def _json_side(value: Fraction | int | None) -> str:
+    """lhs or rhs: a Fraction as the {"den", "num"} object, an int residue, or null."""
+    if isinstance(value, Fraction):
+        return (
+            f'{{\n            "den": "{value.denominator}",\n'
+            f'            "num": "{value.numerator}"\n          }}'
+        )
+    return "null" if value is None else str(value)
+
+
+def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) -> str:
+    """An audit or congruence-scan result as the text that
+    canonical_json({"command", "grid", "reports"}) gives, written field by
+    field with the keys in sorted order. An indented json.dumps runs the
+    pure-Python encoder, which took most of an audit's run time; only the
+    small grid header still goes through it. The pieces are joined once, so
+    the text is held in memory once beside them."""
+    pairs = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
+    head = json.dumps(
+        {"command": command, "grid": {**vars(grid), "pairs": pairs}}, indent=2, sort_keys=True
+    )
+    # head ends with the grid's closing "\n}"; "reports" sorts after "grid"
+    parts = [head[:-2], ',\n  "reports": [']
+    for i, report in enumerate(reports):
+        verdicts = ",\n".join(
+            "        {\n"
+            f'          "hypothesis_note": {_json_text(v.hypothesis_note)},\n'
+            f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
+            f'          "lhs": {_json_side(v.lhs)},\n'
+            f'          "point": {_json_point(v.point)},\n'
+            f'          "reason": {_json_text(v.reason)},\n'
+            f'          "rhs": {_json_side(v.rhs)},\n'
+            f'          "status": {encode_basestring_ascii(v.status)}\n'
+            "        }"
             for v in report.verdicts
-        ],
-    }
+        )
+        verdicts = f"[\n{verdicts}\n      ]" if verdicts else "[]"
+        summary = ",\n".join(
+            f"        {encode_basestring_ascii(key)}: {count}"
+            for key, count in sorted(report.summary.items())
+        )
+        parts.append(",\n" if i else "\n")
+        parts.append(
+            "    {\n"
+            f'      "identity": {encode_basestring_ascii(report.identity)},\n'
+            f'      "points": {len(report.verdicts)},\n'
+            f'      "summary": {{\n{summary}\n      }},\n'
+            f'      "variant": {_json_text(variant)},\n'
+            f'      "verdicts": {verdicts}\n'
+            "    }"
+        )
+    parts.append("\n  ]\n}\n" if reports else "]\n}\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +541,12 @@ def _render_reports_text(reports, variant: str | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its exit code and its stdout as text pieces, and
+# main writes them
 # ---------------------------------------------------------------------------
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, Iterable[str]]:
     if (args.family is None) == (args.stirling is None):
         raise UsageError("table needs exactly one of --family or --stirling")
 
@@ -509,10 +560,8 @@ def _cmd_table(args) -> int:
                 "max_n": args.max_n,
                 "rows": [[str(entry) for entry in row] for row in rows],
             }
-            sys.stdout.write(canonical_json(payload))
-        else:
-            sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
-        return EXIT_OK
+            return EXIT_OK, [canonical_json(payload)]
+        return EXIT_OK, ["".join(",".join(map(str, row)) + "\n" for row in rows)]
 
     family = Family(args.family)
     params = Params(args.k, args.alpha, args.a)
@@ -542,23 +591,21 @@ def _cmd_table(args) -> int:
             "method": args.method,
             "values": rows,
         }
-        sys.stdout.write(canonical_json(payload))
-    else:
-        # Built whole, so that a row that fails to render leaves no partial table.
-        lines = []
-        for n in range(args.n_max + 1):
-            if args.method == "both":
-                formula = format_rational(values["formula"][n])
-                oracle = format_rational(values["oracle"][n])
-                disagreement = "" if formula == oracle else f"formula={formula};oracle={oracle}"
-                lines.append(f"{n},{formula},{oracle},{disagreement}\n")
-            else:
-                lines.append(f"{n},{format_rational(values[args.method][n])}\n")
-        sys.stdout.write("".join(lines))
-    return EXIT_OK
+        return EXIT_OK, [canonical_json(payload)]
+    # Built whole, so that a row that fails to render leaves no partial table.
+    lines = []
+    for n in range(args.n_max + 1):
+        if args.method == "both":
+            formula = format_rational(values["formula"][n])
+            oracle = format_rational(values["oracle"][n])
+            disagreement = "" if formula == oracle else f"formula={formula};oracle={oracle}"
+            lines.append(f"{n},{formula},{oracle},{disagreement}\n")
+        else:
+            lines.append(f"{n},{format_rational(values[args.method][n])}\n")
+    return EXIT_OK, ["".join(lines)]
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple[int, Iterable[str]]:
     f = kernel(args.kernel, args.order)
     out = [egf_coeff(f, n) if args.egf else f.coefficient(n) for n in range(args.order + 1)]
     if args.format == "json":
@@ -569,10 +616,8 @@ def _cmd_series(args) -> int:
             "egf": bool(args.egf),
             "coefficients": [_json_rational(c) for c in out],
         }
-        sys.stdout.write(canonical_json(payload))
-    else:
-        sys.stdout.write("".join(f"{n},{format_rational(c)}\n" for n, c in enumerate(out)))
-    return EXIT_OK
+        return EXIT_OK, [canonical_json(payload)]
+    return EXIT_OK, ["".join(f"{n},{format_rational(c)}\n" for n, c in enumerate(out))]
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -585,7 +630,7 @@ def _grid_from_args(args) -> GridSpec:
         raise UsageError(str(exc))
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[int, Iterable[str]]:
     grid = _grid_from_args(args)
     labels = [
         label
@@ -601,10 +646,10 @@ def _cmd_audit(args) -> int:
         prefactor = parse_prefactor(args.variant_prefactor)
 
     reports = [run_identity(label, grid, prefactor) for label in labels]
-    return _write_reports(args, grid, reports)
+    return _report_output(args, grid, reports)
 
 
-def _cmd_congruence_scan(args) -> int:
+def _cmd_congruence_scan(args) -> tuple[int, Iterable[str]]:
     grid = _grid_from_args(args)
     if min(grid.k_values) < 1:
         raise UsageError("congruence scans require k >= 1")
@@ -613,34 +658,45 @@ def _cmd_congruence_scan(args) -> int:
         for label, (token, _, family) in CATALOGUE.items()
         if token == _CONGRUENCE_TOKEN and args.family in ("all", family.value)
     ]
-    return _write_reports(args, grid, reports)
+    return _report_output(args, grid, reports)
 
 
-def _write_reports(args, grid: GridSpec, reports) -> int:
-    """Print an audit or congruence-scan result in the requested format and
-    return the exit code its verdicts give."""
+def _csv_lines(reports) -> Iterator[str]:
+    # Only congruence-scan offers csv. Its reports all have the columns
+    # k, alpha, a, n, p and the hypothesis flag, and none is empty. Rows
+    # stream: joining a large scan's rows first raised peak memory by 5%.
+    yield ",".join(["identity"] + _report_rows(reports[0])[0]) + "\n"
+    for report in reports:
+        label = report.identity.lower()
+        for row in _report_rows(report)[1]:
+            yield ",".join([label] + row) + "\n"
+
+
+def _report_output(args, grid: GridSpec, reports) -> tuple[int, Iterable[str]]:
+    """An audit or congruence-scan result in the requested format, and the
+    exit code its verdicts give."""
     # Every report of a run with --variant-prefactor is one of eq9..eq12.
     variant = getattr(args, "variant_prefactor", None)
     if args.format == "json":
-        pairs = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
-        payload = {
-            "command": args.command,
-            "grid": {**vars(grid), "pairs": pairs},
-            "reports": [_json_report(r, variant) for r in reports],
-        }
-        sys.stdout.write(canonical_json(payload))
+        output = [_json_reports(args.command, grid, reports, variant)]
     elif args.format == "csv":
-        # Only congruence-scan offers csv. Its reports all have the columns
-        # k, alpha, a, n, p and the hypothesis flag, and none is empty. Rows
-        # stream: joining a large scan's rows first raised peak memory by 5%.
-        print(",".join(["identity"] + _report_rows(reports[0])[0]))
-        for report in reports:
-            label = report.identity.lower()
-            for row in _report_rows(report)[1]:
-                print(",".join([label] + row))
+        output = _csv_lines(reports)
     else:
-        sys.stdout.write(_render_reports_text(reports, variant))
-    return exit_code(reports)
+        output = [_render_reports_text(reports, variant)]
+    return exit_code(reports), output
+
+
+def _write(output: Iterable[str]) -> None:
+    """Write the pieces to stdout. A reader that closes the pipe early ends
+    the output, as the end of a file would."""
+    try:
+        for piece in output:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at the null device
+        # keeps that flush from raising too (Python's note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:
@@ -649,9 +705,11 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, subparsers, argv)
         try:
-            return args.handler(args)
+            code, output = args.handler(args)
         except SingularParameterError as exc:
             raise UsageError(f"singular parameter: {exc}")
+        _write(output)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,16 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlpoly import cli
-from hlpoly.audit import CATALOGUE, GridSpec
+from hlpoly.audit import CATALOGUE, FAILS, HOLDS, UNDEFINED, AuditReport, GridSpec, Verdict
 from hlpoly.cli import main, parse_prefactor, UsageError
 
 
@@ -291,6 +294,87 @@ def test_report_json_is_canonical_ascii_with_explicit_verdicts(capsys):
 def test_json_rational_round_trip(q):
     encoded = cli._json_rational(q)
     assert Fraction(int(encoded["num"]), int(encoded["den"])) == q
+
+
+# -- the report JSON writer ---------------------------------------------------
+
+
+def _reference_report(report, variant):
+    """One report as the dict tree that canonical_json serialized before the
+    fixed-schema writer replaced it."""
+    return {
+        "identity": report.identity,
+        "variant": variant,
+        "points": len(report.verdicts),
+        "summary": report.summary,
+        "verdicts": [
+            {
+                "point": {
+                    key: cli.format_rational(value) if isinstance(value, Fraction) else value
+                    for key, value in v.point.items()
+                },
+                "status": v.status,
+                "lhs": cli._json_rational(v.lhs) if isinstance(v.lhs, Fraction) else v.lhs,
+                "rhs": cli._json_rational(v.rhs) if isinstance(v.rhs, Fraction) else v.rhs,
+                "reason": v.reason,
+                "hypothesis_ok": v.hypothesis_ok,
+                "hypothesis_note": v.hypothesis_note,
+            }
+            for v in report.verdicts
+        ],
+    }
+
+
+# Small integers, and integers of thousands of digits below CPython's
+# int-to-str limit of 4300 digits.
+_odd_ints = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(
+        lambda digits, sign, offset: sign * 10**digits + offset,
+        st.integers(1000, 4200), st.sampled_from([-1, 1]), st.integers(-9, 9),
+    ),
+)
+_odd_rationals = st.builds(Fraction, _odd_ints, _odd_ints.filter(lambda d: d > 0))
+_odd_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001f600'), st.characters())
+)
+_odd_verdicts = st.builds(
+    Verdict,
+    status=st.sampled_from([HOLDS, FAILS, UNDEFINED]),
+    point=st.dictionaries(
+        st.one_of(st.sampled_from(["k", "alpha", "a", "n", "p", "form", "l"]), _odd_text),
+        st.one_of(_odd_ints, _odd_rationals, _odd_text),
+        max_size=6,
+    ),
+    lhs=st.one_of(st.none(), _odd_rationals, _odd_ints),
+    rhs=st.one_of(st.none(), _odd_rationals, _odd_ints),
+    reason=st.one_of(st.none(), _odd_text),
+    hypothesis_ok=st.one_of(st.none(), st.booleans()),
+    hypothesis_note=st.one_of(st.none(), _odd_text),
+)
+_odd_reports = st.builds(AuditReport, _odd_text, st.lists(_odd_verdicts, max_size=4))
+_grids = st.sampled_from(
+    [GridSpec(), GridSpec(n_max=0, k_values=(-2,), pairs=((Fraction(-1, 2), Fraction(7, 3)),))]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example("audit", GridSpec(), [AuditReport("THM8_B", [])], None)
+@given(
+    st.sampled_from(["audit", "congruence-scan"]),
+    _grids,
+    st.lists(_odd_reports, max_size=3),
+    st.one_of(st.none(), _odd_text),
+)
+def test_report_writer_matches_the_canonical_dump(command, grid, reports, variant):
+    pairs = [[cli.format_rational(alpha), cli.format_rational(a)] for alpha, a in grid.pairs]
+    reference = {
+        "command": command,
+        "grid": {**vars(grid), "pairs": pairs},
+        "reports": [_reference_report(r, variant) for r in reports],
+    }
+    text = cli._json_reports(command, grid, reports, variant)
+    assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
 
 def test_audit_text_runs_are_byte_identical(capsys):
@@ -615,6 +699,49 @@ def test_internal_error_exits_70_on_one_stderr_line(capsys, argv):
     assert (code, out) == (70, "")
     assert err.startswith("error: internal error: ValueError: ")
     assert err.count("\n") == 1
+
+
+# A reader that stops early, as `| head -1` does, ends the output: the run
+# keeps the exit code of its verdicts and writes nothing to stderr. This CSV
+# is about 280 KB, well past a 64 KiB pipe buffer, and streams row by row,
+# so the child meets the closed pipe.
+@pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["plain", "dev"])
+def test_closed_pipe_ends_the_output(flags):
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [
+            sys.executable, *flags, "-m", "hlpoly", "congruence-scan", "--format", "csv",
+            "--multipliers", "1,2,3,4,5,6", "--primes", "3,5,7,11,13",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert child.stdout.readline().startswith(b"identity,")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (1, b"")
+
+
+def test_a_broken_pipe_on_a_whole_output_keeps_the_exit_code(capsys, monkeypatch, tmp_path):
+    """The JSON is one write; a pipe closed under it ends the output too, and
+    stdout's descriptor is pointed at the null device."""
+    with open(tmp_path / "stdout", "w") as target:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["audit", "--identity", "eq11", "--n-max", "2", "--format", "json"])
+        target.write("after")
+    assert (code, capsys.readouterr().err) == (1, "")
+    assert (tmp_path / "stdout").read_text() == ""
 
 
 def test_a_3000_digit_table_still_exits_zero(capsys):

@@ -86,6 +86,17 @@ def test_format_rational():
     assert format_rational(Fraction(-1, 6)) == "-1/6"
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(0) == "0"
+    # a Fraction is rendered as it is; an int or a bool goes through Fraction
+    assert format_rational(-12) == "-12"
+    assert format_rational(True) == "1"
+    assert format_rational(False) == "0"
+
+
+@given(st.one_of(rationals, st.integers(-(10**30), 10**30), st.booleans()))
+def test_format_parse_round_trip(value):
+    text = format_rational(value)
+    assert parse_rational(text) == value
+    assert text == format_rational(Fraction(value))
 
 
 @given(rationals, rationals, st.integers(-1, 30))
