@@ -261,13 +261,14 @@ def _duality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     return _value_rows(params, grid.n_max, 0, sides)
 
 
-def _invertibility_scan(params: Params, m_max: int, p: int) -> tuple[bool, str | None]:
-    """Does (alpha*m + a) stay invertible mod p for every m in 0..m_max?"""
+def _invertibility_scan(params: Params, m_max: int, p: int) -> int | None:
+    """Smallest m in 0..m_max at which alpha*m + a is not invertible mod p,
+    or None."""
     for m in range(m_max + 1):
         value = params.alpha * m + params.a
         if value.numerator % p == 0 or value.denominator % p == 0:
-            return False, f"alpha*m + a not invertible mod {p} at m = {m}"
-    return True, None
+            return m
+    return None
 
 
 def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
@@ -279,16 +280,21 @@ def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     assumption fails) or a denominator (the congruence is not evaluable).
     Every verdict also records whether (alpha*m + a) stays invertible mod p
     over the whole range m = 0..n*p, the assumption under which the
-    congruence is claimed. The flag is reported, never used to suppress a
-    result.
+    congruence is claimed; one scan per prime, to the largest multiplier,
+    finds the first m where it fails. The flag is reported, never used to
+    suppress a result.
     """
     if params.k < 1:
         return []
+    top = max(grid.multipliers, default=0)
+    first_bad = {p: _invertibility_scan(params, top * p, p) for p in grid.primes}
     verdicts = []
     for n in grid.multipliers:
         for p in grid.primes:
             point = {**_params_point(params, n), "p": p}
-            hyp_ok, hyp_note = _invertibility_scan(params, n * p, p)
+            m = first_bad[p]
+            hyp_ok = m is None or m > n * p
+            hyp_note = None if hyp_ok else f"alpha*m + a not invertible mod {p} at m = {m}"
             flags = {"hypothesis_ok": hyp_ok, "hypothesis_note": hyp_note}
             if params.alpha.numerator % p == 0:
                 verdicts.append(_undefined(point, P_DIVIDES_ALPHA, **flags))

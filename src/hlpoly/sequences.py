@@ -18,6 +18,10 @@ Each family has two deliberately independent evaluation paths:
 The two paths never share code beyond basic rational arithmetic, so either
 can audit the other.
 
+The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
+remembers those it has computed; its fields (k, alpha, a) still fix its
+value. The series path builds its own weights and shares no memo.
+
 The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
 equal the derivative of the family's generating function?"): one from a
@@ -65,6 +69,11 @@ class Params:
 
     alpha*m + a must stay nonzero over whichever index range a computation
     touches; that is checked per call against the largest m actually used.
+
+    A Params remembers the weights 1/(alpha*m + a)^k it has computed, so the
+    Stirling-sum functions given one instance build each weight once. The
+    memo is not a field: (k, alpha, a) alone fix equality, hash and repr, and
+    `dataclasses.replace` starts an empty memo.
     """
 
     k: int
@@ -76,6 +85,11 @@ class Params:
         object.__setattr__(self, "a", Fraction(self.a))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
+        # The weights computed so far, not fields: (numerator, denominator) of
+        # 1/(alpha*m + a)^k for m = 0, 1, ..., and _lcms[m + 1] the lcm of the
+        # denominators 0..m (_lcms[0] == 1).
+        object.__setattr__(self, "_weights", [])
+        object.__setattr__(self, "_lcms", [1])
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
@@ -83,10 +97,18 @@ class Params:
 
     def scaled_weights(self, m_max: int) -> tuple[list[int], int]:
         """(W, D) with W[m] / D == 1 / (alpha*m + a)^k for m in 0..m_max, D the
-        least common denominator, so that weighted sums run over integers."""
-        weights = [pow_rat(self.alpha * m + self.a, -self.k) for m in range(m_max + 1)]
-        den = math.lcm(*(w.denominator for w in weights))
-        return [w.numerator * (den // w.denominator) for w in weights], den
+        least common denominator, so that weighted sums run over integers.
+
+        Weights are computed once per instance: a request past the largest
+        index seen so far appends the missing ones, as the Stirling rows grow.
+        """
+        count = max(m_max + 1, 0)
+        for m in range(len(self._weights), count):
+            w = pow_rat(self.alpha * m + self.a, -self.k)
+            self._lcms.append(math.lcm(self._lcms[-1], w.denominator))
+            self._weights.append((w.numerator, w.denominator))
+        den = self._lcms[count]
+        return [num * (den // d) for num, d in self._weights[:count]], den
 
 
 def _check_index(n: int) -> None:

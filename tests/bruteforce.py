@@ -136,3 +136,25 @@ def bell_numbers(n_max: int) -> list[int]:
         out.append(new_row[0])
         row = new_row
     return out
+
+
+def scaled_weights(k: int, alpha, a, m_max: int) -> tuple[list[int], int]:
+    """(W, D) with W[m] / D == 1 / (alpha m + a)^k for m = 0..m_max and D the
+    least common denominator of those weights, every weight built afresh."""
+    weights = [
+        1 / (Fraction(alpha) * m + Fraction(a)) ** k for m in range(m_max + 1)
+    ]
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
+def congruence_hypothesis(alpha, a, n: int, p: int) -> tuple[bool, str | None]:
+    """(hypothesis_ok, hypothesis_note) of the congruence s_{n p} = s_0 (mod p):
+    whether alpha m + a is a unit mod p, i.e. p divides neither its reduced
+    numerator nor its denominator, for every m in 0..n p. Each (n, p) is
+    scanned on its own."""
+    for m in range(n * p + 1):
+        value = Fraction(alpha) * m + Fraction(a)
+        if value.numerator * value.denominator % p == 0:
+            return False, f"alpha*m + a not invertible mod {p} at m = {m}"
+    return True, None

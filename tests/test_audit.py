@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hlpoly import sequences
 from hlpoly.audit import (
     CATALOGUE,
     DEFAULT_GRID,
@@ -20,6 +21,8 @@ from hlpoly.audit import (
     run_identity,
 )
 from hlpoly.sequences import Family, Params, deriv_coeffs_oracle
+
+import bruteforce
 
 P111 = Params(1, 1, 1)
 
@@ -162,6 +165,47 @@ def test_congruence_singular_parameter_row(family):
         hypothesis_ok=False,
         hypothesis_note="alpha*m + a not invertible mod 3 at m = 2",
     )
+
+
+def test_congruence_hypothesis_flags_match_a_scan_per_row():
+    # each prime is scanned once per point; every (n, p) row must read what a
+    # scan of its own range 0..n*p finds. A unit alpha mod p meets a
+    # non-unit alpha*m + a below m = p, so only p | alpha (3, 1) keeps a flag true.
+    grid = GridSpec(
+        k_values=(1, 2),
+        pairs=((2, 1), (1, 2), (3, Fraction(1, 3)), (Fraction(1, 2), 1), (3, 1)),
+        primes=(3, 5, 7),
+        multipliers=(1, 2, 3, 4),
+    )
+    flags = set()
+    for identity in CONGRUENCE.values():
+        verdicts = run_identity(identity, grid).verdicts
+        assert len(verdicts) == 2 * 5 * 3 * 4
+        for v in verdicts:
+            point = v.point
+            expected = bruteforce.congruence_hypothesis(
+                point["alpha"], point["a"], point["n"], point["p"]
+            )
+            assert (v.hypothesis_ok, v.hypothesis_note) == expected
+            flags.add(v.hypothesis_ok)
+    assert flags == {True, False}
+
+
+def test_each_point_builds_its_weights_once(monkeypatch):
+    # a Params keeps the weights it has built: THM4-THM6 read one vector for
+    # both sides, and THM8 one vector up to its largest evaluable n*p
+    calls = []
+    pow_rat = sequences.pow_rat
+    monkeypatch.setattr(
+        sequences, "pow_rat", lambda base, k: calls.append(base) or pow_rat(base, k)
+    )
+    for identity in ORTHOGONALITY.values():
+        run_identity(identity, DEFAULT_GRID)
+    assert len(calls) == 1404
+    calls.clear()
+    for identity in CONGRUENCE.values():
+        run_identity(identity, DEFAULT_GRID)
+    assert len(calls) == 1836
 
 
 def test_congruence_consistent_with_exact_recomputation():

@@ -27,6 +27,23 @@ GOLDEN = [
         "4fabae51d7ca1673c5e7bcfc0a932b53400ca537bf150639eb16c7d292033291",
         id="audit-all-json-n16",
     ),
+    # the audit_deep and congruence_scan benchmark workloads at seed 0
+    pytest.param(
+        [
+            "audit", "--identity", "all", "--format", "json", "--n-max", "24",
+            "--pair", "1,1", "--pair", "1/2,1", "--pair", "3,1/3", "--k-values=-2,1,3",
+        ],
+        "5de0cca1fe0c2ea176121155de5a11ae5ad8b0118ac8fe17449227248141a0d8",
+        id="audit-deep-json",
+    ),
+    pytest.param(
+        [
+            "congruence-scan", "--format", "csv",
+            "--multipliers", "1,2,3,4,5,6", "--primes", "3,5,7,11,13",
+        ],
+        "c23d6166769adf34bf1c399f4b11dbea30ed49035717a82b40f45a9789550b31",
+        id="congruence-scan-csv-deep",
+    ),
 ]
 
 

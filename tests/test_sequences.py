@@ -1,8 +1,12 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hlpoly import sequences
 from hlpoly.exact import SingularParameterError, ensure_nonsingular
 from hlpoly.sequences import (
     FAMILIES,
@@ -18,6 +22,7 @@ from hlpoly.sequences import (
 from hlpoly.series import PowerSeries, kernel
 from hlpoly.stirling import stirling1_unsigned
 
+import bruteforce
 from bruteforce import family_egf, to_egf
 
 P111 = Params(1, 1, 1)
@@ -54,6 +59,52 @@ def test_params_weight():
     assert weight(Params(2, 1, 1), 1) == Fraction(1, 4)
     assert weight(Params(-2, 1, 1), 2) == 9
     assert weight(Params(0, 7, 5), 3) == 1
+
+
+# Parameters with alpha*m + a != 0 for every m up to the largest request.
+nonsingular_params = st.builds(
+    Params,
+    st.integers(-3, 4),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+).filter(lambda params: params.singular_index(30) is None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonsingular_params, st.lists(st.integers(0, 30), min_size=1, max_size=8))
+def test_scaled_weights_memo_matches_a_fresh_build(params, requests):
+    # requests in any order: the memo grows on a larger m_max and is sliced
+    # on a smaller one, and D stays the least common denominator of 0..m_max
+    for m_max in requests:
+        expected = bruteforce.scaled_weights(params.k, params.alpha, params.a, m_max)
+        assert params.scaled_weights(m_max) == expected
+    fresh = Params(params.k, params.alpha, params.a)
+    assert params == fresh
+    assert hash(params) == hash(fresh)
+    assert repr(params) == repr(fresh)
+
+
+def test_scaled_weights_builds_each_weight_once_per_instance(monkeypatch):
+    calls = []
+    pow_rat = sequences.pow_rat
+    monkeypatch.setattr(
+        sequences, "pow_rat", lambda base, k: calls.append(base) or pow_rat(base, k)
+    )
+    warm = Params(2, Fraction(1, 2), 1)
+    warm.scaled_weights(20)
+    warm.scaled_weights(5)
+    warm.scaled_weights(20)
+    assert len(calls) == 21
+    warm.scaled_weights(24)
+    assert len(calls) == 25
+    # replace builds a new instance, whose memo starts empty
+    copy = dataclasses.replace(warm)
+    assert copy == warm
+    copy.scaled_weights(3)
+    assert len(calls) == 29
+    assert dataclasses.replace(warm, k=3).scaled_weights(4) == bruteforce.scaled_weights(
+        3, Fraction(1, 2), 1, 4
+    )
 
 
 # -- explicit formulas: frozen fixtures ---------------------------------------
