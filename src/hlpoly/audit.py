@@ -120,7 +120,8 @@ def exit_code(reports) -> int:
 # checks
 # ---------------------------------------------------------------------------
 # Row functions: the verdicts of one identity at one (k, alpha, a) point,
-# called as rows(label, family, params, grid, prefactor).
+# called as rows(label, family, params, grid, coefficients), `coefficients`
+# being the run's EQ9-EQ12 coefficient store (None for the other identities).
 
 
 # Keys in canonical order: run_identity sorts rows by the point's values.
@@ -150,7 +151,7 @@ def _value_rows(params: Params, n_max: int, reach: int, sides) -> list[Verdict]:
     ]
 
 
-def _explicit_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+def _explicit_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     """Stirling-sum path vs generating-function path, index by index."""
 
     def sides(last):
@@ -159,7 +160,7 @@ def _explicit_rows(label, family, params, grid, prefactor) -> list[Verdict]:
     return _value_rows(params, grid.n_max, 0, sides)
 
 
-def _derivative_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+def _derivative_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     """Closed-form derivative coefficients vs series-forced ones, index by
     index. FAILS rows carry the (printed, series) pair as lhs/rhs witness."""
 
@@ -174,7 +175,7 @@ def _derivative_rows(label, family, params, grid, prefactor) -> list[Verdict]:
 # the last index where they are defined.
 
 
-def _orthogonality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     """One family's Stirling-transform collapse at n = 0..n_max:
 
         bernoulli: sum_m [n m] B_m  = n! / (alpha n + a)^k
@@ -223,30 +224,23 @@ _DUALITY_SHAPE = {
 }
 
 
-def _duality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
-    """One double-sum interchange identity at n = 0..n_max:
+def _duality_coefficients(label: str, prefactor):
+    """The coefficient store of one EQ9..EQ12 run: `coefficients(last)` gives
+    the rows n = 0..last of c_l = sum_{m=l..n} prefactor(n, m) T(n, m) T(m, l),
+    integers under the printed prefactor and Fractions under a rational one.
 
-        EQ9:  B_n  = sum_{l,m<=n} (-1)^(m+n) m! {n m} {m l} c_l
-        EQ10: B_n  = sum_{l,m<=n} (-1)^m     m! {n m} {m l} ch_l
-        EQ11: c_n  = sum_{l,m<=n} (-1)^(m+n) m! [n m] [m l] B_l
-        EQ12: ch_n = sum_{l,m<=n} (-1)^n     m! [n m] [m l] B_l
-
-    A `prefactor(n, m)` other than None substitutes the catalogued one for
-    exploratory reruns; the check itself never promotes any variant to
-    "intended".
-
-    The double sum is evaluated as sum_l c_l x_l over the summed family's
-    values x_l, with c_l = sum_{m=l..n} prefactor(n, m) T(n, m) T(m, l):
-    integers under the printed prefactor, Fractions under a rational one.
+    Rows are built once per run and only as far as some point asks, so the
+    prefactor is called once per (n, m) with T(n, m) != 0 and never past the
+    largest evaluable index of the grid. A `prefactor` other than None
+    substitutes the catalogued one for exploratory reruns; the check itself
+    never promotes any variant to "intended".
     """
-    lhs_family, summed_family, triangle, printed = _DUALITY_SHAPE[label]
+    _, _, triangle, printed = _DUALITY_SHAPE[label]
     pf = prefactor if prefactor is not None else printed
+    rows: list[list] = []
 
-    def sides(last):
-        lhs_nums, lhs_den = explicit_scaled(lhs_family, last, params)
-        inner, inner_den = explicit_scaled(summed_family, last, params)
-        rhs = []
-        for n in range(last + 1):
+    def coefficients(last: int) -> list[list]:
+        for n in range(len(rows), last + 1):
             weights = [0] * (n + 1)
             for m in range(n + 1):
                 outer = triangle(n, m)
@@ -255,7 +249,32 @@ def _duality_rows(label, family, params, grid, prefactor) -> list[Verdict]:
                 weight = pf(n, m) * outer
                 for l in range(m + 1):
                     weights[l] += weight * triangle(m, l)
-            rhs.append(Fraction(sum(w * x for w, x in zip(weights, inner)), inner_den))
+            rows.append(weights)
+        return rows
+
+    return coefficients
+
+
+def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
+    """One double-sum interchange identity at n = 0..n_max:
+
+        EQ9:  B_n  = sum_{l,m<=n} (-1)^(m+n) m! {n m} {m l} c_l
+        EQ10: B_n  = sum_{l,m<=n} (-1)^m     m! {n m} {m l} ch_l
+        EQ11: c_n  = sum_{l,m<=n} (-1)^(m+n) m! [n m] [m l] B_l
+        EQ12: ch_n = sum_{l,m<=n} (-1)^n     m! [n m] [m l] B_l
+
+    The double sum is evaluated as sum_l c_l x_l over the summed family's
+    values x_l, with the c_l read from the run's `coefficients` store.
+    """
+    lhs_family, summed_family, _, _ = _DUALITY_SHAPE[label]
+
+    def sides(last):
+        lhs_nums, lhs_den = explicit_scaled(lhs_family, last, params)
+        inner, inner_den = explicit_scaled(summed_family, last, params)
+        rhs = [
+            Fraction(sum(w * x for w, x in zip(weights, inner)), inner_den)
+            for weights in coefficients(last)[: last + 1]
+        ]
         return [Fraction(num, lhs_den) for num in lhs_nums], rhs
 
     return _value_rows(params, grid.n_max, 0, sides)
@@ -271,7 +290,7 @@ def _invertibility_scan(params: Params, m_max: int, p: int) -> int | None:
     return None
 
 
-def _congruence_rows(label, family, params, grid, prefactor) -> list[Verdict]:
+def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     """s_{n*p} = s_0 (mod p) for each multiplier n and prime p of the grid.
 
     Congruences are stated for k >= 1 only; other k give no rows. Both
@@ -417,6 +436,7 @@ def run_identity(
     identity: str,
     grid: GridSpec = DEFAULT_GRID,
     prefactor: Callable[[int, int], Fraction] | None = None,
+    points: dict[tuple, Params] | None = None,
 ) -> AuditReport:
     """Evaluate one catalogued identity over the grid.
 
@@ -424,6 +444,13 @@ def run_identity(
     identical grids always serialize to identical bytes. A `prefactor` is
     only accepted for EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
     `grid.stirling_n_max` rows.
+
+    `points` maps (k, alpha, a) to the `Params` of that grid point. Runs of
+    several identities that share one map share each point's weights and
+    Stirling sums, and the first identity in catalogue order that needs them
+    does the work: in per-identity timings, THM1 carries each family's sums.
+    Each EQ9..EQ12 run builds its own coefficients, once for all points.
+    Without a map, the run builds its own, so nothing outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -432,9 +459,15 @@ def run_identity(
         raise ValueError("a variant prefactor only applies to EQ9..EQ12")
     if rows is None:
         return _stirling_orthogonality(grid.stirling_n_max)
+    points = {} if points is None else points
+    coefficients = None
+    if rows is _duality_rows:
+        coefficients = _duality_coefficients(identity, prefactor)
     verdicts: list[Verdict] = []
     for alpha, a in grid.pairs:
         for k in grid.k_values:
-            verdicts.extend(rows(identity, family, Params(k, alpha, a), grid, prefactor))
+            params = points.get((k, alpha, a))
+            if params is None:
+                params = points[k, alpha, a] = Params(k, alpha, a)
+            verdicts.extend(rows(identity, family, params, grid, coefficients))
     return AuditReport(identity, sorted(verdicts, key=lambda v: tuple(v.point.values())))
-

@@ -645,7 +645,9 @@ def _cmd_audit(args) -> tuple[int, Iterable[str]]:
             raise UsageError("--variant-prefactor only applies to eq9..eq12")
         prefactor = parse_prefactor(args.variant_prefactor)
 
-    reports = [run_identity(label, grid, prefactor) for label in labels]
+    # one Params per grid point for the whole command: labels share its memos
+    points: dict = {}
+    reports = [run_identity(label, grid, prefactor, points) for label in labels]
     return _report_output(args, grid, reports)
 
 
@@ -653,8 +655,9 @@ def _cmd_congruence_scan(args) -> tuple[int, Iterable[str]]:
     grid = _grid_from_args(args)
     if min(grid.k_values) < 1:
         raise UsageError("congruence scans require k >= 1")
+    points: dict = {}
     reports = [
-        run_identity(label, grid)
+        run_identity(label, grid, None, points)
         for label, (token, _, family) in CATALOGUE.items()
         if token == _CONGRUENCE_TOKEN and args.family in ("all", family.value)
     ]

@@ -19,8 +19,9 @@ The two paths never share code beyond basic rational arithmetic, so either
 can audit the other.
 
 The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
-remembers those it has computed; its fields (k, alpha, a) still fix its
-value. The series path builds its own weights and shares no memo.
+remembers those it has computed and the Stirling sums built from them; its
+fields (k, alpha, a) still fix its value. The series path builds its own
+weights and shares no memo.
 
 The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
@@ -70,9 +71,10 @@ class Params:
     alpha*m + a must stay nonzero over whichever index range a computation
     touches; that is checked per call against the largest m actually used.
 
-    A Params remembers the weights 1/(alpha*m + a)^k it has computed, so the
-    Stirling-sum functions given one instance build each weight once. The
-    memo is not a field: (k, alpha, a) alone fix equality, hash and repr, and
+    A Params remembers the weights 1/(alpha*m + a)^k it has computed and the
+    sums `explicit_scaled` has returned, so the Stirling-sum functions given
+    one instance build each weight and each family's sums once. The memo is
+    not a field: (k, alpha, a) alone fix equality, hash and repr, and
     `dataclasses.replace` starts an empty memo.
     """
 
@@ -87,9 +89,11 @@ class Params:
             raise ValueError("alpha must be nonzero")
         # The weights computed so far, not fields: (numerator, denominator) of
         # 1/(alpha*m + a)^k for m = 0, 1, ..., and _lcms[m + 1] the lcm of the
-        # denominators 0..m (_lcms[0] == 1).
+        # denominators 0..m (_lcms[0] == 1). _sums maps (family, n_max) to
+        # what explicit_scaled returned for it.
         object.__setattr__(self, "_weights", [])
         object.__setattr__(self, "_lcms", [1])
+        object.__setattr__(self, "_sums", {})
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
@@ -140,11 +144,16 @@ def _scaled_sums(coeff, first: int, last: int, params: Params, reach: int = 0):
 
 def explicit_scaled(
     family: Family, n_max: int, params: Params
-) -> tuple[list[int], int]:
+) -> tuple[tuple[int, ...], int]:
     """Stirling-sum values 0..n_max as integer numerators over one common
-    denominator D: value n is num[n] / D, not reduced."""
+    denominator D: value n is num[n] / D, not reduced. `params` keeps the
+    result, so each (family, n_max) is summed once per instance."""
     _check_index(n_max)
-    return _scaled_sums(_STIRLING_COEFF[family], 0, n_max, params)
+    key = (family, n_max)
+    if key not in params._sums:
+        nums, den = _scaled_sums(_STIRLING_COEFF[family], 0, n_max, params)
+        params._sums[key] = tuple(nums), den
+    return params._sums[key]
 
 
 def explicit_value(family: Family, n: int, params: Params) -> Fraction:

@@ -114,28 +114,53 @@ def kernel(name: str, order: int) -> PowerSeries:
     return PowerSeries(tuple(map(_KERNELS[name], range(order + 1))))
 
 
+# EGF numerators G_0..G_n of a composed series g = sum G_i t^i / (L i!) -> the
+# EGF integers of the powers (L g)^m, row i holding the coefficient of t^i/i!
+# for m = 0..i. Row i reads only G_1..G_i, so every prefix of a series keys
+# the same rows and a longer series appends to them in place, as the Stirling
+# rows grow. The rows depend neither on L nor on the weights (k, alpha, a),
+# so the table lives as long as the process: a run of the CLI composes only
+# the three kernels of `sequences`, whatever its grid.
+_POWER_ROWS: dict[tuple[int, ...], list[list[int]]] = {}
+
+
+def _power_rows(G: tuple[int, ...]) -> list[list[int]]:
+    """Rows 0..len(G) - 1 (at least) of the power table of numerators G."""
+    known = len(G)
+    while known > 1 and G[:known] not in _POWER_ROWS:
+        known -= 1
+    rows = _POWER_ROWS.get(G[:known], [[1]])
+    if known < min(len(G), len(rows)):
+        # the rows past the shared prefix belong to another series
+        rows = rows[:known]
+    for n in range(len(rows), len(G)):
+        rows.append(
+            [0]
+            + [
+                sum(math.comb(n, j) * G[j] * rows[n - j][m - 1] for j in range(1, n - m + 2))
+                for m in range(1, n + 1)
+            ]
+        )
+        _POWER_ROWS[G[: n + 1]] = rows
+    return rows
+
+
 def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:
     """sum_m weights[m] * g^m at g's order, on integers in EGF form.
 
     With g = sum G_n t^n / (L n!) and weights[m] = W_m / D, the EGF integers
-    of (L g)^m follow by binomial convolution, and the sum has EGF value
+    of (L g)^m come from the power table, and the sum has EGF value
     sum_m W_m L^(N-m) [(L g)^m]_n / (D L^N) at t^n / n!.
     """
-    order, G, scale = g.order, g.nums, g.den
+    order, scale = g.order, g.den
     den = math.lcm(*(w.denominator for w in weights))
-    binom = [[math.comb(n, j) for j in range(n + 1)] for n in range(order + 1)]
-    power = [1] + [0] * order  # EGF integers of (L g)^m, zero below index m
-    total = [0] * (order + 1)
-    for m, w in enumerate(weights):
-        if m:
-            power = [0] * m + [
-                sum(binom[n][j] * G[j] * power[n - j] for j in range(1, n - m + 2))
-                for n in range(m, order + 1)
-            ]
-        coeff = w.numerator * (den // w.denominator) * scale ** (order - m)
-        for n in range(m, order + 1):
-            total[n] += coeff * power[n]
-    return PowerSeries(tuple(total), den * scale**order)
+    coeffs = [
+        w.numerator * (den // w.denominator) * scale ** (order - m)
+        for m, w in enumerate(weights)
+    ]
+    rows = _power_rows(g.nums)
+    total = tuple(sum(c * p for c, p in zip(coeffs, rows[n])) for n in range(order + 1))
+    return PowerSeries(total, den * scale**order)
 
 
 def _power_weights(g: PowerSeries, k: int, alpha, a) -> list[Fraction]:

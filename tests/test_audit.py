@@ -1,9 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hlpoly import sequences
 from hlpoly.audit import (
+    _DUALITY_SHAPE,
     CATALOGUE,
     DEFAULT_GRID,
     FAILS,
@@ -21,6 +25,7 @@ from hlpoly.audit import (
     run_identity,
 )
 from hlpoly.sequences import Family, Params, deriv_coeffs_oracle
+from hlpoly.stirling import stirling1_unsigned
 
 import bruteforce
 
@@ -206,6 +211,65 @@ def test_each_point_builds_its_weights_once(monkeypatch):
     for identity in CONGRUENCE.values():
         run_identity(identity, DEFAULT_GRID)
     assert len(calls) == 1836
+
+
+# (1, 0) and (1, -3) are singular at m = 0 and m = 3, alpha = -1 is negative
+POINT_PAIRS = (
+    (Fraction(1), Fraction(0)),
+    (Fraction(1), Fraction(-3)),
+    (Fraction(-1), Fraction(2)),
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(2), Fraction(-1, 3)),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@example(
+    GridSpec(
+        n_max=4,
+        k_values=(-1, 0, 2),
+        pairs=POINT_PAIRS[:3] + POINT_PAIRS[1:2],
+        primes=(3,),
+        multipliers=(1, 2),
+        stirling_n_max=3,
+    )
+)
+@given(
+    st.builds(
+        GridSpec,
+        n_max=st.integers(0, 4),
+        k_values=st.lists(st.integers(-2, 3), min_size=1, max_size=3).map(tuple),
+        pairs=st.lists(st.sampled_from(POINT_PAIRS), min_size=1, max_size=4).map(tuple),
+        primes=st.lists(st.sampled_from((2, 3, 5)), min_size=1, max_size=2).map(tuple),
+        multipliers=st.lists(st.integers(1, 2), min_size=1, max_size=2).map(tuple),
+        stirling_n_max=st.integers(0, 3),
+    )
+)
+def test_a_shared_point_map_changes_no_report(grid):
+    # `audit --identity all` runs every label on one map of the grid's
+    # points; each report equals the label's run on a map of its own
+    points = {}
+    for label in CATALOGUE:
+        assert run_identity(label, grid, None, points) == run_identity(label, grid)
+
+
+def test_the_coefficient_store_calls_each_prefactor_once_per_run():
+    printed = _DUALITY_SHAPE["EQ11"][3]
+    calls = Counter()
+
+    def counted(n, m):
+        calls[n, m] += 1
+        return printed(n, m)
+
+    # (1, -2) is singular at m = 2, so that point evaluates n <= 1 only
+    grid = GridSpec(n_max=5, k_values=(1, 2), pairs=((1, 1), (1, -2), (2, 1)))
+    assert run_identity("EQ11", grid, counted) == run_identity("EQ11", grid)
+    # once per (n, m) with [n m] != 0 for the whole run, not once per point
+    needed = {(n, m) for n in range(6) for m in range(n + 1) if stirling1_unsigned(n, m)}
+    assert calls == dict.fromkeys(needed, 1)
+    calls.clear()
+    run_identity("EQ11", GridSpec(n_max=5, k_values=(1, 2), pairs=((1, -2),)), counted)
+    assert calls == {(0, 0): 1, (1, 1): 1}
 
 
 def test_congruence_consistent_with_exact_recomputation():

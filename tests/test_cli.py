@@ -434,6 +434,24 @@ def test_audit_variant_prefactor_text_title(capsys):
     assert "identity eq9 (variant prefactor: (-1)**(m+n)*fact(m)): points=3 " in out
 
 
+def test_a_variant_prefactor_is_never_evaluated_past_the_last_evaluable_index(capsys):
+    # alpha*m + a vanishes at m = 2, so only n = 0, 1 are evaluated; at n = 2
+    # the prefactor would divide by zero, which is a usage error (exit 64)
+    code, out, err = run(
+        capsys,
+        "audit", "--identity", "eq9", "--pair", "1,-2", "--k-values", "1",
+        "--n-max", "3", "--variant-prefactor", "1/(n-2)", "--format", "json",
+    )
+    assert (code, err) == (1, "")
+    verdicts = json.loads(out)["reports"][0]["verdicts"]
+    assert [(v["point"]["n"], v["status"], v["reason"]) for v in verdicts] == [
+        (0, FAILS, None),
+        (1, FAILS, None),
+        (2, UNDEFINED, "SINGULAR_PARAMETER"),
+        (3, UNDEFINED, "SINGULAR_PARAMETER"),
+    ]
+
+
 def test_audit_variant_only_for_duality(capsys):
     code, _, err = run(
         capsys,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hlpoly.audit import _DUALITY_SHAPE, GridSpec, run_identity
 from hlpoly.sequences import FAMILIES, Params, explicit_sequence, explicit_value
+from hlpoly import series
 from hlpoly.series import PowerSeries, phi_apply, phif_apply
 
 from bruteforce import compose_powers, family_closed_form, to_egf
@@ -79,6 +80,26 @@ def test_series_kernels_match_a_compose_powers_sum(tail, k, alpha, a):
     _params(k, alpha, a, g.order)
     assert phi_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, False)
     assert phif_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, True)
+
+
+def test_the_power_table_is_shared_by_prefixes_and_forks_where_series_differ(monkeypatch):
+    monkeypatch.setattr(series, "_POWER_ROWS", {})
+    k, alpha, a = 2, Fraction(1, 2), Fraction(3)
+    # integer EGF values, so a prefix of g keeps g's numerators; g and h agree
+    # to order 3
+    g = (0, 1, -1, 2, 3, 0, 5)
+    h = g[:4] + (-4, 1, 0)
+    for nums in (g[:4], g, h, g[:5], h, g):
+        coeffs = [Fraction(v, factorial(n)) for n, v in enumerate(nums)]
+        f = PowerSeries(nums)
+        assert phi_apply(f, k, alpha, a) == _power_sum(coeffs, k, alpha, a, False)
+        assert phif_apply(f, k, alpha, a) == _power_sum(coeffs, k, alpha, a, True)
+    # g's order-6 rows grew in place from its order-3 ones; h shares them to
+    # order 3 and has its own after
+    table = series._POWER_ROWS
+    assert table[g[:4]] is table[g] is not table[h]
+    assert table[h][:4] == table[g][:4] and table[h][4:] != table[g][4:]
+    assert len(table) == 6 + 3  # g's prefixes of length 2..7, h's of length 5..7
 
 
 def _double_sum(identity, n, params, prefactor) -> Fraction:

@@ -1,0 +1,80 @@
+"""Committed mutants: one wrong coefficient in a value table turns the
+matching audit FAILS.
+
+The Stirling-sum path and the series path share no code, so a wrong sign or
+value on one side shows against the other: this checks the independence
+invariant by behaviour, as tests/test_independence.py checks it by imports.
+
+Each mutant runs after a warm-up audit of the unpatched code, so that a
+table keyed too coarsely would serve the unpatched values and hide it: the
+kernel powers keyed by kernel name, a point's Stirling sums kept past its
+command, or EQ9-EQ12 coefficients that outlive their run. After the patch is
+undone, the audit holds again: no cache kept the mutant either.
+"""
+
+import json
+
+import pytest
+
+from hlpoly import audit, sequences, series
+from hlpoly.cli import main
+from hlpoly.sequences import Family
+
+GRID = ["--n-max", "5", "--pair", "1,1", "--pair", "1/2,1", "--k-values=-1,1,2"]
+
+
+def fails(capsys, token: str) -> dict[str, int]:
+    """FAILS per label of `audit --identity token` on GRID."""
+    code = main(["audit", "--identity", token, "--format", "json", *GRID])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    counts = {r["identity"]: r["summary"]["fails"] for r in reports}
+    assert code == (1 if any(counts.values()) else 0)
+    return counts
+
+
+def assert_caught(capsys, monkeypatch, token, label, table, key, mutant):
+    assert fails(capsys, token)[label] == 0
+    monkeypatch.setitem(table, key, mutant)
+    assert fails(capsys, token)[label] > 0
+    monkeypatch.undo()
+    assert fails(capsys, token)[label] == 0
+
+
+EXPLICIT = [(Family.BERNOULLI, "THM1"), (Family.CAUCHY1, "THM2"), (Family.CAUCHY2, "THM3")]
+
+
+@pytest.mark.parametrize("family, label", EXPLICIT, ids=[label for _, label in EXPLICIT])
+def test_a_sign_in_a_stirling_coefficient_fails_its_explicit_identity(
+    capsys, monkeypatch, family, label
+):
+    coeff = sequences._STIRLING_COEFF[family]
+
+    def mutant(n, m):
+        return -coeff(n, m) if m == 1 else coeff(n, m)
+
+    table = sequences._STIRLING_COEFF
+    assert_caught(capsys, monkeypatch, label.lower(), label, table, family, mutant)
+
+
+# each composed kernel, and the identity whose series side it feeds
+KERNELS = [("one_minus_exp_neg", "THM1"), ("log1p", "THM2"), ("neg_log1p", "THM3")]
+
+
+@pytest.mark.parametrize("name, label", KERNELS, ids=[name for name, _ in KERNELS])
+def test_one_kernel_value_fails_its_explicit_identity(capsys, monkeypatch, name, label):
+    value = series._KERNELS[name]
+
+    def mutant(n):
+        return value(n) + (n == 3)
+
+    assert_caught(capsys, monkeypatch, label.lower(), label, series._KERNELS, name, mutant)
+
+
+def test_one_duality_prefactor_fails_eq9(capsys, monkeypatch):
+    lhs_family, summed_family, triangle, printed = audit._DUALITY_SHAPE["EQ9"]
+
+    def mutant(n, m):
+        return -printed(n, m) if (n, m) == (2, 1) else printed(n, m)
+
+    shape = (lhs_family, summed_family, triangle, mutant)
+    assert_caught(capsys, monkeypatch, "eq9", "EQ9", audit._DUALITY_SHAPE, "EQ9", shape)

@@ -107,6 +107,31 @@ def test_scaled_weights_builds_each_weight_once_per_instance(monkeypatch):
     )
 
 
+def test_explicit_scaled_sums_each_family_once_per_instance(monkeypatch):
+    lookups = []
+    stirling2 = sequences.stirling2
+    monkeypatch.setattr(
+        sequences, "stirling2", lambda n, m: lookups.append((n, m)) or stirling2(n, m)
+    )
+    params = Params(2, Fraction(1, 2), 1)
+    first = explicit_scaled(Family.BERNOULLI, 6, params)
+    assert len(lookups) == 28  # m = 0..n for n = 0..6
+    assert explicit_scaled(Family.BERNOULLI, 6, params) is first
+    assert explicit_sequence(Family.BERNOULLI, 6, params) == [
+        Fraction(num, first[1]) for num in first[0]
+    ]
+    assert len(lookups) == 28
+    # another n_max is summed afresh, over its own least common denominator
+    explicit_scaled(Family.BERNOULLI, 3, params)
+    assert len(lookups) == 38
+    fresh = Params(2, Fraction(1, 2), 1)
+    assert params == fresh and hash(params) == hash(fresh) and repr(params) == repr(fresh)
+    # a new instance, from replace too, starts with no sums
+    assert explicit_scaled(Family.BERNOULLI, 6, fresh) == first
+    assert explicit_scaled(Family.BERNOULLI, 6, dataclasses.replace(params)) == first
+    assert len(lookups) == 38 + 2 * 28
+
+
 # -- explicit formulas: frozen fixtures ---------------------------------------
 
 
