@@ -48,10 +48,13 @@ __all__ = [
     "GridSpec",
     "HOLDS",
     "NONREDUCIBLE_DENOMINATOR",
+    "PREFACTOR_EXPONENTS",
+    "PREFACTOR_POWERS",
     "P_DIVIDES_ALPHA",
     "SINGULAR_PARAMETER",
     "UNDEFINED",
     "Verdict",
+    "duality_prefactor",
     "exit_code",
     "run_identity",
 ]
@@ -203,24 +206,36 @@ def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdi
     return _value_rows(params, grid.n_max, 0, sides)
 
 
+# The closed prefactor family of EQ9..EQ12, (-1)^EXP * (m!)^POWER: each EXP
+# token's sign exponent as (coefficient of m, coefficient of n), and the
+# powers of m!. It holds every printed and every corrected prefactor.
+PREFACTOR_EXPONENTS = {"0": (0, 0), "m": (1, 0), "n": (0, 1), "m+n": (1, 1)}
+PREFACTOR_POWERS = (-1, 0, 1)
+
+
+def duality_prefactor(exp: str, power: int) -> Callable[[int, int], int | Fraction]:
+    """(-1)^exp * (m!)^power as a function of (n, m), for an EXP token of
+    PREFACTOR_EXPONENTS and a power in PREFACTOR_POWERS: an int for power 0
+    or 1, a Fraction for -1."""
+    if exp not in PREFACTOR_EXPONENTS or power not in PREFACTOR_POWERS:
+        raise ValueError(f"no prefactor (-1)^({exp}) * (m!)^{power} in the family")
+    of_m, of_n = PREFACTOR_EXPONENTS[exp]
+
+    def prefactor(n: int, m: int) -> int | Fraction:
+        sign = -1 if (of_m * m + of_n * n) % 2 else 1
+        if power < 0:
+            return Fraction(sign, math.factorial(m))
+        return sign * math.factorial(m) ** power
+
+    return prefactor
+
+
 _DUALITY_SHAPE = {
     # identity -> (lhs family, summed family, stirling triangle, printed prefactor)
-    "EQ9": (
-        Family.BERNOULLI, Family.CAUCHY1, stirling2,
-        lambda n, m: (-1) ** (m + n) * math.factorial(m),
-    ),
-    "EQ10": (
-        Family.BERNOULLI, Family.CAUCHY2, stirling2,
-        lambda n, m: (-1) ** m * math.factorial(m),
-    ),
-    "EQ11": (
-        Family.CAUCHY1, Family.BERNOULLI, stirling1_unsigned,
-        lambda n, m: (-1) ** (m + n) * math.factorial(m),
-    ),
-    "EQ12": (
-        Family.CAUCHY2, Family.BERNOULLI, stirling1_unsigned,
-        lambda n, m: (-1) ** n * math.factorial(m),
-    ),
+    "EQ9": (Family.BERNOULLI, Family.CAUCHY1, stirling2, duality_prefactor("m+n", 1)),
+    "EQ10": (Family.BERNOULLI, Family.CAUCHY2, stirling2, duality_prefactor("m", 1)),
+    "EQ11": (Family.CAUCHY1, Family.BERNOULLI, stirling1_unsigned, duality_prefactor("m+n", 1)),
+    "EQ12": (Family.CAUCHY2, Family.BERNOULLI, stirling1_unsigned, duality_prefactor("n", 1)),
 }
 
 
@@ -380,7 +395,8 @@ class GridSpec:
     default: the sequence index reaches multiplier * prime). `k_values` is
     filtered to k >= 1 for congruence identities, which are only stated for
     positive k. Construction raises ValueError unless n_max and stirling_n_max
-    are >= 0, every prime is a prime below 2**16 and every multiplier is >= 1.
+    are >= 0, every prime is a prime below 2**16, every multiplier is >= 1
+    and no k, pair, prime or multiplier is listed twice.
     """
 
     n_max: int = 12
@@ -402,6 +418,11 @@ class GridSpec:
                 raise ValueError(f"{p} is not prime")
         if min(self.multipliers, default=1) < 1:
             raise ValueError("multipliers must be >= 1")
+        # a repeated value would repeat its rows; pairs compare as rationals
+        for field in ("k_values", "pairs", "primes", "multipliers"):
+            values = getattr(self, field)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{field} lists a value twice")
 
 
 DEFAULT_GRID = GridSpec()

@@ -16,10 +16,7 @@ Exit codes (stable, for CI use):
 from __future__ import annotations
 
 import argparse
-import ast
 import json
-import math
-import operator
 import os
 import sys
 from argparse import ArgumentTypeError
@@ -31,7 +28,10 @@ from . import __version__
 from .audit import (
     CATALOGUE,
     DEFAULT_GRID,
+    PREFACTOR_EXPONENTS,
+    PREFACTOR_POWERS,
     GridSpec,
+    duality_prefactor,
     exit_code,
     run_identity,
 )
@@ -211,6 +211,17 @@ def _pair(text: str) -> tuple[Fraction, Fraction]:
     return _alpha(parts[0]), _rational(parts[1])
 
 
+def _prefactor(text: str) -> tuple[str, int]:
+    """EXP,POWER of the prefactor family (-1)^EXP * (m!)^POWER, exact tokens only."""
+    exp, _, power = text.partition(",")
+    if exp not in PREFACTOR_EXPONENTS or power not in map(str, PREFACTOR_POWERS):
+        raise ArgumentTypeError(
+            f"must be EXP,POWER with EXP one of {', '.join(PREFACTOR_EXPONENTS)} and "
+            f"POWER one of {', '.join(map(str, PREFACTOR_POWERS))}, got {text!r}"
+        )
+    return exp, int(power)
+
+
 def _listed(values) -> str:
     return ",".join(map(str, values))
 
@@ -304,8 +315,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     audit.add_argument(
         "--variant-prefactor",
-        default=None,
-        help="replacement prefactor over n, m for eq9..eq12, e.g. '(-1)**(m+n)/fact(m)'",
+        type=_prefactor,
+        metavar="EXP,POWER",
+        help="replacement prefactor (-1)^EXP * (m!)^POWER for eq9..eq12, EXP one of "
+        "0, m, n, m+n and POWER one of -1, 0, 1; e.g. n,-1 for (-1)^n / m!",
     )
     audit.add_argument("--format", choices=["text", "json"], default="text")
     scan.add_argument("--format", choices=["text", "csv", "json"], default="text")
@@ -378,102 +391,6 @@ def _config_text(value) -> str:
     """A config value as the flag text it stands for; a list joins with commas.
     The flag's type or choices then check the text."""
     return ",".join(map(_config_text, value)) if isinstance(value, list) else str(value)
-
-
-# ---------------------------------------------------------------------------
-# variant prefactor expressions
-# ---------------------------------------------------------------------------
-
-
-def _divide(left: Fraction, right: Fraction) -> Fraction:
-    if right == 0:
-        raise UsageError("prefactor divides by zero")
-    return left / right
-
-
-def _power(base: Fraction, exponent: Fraction) -> Fraction:
-    if exponent.denominator != 1:
-        raise UsageError("** requires an integer exponent")
-    if base == 0 and exponent < 0:
-        raise UsageError("prefactor raises 0 to a negative power")
-    return base ** int(exponent)
-
-
-def _fact(arg: Fraction) -> Fraction:
-    if arg.denominator != 1 or arg < 0:
-        raise UsageError("fact(...) requires a nonnegative integer")
-    return Fraction(math.factorial(int(arg)))
-
-
-# The prefactor grammar's binary and unary operators, by ast node type.
-_OPERATORS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: _divide,
-    ast.Pow: _power,
-    ast.UAdd: operator.pos,
-    ast.USub: operator.neg,
-}
-
-
-# Building and evaluating a prefactor take one Python frame per tree level,
-# and evaluation runs some 10 frames deep: past about 990 levels it would
-# exceed the default recursion limit of 1000 (measured on 3.10-3.13).
-_MAX_PREFACTOR_DEPTH = 800
-
-
-def parse_prefactor(expression: str):
-    """Compile a prefactor expression over the names n and m.
-
-    Allowed: integer literals, n, m, fact(...), + - * / ** and parentheses,
-    nested at most _MAX_PREFACTOR_DEPTH levels deep. Evaluates to an exact
-    rational for each (n, m).
-    """
-    too_deep = UsageError(f"prefactor nests deeper than {_MAX_PREFACTOR_DEPTH} levels")
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise UsageError(f"bad prefactor expression: {exc.msg}")
-    except (RecursionError, MemoryError):  # the parser's own stack overflowed
-        raise too_deep from None
-    stack = [(tree.body, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > _MAX_PREFACTOR_DEPTH:
-            raise too_deep
-        stack += [(c, depth + 1) for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)]
-
-    def build(node):
-        """The node's evaluator, a function of (n, m), built as the node is checked."""
-        op = _OPERATORS.get(type(getattr(node, "op", None)))
-        if isinstance(node, ast.BinOp) and op is not None:
-            left, right = build(node.left), build(node.right)
-            return lambda n, m: op(left(n, m), right(n, m))
-        if isinstance(node, ast.UnaryOp) and op is not None:
-            operand = build(node.operand)
-            return lambda n, m: op(operand(n, m))
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "fact"
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            arg = build(node.args[0])
-            return lambda n, m: _fact(arg(n, m))
-        # bool is a subclass of int, but True and False are not integer literals
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            value = Fraction(node.value)
-            return lambda n, m: value
-        if isinstance(node, ast.Name) and node.id in ("n", "m"):
-            name = node.id
-            return lambda n, m: Fraction(n if name == "n" else m)
-        raise UsageError(
-            "prefactor may only use integers, n, m, fact(...), + - * / ** and parentheses"
-        )
-
-    return build(tree.body)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +560,7 @@ def _cmd_audit(args) -> tuple[int, Iterable[str]]:
     if args.variant_prefactor is not None:
         if any(CATALOGUE[label][1] is not _DUALITY_ROWS for label in labels):
             raise UsageError("--variant-prefactor only applies to eq9..eq12")
-        prefactor = parse_prefactor(args.variant_prefactor)
+        prefactor = duality_prefactor(*args.variant_prefactor)
 
     # one Params per grid point for the whole command: labels share its memos
     points: dict = {}
@@ -680,6 +597,7 @@ def _report_output(args, grid: GridSpec, reports) -> tuple[int, Iterable[str]]:
     exit code its verdicts give."""
     # Every report of a run with --variant-prefactor is one of eq9..eq12.
     variant = getattr(args, "variant_prefactor", None)
+    variant = variant and _listed(variant)
     if args.format == "json":
         output = [_json_reports(args.command, grid, reports, variant)]
     elif args.format == "csv":

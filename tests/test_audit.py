@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,12 +16,15 @@ from hlpoly.audit import (
     HOLDS,
     NONREDUCIBLE_DENOMINATOR,
     P_DIVIDES_ALPHA,
+    PREFACTOR_EXPONENTS,
+    PREFACTOR_POWERS,
     SINGULAR_PARAMETER,
     UNDEFINED,
     Verdict,
     _congruence_rows,
     _derivative_rows,
     _value_rows,
+    duality_prefactor,
     exit_code,
     run_identity,
 )
@@ -116,6 +120,39 @@ def test_eq11_witness_fixture():
 
 def test_eq11_holds_at_n1():
     assert one_point("EQ11", P111, 1).verdicts[1].status == HOLDS
+
+
+def test_the_prefactor_family_is_a_sign_times_a_power_of_m_factorial():
+    for exp, (of_m, of_n) in PREFACTOR_EXPONENTS.items():
+        for power in PREFACTOR_POWERS:
+            prefactor = duality_prefactor(exp, power)
+            for n in range(6):
+                for m in range(n + 1):
+                    value = prefactor(n, m)
+                    expected = (-1) ** (of_m * m + of_n * n) * Fraction(factorial(m)) ** power
+                    assert value == expected
+                    assert type(value) is (Fraction if power < 0 else int)
+    for exp, power in (("1", 1), ("m", 2), ("m+n", "1")):
+        with pytest.raises(ValueError):
+            duality_prefactor(exp, power)
+
+
+# The corrected prefactor of each duality identity as (EXP, POWER), the
+# errata table of README; EQ9's is the printed one.
+ERRATA = {"EQ9": ("m+n", 1), "EQ10": ("n", 1), "EQ11": ("m+n", -1), "EQ12": ("n", -1)}
+
+
+@pytest.mark.parametrize("label", sorted(ERRATA))
+def test_exactly_one_family_prefactor_holds_and_it_is_the_corrected_one(label):
+    grid = GridSpec(n_max=7)  # 6 pairs, 6 k values, n = 0..7: 288 points
+    holding = [
+        (exp, power)
+        for exp in PREFACTOR_EXPONENTS
+        for power in PREFACTOR_POWERS
+        if run_identity(label, grid, duality_prefactor(exp, power)).summary
+        == {"holds": 288, "fails": 0, "undefined": 0}
+    ]
+    assert holding == [ERRATA[label]]
 
 
 def test_duality_variant_prefactor():
@@ -223,12 +260,17 @@ POINT_PAIRS = (
 )
 
 
+def distinct(elements, max_size):
+    """A grid field: a tuple of 1..max_size distinct elements."""
+    return st.lists(elements, min_size=1, max_size=max_size, unique=True).map(tuple)
+
+
 @settings(max_examples=15, deadline=None)
 @example(
     GridSpec(
         n_max=4,
         k_values=(-1, 0, 2),
-        pairs=POINT_PAIRS[:3] + POINT_PAIRS[1:2],
+        pairs=POINT_PAIRS[:4],
         primes=(3,),
         multipliers=(1, 2),
         stirling_n_max=3,
@@ -238,10 +280,10 @@ POINT_PAIRS = (
     st.builds(
         GridSpec,
         n_max=st.integers(0, 4),
-        k_values=st.lists(st.integers(-2, 3), min_size=1, max_size=3).map(tuple),
-        pairs=st.lists(st.sampled_from(POINT_PAIRS), min_size=1, max_size=4).map(tuple),
-        primes=st.lists(st.sampled_from((2, 3, 5)), min_size=1, max_size=2).map(tuple),
-        multipliers=st.lists(st.integers(1, 2), min_size=1, max_size=2).map(tuple),
+        k_values=distinct(st.integers(-2, 3), 3),
+        pairs=distinct(st.sampled_from(POINT_PAIRS), 4),
+        primes=distinct(st.sampled_from((2, 3, 5)), 2),
+        multipliers=distinct(st.integers(1, 2), 2),
         stirling_n_max=st.integers(0, 3),
     )
 )
@@ -417,6 +459,11 @@ def test_run_identity_rejects_unknown():
         {"multipliers": (0,)},
         {"n_max": -1},
         {"stirling_n_max": -1},
+        # a repeated value would repeat its rows; pairs compare as rationals
+        {"k_values": (1, 2, 1)},
+        {"pairs": ((1, 1), (Fraction(2, 2), Fraction(1)))},
+        {"primes": (3, 3)},
+        {"multipliers": (2, 2)},
     ],
 )
 def test_grid_rules_raise_at_construction(fields):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hlpoly import cli
 from hlpoly.audit import CATALOGUE, FAILS, HOLDS, UNDEFINED, AuditReport, GridSpec, Verdict
-from hlpoly.cli import main, parse_prefactor, UsageError
+from hlpoly.cli import main
 
 
 def run(capsys, *argv):
@@ -415,47 +415,29 @@ def test_audit_variant_prefactor(capsys):
     code, out, _ = run(
         capsys,
         "audit", "--identity", "eq11", "--n-max", "3", "--k-values", "1",
-        "--pair", "1,1", "--variant-prefactor", "(-1)**(m+n)*fact(m)",
+        "--pair", "1,1", "--variant-prefactor", "m+n,1",
         "--format", "json",
     )
     # the variant here *is* the catalogued prefactor, so verdicts match
     assert code == 1
     payload = json.loads(out)
-    assert payload["reports"][0]["variant"] == "(-1)**(m+n)*fact(m)"
+    assert payload["reports"][0]["variant"] == "m+n,1"
 
 
 def test_audit_variant_prefactor_text_title(capsys):
     code, out, _ = run(
         capsys,
         "audit", "--identity", "eq9", "--n-max", "2", "--k-values", "1",
-        "--pair", "1,1", "--variant-prefactor", "(-1)**(m+n)*fact(m)",
+        "--pair", "1,1", "--variant-prefactor", "m+n,1",
     )
     assert code == 0
-    assert "identity eq9 (variant prefactor: (-1)**(m+n)*fact(m)): points=3 " in out
-
-
-def test_a_variant_prefactor_is_never_evaluated_past_the_last_evaluable_index(capsys):
-    # alpha*m + a vanishes at m = 2, so only n = 0, 1 are evaluated; at n = 2
-    # the prefactor would divide by zero, which is a usage error (exit 64)
-    code, out, err = run(
-        capsys,
-        "audit", "--identity", "eq9", "--pair", "1,-2", "--k-values", "1",
-        "--n-max", "3", "--variant-prefactor", "1/(n-2)", "--format", "json",
-    )
-    assert (code, err) == (1, "")
-    verdicts = json.loads(out)["reports"][0]["verdicts"]
-    assert [(v["point"]["n"], v["status"], v["reason"]) for v in verdicts] == [
-        (0, FAILS, None),
-        (1, FAILS, None),
-        (2, UNDEFINED, "SINGULAR_PARAMETER"),
-        (3, UNDEFINED, "SINGULAR_PARAMETER"),
-    ]
+    assert "identity eq9 (variant prefactor: m+n,1): points=3 " in out
 
 
 def test_audit_variant_only_for_duality(capsys):
     code, _, err = run(
         capsys,
-        "audit", "--identity", "thm9", "--variant-prefactor", "fact(m)",
+        "audit", "--identity", "thm9", "--variant-prefactor", "0,1",
     )
     assert code == 64
     assert "eq9..eq12" in err
@@ -647,6 +629,16 @@ CONFIG_CASES = [
     (["table"], [{"family": "cauchy1"}], 64, None),
     # the command's handler is a parser default, not a flag
     (["series", "--kernel", "log1p", "--order", "1"], {"handler": "x"}, 64, None),
+    # a prefactor may be a two-item list: here the corrected EQ11 prefactor
+    (
+        ["audit", "--identity", "eq11", "--n-max", "3", "--k-values", "1", "--pair", "1,1"],
+        {"variant_prefactor": ["m+n", -1]},
+        0,
+        "identity eq11 (variant prefactor: m+n,-1): points=4 holds=4 ",
+    ),
+    # a repeated pair would repeat its rows; pairs compare as rationals
+    (["audit", "--identity", "eq9", "--pair", "1,1", "--pair", "1,1"], {}, 64, None),
+    (["congruence-scan"], {"pair": ["1,1", "2/2,2/2"]}, 64, None),
 ]
 
 
@@ -781,27 +773,13 @@ def test_any_unexpected_exception_exits_70(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_parse_prefactor():
-    pf = parse_prefactor("(-1)**(m+n)/fact(m)")
-    from fractions import Fraction
-
-    assert pf(1, 2) == Fraction(-1, 2)
-    assert pf(2, 2) == Fraction(1, 2)
-    with pytest.raises(UsageError):
-        parse_prefactor("__import__('os')")
-    with pytest.raises(UsageError):
-        parse_prefactor("m.denominator")
-    with pytest.raises(UsageError):
-        parse_prefactor("x + 1")
-
-
 # -- usage errors -------------------------------------------------------------
 
 TABLE = ["table", "--family", "cauchy1"]
 EQ9 = ["audit", "--identity", "eq9", "--n-max", "1", "--pair", "1,1", "--k-values", "1"]
 
 # (command argv, flag, bad value): every flag type, every GridSpec rule, the
-# triangle bound and the prefactor grammar, each given once as a flag and
+# triangle bound and the prefactor tokens, each given once as a flag and
 # once as a config value.
 USAGE_ERRORS = [
     (TABLE, "k", "x"),
@@ -820,6 +798,17 @@ USAGE_ERRORS = [
     (["congruence-scan"], "primes", "2305843009213693951"),
     (["congruence-scan"], "multipliers", "0"),
     (["table", "--stirling", "1"], "max-n", "301"),
+    # a repeated grid value would repeat its rows
+    (["audit", "--identity", "thm1"], "k-values", "1,2,1"),
+    (["congruence-scan"], "primes", "3,3"),
+    (["congruence-scan"], "multipliers", "1,2,2"),
+    # only the exact tokens of the prefactor family
+    (EQ9, "variant-prefactor", "x,1"),
+    (EQ9, "variant-prefactor", "m,2"),
+    (EQ9, "variant-prefactor", "m+n"),
+    (EQ9, "variant-prefactor", "n,-1,0"),
+    (EQ9, "variant-prefactor", "2**(10**7)"),
+    # expressions of the earlier syntax, deep ones included, are not parsed
     (EQ9, "variant-prefactor", "True*fact(m)"),
     (EQ9, "variant-prefactor", "False"),
     (EQ9, "variant-prefactor", "fact(-1)"),
@@ -827,8 +816,6 @@ USAGE_ERRORS = [
     (EQ9, "variant-prefactor", "2**(1/2)"),
     (EQ9, "variant-prefactor", "0**(-1)"),
     (EQ9, "variant-prefactor", "m +"),
-    # deeper than the prefactor depth bound; the last two overflow the parser
-    # itself: the 3500-term chain on 3.11 and 3.12, the 6000 minuses on 3.10-3.13
     (EQ9, "variant-prefactor", "+".join(["m"] * 1200)),
     (EQ9, "variant-prefactor", "-" * 1200 + "n"),
     (EQ9, "variant-prefactor", "+".join(["m"] * 3500)),
@@ -866,11 +853,3 @@ def test_the_triangle_bound_is_300_rows(capsys, monkeypatch):
     code, out, err = run(capsys, "table", "--stirling", "2", "--max-n", "301")
     assert (code, out, built) == (64, "", [300])
     assert err == "error: argument --max-n: must be <= 300, got 301\n"
-
-
-def test_a_deep_prefactor_still_parses_and_evaluates():
-    # Building and evaluating take one frame per tree level: at two frames per
-    # level, 600 levels would pass the default recursion limit.
-    pf = parse_prefactor("+".join(["m"] * 600))
-    assert pf(0, 2) == 1200
-    assert parse_prefactor("-" * 600 + "n")(3, 0) == 3
