@@ -295,14 +295,17 @@ def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     return _value_rows(params, grid.n_max, 0, sides)
 
 
-def _invertibility_scan(params: Params, m_max: int, p: int) -> int | None:
-    """Smallest m in 0..m_max at which alpha*m + a is not invertible mod p,
-    or None."""
-    for m in range(m_max + 1):
+def _hypothesis_flags(params: Params, p: int) -> dict:
+    """Whether alpha*m + a is invertible mod p for every m, as the verdict
+    fields, with the first m where it is not. m = 0..p-1 decides it: if p
+    divides neither denominator the residue has period p in m, and if p
+    divides one, m = 0 or m = 1 is already not invertible."""
+    for m in range(p):
         value = params.alpha * m + params.a
         if value.numerator % p == 0 or value.denominator % p == 0:
-            return m
-    return None
+            note = f"alpha*m + a not invertible mod {p} at m = {m}"
+            return {"hypothesis_ok": False, "hypothesis_note": note}
+    return {"hypothesis_ok": True, "hypothesis_note": None}
 
 
 def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]:
@@ -312,28 +315,22 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
     sequence values are computed exactly and then reduced mod p. A point is
     UNDEFINED, never a pass or a fail, when p divides alpha (the standing
     assumption fails) or a denominator (the congruence is not evaluable).
-    Every verdict also records whether (alpha*m + a) stays invertible mod p
-    over the whole range m = 0..n*p, the assumption under which the
-    congruence is claimed; one scan per prime, to the largest multiplier,
-    finds the first m where it fails. The flag is reported, never used to
-    suppress a result.
+    Every verdict also records whether (alpha*m + a) stays invertible mod p,
+    the assumption under which the congruence is claimed, with one flag per
+    prime for all multipliers. The flag is reported, never used to suppress
+    a result.
     """
     if params.k < 1:
         return []
-    top = max(grid.multipliers, default=0)
-    first_bad = {p: _invertibility_scan(params, top * p, p) for p in grid.primes}
+    flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
     verdicts = []
     for n in grid.multipliers:
         for p in grid.primes:
             point = {**_params_point(params, n), "p": p}
-            m = first_bad[p]
-            hyp_ok = m is None or m > n * p
-            hyp_note = None if hyp_ok else f"alpha*m + a not invertible mod {p} at m = {m}"
-            flags = {"hypothesis_ok": hyp_ok, "hypothesis_note": hyp_note}
             if params.alpha.numerator % p == 0:
-                verdicts.append(_undefined(point, P_DIVIDES_ALPHA, **flags))
+                verdicts.append(_undefined(point, P_DIVIDES_ALPHA, **flags[p]))
             elif params.singular_index(n * p) is not None:
-                verdicts.append(_undefined(point, SINGULAR_PARAMETER, **flags))
+                verdicts.append(_undefined(point, SINGULAR_PARAMETER, **flags[p]))
             else:
                 lhs = explicit_value(family, n * p, params)
                 rhs = explicit_value(family, 0, params)
@@ -342,11 +339,11 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
                 except NonreducibleDenominatorError:
                     verdicts.append(
                         _undefined(
-                            point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags
+                            point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags[p]
                         )
                     )
                 else:
-                    verdicts.append(_compare(point, *residues, **flags))
+                    verdicts.append(_compare(point, *residues, **flags[p]))
     return verdicts
 
 

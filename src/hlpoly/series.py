@@ -14,6 +14,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,33 +117,21 @@ def kernel(name: str, order: int) -> PowerSeries:
 
 # EGF numerators G_0..G_n of a composed series g = sum G_i t^i / (L i!) -> the
 # EGF integers of the powers (L g)^m, row i holding the coefficient of t^i/i!
-# for m = 0..i. Row i reads only G_1..G_i, so every prefix of a series keys
-# the same rows and a longer series appends to them in place, as the Stirling
-# rows grow. The rows depend neither on L nor on the weights (k, alpha, a),
-# so the table lives as long as the process: a run of the CLI composes only
-# the three kernels of `sequences`, whatever its grid.
-_POWER_ROWS: dict[tuple[int, ...], list[list[int]]] = {}
-
-
-def _power_rows(G: tuple[int, ...]) -> list[list[int]]:
-    """Rows 0..len(G) - 1 (at least) of the power table of numerators G."""
-    known = len(G)
-    while known > 1 and G[:known] not in _POWER_ROWS:
-        known -= 1
-    rows = _POWER_ROWS.get(G[:known], [[1]])
-    if known < min(len(G), len(rows)):
-        # the rows past the shared prefix belong to another series
-        rows = rows[:known]
-    for n in range(len(rows), len(G)):
-        rows.append(
-            [0]
-            + [
-                sum(math.comb(n, j) * G[j] * rows[n - j][m - 1] for j in range(1, n - m + 2))
-                for m in range(1, n + 1)
-            ]
-        )
-        _POWER_ROWS[G[: n + 1]] = rows
-    return rows
+# for m = 0..i. The rows depend neither on L nor on the weights (k, alpha, a),
+# so there is one table per exact series, kept as long as the process: a run
+# of the CLI composes only the three kernels of `sequences`, at the few orders
+# its grid asks for.
+@functools.cache
+def _power_rows(G: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..len(G) - 1 of the power table of numerators G."""
+    rows = [(1,)]
+    for n in range(1, len(G)):
+        row = [
+            sum(math.comb(n, j) * G[j] * rows[n - j][m - 1] for j in range(1, n - m + 2))
+            for m in range(1, n + 1)
+        ]
+        rows.append((0, *row))
+    return tuple(rows)
 
 
 def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:

@@ -125,6 +125,29 @@ def family_closed_form(family: str, n: int, k: int, alpha, a) -> Fraction:
     return total
 
 
+def derivative_corrected(family: str, n: int, k: int, alpha, a) -> Fraction:
+    """The corrected closed form of the derivative coefficient D_n: THM9
+    (cauchy1), THM10 (cauchy2) or THM11 (bernoulli) as README's errata state
+    them, a sum over m = 1..n+1 with the triangle's column shifted to m - 1:
+
+        cauchy1:   D_n = sum_m (-1)^(n+m+1) [n, m-1] / (alpha m + a)^k
+        cauchy2:   D_n = (-1)^(n+1) sum_m [n, m-1] / (alpha m + a)^k
+        bernoulli: D_n = sum_m (-1)^(n+m+1) m! {n, m-1} / (alpha m + a)^k
+    """
+    total = Fraction(0)
+    first = stirling1_unsigned_row(n)
+    for m in range(1, n + 2):
+        weight = Fraction(1) / (Fraction(alpha) * m + Fraction(a)) ** k
+        if family == "bernoulli":
+            coeff = (-1) ** (n + m + 1) * factorial(m) * stirling2_explicit(n, m - 1)
+        elif family == "cauchy1":
+            coeff = (-1) ** (n + m + 1) * first[m - 1]
+        else:
+            coeff = (-1) ** (n + 1) * first[m - 1]
+        total += coeff * weight
+    return total
+
+
 def bell_numbers(n_max: int) -> list[int]:
     """Bell triangle recurrence, independent of any Stirling table."""
     out = [1]

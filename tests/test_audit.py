@@ -209,28 +209,36 @@ def test_congruence_singular_parameter_row(family):
     )
 
 
-def test_congruence_hypothesis_flags_match_a_scan_per_row():
-    # each prime is scanned once per point; every (n, p) row must read what a
-    # scan of its own range 0..n*p finds. A unit alpha mod p meets a
-    # non-unit alpha*m + a below m = p, so only p | alpha (3, 1) keeps a flag true.
+# alpha and a with numerators and denominators that the primes 2, 3, 5 and 7
+# divide, negative values included
+congruence_rationals = st.builds(
+    Fraction, st.integers(-14, 14), st.sampled_from((1, 2, 3, 5, 6, 7))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(Fraction(-1), Fraction(2), (2, 3), (1, 6), "THM8_C1")
+@example(Fraction(3), Fraction(1), (3, 5), (1, 2), "THM8_B")  # p | alpha
+@example(Fraction(1, 2), Fraction(1), (2, 7), (1, 4), "THM8_C2")  # p | alpha's denominator
+@example(Fraction(1), Fraction(1, 3), (3, 5), (2, 6), "THM8_C1")  # p | a's denominator
+@given(
+    congruence_rationals.filter(lambda q: q != 0),
+    congruence_rationals,
+    st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+    st.sampled_from(sorted(CONGRUENCE.values())),
+)
+def test_congruence_hypothesis_flags_match_a_scan_per_row(alpha, a, primes, multipliers, identity):
+    # the audit decides each prime's flag once per point; every (n, p) row
+    # must read what a scan of its own range 0..n*p finds
     grid = GridSpec(
-        k_values=(1, 2),
-        pairs=((2, 1), (1, 2), (3, Fraction(1, 3)), (Fraction(1, 2), 1), (3, 1)),
-        primes=(3, 5, 7),
-        multipliers=(1, 2, 3, 4),
+        k_values=(1,), pairs=((alpha, a),), primes=tuple(primes), multipliers=tuple(multipliers)
     )
-    flags = set()
-    for identity in CONGRUENCE.values():
-        verdicts = run_identity(identity, grid).verdicts
-        assert len(verdicts) == 2 * 5 * 3 * 4
-        for v in verdicts:
-            point = v.point
-            expected = bruteforce.congruence_hypothesis(
-                point["alpha"], point["a"], point["n"], point["p"]
-            )
-            assert (v.hypothesis_ok, v.hypothesis_note) == expected
-            flags.add(v.hypothesis_ok)
-    assert flags == {True, False}
+    verdicts = run_identity(identity, grid).verdicts
+    assert len(verdicts) == len(primes) * len(multipliers)
+    for v in verdicts:
+        expected = bruteforce.congruence_hypothesis(alpha, a, v.point["n"], v.point["p"])
+        assert (v.hypothesis_ok, v.hypothesis_note) == expected
 
 
 def test_each_point_builds_its_weights_once(monkeypatch):

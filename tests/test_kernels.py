@@ -82,24 +82,28 @@ def test_series_kernels_match_a_compose_powers_sum(tail, k, alpha, a):
     assert phif_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, True)
 
 
-def test_the_power_table_is_shared_by_prefixes_and_forks_where_series_differ(monkeypatch):
-    monkeypatch.setattr(series, "_POWER_ROWS", {})
+def test_each_series_has_its_own_power_table_and_composing_it_again_reuses_it():
     k, alpha, a = 2, Fraction(1, 2), Fraction(3)
     # integer EGF values, so a prefix of g keeps g's numerators; g and h agree
     # to order 3
     g = (0, 1, -1, 2, 3, 0, 5)
     h = g[:4] + (-4, 1, 0)
-    for nums in (g[:4], g, h, g[:5], h, g):
+
+    def check(nums):
         coeffs = [Fraction(v, factorial(n)) for n, v in enumerate(nums)]
         f = PowerSeries(nums)
         assert phi_apply(f, k, alpha, a) == _power_sum(coeffs, k, alpha, a, False)
         assert phif_apply(f, k, alpha, a) == _power_sum(coeffs, k, alpha, a, True)
-    # g's order-6 rows grew in place from its order-3 ones; h shares them to
-    # order 3 and has its own after
-    table = series._POWER_ROWS
-    assert table[g[:4]] is table[g] is not table[h]
-    assert table[h][:4] == table[g][:4] and table[h][4:] != table[g][4:]
-    assert len(table) == 6 + 3  # g's prefixes of length 2..7, h's of length 5..7
+
+    for nums in (g, g[:4], h):
+        check(nums)
+    hits = series._power_rows.cache_info().hits
+    check(g)
+    assert series._power_rows.cache_info().hits == hits + 2
+    # row i reads only G_1..G_i, so series that share a prefix have equal rows
+    # there
+    rows = series._power_rows
+    assert rows(g)[:4] == rows(g[:4]) == rows(h)[:4] and rows(g)[4:] != rows(h)[4:]
 
 
 def _double_sum(identity, n, params, prefactor) -> Fraction:

@@ -312,6 +312,18 @@ def test_deriv_oracle_reconstructs_derivative():
             assert prefactor * claimed == g_prime
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(0, 10), nonsingular_params)
+def test_corrected_derivative_closed_forms_equal_the_series_forced_ones(family, n_max, params):
+    # README's THM9-THM11 errata: each corrected Stirling sum is the
+    # coefficient sequence the generating function forces
+    expected = [
+        bruteforce.derivative_corrected(family.value, n, params.k, params.alpha, params.a)
+        for n in range(n_max + 1)
+    ]
+    assert deriv_coeffs_oracle(family, n_max, params) == expected
+
+
 def test_deriv_printed_is_what_it_says():
     # spot-check the closed form against a hand-expanded term
     params = Params(2, 3, Fraction(1, 3))
