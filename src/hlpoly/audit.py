@@ -31,6 +31,7 @@ from .exact import NonreducibleDenominatorError, is_prime, mod_reduce
 from .sequences import (
     Family,
     Params,
+    coefficient_rows,
     deriv_coeffs_oracle,
     deriv_coeffs_printed,
     explicit_scaled,
@@ -124,7 +125,8 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 # Row functions: the verdicts of one identity at one (k, alpha, a) point,
 # called as rows(label, family, params, grid, coefficients), `coefficients`
-# being the run's EQ9-EQ12 coefficient store (None for the other identities).
+# being the run's EQ9-EQ12 or THM8 coefficient store (None for the other
+# identities).
 
 
 # Keys in canonical order: run_identity sorts rows by the point's values.
@@ -312,7 +314,9 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
     """s_{n*p} = s_0 (mod p) for each multiplier n and prime p of the grid.
 
     Congruences are stated for k >= 1 only; other k give no rows. Both
-    sequence values are computed exactly and then reduced mod p. A point is
+    sequence values are computed exactly, from the Stirling coefficient rows
+    of the run's `coefficients` store (`sequences.coefficient_rows`), which
+    every point of the run shares, and then reduced mod p. A point is
     UNDEFINED, never a pass or a fail, when p divides alpha (the standing
     assumption fails) or a denominator (the congruence is not evaluable).
     Every verdict also records whether (alpha*m + a) stays invertible mod p,
@@ -332,8 +336,8 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
             elif params.singular_index(n * p) is not None:
                 verdicts.append(_undefined(point, SINGULAR_PARAMETER, **flags[p]))
             else:
-                lhs = explicit_value(family, n * p, params)
-                rhs = explicit_value(family, 0, params)
+                lhs = explicit_value(family, n * p, params, rows=coefficients)
+                rhs = explicit_value(family, 0, params, rows=coefficients)
                 try:
                     residues = mod_reduce(lhs, p), mod_reduce(rhs, p)
                 except NonreducibleDenominatorError:
@@ -467,8 +471,9 @@ def run_identity(
     several identities that share one map share each point's weights and
     Stirling sums, and the first identity in catalogue order that needs them
     does the work: in per-identity timings, THM1 carries each family's sums.
-    Each EQ9..EQ12 run builds its own coefficients, once for all points.
-    Without a map, the run builds its own, so nothing outlives it.
+    Each EQ9..EQ12 and THM8 run builds its own coefficient rows, once for
+    all points, and no row outlives the run. Without a map, the run builds
+    its own `Params` too, so nothing it computes outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -481,6 +486,8 @@ def run_identity(
     coefficients = None
     if rows is _duality_rows:
         coefficients = _duality_coefficients(identity, prefactor)
+    elif rows is _congruence_rows:
+        coefficients = coefficient_rows(family)
     verdicts: list[Verdict] = []
     for alpha, a in grid.pairs:
         for k in grid.k_values:

@@ -20,8 +20,9 @@ can audit the other.
 
 The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
 remembers those it has computed and the Stirling sums built from them; its
-fields (k, alpha, a) still fix its value. The series path builds its own
-weights and shares no memo.
+fields (k, alpha, a) still fix its value. Single members read their
+coefficient rows from a `coefficient_rows` store, which callers may share
+across points. The series path builds its own weights and shares no memo.
 
 The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
@@ -35,10 +36,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .exact import ensure_nonsingular, pow_rat, singular_index
+from .exact import ensure_nonsingular, pow_rat
 from .series import PowerSeries, egf_coeff, kernel, phi_apply, phif_apply
 from .stirling import stirling1_unsigned, stirling2
 
@@ -46,6 +49,7 @@ __all__ = [
     "FAMILIES",
     "Family",
     "Params",
+    "coefficient_rows",
     "deriv_coeffs_oracle",
     "deriv_coeffs_printed",
     "explicit_scaled",
@@ -73,9 +77,10 @@ class Params:
 
     A Params remembers the weights 1/(alpha*m + a)^k it has computed and the
     sums `explicit_scaled` has returned, so the Stirling-sum functions given
-    one instance build each weight and each family's sums once. The memo is
-    not a field: (k, alpha, a) alone fix equality, hash and repr, and
-    `dataclasses.replace` starts an empty memo.
+    one instance build each weight and each family's sums once. It computes
+    the root -a/alpha once, on construction, so `singular_index` is a
+    comparison. None of this is a field: (k, alpha, a) alone fix equality,
+    hash and repr, and `dataclasses.replace` starts an empty memo.
     """
 
     k: int
@@ -87,17 +92,22 @@ class Params:
         object.__setattr__(self, "a", Fraction(self.a))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
-        # The weights computed so far, not fields: (numerator, denominator) of
-        # 1/(alpha*m + a)^k for m = 0, 1, ..., and _lcms[m + 1] the lcm of the
-        # denominators 0..m (_lcms[0] == 1). _sums maps (family, n_max) to
-        # what explicit_scaled returned for it.
+        # Not fields: _root is the m >= 0 with alpha*m + a == 0, or None if
+        # there is none. The weights computed so far are (numerator,
+        # denominator) of 1/(alpha*m + a)^k for m = 0, 1, ..., and _lcms[m + 1]
+        # the lcm of the denominators 0..m (_lcms[0] == 1). _sums maps
+        # (family, n_max) to what explicit_scaled returned for it.
+        root = -self.a / self.alpha
+        root = int(root) if root.denominator == 1 and root >= 0 else None
+        object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_weights", [])
         object.__setattr__(self, "_lcms", [1])
         object.__setattr__(self, "_sums", {})
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
-        return singular_index(self.alpha, self.a, m_max)
+        root = self._root
+        return root if root is not None and root <= m_max else None
 
     def scaled_weights(self, m_max: int) -> tuple[list[int], int]:
         """(W, D) with W[m] / D == 1 / (alpha*m + a)^k for m in 0..m_max, D the
@@ -128,12 +138,38 @@ _STIRLING_COEFF = {
 }
 
 
+def _ensure_nonsingular(params: Params, m_max: int) -> None:
+    """Raise SingularParameterError if alpha*m + a vanishes for an m in 0..m_max."""
+    if params.singular_index(m_max) is not None:
+        ensure_nonsingular(params.alpha, params.a, m_max)
+
+
+def coefficient_rows(family: Family) -> Callable[[int], list[int]]:
+    """A store of one family's Stirling coefficient rows: `rows(n)` is the
+    list of integer coefficients of 1/(alpha m + a)^k in member n, m = 0..n.
+
+    A row is built on its first request and kept as long as the store, so
+    the calls that share one store build each row once, whatever their
+    parameters; a row no call asks for is never built. The store reads the
+    family's coefficients when it is made, and nothing else keeps its rows.
+    """
+    coeff = _STIRLING_COEFF[family]
+    built: dict[int, list[int]] = {}
+
+    def rows(n: int) -> list[int]:
+        if n not in built:
+            built[n] = [coeff(n, m) for m in range(n + 1)]
+        return built[n]
+
+    return rows
+
+
 def _scaled_sums(coeff, first: int, last: int, params: Params, reach: int = 0):
     """Integer sums S over the weights' common denominator D, for n = first..last:
 
         S[n - first] / D = sum_{m=0..n+reach} coeff(n, m) / (alpha m + a)^k
     """
-    ensure_nonsingular(params.alpha, params.a, last + reach)
+    _ensure_nonsingular(params, last + reach)
     weights, den = params.scaled_weights(last + reach)
     sums = [
         sum(coeff(n, m) * weights[m] for m in range(n + reach + 1))
@@ -156,11 +192,25 @@ def explicit_scaled(
     return params._sums[key]
 
 
-def explicit_value(family: Family, n: int, params: Params) -> Fraction:
-    """Stirling-sum value of one family member."""
+def explicit_value(
+    family: Family,
+    n: int,
+    params: Params,
+    rows: Callable[[int], list[int]] | None = None,
+) -> Fraction:
+    """Stirling-sum value of one family member: the dot product of its
+    coefficient row with the weights of `params`.
+
+    `rows` is a store from `coefficient_rows(family)`; calls that share one,
+    at any parameters, build each row once. Without one, the call builds a
+    store of its own and drops it.
+    """
     _check_index(n)
-    (num,), den = _scaled_sums(_STIRLING_COEFF[family], n, n, params)
-    return Fraction(num, den)
+    _ensure_nonsingular(params, n)
+    if rows is None:
+        rows = coefficient_rows(family)
+    weights, den = params.scaled_weights(n)
+    return Fraction(sum(map(operator.mul, rows(n), weights)), den)
 
 
 def explicit_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:

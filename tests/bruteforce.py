@@ -181,3 +181,24 @@ def congruence_hypothesis(alpha, a, n: int, p: int) -> tuple[bool, str | None]:
         if value.numerator * value.denominator % p == 0:
             return False, f"alpha*m + a not invertible mod {p} at m = {m}"
     return True, None
+
+
+def congruence_residue_under_hypothesis(family: str, n: int, k: int, a, p: int) -> int:
+    """Residue mod p of member n of `family` where THM8's hypothesis holds:
+    p divides alpha's numerator and a is a p-unit. Then alpha m + a = a
+    (mod p) for every m, every weight is a^-k (mod p), and the three
+    Stirling row sums sum_m (-1)^m m! {n m} = (-1)^n,
+    sum_m (-1)^m [n m] = (-1)^n for n <= 1 and 0 for n >= 2, and
+    sum_m [n m] = n! give
+
+        bernoulli: B_n  = a^-k for every n
+        cauchy1:   c_n  = a^-k for n <= 1, and 0 for n >= 2
+        cauchy2:   ch_n = (-1)^n n! a^-k, which is 0 for n >= p
+    """
+    a = Fraction(a)
+    weight = pow(a.numerator * pow(a.denominator, -1, p), -k, p)
+    if family == "bernoulli":
+        return weight
+    if family == "cauchy1":
+        return weight if n <= 1 else 0
+    return (-1) ** n * factorial(n) * weight % p

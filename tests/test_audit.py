@@ -28,7 +28,8 @@ from hlpoly.audit import (
     exit_code,
     run_identity,
 )
-from hlpoly.sequences import Family, Params, deriv_coeffs_oracle
+from hlpoly.exact import mod_reduce
+from hlpoly.sequences import Family, Params, deriv_coeffs_oracle, explicit_value
 from hlpoly.stirling import stirling1_unsigned
 
 import bruteforce
@@ -241,6 +242,54 @@ def test_congruence_hypothesis_flags_match_a_scan_per_row(alpha, a, primes, mult
         assert (v.hypothesis_ok, v.hypothesis_note) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@example([(Fraction(3), Fraction(1)), (Fraction(1), Fraction(1))], (3,), (1,), "THM8_B")
+@given(
+    st.lists(
+        st.tuples(congruence_rationals.filter(lambda q: q != 0), congruence_rationals),
+        min_size=1, max_size=4, unique=True,
+    ),
+    st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+    st.sampled_from(sorted(CONGRUENCE.values())),
+)
+def test_a_true_hypothesis_flag_is_always_a_p_divides_alpha_row(pairs, primes, multipliers, identity):
+    # The hypothesis (alpha*m + a a unit mod p for every m) holds exactly when
+    # p divides alpha's numerator and a is a p-unit: otherwise alpha is a unit
+    # and m = -a/alpha (mod p) is a zero, or m = 0 or 1 meets a denominator p
+    # divides. So no THM8 HOLDS or FAILS is ever read under the hypothesis.
+    grid = GridSpec(
+        k_values=(1, 2), pairs=tuple(pairs), primes=tuple(primes), multipliers=tuple(multipliers)
+    )
+    for v in run_identity(identity, grid).verdicts:
+        p, alpha, a = v.point["p"], v.point["alpha"], v.point["a"]
+        p_unit = a.numerator * a.denominator % p != 0
+        assert v.hypothesis_ok == (alpha.numerator % p == 0 and p_unit)
+        if v.hypothesis_ok:
+            assert v.reason == P_DIVIDES_ALPHA
+
+
+@st.composite
+def hypothesis_points(draw):
+    """(p, alpha, a) with p dividing alpha's numerator and a a p-unit."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    unit = st.integers(-12, 12).filter(lambda x: x % p != 0)
+    positive_unit = st.integers(1, 12).filter(lambda x: x % p != 0)
+    alpha = Fraction(p * draw(unit), draw(positive_unit))
+    return p, alpha, Fraction(draw(unit), draw(positive_unit))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypothesis_points(), st.integers(1, 3), st.integers(0, 30))
+def test_under_the_congruence_hypothesis_values_take_the_closed_form_residues(point, k, n):
+    p, alpha, a = point
+    assert bruteforce.congruence_hypothesis(alpha, a, max(n, 1), p) == (True, None)
+    params = Params(k, alpha, a)
+    for family in Family:
+        expected = bruteforce.congruence_residue_under_hypothesis(family.value, n, k, a, p)
+        assert mod_reduce(explicit_value(family, n, params), p) == expected
+
+
 def test_each_point_builds_its_weights_once(monkeypatch):
     # a Params keeps the weights it has built: THM4-THM6 read one vector for
     # both sides, and THM8 one vector up to its largest evaluable n*p
@@ -325,7 +374,6 @@ def test_the_coefficient_store_calls_each_prefactor_once_per_run():
 def test_congruence_consistent_with_exact_recomputation():
     # recompute both residues through the generating-function path, which
     # shares nothing with the Stirling sums the audit reduces
-    from hlpoly.exact import mod_reduce
     from hlpoly.sequences import oracle_sequence
 
     for family in Family:

@@ -8,8 +8,8 @@ invariant by behaviour, as tests/test_independence.py checks it by imports.
 Each mutant runs after a warm-up audit of the unpatched code, so that a
 table keyed too coarsely would serve the unpatched values and hide it: the
 kernel powers keyed by kernel name, a point's Stirling sums kept past its
-command, or EQ9-EQ12 coefficients that outlive their run. After the patch is
-undone, the audit holds again: no cache kept the mutant either.
+command, or EQ9-EQ12 or THM8 coefficient rows that outlive their run. After
+the patch is undone, the audit holds again: no cache kept the mutant either.
 """
 
 import json
@@ -54,6 +54,32 @@ def test_a_sign_in_a_stirling_coefficient_fails_its_explicit_identity(
 
     table = sequences._STIRLING_COEFF
     assert_caught(capsys, monkeypatch, label.lower(), label, table, family, mutant)
+
+
+SCAN = ["--pair", "1,1", "--pair", "1/2,3/2", "--k-values", "1,2", "--primes", "3,5",
+        "--multipliers", "1,2"]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=[family.value for family in Family])
+def test_a_sign_in_a_stirling_coefficient_changes_the_congruence_scan(
+    capsys, monkeypatch, family
+):
+    # THM8 fails on most rows of any grid, so the check compares the CSV
+    # bytes: a row store that outlived its run would keep the scan's output
+    def scan() -> str:
+        main(["congruence-scan", "--family", family.value, "--format", "csv", *SCAN])
+        return capsys.readouterr().out
+
+    clean = scan()
+    coeff = sequences._STIRLING_COEFF[family]
+
+    def mutant(n, m):
+        return -coeff(n, m) if m == 1 else coeff(n, m)
+
+    monkeypatch.setitem(sequences._STIRLING_COEFF, family, mutant)
+    assert scan() != clean
+    monkeypatch.undo()
+    assert scan() == clean
 
 
 # each composed kernel, and the identity whose series side it feeds

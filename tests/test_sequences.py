@@ -3,15 +3,16 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlpoly import sequences
+from hlpoly import exact, sequences
 from hlpoly.exact import SingularParameterError, ensure_nonsingular
 from hlpoly.sequences import (
     FAMILIES,
     Family,
     Params,
+    coefficient_rows,
     deriv_coeffs_oracle,
     deriv_coeffs_printed,
     explicit_scaled,
@@ -49,6 +50,30 @@ def test_params_singular_index():
     assert Params(1, 1, Fraction(1, 2)).singular_index(100) is None
     with pytest.raises(SingularParameterError):
         ensure_nonsingular(Fraction(1), Fraction(-2), 3)
+
+
+# alpha and a = -alpha * root: the root is a negative, a non-integer or a
+# nonnegative integer m, and only the last makes the point singular
+rooted_params = st.builds(
+    lambda k, alpha, root: Params(k, alpha, -alpha * root),
+    st.integers(-3, 4),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+    st.one_of(
+        st.integers(-5, 45).map(Fraction),
+        st.builds(Fraction, st.integers(-90, 90), st.integers(2, 6)),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(Params(1, 2, 6))  # root -3
+@example(Params(1, 2, -3))  # root 3/2
+@example(Params(1, Fraction(-1, 2), 20))  # root 40
+@given(rooted_params)
+def test_singular_index_matches_a_fresh_scan(params):
+    for m_max in range(-2, 46):
+        expected = exact.singular_index(params.alpha, params.a, m_max)
+        assert params.singular_index(m_max) == expected
 
 
 def test_params_weight():
@@ -185,6 +210,45 @@ def test_singular_parameter_raises():
     assert explicit_value(Family.CAUCHY1, 1, bad) is not None  # below the singular index: fine
     with pytest.raises(SingularParameterError):
         explicit_value(Family.CAUCHY1, 2, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rooted_params, st.lists(st.integers(0, 40), min_size=1, max_size=6))
+def test_a_shared_row_store_gives_the_values_of_a_fresh_one(params, indices):
+    # one store per family for every index drawn, in any order; a singular
+    # index raises with or without a store, exactly where the scan says so
+    for family in FAMILIES:
+        rows = coefficient_rows(family)
+        for n in indices:
+            try:
+                ensure_nonsingular(params.alpha, params.a, n)
+            except SingularParameterError:
+                for store in (rows, None):
+                    with pytest.raises(SingularParameterError):
+                        explicit_value(family, n, params, store)
+                continue
+            value = explicit_value(family, n, params, rows)
+            assert value == explicit_value(family, n, params)
+            fresh = Params(params.k, params.alpha, params.a)
+            assert value == explicit_sequence(family, n, fresh)[n]
+
+
+def test_a_row_store_builds_each_row_once(monkeypatch):
+    lookups = []
+    stirling2 = sequences.stirling2
+    monkeypatch.setattr(
+        sequences, "stirling2", lambda n, m: lookups.append((n, m)) or stirling2(n, m)
+    )
+    rows = coefficient_rows(Family.BERNOULLI)
+    for params in (P111, Params(2, Fraction(1, 2), 3)):
+        for n in (6, 3, 6):
+            explicit_value(Family.BERNOULLI, n, params, rows)
+    assert len(lookups) == 7 + 4  # rows 6 and 3, each once; no row in between
+    assert rows(6) is rows(6)
+    # without a store, each call builds its row afresh
+    explicit_value(Family.BERNOULLI, 6, P111)
+    explicit_value(Family.BERNOULLI, 6, P111)
+    assert len(lookups) == 11 + 2 * 7
 
 
 # -- oracle path --------------------------------------------------------------
