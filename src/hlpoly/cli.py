@@ -58,6 +58,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def convert_arg_line_to_args(self, arg_line):
+        """A file's line split at whitespace. No word may start with @: a file
+        naming itself would recurse. encode() rejects the lone surrogates that
+        Python 3.12+ reads from bytes that are not text, as 3.10-3.11 fail."""
+        arg_line.encode()
+        args = arg_line.split()
+        if any(arg.startswith("@") for arg in args):
+            self.error(f"an argument file may not name another file: {arg_line.strip()!r}")
+        return args
+
 
 # The one congruence token, and the row function that eq9..eq12 share: only
 # they take a variant prefactor.
@@ -154,12 +164,13 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
 
 
 # ---------------------------------------------------------------------------
-# flag types, applied by argparse to flags, config values and string defaults
+# flag types, applied by argparse to flags (argv or @FILE) and string defaults
 # ---------------------------------------------------------------------------
 
-# A triangle of 300 rows is about 11 MB of CSV (first kind, largest entry 614
-# digits); the text is built whole, so the size is bounded before any work.
-_MAX_TRIANGLE_N = 300
+# Output is built whole, so its rows are bounded before any work: a triangle of
+# 300 rows is about 11 MB of CSV (first kind, largest entry 614 digits), and a
+# series of order 300 reaches 300!, 615 digits.
+_MAX_ROWS = 300
 
 
 def _integer(text: str) -> int:
@@ -176,10 +187,10 @@ def _count(text: str) -> int:
     return value
 
 
-def _triangle_size(text: str) -> int:
+def _row_count(text: str) -> int:
     value = _count(text)
-    if value > _MAX_TRIANGLE_N:
-        raise ArgumentTypeError(f"must be <= {_MAX_TRIANGLE_N}, got {value}")
+    if value > _MAX_ROWS:
+        raise ArgumentTypeError(f"must be <= {_MAX_ROWS}, got {value}")
     return value
 
 
@@ -231,17 +242,19 @@ def _listed(values) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    parser = _Parser(prog="hlpoly", description=__doc__.splitlines()[0])
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="hlpoly",
+        description=__doc__.splitlines()[0],
+        epilog="@FILE anywhere in the arguments reads flags from FILE, one or more per line.",
+        fromfile_prefix_chars="@",
+    )
     parser.add_argument("--version", action="version", version=f"hlpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    subparsers: dict[str, _Parser] = {}
 
     def add(name: str, help_text: str, handler) -> _Parser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key/value JSON file mirroring flags")
         p.set_defaults(handler=handler)
-        subparsers[name] = p
         return p
 
     p = add("table", "sequence-family tables or Stirling triangles", _cmd_table)
@@ -252,7 +265,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--a", type=_rational, default="1", help="rational (default 1)")
     p.add_argument("--n-max", type=_count, default="8", help="last index (default 8)")
     p.add_argument(
-        "--max-n", type=_triangle_size, default="10", help="last triangle row (default 10)"
+        "--max-n", type=_row_count, default="10", help="last triangle row (default 10)"
     )
     p.add_argument(
         "--method",
@@ -264,7 +277,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add("series", "coefficients of a named kernel series", _cmd_series)
     p.add_argument("--kernel", choices=list(KERNEL_NAMES), required=True)
-    p.add_argument("--order", type=_count, required=True, help="truncation order")
+    p.add_argument(
+        "--order", type=_row_count, required=True, help=f"truncation order, <= {_MAX_ROWS}"
+    )
     p.add_argument(
         "--egf", action="store_true", help="print n!*c_n instead of c_n"
     )
@@ -323,74 +338,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     audit.add_argument("--format", choices=["text", "json"], default="text")
     scan.add_argument("--format", choices=["text", "csv", "json"], default="text")
 
-    return parser, subparsers
-
-
-def _parse_args(parser: _Parser, subparsers, argv: list[str]):
-    """Parse argv with the --config file's values spliced in as flags right
-    after the command, so that argparse checks them (choices, store_true,
-    required) as it checks flags, and flags given on the command line win."""
-    try:
-        args = parser.parse_args(argv)
-    except UsageError:
-        # A config file may supply the missing required flag: find the command
-        # and its config with nothing required. Without one, the error stands.
-        required = [a for p in subparsers.values() for a in p._actions if a.required]
-        for action in required:
-            action.required = False
-        try:
-            args = parser.parse_args(argv)
-        finally:
-            for action in required:
-                action.required = True
-        if not args.config:
-            raise
-    if not args.config:
-        return args
-    at = argv.index(args.command) + 1
-    flags = _config_flags(subparsers[args.command], args)
-    return parser.parse_args(argv[:at] + flags + argv[at:])
-
-
-def _config_flags(command_parser: _Parser, args) -> list[str]:
-    try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
-    except ValueError as exc:  # a JSONDecodeError, or an int past the int-to-str limit
-        raise UsageError(f"config file is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise UsageError("config file must hold a flat JSON object")
-    actions = {
-        action.dest: action
-        for action in command_parser._actions
-        if action.dest not in ("help", "config")
-    }
-    flags = []
-    for key, value in config.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise UsageError(f"unknown config key: {key!r}")
-        flag = action.option_strings[0]
-        if action.nargs == 0:  # store_true
-            if not isinstance(value, bool):
-                raise UsageError(f"config key {key!r} must be true or false")
-            flags += [flag] if value else []
-        elif isinstance(action, argparse._AppendAction):
-            # a command-line --pair replaces the file's pairs
-            if getattr(args, action.dest) is None:
-                items = value if isinstance(value, list) else [value]
-                flags += [f"{flag}={_config_text(item)}" for item in items]
-        else:
-            flags.append(f"{flag}={_config_text(value)}")
-    return flags
-
-
-def _config_text(value) -> str:
-    """A config value as the flag text it stands for; a list joins with commas.
-    The flag's type or choices then check the text."""
-    return ",".join(map(_config_text, value)) if isinstance(value, list) else str(value)
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +570,11 @@ def _write(output: Iterable[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = _build_parser()
     try:
-        args = _parse_args(parser, subparsers, argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except UnicodeError as exc:  # an argument file that is not text
+            raise UsageError(f"cannot read argument file: {exc}")
         try:
             code, output = args.handler(args)
         except SingularParameterError as exc:

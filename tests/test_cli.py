@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -553,118 +554,159 @@ def test_congruence_scan_hypothesis_on_every_row(capsys):
             assert verdict["hypothesis_ok"] in (True, False)
 
 
-# -- config file, usage, misc -------------------------------------------------
+# -- argument files, usage, misc ----------------------------------------------
+#
+# `@FILE` reads flags from FILE in place. The tests named for config files
+# predate argument files and now run them.
+
+
+def _argument_file(tmp_path, *lines) -> str:
+    path = tmp_path / "run.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps({"family": "cauchy1", "k": 1, "alpha": "1", "a": "1",
-                    "n_max": 3, "format": "csv"})
-    )
-    code, out, _ = run(capsys, "table", "--config", str(config))
+    at = _argument_file(tmp_path, "--family cauchy1", "--k 1 --alpha 1", "--a=1", "--n-max", "3")
+    code, out, _ = run(capsys, "table", at)
     assert code == 0
     assert out == "0,1\n1,1/2\n2,-1/6\n3,1/4\n"
 
-    # explicit flag wins over the config value
-    code, out, _ = run(capsys, "table", "--config", str(config), "--n-max", "1")
+    # a later single-valued flag wins over the file's
+    code, out, _ = run(capsys, "table", at, "--n-max", "1")
     assert code == 0
     assert out == "0,1\n1,1/2\n"
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"familly": "cauchy1"}))
-    code, _, err = run(capsys, "table", "--config", str(config))
-    assert code == 64
-    assert "unknown config key" in err
+    code, out, err = run(capsys, "table", _argument_file(tmp_path, "--familly cauchy1"))
+    assert (code, out) == (64, "")
+    assert err == "error: unrecognized arguments: --familly cauchy1\n"
 
 
-# Config values go through the same checks as flags; a usage error has no
-# stdout. `out` is a part of stdout on success.
-CONFIG_CASES = [
-    (["table"], {"family": "bogus"}, 64, None),
-    (["table"], {"family": "cauchy1", "method": "xyz"}, 64, None),
-    (["table"], {"family": "cauchy1", "format": "xml"}, 64, None),
-    (["table"], {"stirling": "3"}, 64, None),
-    (["table"], {"stirling": 1, "max_n": 3}, 0, "1\n0,1\n0,1,1\n0,2,3,1\n"),
-    (["series", "--kernel", "log1p", "--order", "2"], {"egf": "no"}, 64, None),
-    (["series", "--order", "3"], {"kernel": "log1p"}, 0, "0,0\n1,1\n2,-1/2\n3,1/3\n"),
-    (["congruence-scan"], {"family": "nope"}, 64, None),
-    (["table"], {"n_max": None, "family": "cauchy1"}, 64, None),
+# Flags read from an argument file go through the same checks as flags on
+# the command line; a usage error has no stdout. `config` holds the file's
+# lines, read right after the command, and `out_part` is a part of stdout on
+# success.
+ARGUMENT_FILE_CASES = [
+    (["table"], ["--family bogus"], 64, None),
+    (["table"], ["--family cauchy1", "--method xyz"], 64, None),
+    (["table"], ["--family cauchy1 --format xml"], 64, None),
+    (["table"], ["--stirling 3"], 64, None),
+    (["table"], ["--stirling 1", "--max-n 3"], 0, "1\n0,1\n0,1,1\n0,2,3,1\n"),
+    # a file holds flag text: a store_true flag takes no value
+    (["series", "--kernel", "log1p", "--order", "2"], ["--egf no"], 64, None),
+    # a required flag may come from the file
+    (["series", "--order", "3"], ["--kernel log1p"], 0, "0,0\n1,1\n2,-1/2\n3,1/3\n"),
+    (["congruence-scan"], ["--family nope"], 64, None),
+    (["table"], ["--n-max null", "--family cauchy1"], 64, None),
     (
         ["audit", "--n-max", "0", "--k-values", "1", "--pair", "1,1"],
-        {"identity": "thm2"},
+        ["--identity thm2"],
         0,
         "identity thm2: points=1 holds=1 ",
     ),
-    # a command-line --pair replaces the file's pairs
+    # a later single-valued flag wins over the file's
     (
         ["audit", "--identity", "thm1", "--n-max", "0", "--k-values", "1", "--pair", "1,2"],
-        {"pair": ["1,1", "2,1"]},
+        ["--n-max 5", "--k-values 1,2"],
         0,
         "identity thm1: points=1 holds=1 ",
     ),
-    # with no --pair on the command line the file's pairs are used
     (
         ["audit", "--identity", "thm1", "--n-max", "0", "--k-values", "1"],
-        {"pair": ["1,1", "2,1"]},
+        ["--pair 1,1", "--pair 2,1"],
         0,
         "identity thm1: points=2 holds=2 ",
     ),
     (
         ["audit", "--identity", "thm2", "--n-max", "0", "--pair", "1,1"],
-        {"k_values": [1, 2, 3]},
+        ["--k-values 1,2,3"],
         0,
         "identity thm2: points=3 holds=3 ",
     ),
-    (
-        ["series", "--kernel", "log1p", "--order", "3"],
-        {"egf": True},
-        0,
-        "0,0\n1,1\n2,-1\n3,2\n",
-    ),
-    (["congruence-scan", "--multipliers", "0"], {}, 64, None),
-    (["series", "--kernel", "log1p"], {"order": 2}, 0, "0,0\n1,1\n2,-1/2\n"),
-    (["table"], [{"family": "cauchy1"}], 64, None),
+    (["series", "--kernel", "log1p", "--order", "3"], ["--egf"], 0, "0,0\n1,1\n2,-1\n3,2\n"),
+    # an empty file adds nothing
+    (["congruence-scan", "--multipliers", "0"], [], 64, None),
+    (["series", "--kernel", "log1p"], ["--order 2"], 0, "0,0\n1,1\n2,-1/2\n"),
+    # a file holds flag text, not JSON
+    (["table"], ['[{"family": "cauchy1"}]'], 64, None),
     # the command's handler is a parser default, not a flag
-    (["series", "--kernel", "log1p", "--order", "1"], {"handler": "x"}, 64, None),
-    # a prefactor may be a two-item list: here the corrected EQ11 prefactor
+    (["series", "--kernel", "log1p", "--order", "1"], ["--handler x"], 64, None),
+    # the corrected EQ11 prefactor
     (
         ["audit", "--identity", "eq11", "--n-max", "3", "--k-values", "1", "--pair", "1,1"],
-        {"variant_prefactor": ["m+n", -1]},
+        ["--variant-prefactor m+n,-1"],
         0,
         "identity eq11 (variant prefactor: m+n,-1): points=4 holds=4 ",
     ),
-    # a repeated pair would repeat its rows; pairs compare as rationals
-    (["audit", "--identity", "eq9", "--pair", "1,1", "--pair", "1,1"], {}, 64, None),
-    (["congruence-scan"], {"pair": ["1,1", "2/2,2/2"]}, 64, None),
+    # a repeated pair would repeat its rows; pairs compare as rationals, and
+    # the file's pairs and the command line's are one list
+    (["audit", "--identity", "eq9", "--pair", "1,1"], ["--pair 2/2,2/2"], 64, None),
+    (["congruence-scan"], ["--pair 1,1", "--pair 2/2,2/2"], 64, None),
+    # --pair adds to the file's pairs
+    (
+        ["audit", "--identity", "thm1", "--n-max", "0", "--k-values", "1", "--pair", "1,2"],
+        ["--pair 1,1", "--pair 2,1"],
+        0,
+        "identity thm1: points=3 holds=3 ",
+    ),
+    # the command itself may come from the file
+    ([], ["series", "--kernel log1p", "--order 2"], 0, "0,0\n1,1\n2,-1/2\n"),
+    # blank lines are skipped
+    (["table"], ["", "--family cauchy1", "   ", "--n-max 1"], 0, "0,1\n1,1/2\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, config, code, out_part", CONFIG_CASES)
+@pytest.mark.parametrize("argv, config, code, out_part", ARGUMENT_FILE_CASES)
 def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config, code, out_part):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(config))
-    got, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+    at = _argument_file(tmp_path, *config)
+    got, out, err = run(capsys, *argv[:1], at, *argv[1:])
     assert got == code, err
     if out_part is None:
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert out_part in out
 
 
 def test_config_file_with_an_oversized_integer_is_usage_error(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text('{"family": ' + "7" * 5000 + "}")
-    code, out, err = run(capsys, "table", "--config", str(config))
+    at = _argument_file(tmp_path, "--stirling 1", "--max-n " + "7" * 5000)
+    code, out, err = run(capsys, "table", at)
     assert (code, out) == (64, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: argument --max-n: ") and err.count("\n") == 1
 
 
 def test_config_file_missing(capsys):
-    code, _, err = run(capsys, "table", "--config", "/nonexistent/run.json")
-    assert code == 64
+    code, out, err = run(capsys, "table", "@/nonexistent/run.args")
+    assert (code, out) == (64, "")
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent/run.args'\n"
+
+
+# A file that names itself would be read without end, and bytes that are not
+# text raise UnicodeDecodeError where argparse catches only OSError: each is
+# one usage error line.
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "error: [Errno 21] Is a directory: "),
+        ("@{self}\n", "error: an argument file may not name another file: '@"),
+        ("--n-max 2\n@{other}\n", "error: an argument file may not name another file: '@"),
+        (b"\xff\n", "error: "),
+    ],
+    ids=["directory", "self", "other", "bytes"],
+)
+def test_an_unreadable_argument_file_is_one_usage_error_line(tmp_path, capsys, content, message):
+    path, other = tmp_path / "run.args", tmp_path / "other.args"
+    other.write_text("--n-max 1\n")
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content.format(self=path, other=other))
+    code, out, err = run(capsys, "audit", "--identity", "thm1", f"@{path}")
+    assert (code, out) == (64, "")
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_no_command_is_usage_error(capsys):
@@ -684,10 +726,6 @@ INTERNAL_ERROR_ARGV = [
     pytest.param(
         ["table", "--family", "cauchy1", "--k", "5000", "--n-max", "3"],
         id="table-k5000",
-    ),
-    pytest.param(
-        ["series", "--kernel", "geom_1_over_1_plus_t", "--order", "1600", "--egf"],
-        id="series-egf-1600",
     ),
     pytest.param(
         [
@@ -779,8 +817,8 @@ TABLE = ["table", "--family", "cauchy1"]
 EQ9 = ["audit", "--identity", "eq9", "--n-max", "1", "--pair", "1,1", "--k-values", "1"]
 
 # (command argv, flag, bad value): every flag type, every GridSpec rule, the
-# triangle bound and the prefactor tokens, each given once as a flag and
-# once as a config value.
+# row bound and the prefactor tokens, each given once as a flag and once as
+# a line of an argument file.
 USAGE_ERRORS = [
     (TABLE, "k", "x"),
     (TABLE, "n-max", "-1"),
@@ -798,6 +836,10 @@ USAGE_ERRORS = [
     (["congruence-scan"], "primes", "2305843009213693951"),
     (["congruence-scan"], "multipliers", "0"),
     (["table", "--stirling", "1"], "max-n", "301"),
+    # 1599! is past the int-to-str limit, and order 20000 takes minutes: both
+    # are rejected before any work
+    (["series", "--kernel", "geom_1_over_1_plus_t", "--egf"], "order", "1600"),
+    (["series", "--kernel", "log1p"], "order", "20000"),
     # a repeated grid value would repeat its rows
     (["audit", "--identity", "thm1"], "k-values", "1,2,1"),
     (["congruence-scan"], "primes", "3,3"),
@@ -828,15 +870,15 @@ def _usage_error_id(argv, flag, value):
     return f"{argv[0]} --{flag}={shown}"
 
 
-@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+# The "config" ids, kept from the earlier JSON config files, read the value
+# from an argument file.
+@pytest.mark.parametrize("via_file", [False, True], ids=["flag", "config"])
 @pytest.mark.parametrize(
     "argv, flag, value", USAGE_ERRORS, ids=[_usage_error_id(*row) for row in USAGE_ERRORS]
 )
-def test_bad_input_is_one_usage_error_line(tmp_path, capsys, argv, flag, value, via_config):
-    if via_config:
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({flag: value}))
-        argv = [argv[0], "--config", str(path), *argv[1:]]
+def test_bad_input_is_one_usage_error_line(tmp_path, capsys, argv, flag, value, via_file):
+    if via_file:
+        argv = [argv[0], _argument_file(tmp_path, f"--{flag}={value}"), *argv[1:]]
     else:
         argv = [*argv, f"--{flag}={value}"]
     code, out, err = run(capsys, *argv)
@@ -853,3 +895,14 @@ def test_the_triangle_bound_is_300_rows(capsys, monkeypatch):
     code, out, err = run(capsys, "table", "--stirling", "2", "--max-n", "301")
     assert (code, out, built) == (64, "", [300])
     assert err == "error: argument --max-n: must be <= 300, got 301\n"
+
+
+def test_the_series_order_bound_is_300(capsys):
+    code, out, err = run(
+        capsys, "series", "--kernel", "geom_1_over_1_plus_t", "--order", "300", "--egf"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"300,{math.factorial(300)}"
+    code, out, err = run(capsys, "series", "--kernel", "log1p", "--order", "301")
+    assert (code, out) == (64, "")
+    assert err == "error: argument --order: must be <= 300, got 301\n"
