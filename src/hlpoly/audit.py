@@ -22,7 +22,9 @@ reproduces the same report, which the CLI renders to the same bytes.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -125,8 +127,8 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 # Row functions: the verdicts of one identity at one (k, alpha, a) point,
 # called as rows(label, family, params, grid, coefficients), `coefficients`
-# being the run's EQ9-EQ12 or THM8 coefficient store (None for the other
-# identities).
+# being the run's row store, row n at `coefficients(n)`: EQ9-EQ12's triangle
+# products or THM8's Stirling coefficients (None for the other identities).
 
 
 # Keys in canonical order: run_identity sorts rows by the point's values.
@@ -241,35 +243,25 @@ _DUALITY_SHAPE = {
 }
 
 
-def _duality_coefficients(label: str, prefactor):
-    """The coefficient store of one EQ9..EQ12 run: `coefficients(last)` gives
-    the rows n = 0..last of c_l = sum_{m=l..n} prefactor(n, m) T(n, m) T(m, l),
-    integers under the printed prefactor and Fractions under a rational one.
-
-    Rows are built once per run and only as far as some point asks, so the
-    prefactor is called once per (n, m) with T(n, m) != 0 and never past the
-    largest evaluable index of the grid. A `prefactor` other than None
-    substitutes the catalogued one for exploratory reruns; the check itself
-    never promotes any variant to "intended".
+def _product_rows(outer, inner, prefactor):
+    """A row store of two Stirling triangles' product: `store(n)` is row n,
+    l = 0..n, of c(n, l) = sum_{m=l..n} prefactor(n, m) outer(n, m) inner(m, l).
+    Each row is built once, on its first request, so the prefactor is called
+    once per (n, m) with outer(n, m) != 0 and only for rows someone asks for.
     """
-    _, _, triangle, printed = _DUALITY_SHAPE[label]
-    pf = prefactor if prefactor is not None else printed
-    rows: list[list] = []
 
-    def coefficients(last: int) -> list[list]:
-        for n in range(len(rows), last + 1):
-            weights = [0] * (n + 1)
-            for m in range(n + 1):
-                outer = triangle(n, m)
-                if outer == 0:
-                    continue
-                weight = pf(n, m) * outer
+    @functools.cache
+    def store(n: int) -> list:
+        row = [0] * (n + 1)
+        for m in range(n + 1):
+            outer_nm = outer(n, m)
+            if outer_nm:
+                weight = prefactor(n, m) * outer_nm
                 for l in range(m + 1):
-                    weights[l] += weight * triangle(m, l)
-            rows.append(weights)
-        return rows
+                    row[l] += weight * inner(m, l)
+        return row
 
-    return coefficients
+    return store
 
 
 def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
@@ -281,7 +273,7 @@ def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
         EQ12: ch_n = sum_{l,m<=n} (-1)^n     m! [n m] [m l] B_l
 
     The double sum is evaluated as sum_l c_l x_l over the summed family's
-    values x_l, with the c_l read from the run's `coefficients` store.
+    values x_l, with row n of the c_l read from the run's `coefficients` store.
     """
     lhs_family, summed_family, _, _ = _DUALITY_SHAPE[label]
 
@@ -289,8 +281,8 @@ def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
         lhs_nums, lhs_den = explicit_scaled(lhs_family, last, params)
         inner, inner_den = explicit_scaled(summed_family, last, params)
         rhs = [
-            Fraction(sum(w * x for w, x in zip(weights, inner)), inner_den)
-            for weights in coefficients(last)[: last + 1]
+            Fraction(sum(map(operator.mul, coefficients(n), inner)), inner_den)
+            for n in range(last + 1)
         ]
         return [Fraction(num, lhs_den) for num in lhs_nums], rhs
 
@@ -353,7 +345,8 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
 
 def _stirling_orthogonality(n_max: int) -> AuditReport:
     """sum_{m=l..n} T(n,m) U(m,l) (-1)^m = (-1)^n delta_{n,l} over the full
-    triangle 0 <= l <= n <= n_max, for both triangle orders:
+    triangle 0 <= l <= n <= n_max, for both triangle orders, the sums read
+    from the `_product_rows` store that EQ9..EQ12 read too:
 
         form first_second: T = [..], U = {..}
         form second_first: T = {..}, U = [..]
@@ -363,11 +356,9 @@ def _stirling_orthogonality(n_max: int) -> AuditReport:
         ("first_second", stirling1_unsigned, stirling2),
         ("second_first", stirling2, stirling1_unsigned),
     ):
+        rows = _product_rows(outer, inner, duality_prefactor("m", 0))
         for n in range(n_max + 1):
-            for l in range(n + 1):
-                total = sum(
-                    outer(n, m) * inner(m, l) * (-1) ** m for m in range(l, n + 1)
-                )
+            for l, total in enumerate(rows(n)):
                 expected = (-1) ** n if n == l else 0
                 point = {"form": form, "n": n, "l": l}
                 verdicts.append(_compare(point, Fraction(total), Fraction(expected)))
@@ -471,9 +462,9 @@ def run_identity(
     several identities that share one map share each point's weights and
     Stirling sums, and the first identity in catalogue order that needs them
     does the work: in per-identity timings, THM1 carries each family's sums.
-    Each EQ9..EQ12 and THM8 run builds its own coefficient rows, once for
-    all points, and no row outlives the run. Without a map, the run builds
-    its own `Params` too, so nothing it computes outlives it.
+    Each EQ9..EQ12 and THM8 run makes one row store for all its points,
+    `store(n)` being row n, and no row outlives the run. Without a map, the
+    run builds its own `Params` too, so nothing it computes outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -485,7 +476,8 @@ def run_identity(
     points = {} if points is None else points
     coefficients = None
     if rows is _duality_rows:
-        coefficients = _duality_coefficients(identity, prefactor)
+        _, _, triangle, printed = _DUALITY_SHAPE[identity]
+        coefficients = _product_rows(triangle, triangle, prefactor or printed)
     elif rows is _congruence_rows:
         coefficients = coefficient_rows(family)
     verdicts: list[Verdict] = []

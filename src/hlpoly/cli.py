@@ -169,7 +169,7 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
 
 # Output is built whole, so its rows are bounded before any work: a triangle of
 # 300 rows is about 11 MB of CSV (first kind, largest entry 614 digits), and a
-# series of order 300 reaches 300!, 615 digits.
+# series of order 300 reaches 300!, 615 digits. Family tables share the bound.
 _MAX_ROWS = 300
 
 
@@ -263,7 +263,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=_integer, default="1", help="integer exponent (default 1)")
     p.add_argument("--alpha", type=_alpha, default="1", help="rational, e.g. 1/2 (default 1)")
     p.add_argument("--a", type=_rational, default="1", help="rational (default 1)")
-    p.add_argument("--n-max", type=_count, default="8", help="last index (default 8)")
+    p.add_argument("--n-max", type=_row_count, default="8", help="last index (default 8)")
     p.add_argument(
         "--max-n", type=_row_count, default="10", help="last triangle row (default 10)"
     )
@@ -309,10 +309,9 @@ def _build_parser() -> _Parser:
     scan.add_argument("--family", choices=[f.value for f in Family] + ["all"], default="all")
     scan.add_argument("--k-values", type=_integers, default="1,2,3", help="comma list, k >= 1")
     pairs = " ".join(f"{format_rational(al)},{format_rational(a)}" for al, a in grid.pairs)
+    pair_help = f"ALPHA,A, repeatable; --pair=-1/2,2 for a negative alpha (default {pairs})"
     for p in (audit, scan):
-        p.add_argument(
-            "--pair", type=_pair, action="append", help=f"ALPHA,A, repeatable (default {pairs})"
-        )
+        p.add_argument("--pair", type=_pair, action="append", help=pair_help)
         p.add_argument(
             "--primes",
             type=_integers,

@@ -20,9 +20,10 @@ can audit the other.
 
 The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
 remembers those it has computed and the Stirling sums built from them; its
-fields (k, alpha, a) still fix its value. Single members read their
-coefficient rows from a `coefficient_rows` store, which callers may share
-across points. The series path builds its own weights and shares no memo.
+fields (k, alpha, a) still fix its value. Each Stirling sum dots the weights
+with a coefficient row read from a row store, a `functools.cache` over a row
+builder; callers may share a `coefficient_rows` store across points. The
+series path builds its own weights and shares no memo.
 
 The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
@@ -35,6 +36,7 @@ the audit layer's job.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -144,38 +146,29 @@ def _ensure_nonsingular(params: Params, m_max: int) -> None:
         ensure_nonsingular(params.alpha, params.a, m_max)
 
 
+def _row_store(coeff, reach: int = 0) -> Callable[[int], list[int]]:
+    """A row store: `rows(n)` is [coeff(n, m) for m = 0..n+reach], built on
+    its first request and kept as long as the store."""
+    return functools.cache(lambda n: [coeff(n, m) for m in range(n + reach + 1)])
+
+
 def coefficient_rows(family: Family) -> Callable[[int], list[int]]:
-    """A store of one family's Stirling coefficient rows: `rows(n)` is the
+    """A row store of one family's Stirling coefficients: `rows(n)` is the
     list of integer coefficients of 1/(alpha m + a)^k in member n, m = 0..n.
-
-    A row is built on its first request and kept as long as the store, so
-    the calls that share one store build each row once, whatever their
-    parameters; a row no call asks for is never built. The store reads the
-    family's coefficients when it is made, and nothing else keeps its rows.
+    Calls that share one store build each row once, whatever their parameters.
+    The store reads the family's coefficients when it is made.
     """
-    coeff = _STIRLING_COEFF[family]
-    built: dict[int, list[int]] = {}
-
-    def rows(n: int) -> list[int]:
-        if n not in built:
-            built[n] = [coeff(n, m) for m in range(n + 1)]
-        return built[n]
-
-    return rows
+    return _row_store(_STIRLING_COEFF[family])
 
 
-def _scaled_sums(coeff, first: int, last: int, params: Params, reach: int = 0):
-    """Integer sums S over the weights' common denominator D, for n = first..last:
+def _scaled_sums(rows, last: int, params: Params, reach: int = 0):
+    """Integer sums S over the weights' common denominator D, for n = 0..last:
 
-        S[n - first] / D = sum_{m=0..n+reach} coeff(n, m) / (alpha m + a)^k
+        S[n] / D = sum_{m=0..n+reach} rows(n)[m] / (alpha m + a)^k
     """
     _ensure_nonsingular(params, last + reach)
     weights, den = params.scaled_weights(last + reach)
-    sums = [
-        sum(coeff(n, m) * weights[m] for m in range(n + reach + 1))
-        for n in range(first, last + 1)
-    ]
-    return sums, den
+    return [sum(map(operator.mul, rows(n), weights)) for n in range(last + 1)], den
 
 
 def explicit_scaled(
@@ -187,7 +180,7 @@ def explicit_scaled(
     _check_index(n_max)
     key = (family, n_max)
     if key not in params._sums:
-        nums, den = _scaled_sums(_STIRLING_COEFF[family], 0, n_max, params)
+        nums, den = _scaled_sums(coefficient_rows(family), n_max, params)
         params._sums[key] = tuple(nums), den
     return params._sums[key]
 
@@ -199,11 +192,8 @@ def explicit_value(
     rows: Callable[[int], list[int]] | None = None,
 ) -> Fraction:
     """Stirling-sum value of one family member: the dot product of its
-    coefficient row with the weights of `params`.
-
-    `rows` is a store from `coefficient_rows(family)`; calls that share one,
-    at any parameters, build each row once. Without one, the call builds a
-    store of its own and drops it.
+    coefficient row with the weights of `params`, the row read from `rows`,
+    a `coefficient_rows(family)` store, or from a store made for this call.
     """
     _check_index(n)
     _ensure_nonsingular(params, n)
@@ -263,7 +253,7 @@ def deriv_coeffs_printed(family: Family, n_max: int, params: Params) -> list[Fra
     """
     _check_index(n_max)
     reach = 1 if family is Family.BERNOULLI else 0
-    nums, den = _scaled_sums(_DERIV_COEFF[family], 0, n_max, params, reach)
+    nums, den = _scaled_sums(_row_store(_DERIV_COEFF[family], reach), n_max, params, reach)
     return [Fraction(num, den) for num in nums]
 
 

@@ -108,6 +108,12 @@ def stirling1_unsigned_row(n: int) -> list[int]:
     return coeffs + [0] * (n + 1 - len(coeffs))
 
 
+def triangle_product(outer, inner, prefactor, n: int, l: int):
+    """sum_{m=l..n} prefactor(n, m) outer(n, m) inner(m, l) as the direct
+    triple sum, one term per m; the triangles are functions of (row, column)."""
+    return sum(prefactor(n, m) * outer(n, m) * inner(m, l) for m in range(l, n + 1))
+
+
 def family_closed_form(family: str, n: int, k: int, alpha, a) -> Fraction:
     """The family's Stirling-sum formula at index n, with both triangles
     taken from the recurrence-free helpers above and plain Fraction sums."""

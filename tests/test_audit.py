@@ -23,6 +23,7 @@ from hlpoly.audit import (
     Verdict,
     _congruence_rows,
     _derivative_rows,
+    _product_rows,
     _value_rows,
     duality_prefactor,
     exit_code,
@@ -30,7 +31,7 @@ from hlpoly.audit import (
 )
 from hlpoly.exact import mod_reduce
 from hlpoly.sequences import Family, Params, deriv_coeffs_oracle, explicit_value
-from hlpoly.stirling import stirling1_unsigned
+from hlpoly.stirling import stirling1_unsigned, stirling2
 
 import bruteforce
 
@@ -369,6 +370,27 @@ def test_the_coefficient_store_calls_each_prefactor_once_per_run():
     calls.clear()
     run_identity("EQ11", GridSpec(n_max=5, k_values=(1, 2), pairs=((1, -2),)), counted)
     assert calls == {(0, 0): 1, (1, 1): 1}
+
+
+# each package triangle with its recurrence-free reference from bruteforce
+TRIANGLES = {
+    "first": (stirling1_unsigned, lambda n, m: bruteforce.stirling1_unsigned_row(n)[m]),
+    "second": (stirling2, bruteforce.stirling2_explicit),
+}
+PRODUCTS = [("first", "second"), ("second", "first"), ("first", "first"), ("second", "second")]
+
+
+@pytest.mark.parametrize("outer, inner", PRODUCTS, ids=["-".join(p) for p in PRODUCTS])
+@pytest.mark.parametrize("exp, power", [("m", 0), ("m+n", -1)], ids=["m,0", "m+n,-1"])
+def test_product_rows_are_the_direct_triple_sum(outer, inner, exp, power):
+    # the store STIRLING_ORTHO and EQ9-EQ12 read, integer and Fraction rows,
+    # asked for from the last row down so that no row leans on an earlier one
+    prefactor = duality_prefactor(exp, power)
+    store = _product_rows(TRIANGLES[outer][0], TRIANGLES[inner][0], prefactor)
+    reference = TRIANGLES[outer][1], TRIANGLES[inner][1], prefactor
+    for n in reversed(range(13)):
+        expected = [bruteforce.triangle_product(*reference, n, l) for l in range(n + 1)]
+        assert store(n) == expected
 
 
 def test_congruence_consistent_with_exact_recomputation():

@@ -461,6 +461,13 @@ def test_audit_all_identities_present(capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["audit", "congruence-scan"])
+def test_pair_help_shows_how_to_write_a_negative_alpha(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--pair=-1/2,2" in " ".join(capsys.readouterr().out.split())
+
+
 def test_audit_thm8_without_positive_k_is_usage_error(capsys):
     code, out, err = run(capsys, "audit", "--identity", "thm8", "--k-values=-1,0")
     assert code == 64
@@ -836,6 +843,7 @@ USAGE_ERRORS = [
     (["congruence-scan"], "primes", "2305843009213693951"),
     (["congruence-scan"], "multipliers", "0"),
     (["table", "--stirling", "1"], "max-n", "301"),
+    (TABLE, "n-max", "301"),
     # 1599! is past the int-to-str limit, and order 20000 takes minutes: both
     # are rejected before any work
     (["series", "--kernel", "geom_1_over_1_plus_t", "--egf"], "order", "1600"),
