@@ -178,8 +178,25 @@ def _derivative_rows(label, family, params, grid, coefficients) -> list[Verdict]
     return _value_rows(params, grid.n_max, 1, sides)
 
 
-# THM4-THM6 and EQ9-EQ12 read each family's values once per grid point, up to
-# the last index where they are defined.
+# THM4-THM6 and EQ9-EQ12 apply Stirling rows to a family's values, read once
+# per grid point up to the last defined index, in `_transformed`. Their family
+# rules are table rows read at call time: `_COLLAPSE_SHAPE` and `_DUALITY_SHAPE`.
+
+
+def _transformed(rows, family, last, params) -> list[Fraction]:
+    """sum_m rows(n)[m] s_m for n = 0..last, s the family's Stirling-sum
+    values: row n of the row store `rows` dotted with their numerators."""
+    nums, den = explicit_scaled(family, last, params)
+    return [Fraction(sum(map(operator.mul, rows(n), nums)), den) for n in range(last + 1)]
+
+
+_COLLAPSE_SHAPE = {
+    # family -> (stirling triangle T, right-hand factor f) of
+    # sum_m T(n, m) s_m = f(n) / (alpha n + a)^k
+    Family.BERNOULLI: (stirling1_unsigned, math.factorial),
+    Family.CAUCHY1: (stirling2, lambda n: 1),
+    Family.CAUCHY2: (stirling2, lambda n: (-1) ** n),
+}
 
 
 def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
@@ -189,23 +206,12 @@ def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdi
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
     """
+    triangle, factor = _COLLAPSE_SHAPE[family]
 
     def sides(last):
-        nums, den = explicit_scaled(family, last, params)
-        weights, weight_den = params.scaled_weights(last)
-        lhs, rhs = [], []
-        for n in range(last + 1):
-            if family is Family.BERNOULLI:
-                total = sum(stirling1_unsigned(n, m) * nums[m] for m in range(n + 1))
-                value = math.factorial(n) * weights[n]
-            else:
-                total = sum(stirling2(n, m) * nums[m] for m in range(n + 1))
-                value = weights[n]
-                if family is Family.CAUCHY2:
-                    value = (-1) ** n * value
-            lhs.append(Fraction(total, den))
-            rhs.append(Fraction(value, weight_den))
-        return lhs, rhs
+        lhs = _transformed(lambda n: [triangle(n, m) for m in range(n + 1)], family, last, params)
+        weights, den = params.scaled_weights(last)
+        return lhs, [Fraction(factor(n) * weights[n], den) for n in range(last + 1)]
 
     return _value_rows(params, grid.n_max, 0, sides)
 
@@ -278,13 +284,8 @@ def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     lhs_family, summed_family, _, _ = _DUALITY_SHAPE[label]
 
     def sides(last):
-        lhs_nums, lhs_den = explicit_scaled(lhs_family, last, params)
-        inner, inner_den = explicit_scaled(summed_family, last, params)
-        rhs = [
-            Fraction(sum(map(operator.mul, coefficients(n), inner)), inner_den)
-            for n in range(last + 1)
-        ]
-        return [Fraction(num, lhs_den) for num in lhs_nums], rhs
+        lhs = explicit_sequence(lhs_family, last, params)
+        return lhs, _transformed(coefficients, summed_family, last, params)
 
     return _value_rows(params, grid.n_max, 0, sides)
 

@@ -180,15 +180,10 @@ def _integer(text: str) -> int:
         raise ArgumentTypeError(f"must be an integer, got {text!r}") from None
 
 
-def _count(text: str) -> int:
+def _row_count(text: str) -> int:
     value = _integer(text)
     if value < 0:
         raise ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _row_count(text: str) -> int:
-    value = _count(text)
     if value > _MAX_ROWS:
         raise ArgumentTypeError(f"must be <= {_MAX_ROWS}, got {value}")
     return value

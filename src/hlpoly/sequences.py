@@ -237,11 +237,12 @@ def _cauchy_deriv_coeff(n: int, m: int) -> int:
     return (-1) ** (n + m) * m * stirling1_unsigned(n, m)
 
 
-# (n, m) -> integer coefficient of 1/(alpha m + a)^k in the printed D_n
+# family -> ((n, m) -> integer coefficient of 1/(alpha m + a)^k in the printed
+# D_n, reach): D_n sums m = 0..n + reach
 _DERIV_COEFF = {
-    Family.BERNOULLI: lambda n, m: math.factorial(m) * stirling2(n, m - 1),
-    Family.CAUCHY1: _cauchy_deriv_coeff,
-    Family.CAUCHY2: _cauchy_deriv_coeff,
+    Family.BERNOULLI: (lambda n, m: math.factorial(m) * stirling2(n, m - 1), 1),
+    Family.CAUCHY1: (_cauchy_deriv_coeff, 0),
+    Family.CAUCHY2: (_cauchy_deriv_coeff, 0),
 }
 
 
@@ -252,8 +253,8 @@ def deriv_coeffs_printed(family: Family, n_max: int, params: Params) -> list[Fra
         bernoulli:       D_n = sum_{m=1..n+1} {n m-1} m! / (alpha m + a)^k
     """
     _check_index(n_max)
-    reach = 1 if family is Family.BERNOULLI else 0
-    nums, den = _scaled_sums(_row_store(_DERIV_COEFF[family], reach), n_max, params, reach)
+    coeff, reach = _DERIV_COEFF[family]
+    nums, den = _scaled_sums(_row_store(coeff, reach), n_max, params, reach)
     return [Fraction(num, den) for num in nums]
 
 

@@ -44,6 +44,17 @@ GOLDEN = [
         "c23d6166769adf34bf1c399f4b11dbea30ed49035717a82b40f45a9789550b31",
         id="congruence-scan-csv-deep",
     ),
+    # the default text format: the report renderer and its aligned tables
+    pytest.param(
+        ["audit", "--identity", "all"],
+        "b08a7613087931145c6efd710c3261011ce17d19795c61c0524c864ed2388202",
+        id="audit-all-text",
+    ),
+    pytest.param(
+        ["congruence-scan"],
+        "5ea599a5a923b4a07930f0d637d5abe77eaec05fb6d4c2c2c9f869943cec0151",
+        id="congruence-scan-text",
+    ),
 ]
 
 
@@ -57,7 +68,8 @@ def test_canonical_output_digest(capsys, argv, digest):
 
 # The series side of the CLI: every kernel to order 16, plain and EGF, and
 # both table methods (Stirling sum and generating function) for each family
-# at a negative and a positive k. These all exit 0.
+# at a negative and a positive k, then the default CSV format of a family
+# table and of a Stirling triangle. These all exit 0.
 SERIES_GOLDEN = [
     pytest.param(
         ["series", "--kernel", "one_minus_exp_neg", "--order", "16"],
@@ -166,6 +178,17 @@ SERIES_GOLDEN = [
         ],
         "afed229fe083de80264102de68a70fdf9a0564a78ab8ab4bf1bd209d95d70ee4",
         id="table-cauchy2-k3",
+    ),
+    pytest.param(
+        ["table", "--family", "cauchy1", "--k", "2", "--alpha", "1/2", "--n-max", "12",
+         "--method", "both"],
+        "e15969ad82db488d54303c19361ab7a99f0857598a76f4036dc4b317c12cb041",
+        id="table-cauchy1-csv",
+    ),
+    pytest.param(
+        ["table", "--stirling", "1", "--max-n", "12"],
+        "a4d98623260075b78b0f3840b377db4af9f4c2550528604e766975aa49789f2e",
+        id="table-stirling1-csv",
     ),
 ]
 

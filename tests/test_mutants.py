@@ -104,3 +104,12 @@ def test_one_duality_prefactor_fails_eq9(capsys, monkeypatch):
 
     shape = (lhs_family, summed_family, triangle, mutant)
     assert_caught(capsys, monkeypatch, "eq9", "EQ9", audit._DUALITY_SHAPE, "EQ9", shape)
+
+
+# THM4-THM6 read their rule from the table per point: without (-1)^n the odd
+# rows of THM6 fail
+def test_a_dropped_collapse_sign_fails_thm6(capsys, monkeypatch):
+    triangle, _ = audit._COLLAPSE_SHAPE[Family.CAUCHY2]
+    shape = (triangle, lambda n: 1)
+    table = audit._COLLAPSE_SHAPE
+    assert_caught(capsys, monkeypatch, "thm6", "THM6", table, Family.CAUCHY2, shape)
