@@ -36,6 +36,7 @@ from .sequences import (
     coefficient_rows,
     deriv_coeffs_oracle,
     deriv_coeffs_printed,
+    derivative_rows,
     explicit_scaled,
     explicit_sequence,
     explicit_value,
@@ -127,8 +128,10 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 # Row functions: the verdicts of one identity at one (k, alpha, a) point,
 # called as rows(label, family, params, grid, coefficients), `coefficients`
-# being the run's row store, row n at `coefficients(n)`: EQ9-EQ12's triangle
-# products or THM8's Stirling coefficients (None for the other identities).
+# being the run's row store, row n at `coefficients(n)`, which run_identity
+# makes from `_RUN_ROWS`: the family's Stirling coefficients for THM1-THM3
+# and THM8, its printed derivative coefficients for THM9-THM11, the collapse
+# triangle for THM4-THM6 and the triangle products for EQ9-EQ12.
 
 
 # Keys in canonical order: run_identity sorts rows by the point's values.
@@ -162,7 +165,8 @@ def _explicit_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     """Stirling-sum path vs generating-function path, index by index."""
 
     def sides(last):
-        return explicit_sequence(family, last, params), oracle_sequence(family, last, params)
+        lhs = explicit_sequence(family, last, params, coefficients)
+        return lhs, oracle_sequence(family, last, params)
 
     return _value_rows(params, grid.n_max, 0, sides)
 
@@ -172,7 +176,7 @@ def _derivative_rows(label, family, params, grid, coefficients) -> list[Verdict]
     index. FAILS rows carry the (printed, series) pair as lhs/rhs witness."""
 
     def sides(last):
-        printed = deriv_coeffs_printed(family, last, params)
+        printed = deriv_coeffs_printed(family, last, params, coefficients)
         return printed, deriv_coeffs_oracle(family, last, params)
 
     return _value_rows(params, grid.n_max, 1, sides)
@@ -180,7 +184,8 @@ def _derivative_rows(label, family, params, grid, coefficients) -> list[Verdict]
 
 # THM4-THM6 and EQ9-EQ12 apply Stirling rows to a family's values, read once
 # per grid point up to the last defined index, in `_transformed`. Their family
-# rules are table rows read at call time: `_COLLAPSE_SHAPE` and `_DUALITY_SHAPE`.
+# rules are table rows read when a run starts (the triangles and prefactors) or
+# per point (the collapse factor): `_COLLAPSE_SHAPE` and `_DUALITY_SHAPE`.
 
 
 def _transformed(rows, family, last, params) -> list[Fraction]:
@@ -199,17 +204,26 @@ _COLLAPSE_SHAPE = {
 }
 
 
+def _collapse_rows(family: Family):
+    """A row store of the triangle of `family`'s collapse: `store(n)` is
+    [T(n, m) for m = 0..n], built on its first request."""
+    triangle, _ = _COLLAPSE_SHAPE[family]
+    return functools.cache(lambda n: [triangle(n, m) for m in range(n + 1)])
+
+
 def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     """One family's Stirling-transform collapse at n = 0..n_max:
 
         bernoulli: sum_m [n m] B_m  = n! / (alpha n + a)^k
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
+
+    The triangle rows T(n, m) come from the run's `coefficients` store.
     """
-    triangle, factor = _COLLAPSE_SHAPE[family]
+    _, factor = _COLLAPSE_SHAPE[family]
 
     def sides(last):
-        lhs = _transformed(lambda n: [triangle(n, m) for m in range(n + 1)], family, last, params)
+        lhs = _transformed(coefficients, family, last, params)
         weights, den = params.scaled_weights(last)
         return lhs, [Fraction(factor(n) * weights[n], den) for n in range(last + 1)]
 
@@ -445,6 +459,16 @@ CATALOGUE = {
     "STIRLING_ORTHO": ("stirling-ortho", None, None),
 }
 
+# row function -> the maker of the row store that one run shares across its
+# points, given the run's family; EQ9..EQ12's store of triangle products also
+# depends on the prefactor, so run_identity makes it from `_DUALITY_SHAPE`
+_RUN_ROWS = {
+    _explicit_rows: coefficient_rows,
+    _orthogonality_rows: _collapse_rows,
+    _congruence_rows: coefficient_rows,
+    _derivative_rows: derivative_rows,
+}
+
 
 def run_identity(
     identity: str,
@@ -460,12 +484,14 @@ def run_identity(
     `grid.stirling_n_max` rows.
 
     `points` maps (k, alpha, a) to the `Params` of that grid point. Runs of
-    several identities that share one map share each point's weights and
-    Stirling sums, and the first identity in catalogue order that needs them
-    does the work: in per-identity timings, THM1 carries each family's sums.
-    Each EQ9..EQ12 and THM8 run makes one row store for all its points,
-    `store(n)` being row n, and no row outlives the run. Without a map, the
-    run builds its own `Params` too, so nothing it computes outlives it.
+    several identities that share one map share each point's weights,
+    Stirling sums and composed series, and the first identity in catalogue
+    order that needs them does the work: in per-identity timings, THM1-THM3
+    carry each family's sums and its one series composition, which
+    THM9-THM11 then read. Each run makes one row store for all its
+    points, `store(n)` being row n, and no row outlives the run. Without a
+    map, the run builds its own `Params` too, so nothing it computes
+    outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -475,12 +501,11 @@ def run_identity(
     if rows is None:
         return _stirling_orthogonality(grid.stirling_n_max)
     points = {} if points is None else points
-    coefficients = None
     if rows is _duality_rows:
         _, _, triangle, printed = _DUALITY_SHAPE[identity]
         coefficients = _product_rows(triangle, triangle, prefactor or printed)
-    elif rows is _congruence_rows:
-        coefficients = coefficient_rows(family)
+    else:
+        coefficients = _RUN_ROWS[rows](family)
     verdicts: list[Verdict] = []
     for alpha, a in grid.pairs:
         for k in grid.k_values:

@@ -22,8 +22,12 @@ The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
 remembers those it has computed and the Stirling sums built from them; its
 fields (k, alpha, a) still fix its value. Each Stirling sum dots the weights
 with a coefficient row read from a row store, a `functools.cache` over a row
-builder; callers may share a `coefficient_rows` store across points. The
-series path builds its own weights and shares no memo.
+builder; callers may share a `coefficient_rows` or `derivative_rows` store
+across points. The series path builds its own weights. It keeps its own memo
+on `Params` too, apart from the Stirling path's: each family's composed
+series, one order past the highest asked for where alpha*m + a allows it,
+which a request at or below its order reads as it is. The Stirling path
+never reads it.
 
 The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
@@ -54,6 +58,7 @@ __all__ = [
     "coefficient_rows",
     "deriv_coeffs_oracle",
     "deriv_coeffs_printed",
+    "derivative_rows",
     "explicit_scaled",
     "explicit_sequence",
     "explicit_value",
@@ -79,7 +84,9 @@ class Params:
 
     A Params remembers the weights 1/(alpha*m + a)^k it has computed and the
     sums `explicit_scaled` has returned, so the Stirling-sum functions given
-    one instance build each weight and each family's sums once. It computes
+    one instance build each weight and each family's sums once. Apart from
+    those it keeps each family's composed generating function, so that
+    `oracle_sequence` and `deriv_coeffs_oracle` compose it once. It computes
     the root -a/alpha once, on construction, so `singular_index` is a
     comparison. None of this is a field: (k, alpha, a) alone fix equality,
     hash and repr, and `dataclasses.replace` starts an empty memo.
@@ -98,13 +105,15 @@ class Params:
         # there is none. The weights computed so far are (numerator,
         # denominator) of 1/(alpha*m + a)^k for m = 0, 1, ..., and _lcms[m + 1]
         # the lcm of the denominators 0..m (_lcms[0] == 1). _sums maps
-        # (family, n_max) to what explicit_scaled returned for it.
+        # (family, n_max) to what explicit_scaled returned for it, and
+        # _series a family to its series as _family_series last composed it.
         root = -self.a / self.alpha
         root = int(root) if root.denominator == 1 and root >= 0 else None
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_weights", [])
         object.__setattr__(self, "_lcms", [1])
         object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_series", {})
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
@@ -172,15 +181,20 @@ def _scaled_sums(rows, last: int, params: Params, reach: int = 0):
 
 
 def explicit_scaled(
-    family: Family, n_max: int, params: Params
+    family: Family,
+    n_max: int,
+    params: Params,
+    rows: Callable[[int], list[int]] | None = None,
 ) -> tuple[tuple[int, ...], int]:
     """Stirling-sum values 0..n_max as integer numerators over one common
     denominator D: value n is num[n] / D, not reduced. `params` keeps the
-    result, so each (family, n_max) is summed once per instance."""
+    result, so each (family, n_max) is summed once per instance. The rows
+    come from `rows`, a `coefficient_rows(family)` store, or from a store
+    made for this call."""
     _check_index(n_max)
     key = (family, n_max)
     if key not in params._sums:
-        nums, den = _scaled_sums(coefficient_rows(family), n_max, params)
+        nums, den = _scaled_sums(rows or coefficient_rows(family), n_max, params)
         params._sums[key] = tuple(nums), den
     return params._sums[key]
 
@@ -203,8 +217,13 @@ def explicit_value(
     return Fraction(sum(map(operator.mul, rows(n), weights)), den)
 
 
-def explicit_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:
-    nums, den = explicit_scaled(family, n_max, params)
+def explicit_sequence(
+    family: Family,
+    n_max: int,
+    params: Params,
+    rows: Callable[[int], list[int]] | None = None,
+) -> list[Fraction]:
+    nums, den = explicit_scaled(family, n_max, params, rows)
     return [Fraction(num, den) for num in nums]
 
 
@@ -217,8 +236,23 @@ _SERIES_FOR = {
 
 
 def _family_series(family: Family, order: int, params: Params) -> PowerSeries:
-    name, compose = _SERIES_FOR[family]
-    return compose(kernel(name, order), params.k, params.alpha, params.a)
+    """The family's generating function to order `order` or beyond, kept on
+    `params`; its coefficients up to `order` are exact whatever its order,
+    since term m of the composition starts at t^m.
+
+    A new composition goes one order further than asked, unless alpha*m + a
+    vanishes there, so that the derivative coefficients at the same point
+    reuse what the values composed. A request at or below the kept order
+    returns the kept series.
+    """
+    kept = params._series.get(family)
+    if kept is None or kept.order < order:
+        name, compose = _SERIES_FOR[family]
+        top = order + 1 if params.singular_index(order + 1) is None else order
+        kept = params._series[family] = compose(
+            kernel(name, top), params.k, params.alpha, params.a
+        )
+    return kept
 
 
 def oracle_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:
@@ -246,15 +280,31 @@ _DERIV_COEFF = {
 }
 
 
-def deriv_coeffs_printed(family: Family, n_max: int, params: Params) -> list[Fraction]:
+def derivative_rows(family: Family) -> Callable[[int], list[int]]:
+    """A row store of one family's printed derivative coefficients: `rows(n)`
+    is the list of integer coefficients of 1/(alpha m + a)^k in D_n, m = 0..n
+    for the cauchy families and 0..n+1 for bernoulli. It reads the family's
+    coefficients when it is made, as `coefficient_rows` does."""
+    return _row_store(*_DERIV_COEFF[family])
+
+
+def deriv_coeffs_printed(
+    family: Family,
+    n_max: int,
+    params: Params,
+    rows: Callable[[int], list[int]] | None = None,
+) -> list[Fraction]:
     """The closed-form derivative coefficients, evaluated exactly as written:
 
         cauchy1/cauchy2: D_n = sum_{m=1..n}   [n m] m (-1)^(n+m) / (alpha m + a)^k
         bernoulli:       D_n = sum_{m=1..n+1} {n m-1} m! / (alpha m + a)^k
+
+    The rows come from `rows`, a `derivative_rows(family)` store, or from a
+    store made for this call.
     """
     _check_index(n_max)
-    coeff, reach = _DERIV_COEFF[family]
-    nums, den = _scaled_sums(_row_store(coeff, reach), n_max, params, reach)
+    _, reach = _DERIV_COEFF[family]
+    nums, den = _scaled_sums(rows or derivative_rows(family), n_max, params, reach)
     return [Fraction(num, den) for num in nums]
 
 
@@ -271,7 +321,7 @@ def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Frac
     if family is Family.BERNOULLI:
         prefactor_inverse = kernel("exp_pos", n_max)
     else:
-        # 1 + t has EGF values 1, 1, 0, ...; the product truncates at dg's order
+        # 1 + t has EGF values 1, 1, 0, ...; a product keeps its smaller order
         prefactor_inverse = PowerSeries((1, 1) + (0,) * (n_max - 1))
     product = prefactor_inverse * dg
     return [egf_coeff(product, n) for n in range(n_max + 1)]

@@ -44,6 +44,24 @@ GOLDEN = [
         "c23d6166769adf34bf1c399f4b11dbea30ed49035717a82b40f45a9789550b31",
         id="congruence-scan-csv-deep",
     ),
+    # the boundaries of the one series composition per family and point:
+    # alpha*m + a vanishes at m = n_max + 1 = 7, then at m = n_max = 6
+    pytest.param(
+        [
+            "audit", "--identity", "all", "--format", "json", "--pair", "1,-7",
+            "--k-values", "1", "--n-max", "6",
+        ],
+        "b5e38f009b97bd1a73448e8a80b28a3dc236e010f654418271ada01a4cc2103d",
+        id="audit-all-json-singular-past-n-max",
+    ),
+    pytest.param(
+        [
+            "audit", "--identity", "all", "--format", "json", "--pair", "1,-6",
+            "--pair", "1/2,-3", "--k-values=-1,2", "--n-max", "6",
+        ],
+        "21fee1249849d4db581b7186ad0cf50c3dab05e7ba8d8a55b21c2bed398f3dec",
+        id="audit-all-json-singular-at-n-max",
+    ),
     # the default text format: the report renderer and its aligned tables
     pytest.param(
         ["audit", "--identity", "all"],

@@ -8,7 +8,8 @@ invariant by behaviour, as tests/test_independence.py checks it by imports.
 Each mutant runs after a warm-up audit of the unpatched code, so that a
 table keyed too coarsely would serve the unpatched values and hide it: the
 kernel powers keyed by kernel name, a point's Stirling sums kept past its
-command, or EQ9-EQ12 or THM8 coefficient rows that outlive their run. After
+command, or coefficient rows (THM8's, THM9-THM11's derivative rows, EQ9-EQ12's
+triangle products) that outlive their run. After
 the patch is undone, the audit holds again: no cache kept the mutant either.
 """
 
@@ -82,6 +83,25 @@ def test_a_sign_in_a_stirling_coefficient_changes_the_congruence_scan(
     assert scan() == clean
 
 
+def test_a_sign_in_a_derivative_coefficient_changes_thm11(capsys, monkeypatch):
+    # THM11 fails on most grids, so the check compares the report bytes: a
+    # derivative row store that outlived its run would keep them
+    def thm11() -> str:
+        main(["audit", "--identity", "thm11", "--format", "json", *GRID])
+        return capsys.readouterr().out
+
+    clean = thm11()
+    coeff, reach = sequences._DERIV_COEFF[Family.BERNOULLI]
+
+    def mutant(n, m):
+        return -coeff(n, m) if m == 1 else coeff(n, m)
+
+    monkeypatch.setitem(sequences._DERIV_COEFF, Family.BERNOULLI, (mutant, reach))
+    assert thm11() != clean
+    monkeypatch.undo()
+    assert thm11() == clean
+
+
 # each composed kernel, and the identity whose series side it feeds
 KERNELS = [("one_minus_exp_neg", "THM1"), ("log1p", "THM2"), ("neg_log1p", "THM3")]
 
@@ -113,3 +133,15 @@ def test_a_dropped_collapse_sign_fails_thm6(capsys, monkeypatch):
     shape = (triangle, lambda n: 1)
     table = audit._COLLAPSE_SHAPE
     assert_caught(capsys, monkeypatch, "thm6", "THM6", table, Family.CAUCHY2, shape)
+
+
+# THM4-THM6 read their triangle when a run starts: a triangle row store that
+# outlived its run would keep the unpatched rows
+def test_a_sign_in_a_collapse_triangle_fails_thm4(capsys, monkeypatch):
+    triangle, factor = audit._COLLAPSE_SHAPE[Family.BERNOULLI]
+
+    def mutant(n, m):
+        return -triangle(n, m) if m == 1 else triangle(n, m)
+
+    table = audit._COLLAPSE_SHAPE
+    assert_caught(capsys, monkeypatch, "thm4", "THM4", table, Family.BERNOULLI, (mutant, factor))

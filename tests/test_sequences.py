@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlpoly import exact, sequences
+from hlpoly.cli import main
 from hlpoly.exact import SingularParameterError, ensure_nonsingular
 from hlpoly.sequences import (
     FAMILIES,
@@ -15,6 +18,7 @@ from hlpoly.sequences import (
     coefficient_rows,
     deriv_coeffs_oracle,
     deriv_coeffs_printed,
+    derivative_rows,
     explicit_scaled,
     explicit_sequence,
     explicit_value,
@@ -330,6 +334,76 @@ def test_classical_specialization():
             )
 
 
+# -- one series composition per family and point -----------------------------
+
+
+def _outcome(function, family, n, params):
+    try:
+        return function(family, n, params)
+    except SingularParameterError:
+        return SingularParameterError
+
+
+# a regular pair, then alpha*m + a vanishing at m = 6 and at m = 4
+SERIES_PAIRS = [(1, 1), (1, -6), (Fraction(1, 2), -3), (1, -4)]
+
+
+@pytest.mark.parametrize("alpha, a", SERIES_PAIRS, ids=["1,1", "1,-6", "1/2,-3", "1,-4"])
+@pytest.mark.parametrize("family", FAMILIES, ids=[family.value for family in FAMILIES])
+def test_the_kept_series_gives_the_values_of_a_fresh_one(family, alpha, a):
+    # for n, m up to 6 and both call orders on one Params, each call returns
+    # what it returns on a fresh Params, SingularParameterError included:
+    # s = n + 1 and s <= n both occur at every singular pair
+    fresh = {
+        (function, n): _outcome(function, family, n, Params(2, alpha, a))
+        for function in (oracle_sequence, deriv_coeffs_oracle)
+        for n in range(7)
+    }
+    for n, m in itertools.product(range(7), repeat=2):
+        calls = [(oracle_sequence, n), (deriv_coeffs_oracle, m)]
+        for order in (calls, calls[::-1]):
+            shared = Params(2, alpha, a)
+            for function, index in order:
+                assert _outcome(function, family, index, shared) == fresh[function, index]
+
+
+def test_an_audit_composes_each_family_once_per_point(monkeypatch):
+    # the audit_deep grid: 9 points, values and derivative coefficients of
+    # every family; bernoulli composes through phi_apply, the cauchy families
+    # through phif_apply
+    calls = collections.Counter()
+    for family, (name, compose) in list(sequences._SERIES_FOR.items()):
+
+        def counted(*args, compose=compose):
+            calls[compose.__name__] += 1
+            return compose(*args)
+
+        monkeypatch.setitem(sequences._SERIES_FOR, family, (name, counted))
+    argv = ["audit", "--identity", "all", "--format", "json", "--n-max", "24",
+            "--pair", "1,1", "--pair", "1/2,1", "--pair", "3,1/3", "--k-values=-2,1,3"]
+    assert main(argv) == 1
+    assert calls == {"phi_apply": 9, "phif_apply": 18}
+
+
+def _names(code) -> set[str]:
+    """The global and attribute names a function's code reads, its nested
+    code (comprehensions, lambdas) included."""
+    nested = (const for const in code.co_consts if hasattr(const, "co_names"))
+    return set(code.co_names).union(*map(_names, nested))
+
+
+def test_the_series_memo_and_the_stirling_memos_stay_apart():
+    stirling_memos = {"_sums", "_weights", "scaled_weights", "_scaled_sums"}
+    assert not stirling_memos & _names(sequences._family_series.__code__)
+    for function in (
+        sequences._scaled_sums,
+        explicit_scaled,
+        explicit_value,
+        deriv_coeffs_printed,
+    ):
+        assert "_series" not in _names(function.__code__), function.__name__
+
+
 # -- derivative coefficients --------------------------------------------------
 
 
@@ -402,6 +476,17 @@ def test_deriv_printed_is_what_it_says():
         )
     assert deriv_coeffs_printed(Family.CAUCHY1, n, params)[n] == expected
     assert deriv_coeffs_printed(Family.CAUCHY2, n, params)[n] == expected
+
+
+def test_a_shared_derivative_row_store_gives_the_values_of_a_fresh_one():
+    # one store per family across points and last indices, as a THM9-THM11
+    # run shares it
+    for family in FAMILIES:
+        rows = derivative_rows(family)
+        for params in SMALL_GRID:
+            for n_max in (6, 3, 8):
+                shared = deriv_coeffs_printed(family, n_max, params, rows)
+                assert shared == deriv_coeffs_printed(family, n_max, params)
 
 
 def test_deriv_validity_range():
