@@ -308,10 +308,19 @@ def _hypothesis_flags(params: Params, p: int) -> dict:
     """Whether alpha*m + a is invertible mod p for every m, as the verdict
     fields, with the first m where it is not. m = 0..p-1 decides it: if p
     divides neither denominator the residue has period p in m, and if p
-    divides one, m = 0 or m = 1 is already not invertible."""
+    divides one, m = 0 or m = 1 is already not invertible.
+
+    With alpha = P/Q and a = R/S, alpha*m + a = (P S m + R Q) / (Q S), and p
+    is tested against that numerator and denominator once divided by their
+    gcd, the reduced ones, in integers."""
+    alpha, a = params.alpha, params.a
+    slope = alpha.numerator * a.denominator
+    offset = a.numerator * alpha.denominator
+    den = alpha.denominator * a.denominator
     for m in range(p):
-        value = params.alpha * m + params.a
-        if value.numerator % p == 0 or value.denominator % p == 0:
+        num = slope * m + offset
+        common = math.gcd(num, den)
+        if num // common % p == 0 or den // common % p == 0:
             note = f"alpha*m + a not invertible mod {p} at m = {m}"
             return {"hypothesis_ok": False, "hypothesis_note": note}
     return {"hypothesis_ok": True, "hypothesis_note": None}
@@ -323,38 +332,47 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
     Congruences are stated for k >= 1 only; other k give no rows. Both
     sequence values are computed exactly, from the Stirling coefficient rows
     of the run's `coefficients` store (`sequences.coefficient_rows`), which
-    every point of the run shares, and then reduced mod p. A point is
-    UNDEFINED, never a pass or a fail, when p divides alpha (the standing
-    assumption fails) or a denominator (the congruence is not evaluable).
-    Every verdict also records whether (alpha*m + a) stays invertible mod p,
-    the assumption under which the congruence is claimed, with one flag per
-    prime for all multipliers. The flag is reported, never used to suppress
-    a result.
+    every point of the run shares, and then reduced mod p. The point's weight
+    prefix is sized once, to the largest evaluable n*p, so every value reads
+    the same weights over one denominator. A point is UNDEFINED, never a pass
+    or a fail, when p divides alpha (the standing assumption fails), alpha*m
+    + a vanishes at an m <= n*p, or p divides a denominator (the congruence
+    is not evaluable). Every verdict also records whether (alpha*m + a) stays
+    invertible mod p, the assumption under which the congruence is claimed,
+    with one flag per prime for all multipliers. The flag is reported, never
+    used to suppress a result.
     """
     if params.k < 1:
         return []
     flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
+    # (n, p) -> why s_{n*p} is not computed, or None where it is
+    reasons = {
+        (n, p): P_DIVIDES_ALPHA if params.alpha.numerator % p == 0
+        else SINGULAR_PARAMETER if params.singular_index(n * p) is not None
+        else None
+        for n in grid.multipliers
+        for p in grid.primes
+    }
+    # the largest evaluable index sizes the point's weight prefix, once
+    params.scaled_weights(max((n * p for (n, p), why in reasons.items() if not why), default=-1))
     verdicts = []
-    for n in grid.multipliers:
-        for p in grid.primes:
-            point = {**_params_point(params, n), "p": p}
-            if params.alpha.numerator % p == 0:
-                verdicts.append(_undefined(point, P_DIVIDES_ALPHA, **flags[p]))
-            elif params.singular_index(n * p) is not None:
-                verdicts.append(_undefined(point, SINGULAR_PARAMETER, **flags[p]))
-            else:
-                lhs = explicit_value(family, n * p, params, rows=coefficients)
-                rhs = explicit_value(family, 0, params, rows=coefficients)
-                try:
-                    residues = mod_reduce(lhs, p), mod_reduce(rhs, p)
-                except NonreducibleDenominatorError:
-                    verdicts.append(
-                        _undefined(
-                            point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags[p]
-                        )
+    for (n, p), why in reasons.items():
+        point = {**_params_point(params, n), "p": p}
+        if why:
+            verdicts.append(_undefined(point, why, **flags[p]))
+        else:
+            lhs = explicit_value(family, n * p, params, rows=coefficients)
+            rhs = explicit_value(family, 0, params, rows=coefficients)
+            try:
+                residues = mod_reduce(lhs, p), mod_reduce(rhs, p)
+            except NonreducibleDenominatorError:
+                verdicts.append(
+                    _undefined(
+                        point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags[p]
                     )
-                else:
-                    verdicts.append(_compare(point, *residues, **flags[p]))
+                )
+            else:
+                verdicts.append(_compare(point, *residues, **flags[p]))
     return verdicts
 
 

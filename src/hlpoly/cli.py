@@ -341,12 +341,16 @@ def _build_parser() -> _Parser:
 
 
 def _cell(value) -> str:
+    # exact types, the most frequent first; a subclass falls through to str()
+    kind = type(value)
+    if kind is Fraction:
+        return format_rational(value)
+    if kind is int or kind is str:
+        return str(value)
     if value is None:
         return "-"
-    if isinstance(value, bool):
+    if kind is bool:
         return "yes" if value else "no"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     return str(value)
 
 

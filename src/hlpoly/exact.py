@@ -34,14 +34,21 @@ class NonreducibleDenominatorError(ArithmeticError):
 
     This is a first-class outcome, not a bug: a congruence probed at such a
     value is simply not evaluable there, and callers report that fact.
+
+    `args` is (value, modulus). The message is built by `__str__`, so a
+    caller that catches the error without printing it never renders a value
+    that may be large.
     """
 
     def __init__(self, value: Fraction, modulus: int):
+        super().__init__(value, modulus)
         self.value = value
         self.modulus = modulus
-        super().__init__(
-            f"{format_rational(value)} has no residue mod {modulus}: "
-            f"denominator {value.denominator} is divisible by {modulus}"
+
+    def __str__(self) -> str:
+        return (
+            f"{format_rational(self.value)} has no residue mod {self.modulus}: "
+            f"denominator {self.value.denominator} is divisible by {self.modulus}"
         )
 
 
@@ -117,7 +124,8 @@ def mod_reduce(value: Fraction | int, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator % p == 0:
         raise NonreducibleDenominatorError(value, p)
     inv = pow(value.denominator % p, -1, p)

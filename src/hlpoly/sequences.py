@@ -19,15 +19,15 @@ The two paths never share code beyond basic rational arithmetic, so either
 can audit the other.
 
 The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
-remembers those it has computed and the Stirling sums built from them; its
-fields (k, alpha, a) still fix its value. Each Stirling sum dots the weights
-with a coefficient row read from a row store, a `functools.cache` over a row
-builder; callers may share a `coefficient_rows` or `derivative_rows` store
-across points. The series path builds its own weights. It keeps its own memo
-on `Params` too, apart from the Stirling path's: each family's composed
-series, one order past the highest asked for where alpha*m + a allows it,
-which a request at or below its order reads as it is. The Stirling path
-never reads it.
+remembers those it has computed, as one prefix over one denominator, and the
+Stirling sums built from them; its fields (k, alpha, a) still fix its value.
+Each Stirling sum dots the weights with a coefficient row read from a row
+store, a `functools.cache` over a row builder; callers may share a
+`coefficient_rows` or `derivative_rows` store across points. The series
+path builds its own weights. It keeps its own memo on `Params` too, apart
+from the Stirling path's: each family's composed series, one order past the
+highest asked for where alpha*m + a allows it, which a request at or below
+its order reads as it is. The Stirling path never reads it.
 
 The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
@@ -82,14 +82,15 @@ class Params:
     alpha*m + a must stay nonzero over whichever index range a computation
     touches; that is checked per call against the largest m actually used.
 
-    A Params remembers the weights 1/(alpha*m + a)^k it has computed and the
-    sums `explicit_scaled` has returned, so the Stirling-sum functions given
-    one instance build each weight and each family's sums once. Apart from
-    those it keeps each family's composed generating function, so that
-    `oracle_sequence` and `deriv_coeffs_oracle` compose it once. It computes
-    the root -a/alpha once, on construction, so `singular_index` is a
-    comparison. None of this is a field: (k, alpha, a) alone fix equality,
-    hash and repr, and `dataclasses.replace` starts an empty memo.
+    A Params remembers the weights 1/(alpha*m + a)^k it has computed, as one
+    prefix over one denominator, and the sums `explicit_scaled` has returned,
+    so the Stirling-sum functions given one instance build each weight and
+    each family's sums once. Apart from those it keeps each family's
+    composed generating function, so that `oracle_sequence` and
+    `deriv_coeffs_oracle` compose it once. It computes the root -a/alpha
+    once, on construction, so `singular_index` is a comparison. None of this
+    is a field: (k, alpha, a) alone fix equality, hash and repr, and
+    `dataclasses.replace` starts an empty memo.
     """
 
     k: int
@@ -102,16 +103,14 @@ class Params:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         # Not fields: _root is the m >= 0 with alpha*m + a == 0, or None if
-        # there is none. The weights computed so far are (numerator,
-        # denominator) of 1/(alpha*m + a)^k for m = 0, 1, ..., and _lcms[m + 1]
-        # the lcm of the denominators 0..m (_lcms[0] == 1). _sums maps
-        # (family, n_max) to what explicit_scaled returned for it, and
-        # _series a family to its series as _family_series last composed it.
+        # there is none. _prefix is the (W, D) that scaled_weights returns,
+        # the weights computed so far. _sums maps (family, n_max) to what
+        # explicit_scaled returned for it, and _series a family to its series
+        # as _family_series last composed it.
         root = -self.a / self.alpha
         root = int(root) if root.denominator == 1 and root >= 0 else None
         object.__setattr__(self, "_root", root)
-        object.__setattr__(self, "_weights", [])
-        object.__setattr__(self, "_lcms", [1])
+        object.__setattr__(self, "_prefix", ([], 1))
         object.__setattr__(self, "_sums", {})
         object.__setattr__(self, "_series", {})
 
@@ -121,19 +120,28 @@ class Params:
         return root if root is not None and root <= m_max else None
 
     def scaled_weights(self, m_max: int) -> tuple[list[int], int]:
-        """(W, D) with W[m] / D == 1 / (alpha*m + a)^k for m in 0..m_max, D the
-        least common denominator, so that weighted sums run over integers.
+        """(W, D) with W[m] / D == 1 / (alpha*m + a)^k for m = 0..len(W) - 1,
+        len(W) > m_max, and D the least common denominator of all of W, so
+        that weighted sums run over integers. W is the instance's own list:
+        callers read it, by index or by zipping a row of length at most
+        m_max + 1, and never change it.
 
-        Weights are computed once per instance: a request past the largest
-        index seen so far appends the missing ones, as the Stirling rows grow.
+        Weights are computed once per instance, as one prefix: a request past
+        it builds the missing weights and rescales the kept numerators once
+        to the new D, and any other request returns the prefix as it is.
         """
-        count = max(m_max + 1, 0)
-        for m in range(len(self._weights), count):
-            w = pow_rat(self.alpha * m + self.a, -self.k)
-            self._lcms.append(math.lcm(self._lcms[-1], w.denominator))
-            self._weights.append((w.numerator, w.denominator))
-        den = self._lcms[count]
-        return [num * (den // d) for num, d in self._weights[:count]], den
+        weights, den = self._prefix
+        if m_max >= len(weights):
+            new = [
+                pow_rat(self.alpha * m + self.a, -self.k)
+                for m in range(len(weights), m_max + 1)
+            ]
+            grown = math.lcm(den, *(w.denominator for w in new))
+            weights = [num * (grown // den) for num in weights]
+            weights += [w.numerator * (grown // w.denominator) for w in new]
+            den = grown
+            object.__setattr__(self, "_prefix", (weights, den))
+        return weights, den
 
 
 def _check_index(n: int) -> None:

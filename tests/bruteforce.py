@@ -86,6 +86,47 @@ def family_egf(family: str, k: int, alpha, a, n_max: int) -> list[Fraction]:
     return [acc[n] * factorial(n) for n in range(n_max + 1)]
 
 
+def family_by_k_recurrence(family: str, k: int, alpha, a, n_max: int) -> list[Fraction]:
+    """EGF values 0..n_max of the family at k, stepped from k = 0 by the
+    recurrence in k: no Stirling number and no series composition.
+
+    With F_k = sum_m c_m g^m / (alpha m + a)^k (c_m = 1 for bernoulli, 1/m!
+    for the cauchy families), alpha g d/dg + a takes F_k to F_(k-1), and
+    d/dg = (1/g') d/dt makes that alpha H d/dt + a with H = g/g'. F_0 is
+    e^t, 1 + t or 1/(1 + t), and H is e^t - 1 for bernoulli and
+    (1 + t) ln(1 + t) for both cauchy families, with EGF values h_0 = 0,
+    h_1 = 1 and h_j = 1 or (-1)^j (j-2)! for j >= 2. In EGF values:
+
+        k <= 0: f^(k-1)_n = alpha sum_{j=1..n} C(n, j) h_j f^(k)_(n-j+1) + a f^(k)_n
+        k >= 1: (alpha n + a) f^(k)_n
+                    = f^(k-1)_n - alpha sum_{j=2..n} C(n, j) h_j f^(k)_(n-j+1)
+
+    The second is triangular in n. At alpha = a = 1 the bernoulli case is
+    Kaneko's (n+1) B_n^(k) = B_n^(k-1) - sum_{m=1..n-1} C(n, m-1) B_m^(k).
+    """
+    alpha, a = Fraction(alpha), Fraction(a)
+    if family == "bernoulli":
+        f = [Fraction(1)] * (n_max + 1)
+        h = [0] + [1] * n_max
+    else:
+        h = [0, 1] + [(-1) ** j * factorial(j - 2) for j in range(2, n_max + 1)]
+        if family == "cauchy1":
+            f = [Fraction(int(n <= 1)) for n in range(n_max + 1)]
+        else:
+            f = [Fraction((-1) ** n * factorial(n)) for n in range(n_max + 1)]
+    for _ in range(-k):
+        f = [
+            alpha * sum(comb(n, j) * h[j] * f[n - j + 1] for j in range(1, n + 1)) + a * f[n]
+            for n in range(n_max + 1)
+        ]
+    for _ in range(k):
+        previous, f = f, []
+        for n in range(n_max + 1):
+            tail = sum(comb(n, j) * h[j] * f[n - j + 1] for j in range(2, n + 1))
+            f.append((previous[n] - alpha * tail) / (alpha * n + a))
+    return f
+
+
 def stirling2_explicit(n: int, m: int) -> int:
     """Second kind via inclusion-exclusion (no recurrence)."""
     if m < 0 or m > n:

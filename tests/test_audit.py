@@ -223,6 +223,10 @@ congruence_rationals = st.builds(
 @example(Fraction(3), Fraction(1), (3, 5), (1, 2), "THM8_B")  # p | alpha
 @example(Fraction(1, 2), Fraction(1), (2, 7), (1, 4), "THM8_C2")  # p | alpha's denominator
 @example(Fraction(1), Fraction(1, 3), (3, 5), (2, 6), "THM8_C1")  # p | a's denominator
+# m = 0 gives 3/3 before reduction, a unit: the first m that is not one is 1
+@example(Fraction(1, 3), Fraction(1), (3,), (1, 2), "THM8_C2")
+@example(Fraction(-5, 2), Fraction(7, 3), (5, 7), (3,), "THM8_B")  # negative alpha
+@example(Fraction(2), Fraction(-4, 21), (3, 7), (1, 2), "THM8_C1")  # p | a's denominator
 @given(
     congruence_rationals.filter(lambda q: q != 0),
     congruence_rationals,

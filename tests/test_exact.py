@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,26 @@ def test_mod_reduce_examples():
     assert mod_reduce(Fraction(-1, 2), 7) == 3  # 2 * 3 = -1 (mod 7)
     with pytest.raises(NonreducibleDenominatorError):
         mod_reduce(Fraction(22, 105), 3)
+
+
+def test_mod_reduce_takes_int_bool_and_fraction_input():
+    assert mod_reduce(-4, 3) == 2
+    assert mod_reduce(True, 5) == 1
+    assert mod_reduce(False, 5) == 0
+    assert mod_reduce(Fraction(7, 2), 5) == 1  # 2 * 1 = 7 (mod 5)
+    with pytest.raises(NonreducibleDenominatorError) as raised:
+        mod_reduce(Fraction(5, 9), 3)
+    assert type(raised.value.value) is Fraction
+
+
+def test_nonreducible_denominator_error_text_fields_and_pickle():
+    error = NonreducibleDenominatorError(Fraction(1, 3), 3)
+    assert str(error) == "1/3 has no residue mod 3: denominator 3 is divisible by 3"
+    assert (error.value, error.modulus) == (Fraction(1, 3), 3)
+    assert error.args == (Fraction(1, 3), 3)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is NonreducibleDenominatorError
+    assert (copy.value, copy.modulus, str(copy)) == (error.value, error.modulus, str(error))
 
 
 def test_mod_reduce_requires_prime():

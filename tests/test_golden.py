@@ -73,6 +73,20 @@ GOLDEN = [
         "5ea599a5a923b4a07930f0d637d5abe77eaec05fb6d4c2c2c9f869943cec0151",
         id="congruence-scan-text",
     ),
+    # every THM8 row kind (HOLDS, FAILS, NONREDUCIBLE_DENOMINATOR,
+    # P_DIVIDES_ALPHA at 3,1 and SINGULAR_PARAMETER at 1,-7), multipliers in
+    # descending order, so the weight prefix is sized before the first row
+    # reads it; at 1/3,1 and p = 3 the hypothesis note names m = 1, since
+    # alpha*0 + a is 3/3 before reduction and the unit 1 after it
+    pytest.param(
+        [
+            "congruence-scan", "--format", "csv", "--pair", "1/3,1", "--pair", "1,-7",
+            "--pair", "3,1", "--pair=-1/2,5/3", "--primes", "3,5,7",
+            "--multipliers", "4,1,2", "--k-values", "2,1",
+        ],
+        "eb4ca281fafe13ddae59af7ebc8bb8a977819a7d7428684b706603682423a862",
+        id="congruence-scan-csv-row-kinds",
+    ),
 ]
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlpoly import exact, sequences
+from hlpoly import exact, sequences, series
+from hlpoly.audit import GridSpec, run_identity
 from hlpoly.cli import main
 from hlpoly.exact import SingularParameterError, ensure_nonsingular
 from hlpoly.sequences import (
@@ -102,10 +103,13 @@ nonsingular_params = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(nonsingular_params, st.lists(st.integers(0, 30), min_size=1, max_size=8))
 def test_scaled_weights_memo_matches_a_fresh_build(params, requests):
-    # requests in any order: the memo grows on a larger m_max and is sliced
-    # on a smaller one, and D stays the least common denominator of 0..m_max
-    for m_max in requests:
-        expected = bruteforce.scaled_weights(params.k, params.alpha, params.a, m_max)
+    # requests in any order: the prefix grows on a request past it and is
+    # returned as it is on any other, so after each request it is the fresh
+    # build up to the largest m_max asked for so far, over its least common
+    # denominator
+    for seen, m_max in enumerate(requests, 1):
+        largest = max(requests[:seen])
+        expected = bruteforce.scaled_weights(params.k, params.alpha, params.a, largest)
         assert params.scaled_weights(m_max) == expected
     fresh = Params(params.k, params.alpha, params.a)
     assert params == fresh
@@ -136,6 +140,35 @@ def test_scaled_weights_builds_each_weight_once_per_instance(monkeypatch):
     )
 
 
+def test_a_thm8_run_grows_each_points_weight_prefix_once():
+    # THM8 sizes each point's prefix to its largest evaluable n*p before its
+    # first row, so no later value, in that label's run or in the next
+    # labels', grows it again; with ascending multipliers and primes, growing
+    # on demand would grow it at almost every row
+    grows = collections.Counter()
+
+    class Counted(Params):
+        def scaled_weights(self, m_max):
+            if m_max >= len(self._prefix[0]):
+                grows[self] += 1
+            return super().scaled_weights(m_max)
+
+    pairs = tuple((Fraction(alpha), Fraction(a)) for alpha, a in ((1, 1), (3, "1/3"), (1, -20)))
+    grid = GridSpec(k_values=(-1, 1, 2), pairs=pairs, primes=(3, 5, 7), multipliers=(1, 2, 3, 4))
+    points = {
+        (k, alpha, a): Counted(k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values
+    }
+    for identity in ("THM8_C1", "THM8_C2", "THM8_B"):
+        run_identity(identity, grid, points=points)
+    # k = -1 has no congruence rows; 3,1/3 reads to 4*7 (p = 3 divides
+    # alpha), and alpha*m + a vanishes at m = 20 for 1,-20, so 3*5 is its top
+    tops = {Fraction(1): 28, Fraction(1, 3): 28, Fraction(-20): 15}
+    assert grows == {params: 1 for params in points.values() if params.k >= 1}
+    for params in points.values():
+        top = tops[params.a] if params.k >= 1 else -1
+        assert len(params._prefix[0]) == top + 1
+
+
 def test_explicit_scaled_sums_each_family_once_per_instance(monkeypatch):
     lookups = []
     stirling2 = sequences.stirling2
@@ -150,7 +183,7 @@ def test_explicit_scaled_sums_each_family_once_per_instance(monkeypatch):
         Fraction(num, first[1]) for num in first[0]
     ]
     assert len(lookups) == 28
-    # another n_max is summed afresh, over its own least common denominator
+    # another n_max is summed afresh, over the weight prefix's denominator
     explicit_scaled(Family.BERNOULLI, 3, params)
     assert len(lookups) == 38
     fresh = Params(2, Fraction(1, 2), 1)
@@ -393,7 +426,7 @@ def _names(code) -> set[str]:
 
 
 def test_the_series_memo_and_the_stirling_memos_stay_apart():
-    stirling_memos = {"_sums", "_weights", "scaled_weights", "_scaled_sums"}
+    stirling_memos = {"_sums", "_prefix", "scaled_weights", "_scaled_sums"}
     assert not stirling_memos & _names(sequences._family_series.__code__)
     for function in (
         sequences._scaled_sums,
@@ -495,3 +528,81 @@ def test_deriv_validity_range():
         deriv_coeffs_printed(Family.BERNOULLI, 2, Params(1, 1, -3))
     with pytest.raises(SingularParameterError):
         deriv_coeffs_oracle(Family.CAUCHY1, 2, Params(1, 1, -3))
+
+
+# -- a third path: the recurrence in k ----------------------------------------
+
+
+def test_the_recurrence_in_k_reads_no_stirling_or_series_code():
+    # every function it reads is Fraction or a math builtin: not hlpoly, and
+    # not bruteforce's own Stirling numbers or series compositions
+    read = _names(bruteforce.family_by_k_recurrence.__code__)
+    called = [getattr(bruteforce, name, None) for name in read]
+    modules = {function.__module__ for function in called if callable(function)}
+    assert modules == {"fractions", "math"}
+
+
+# alpha and a with small numerators and denominators; a point is drawn only
+# where alpha*m + a != 0 for m <= 12
+recurrence_points = st.tuples(
+    st.sampled_from(FAMILIES),
+    st.integers(-3, 4),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 3)),
+    st.integers(0, 12),
+).filter(lambda point: Params(*point[1:4]).singular_index(point[4]) is None)
+
+
+@settings(max_examples=60, deadline=None)
+@example((Family.BERNOULLI, 1, Fraction(1), Fraction(1), 12))  # Kaneko's B_n^(1)
+@example((Family.CAUCHY2, -3, Fraction(-5, 3), Fraction(7, 2), 12))
+@given(recurrence_points)
+def test_the_recurrence_in_k_equals_both_paths(point):
+    family, k, alpha, a, n_max = point
+    expected = bruteforce.family_by_k_recurrence(family.value, k, alpha, a, n_max)
+    assert explicit_sequence(family, n_max, Params(k, alpha, a)) == expected
+    assert oracle_sequence(family, n_max, Params(k, alpha, a)) == expected
+
+
+DEPTH_POINTS = [
+    (Family.BERNOULLI, Fraction(2), Fraction(1)),
+    (Family.CAUCHY1, Fraction(1, 2), Fraction(1)),
+    (Family.CAUCHY2, Fraction(-1, 3), Fraction(5, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "family, alpha, a", DEPTH_POINTS, ids=[family.value for family, _, _ in DEPTH_POINTS]
+)
+@pytest.mark.parametrize("k", [3, -2])
+def test_the_recurrence_in_k_equals_both_paths_at_depth(family, alpha, a, k):
+    expected = bruteforce.family_by_k_recurrence(family.value, k, alpha, a, 60)
+    params = Params(k, alpha, a)
+    assert explicit_sequence(family, 60, params) == expected
+    assert oracle_sequence(family, 60, params) == expected
+
+
+# one sign planted in one path's table: that path leaves the recurrence and
+# the other path stays on it
+
+
+def test_a_stirling_sign_breaks_the_stirling_path_against_the_recurrence(monkeypatch):
+    params = (2, Fraction(1, 2), Fraction(1))
+    expected = bruteforce.family_by_k_recurrence("cauchy2", *params, 8)
+    coeff = sequences._STIRLING_COEFF[Family.CAUCHY2]
+
+    def mutant(n, m):
+        return -coeff(n, m) if m == 1 else coeff(n, m)
+
+    monkeypatch.setitem(sequences._STIRLING_COEFF, Family.CAUCHY2, mutant)
+    assert explicit_sequence(Family.CAUCHY2, 8, Params(*params)) != expected
+    assert oracle_sequence(Family.CAUCHY2, 8, Params(*params)) == expected
+
+
+def test_a_kernel_sign_breaks_the_series_path_against_the_recurrence(monkeypatch):
+    params = (2, Fraction(1, 2), Fraction(1))
+    expected = bruteforce.family_by_k_recurrence("cauchy1", *params, 8)
+    value = series._KERNELS["log1p"]
+    monkeypatch.setitem(series._KERNELS, "log1p", lambda n: -value(n) if n == 2 else value(n))
+    assert oracle_sequence(Family.CAUCHY1, 8, Params(*params)) != expected
+    assert explicit_sequence(Family.CAUCHY1, 8, Params(*params)) == expected
