@@ -15,9 +15,11 @@ Identity catalogue and labels:
     THM9/THM10/THM11  closed-form derivative coefficients vs the series side
     STIRLING_ORTHO    signed orthogonality of the two Stirling triangles
 
-Reports are deterministic: rows are sorted by a canonical point key, no
-timestamps or environment data are recorded, and rerunning the same grid
-reproduces the same report, which the CLI renders to the same bytes.
+Reports are deterministic: rows are produced in canonical point order
+(k, alpha, a, then the indices), not sorted afterwards, whatever order the
+grid lists its values in. No timestamps or environment data are recorded, and
+rerunning the same grid reproduces the same report, which the CLI renders to
+the same bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import NonreducibleDenominatorError, is_prime, mod_reduce
 from .sequences import (
@@ -72,14 +74,18 @@ NONREDUCIBLE_DENOMINATOR = "NONREDUCIBLE_DENOMINATOR"
 P_DIVIDES_ALPHA = "P_DIVIDES_ALPHA"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one identity check at one grid point.
 
     FAILS always carries the unequal (lhs, rhs) pair; UNDEFINED always
     carries a reason code. lhs/rhs are Fractions for value identities and
     plain ints (residues; the modulus sits in the point) for congruences.
     The hypothesis fields are populated only by congruence checks.
+
+    A Verdict is an immutable named tuple: assigning a field raises
+    AttributeError, and it is built at the cost of a tuple. Being a tuple,
+    it iterates over its fields in the order above, and it compares equal to
+    a plain tuple of the same fields.
     """
 
     status: str
@@ -134,7 +140,7 @@ def exit_code(reports) -> int:
 # triangle for THM4-THM6 and the triangle products for EQ9-EQ12.
 
 
-# Keys in canonical order: run_identity sorts rows by the point's values.
+# Keys in canonical order: rows are made in the order of the point's values.
 def _params_point(params: Params, n: int) -> dict:
     return {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
 
@@ -345,13 +351,14 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
     if params.k < 1:
         return []
     flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
-    # (n, p) -> why s_{n*p} is not computed, or None where it is
+    # (n, p) -> why s_{n*p} is not computed, or None where it is, in the
+    # rows' canonical order
     reasons = {
         (n, p): P_DIVIDES_ALPHA if params.alpha.numerator % p == 0
         else SINGULAR_PARAMETER if params.singular_index(n * p) is not None
         else None
-        for n in grid.multipliers
-        for p in grid.primes
+        for n in sorted(grid.multipliers)
+        for p in sorted(grid.primes)
     }
     # the largest evaluable index sizes the point's weight prefix, once
     params.scaled_weights(max((n * p for (n, p), why in reasons.items() if not why), default=-1))
@@ -496,10 +503,13 @@ def run_identity(
 ) -> AuditReport:
     """Evaluate one catalogued identity over the grid.
 
-    The report's rows are canonically sorted (k, alpha, a, then indices), so
-    identical grids always serialize to identical bytes. A `prefactor` is
-    only accepted for EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
-    `grid.stirling_n_max` rows.
+    The report's rows come in canonical order (k, alpha, a, then indices),
+    whatever order the grid lists its values in: the points are visited in
+    sorted (k, alpha, a) order and each row function makes its rows in index
+    order, so the rows themselves are never sorted. Identical grids always
+    serialize to identical bytes. A `prefactor` is only accepted for
+    EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
+    `grid.stirling_n_max` rows, in the order its sums are generated.
 
     `points` maps (k, alpha, a) to the `Params` of that grid point. Runs of
     several identities that share one map share each point's weights,
@@ -525,10 +535,10 @@ def run_identity(
     else:
         coefficients = _RUN_ROWS[rows](family)
     verdicts: list[Verdict] = []
-    for alpha, a in grid.pairs:
-        for k in grid.k_values:
-            params = points.get((k, alpha, a))
-            if params is None:
-                params = points[k, alpha, a] = Params(k, alpha, a)
-            verdicts.extend(rows(identity, family, params, grid, coefficients))
-    return AuditReport(identity, sorted(verdicts, key=lambda v: tuple(v.point.values())))
+    # GridSpec lists no value twice, so no two keys tie
+    for key in sorted((k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values):
+        params = points.get(key)
+        if params is None:
+            params = points[key] = Params(*key)
+        verdicts.extend(rows(identity, family, params, grid, coefficients))
+    return AuditReport(identity, verdicts)

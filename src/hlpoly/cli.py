@@ -94,7 +94,12 @@ def _json_text(value: str | None) -> str:
 
 def _json_param(value: Fraction | int | str) -> str:
     """A point's parameter: a Fraction as "p/q" text, a string, or an int."""
-    if isinstance(value, Fraction):
+    # exact types first, as in _cell: isinstance of an int goes through
+    # ABCMeta; a Fraction subclass, a bool or a str takes the isinstance tests
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is Fraction or isinstance(value, Fraction):
         return f'"{format_rational(value)}"'
     return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
 
@@ -110,12 +115,17 @@ def _json_point(point: dict) -> str:
 
 def _json_side(value: Fraction | int | None) -> str:
     """lhs or rhs: a Fraction as the {"den", "num"} object, an int residue, or null."""
-    if isinstance(value, Fraction):
-        return (
-            f'{{\n            "den": "{value.denominator}",\n'
-            f'            "num": "{value.numerator}"\n          }}'
-        )
-    return "null" if value is None else str(value)
+    # exact types first, as in _json_param; a Fraction subclass takes the isinstance test
+    kind = type(value)
+    if kind is not Fraction:
+        if value is None:
+            return "null"
+        if kind is int or not isinstance(value, Fraction):
+            return str(value)
+    return (
+        f'{{\n            "den": "{value.denominator}",\n'
+        f'            "num": "{value.numerator}"\n          }}'
+    )
 
 
 def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) -> str:

@@ -64,7 +64,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render as "p/q", omitting "/q" when the denominator is 1."""
-    if not isinstance(value, Fraction):
+    # an exact Fraction skips the isinstance call, which costs more than the type test
+    if type(value) is not Fraction and not isinstance(value, Fraction):
         value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
@@ -124,7 +125,7 @@ def mod_reduce(value: Fraction | int, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    if not isinstance(value, Fraction):
+    if type(value) is not Fraction and not isinstance(value, Fraction):
         value = Fraction(value)
     if value.denominator % p == 0:
         raise NonreducibleDenominatorError(value, p)

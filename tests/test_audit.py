@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hlpoly
 from hlpoly import sequences
 from hlpoly.audit import (
     _DUALITY_SHAPE,
+    AuditReport,
     CATALOGUE,
     DEFAULT_GRID,
     FAILS,
@@ -593,12 +595,90 @@ def test_fails_rows_always_carry_witness():
 
 
 def test_report_rows_are_canonically_sorted():
-    report = run_identity("THM4", QUICK_GRID)
-    keys = [
-        (v.point["k"], v.point["alpha"], v.point["a"], v.point["n"])
-        for v in report.verdicts
-    ]
-    assert keys == sorted(keys)
+    for identity in CATALOGUE:
+        report = run_identity(identity, QUICK_GRID)
+        keys = [tuple(v.point.values()) for v in report.verdicts]
+        assert keys
+        assert keys == sorted(keys)
+
+
+# A small grid with a pair singular at m = 4 (SINGULAR_PARAMETER tails from
+# n = 4, and THM8 rows at n*p >= 4) and a negative alpha, in canonical order.
+ORDER_GRID = GridSpec(
+    n_max=4,
+    k_values=(-1, 1, 2),
+    pairs=(
+        (Fraction(-1, 2), Fraction(3)),
+        (Fraction(1), Fraction(-4)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(3), Fraction(1, 3)),
+    ),
+    primes=(2, 3, 5),
+    multipliers=(1, 2),
+)
+ORDER_REPORTS = {
+    label: run_identity(label, ORDER_GRID) for label in CATALOGUE if label != "STIRLING_ORTHO"
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.permutations(ORDER_GRID.pairs),
+    st.permutations(ORDER_GRID.k_values),
+    st.permutations(ORDER_GRID.primes),
+    st.permutations(ORDER_GRID.multipliers),
+)
+def test_rows_follow_the_point_order_whatever_the_grid_order(pairs, k_values, primes, multipliers):
+    # rows come out in canonical point order however the grid lists its
+    # values: each key strictly above the last, so no two rows tie
+    grid = GridSpec(
+        n_max=ORDER_GRID.n_max,
+        k_values=tuple(k_values),
+        pairs=tuple(pairs),
+        primes=tuple(primes),
+        multipliers=tuple(multipliers),
+    )
+    points = {}
+    for label, expected in ORDER_REPORTS.items():
+        report = run_identity(label, grid, None, points)
+        keys = [tuple(v.point.values()) for v in report.verdicts]
+        assert all(before < after for before, after in zip(keys, keys[1:]))
+        assert report == expected
+
+
+def test_the_order_grid_has_every_row_kind():
+    statuses = Counter(
+        (v.status, v.reason) for report in ORDER_REPORTS.values() for v in report.verdicts
+    )
+    assert statuses[UNDEFINED, SINGULAR_PARAMETER] and statuses[UNDEFINED, P_DIVIDES_ALPHA]
+    assert statuses[UNDEFINED, NONREDUCIBLE_DENOMINATOR]
+    assert statuses[HOLDS, None] and statuses[FAILS, None]
+    assert all(report.verdicts for report in ORDER_REPORTS.values())
+
+
+def test_verdict_contract():
+    point = {"k": 1, "n": 0}
+    by_keyword = Verdict(status=HOLDS, point=point)
+    assert (by_keyword.lhs, by_keyword.rhs, by_keyword.reason) == (None, None, None)
+    assert (by_keyword.hypothesis_ok, by_keyword.hypothesis_note) == (None, None)
+    by_position = Verdict(FAILS, point, Fraction(1, 2), 3)
+    assert (by_position.status, by_position.point) == (FAILS, point)
+    assert (by_position.lhs, by_position.rhs, by_position.reason) == (Fraction(1, 2), 3, None)
+    assert by_position.hypothesis_ok is None and by_position.hypothesis_note is None
+    assert by_keyword == Verdict(HOLDS, {"k": 1, "n": 0}, None, None, None, None, None)
+    assert by_keyword != by_position
+    for field in ("status", "point", "lhs", "hypothesis_note"):
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, field, None)
+    assert AuditReport("THM1", [by_keyword, by_position]) == AuditReport(
+        "THM1",
+        [Verdict(status=HOLDS, point=dict(point)), Verdict(FAILS, point, Fraction(1, 2), 3)],
+    )
+    assert AuditReport("THM1", [by_keyword]) != AuditReport("THM2", [by_keyword])
+    assert hlpoly.Verdict is Verdict and "Verdict" in hlpoly.__all__
+    # a named tuple: it iterates over its fields and equals a plain tuple
+    assert list(by_position) == [FAILS, point, Fraction(1, 2), 3, None, None, None]
+    assert by_position == (FAILS, point, Fraction(1, 2), 3, None, None, None)
 
 
 def test_reports_are_reproducible():

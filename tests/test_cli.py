@@ -378,6 +378,50 @@ def test_report_writer_matches_the_canonical_dump(command, grid, reports, varian
     assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
 
+class _Tagged(Fraction):
+    """A Fraction subclass with its own str(): the renderers' exact-type fast
+    paths must not take it for a Fraction where they used to str() it."""
+
+    def __str__(self):
+        return "tagged"
+
+
+_SIDE = '{\n            "den": "%s",\n            "num": "%s"\n          }'
+
+
+@pytest.mark.parametrize(
+    "render, value, text",
+    [
+        (cli._json_param, _Tagged(2, 4), '"1/2"'),
+        (cli._json_param, _Tagged(6, 3), '"2"'),
+        (cli._json_param, True, "True"),
+        (cli._json_param, False, "False"),
+        (cli._json_param, -3, "-3"),
+        (cli._json_param, 10**40, str(10**40)),
+        (cli._json_param, Fraction(-7, 3), '"-7/3"'),
+        (cli._json_param, "first_second", '"first_second"'),
+        (cli._json_param, 'a"b', '"a\\"b"'),
+        (cli._json_side, _Tagged(2, 4), _SIDE % (2, 1)),
+        (cli._json_side, _Tagged(6, 3), _SIDE % (1, 2)),
+        (cli._json_side, True, "True"),
+        (cli._json_side, False, "False"),
+        (cli._json_side, -3, "-3"),
+        (cli._json_side, Fraction(-7, 3), _SIDE % (3, -7)),
+        (cli._json_side, None, "null"),
+        (cli._json_side, "first_second", "first_second"),
+        (cli._cell, _Tagged(2, 4), "tagged"),
+        (cli._cell, True, "yes"),
+        (cli._cell, False, "no"),
+        (cli._cell, -3, "-3"),
+        (cli._cell, Fraction(-7, 3), "-7/3"),
+        (cli._cell, "first_second", "first_second"),
+        (cli._cell, None, "-"),
+    ],
+)
+def test_renderers_treat_subclasses_bools_ints_and_strings_as_before(render, value, text):
+    assert render(value) == text
+
+
 def test_audit_text_runs_are_byte_identical(capsys):
     args = ("audit", "--identity", "thm8", "--multipliers", "1", "--k-values", "1")
     code1, first, _ = run(capsys, *args)

@@ -134,6 +134,34 @@ def test_mod_reduce_takes_int_bool_and_fraction_input():
     assert type(raised.value.value) is Fraction
 
 
+class _Tagged(Fraction):
+    """A Fraction subclass with its own str()."""
+
+    def __str__(self):
+        return "tagged"
+
+
+def test_subclasses_bools_ints_and_strings_take_the_general_path():
+    # format_rational and mod_reduce keep a Fraction subclass as it is and
+    # read anything else through Fraction(), a string included
+    assert format_rational(_Tagged(2, 4)) == "1/2"
+    assert format_rational(_Tagged(6, 3)) == "2"
+    assert format_rational(10**40) == str(10**40)
+    assert format_rational(" 3/6") == "1/2"
+    with pytest.raises(ValueError):
+        format_rational("first_second")
+    assert [mod_reduce(_Tagged(7, 2), p) for p in (5, 3)] == [1, 2]
+    assert [mod_reduce(True, p) for p in (5, 3)] == [1, 1]
+    assert [mod_reduce(-4, p) for p in (5, 3)] == [1, 2]
+    assert [mod_reduce("1/4", p) for p in (5, 3)] == [4, 1]
+    with pytest.raises(NonreducibleDenominatorError) as raised:
+        mod_reduce(_Tagged(5, 9), 3)
+    assert type(raised.value.value) is _Tagged
+    with pytest.raises(NonreducibleDenominatorError) as raised:
+        mod_reduce("5/9", 3)
+    assert type(raised.value.value) is Fraction
+
+
 def test_nonreducible_denominator_error_text_fields_and_pickle():
     error = NonreducibleDenominatorError(Fraction(1, 3), 3)
     assert str(error) == "1/3 has no residue mod 3: denominator 3 is divisible by 3"

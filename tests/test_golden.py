@@ -87,6 +87,27 @@ GOLDEN = [
         "eb4ca281fafe13ddae59af7ebc8bb8a977819a7d7428684b706603682423a862",
         id="congruence-scan-csv-row-kinds",
     ),
+    # grids listed out of order: rows still come in canonical point order.
+    # Every label has rows; 1,-4 gives SINGULAR_PARAMETER tails and THM8
+    # SINGULAR_PARAMETER rows
+    pytest.param(
+        [
+            "audit", "--identity", "all", "--format", "json", "--n-max", "6",
+            "--pair", "3,1/3", "--pair", "1,1", "--pair", "1/2,1", "--pair", "1,-4",
+            "--k-values=3,-2,1", "--primes", "7,3", "--multipliers", "2,1",
+        ],
+        "b97fa99bbc554e559d548b04eefcaa704f9d77e264aa44fcf576059822cba131",
+        id="audit-all-json-out-of-order",
+    ),
+    # primes descending and multipliers unsorted
+    pytest.param(
+        [
+            "congruence-scan", "--format", "csv", "--pair", "3,1/3", "--pair", "1/2,1",
+            "--pair", "1,1", "--k-values", "3,1", "--primes", "13,5,3", "--multipliers", "3,1,2",
+        ],
+        "1ed945007471a5e0915497c0ae79d6d215ecfb135654f3e6bc3949f5c784c92c",
+        id="congruence-scan-csv-out-of-order",
+    ),
 ]
 
 
