@@ -80,7 +80,9 @@ class Verdict(NamedTuple):
     FAILS always carries the unequal (lhs, rhs) pair; UNDEFINED always
     carries a reason code. lhs/rhs are Fractions for value identities and
     plain ints (residues; the modulus sits in the point) for congruences.
-    The hypothesis fields are populated only by congruence checks.
+    A HOLDS verdict whose sides share a type carries one object as lhs and
+    rhs; equal sides of two types, an int and a Fraction, keep both. The
+    hypothesis fields are populated only by congruence checks.
 
     A Verdict is an immutable named tuple: assigning a field raises
     AttributeError, and it is built at the cost of a tuple. Being a tuple,
@@ -98,8 +100,12 @@ class Verdict(NamedTuple):
 
 
 def _compare(point: dict, lhs, rhs, **extra) -> Verdict:
-    status = HOLDS if lhs == rhs else FAILS
-    return Verdict(status=status, point=point, lhs=lhs, rhs=rhs, **extra)
+    """HOLDS or FAILS as the sides compare, compared once. Equal sides of
+    one type are one value: the verdict holds lhs as both, so the CLI
+    renders it once."""
+    if lhs == rhs:
+        return Verdict(HOLDS, point, lhs, lhs if type(lhs) is type(rhs) else rhs, **extra)
+    return Verdict(FAILS, point, lhs, rhs, **extra)
 
 
 def _undefined(point: dict, reason: str, **extra) -> Verdict:
@@ -134,10 +140,12 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 # Row functions: the verdicts of one identity at one (k, alpha, a) point,
 # called as rows(label, family, params, grid, coefficients), `coefficients`
-# being the run's row store, row n at `coefficients(n)`, which run_identity
-# makes from `_RUN_ROWS`: the family's Stirling coefficients for THM1-THM3
-# and THM8, its printed derivative coefficients for THM9-THM11, the collapse
-# triangle for THM4-THM6 and the triangle products for EQ9-EQ12.
+# being what run_identity makes from `_RUN_ROWS` once for the run: a row
+# store, row n at `coefficients(n)`, of the family's Stirling coefficients
+# for THM1-THM3 and THM8 and of its printed derivative coefficients for
+# THM9-THM11; for THM4-THM6 the collapse triangle's store and the family's
+# coefficient store, and for EQ9-EQ12 the store of triangle products and the
+# coefficient stores of the lhs and the summed family.
 
 
 # Keys in canonical order: rows are made in the order of the point's values.
@@ -194,10 +202,11 @@ def _derivative_rows(label, family, params, grid, coefficients) -> list[Verdict]
 # per point (the collapse factor): `_COLLAPSE_SHAPE` and `_DUALITY_SHAPE`.
 
 
-def _transformed(rows, family, last, params) -> list[Fraction]:
+def _transformed(rows, family, last, params, family_rows) -> list[Fraction]:
     """sum_m rows(n)[m] s_m for n = 0..last, s the family's Stirling-sum
-    values: row n of the row store `rows` dotted with their numerators."""
-    nums, den = explicit_scaled(family, last, params)
+    values, their coefficients read from the run's `family_rows` store: row
+    n of the row store `rows` dotted with their numerators."""
+    nums, den = explicit_scaled(family, last, params, family_rows)
     return [Fraction(sum(map(operator.mul, rows(n), nums)), den) for n in range(last + 1)]
 
 
@@ -211,10 +220,12 @@ _COLLAPSE_SHAPE = {
 
 
 def _collapse_rows(family: Family):
-    """A row store of the triangle of `family`'s collapse: `store(n)` is
-    [T(n, m) for m = 0..n], built on its first request."""
+    """The row stores of a THM4-THM6 run: the triangle of `family`'s
+    collapse, whose `store(n)` is [T(n, m) for m = 0..n], built on its first
+    request, and the family's Stirling coefficients."""
     triangle, _ = _COLLAPSE_SHAPE[family]
-    return functools.cache(lambda n: [triangle(n, m) for m in range(n + 1)])
+    collapse = functools.cache(lambda n: [triangle(n, m) for m in range(n + 1)])
+    return collapse, coefficient_rows(family)
 
 
 def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
@@ -224,12 +235,14 @@ def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdi
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
 
-    The triangle rows T(n, m) come from the run's `coefficients` store.
+    The triangle rows T(n, m) and the family's coefficients come from the
+    run's two `coefficients` stores.
     """
     _, factor = _COLLAPSE_SHAPE[family]
+    collapse, family_rows = coefficients
 
     def sides(last):
-        lhs = _transformed(coefficients, family, last, params)
+        lhs = _transformed(collapse, family, last, params, family_rows)
         weights, den = params.scaled_weights(last)
         return lhs, [Fraction(factor(n) * weights[n], den) for n in range(last + 1)]
 
@@ -299,13 +312,15 @@ def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
         EQ12: ch_n = sum_{l,m<=n} (-1)^n     m! [n m] [m l] B_l
 
     The double sum is evaluated as sum_l c_l x_l over the summed family's
-    values x_l, with row n of the c_l read from the run's `coefficients` store.
+    values x_l, with row n of the c_l read from the run's store of triangle
+    products; both families' coefficients come from the run's stores too.
     """
     lhs_family, summed_family, _, _ = _DUALITY_SHAPE[label]
+    products, lhs_rows, summed_rows = coefficients
 
     def sides(last):
-        lhs = explicit_sequence(lhs_family, last, params)
-        return lhs, _transformed(coefficients, summed_family, last, params)
+        lhs = explicit_sequence(lhs_family, last, params, lhs_rows)
+        return lhs, _transformed(products, summed_family, last, params, summed_rows)
 
     return _value_rows(params, grid.n_max, 0, sides)
 
@@ -484,9 +499,10 @@ CATALOGUE = {
     "STIRLING_ORTHO": ("stirling-ortho", None, None),
 }
 
-# row function -> the maker of the row store that one run shares across its
+# row function -> the maker of the row stores that one run shares across its
 # points, given the run's family; EQ9..EQ12's store of triangle products also
-# depends on the prefactor, so run_identity makes it from `_DUALITY_SHAPE`
+# depends on the prefactor, so run_identity makes their stores from
+# `_DUALITY_SHAPE`
 _RUN_ROWS = {
     _explicit_rows: coefficient_rows,
     _orthogonality_rows: _collapse_rows,
@@ -516,10 +532,10 @@ def run_identity(
     Stirling sums and composed series, and the first identity in catalogue
     order that needs them does the work: in per-identity timings, THM1-THM3
     carry each family's sums and its one series composition, which
-    THM9-THM11 then read. Each run makes one row store for all its
-    points, `store(n)` being row n, and no row outlives the run. Without a
-    map, the run builds its own `Params` too, so nothing it computes
-    outlives it.
+    THM9-THM11 then read. Each run makes its row stores once for all its
+    points, one per kind of row it reads, `store(n)` being row n, and no
+    row outlives the run. Without a map, the run builds its own `Params`
+    too, so nothing it computes outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -530,8 +546,12 @@ def run_identity(
         return _stirling_orthogonality(grid.stirling_n_max)
     points = {} if points is None else points
     if rows is _duality_rows:
-        _, _, triangle, printed = _DUALITY_SHAPE[identity]
-        coefficients = _product_rows(triangle, triangle, prefactor or printed)
+        lhs_family, summed_family, triangle, printed = _DUALITY_SHAPE[identity]
+        coefficients = (
+            _product_rows(triangle, triangle, prefactor or printed),
+            coefficient_rows(lhs_family),
+            coefficient_rows(summed_family),
+        )
     else:
         coefficients = _RUN_ROWS[rows](family)
     verdicts: list[Verdict] = []

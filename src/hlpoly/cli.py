@@ -104,13 +104,26 @@ def _json_param(value: Fraction | int | str) -> str:
     return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
 
 
-def _json_point(point: dict) -> str:
-    """A verdict's point, indented as a verdict field."""
-    fields = [
-        f"            {encode_basestring_ascii(key)}: {_json_param(value)}"
-        for key, value in sorted(point.items())
-    ]
-    return "{\n" + ",\n".join(fields) + "\n          }" if fields else "{}"
+def _json_points(verdicts) -> Iterator[str]:
+    """Each verdict's point as JSON text, indented as a verdict field, one
+    point at a time, reusing a field's text by the rule in `_json_reports`.
+    The keys are sorted once per run of points that list them in one order."""
+    fields: dict = {}  # key -> (value, its field text)
+    order = keys = None
+    for v in verdicts:
+        point = v.point
+        names = tuple(point)
+        if names != order:
+            order, keys = names, sorted(names)
+        texts = []
+        for key in keys:
+            value = point[key]
+            kept = fields.get(key)
+            if kept is None or kept[0] is not value:
+                text = f"            {encode_basestring_ascii(key)}: {_json_param(value)}"
+                kept = fields[key] = (value, text)
+            texts.append(kept[1])
+        yield "{\n" + ",\n".join(texts) + "\n          }" if texts else "{}"
 
 
 def _json_side(value: Fraction | int | None) -> str:
@@ -134,7 +147,14 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     field with the keys in sorted order. An indented json.dumps runs the
     pure-Python encoder, which took most of an audit's run time; only the
     small grid header still goes through it. The pieces are joined once, so
-    the text is held in memory once beside them."""
+    the text is held in memory once beside them.
+
+    Text is reused only for the very same object, never for an equal one
+    (a bool beside 1, a Fraction subclass, another big int): a point field
+    reuses the text last rendered for its key (`_json_points`, whose texts
+    zip with the verdicts, so no list of them is held), and rhs reuses
+    lhs's text when the verdict holds one object as both. Point and side
+    values are immutable, so the object fixes its text."""
     pairs = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
     head = json.dumps(
         {"command": command, "grid": {**vars(grid), "pairs": pairs}}, indent=2, sort_keys=True
@@ -142,18 +162,21 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     # head ends with the grid's closing "\n}"; "reports" sorts after "grid"
     parts = [head[:-2], ',\n  "reports": [']
     for i, report in enumerate(reports):
-        verdicts = ",\n".join(
-            "        {\n"
-            f'          "hypothesis_note": {_json_text(v.hypothesis_note)},\n'
-            f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
-            f'          "lhs": {_json_side(v.lhs)},\n'
-            f'          "point": {_json_point(v.point)},\n'
-            f'          "reason": {_json_text(v.reason)},\n'
-            f'          "rhs": {_json_side(v.rhs)},\n'
-            f'          "status": {encode_basestring_ascii(v.status)}\n'
-            "        }"
-            for v in report.verdicts
-        )
+        verdicts = []
+        for v, point in zip(report.verdicts, _json_points(report.verdicts)):
+            lhs = _json_side(v.lhs)
+            verdicts.append(
+                "        {\n"
+                f'          "hypothesis_note": {_json_text(v.hypothesis_note)},\n'
+                f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
+                f'          "lhs": {lhs},\n'
+                f'          "point": {point},\n'
+                f'          "reason": {_json_text(v.reason)},\n'
+                f'          "rhs": {lhs if v.rhs is v.lhs else _json_side(v.rhs)},\n'
+                f'          "status": {encode_basestring_ascii(v.status)}\n'
+                "        }"
+            )
+        verdicts = ",\n".join(verdicts)
         verdicts = f"[\n{verdicts}\n      ]" if verdicts else "[]"
         summary = ",\n".join(
             f"        {encode_basestring_ascii(key)}: {count}"
@@ -384,9 +407,21 @@ def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
         header += ["hypothesis_ok", "hypothesis_note"]
 
     def rows():
+        # cells[i] is _cell(values[i]): a point cell is rendered again only
+        # when its value is another object, as in _json_points, and rhs
+        # reuses lhs's cell when the verdict holds one object as both
+        values = [None] * len(point_keys)
+        cells = [_cell(None)] * len(point_keys)
         for v in report.verdicts:
-            row = [_cell(v.point[key]) for key in point_keys]
-            row += [v.status, _cell(v.lhs), _cell(v.rhs), _cell(v.reason)]
+            point = v.point
+            for i, key in enumerate(point_keys):
+                value = point[key]
+                if value is not values[i]:
+                    values[i] = value
+                    cells[i] = _cell(value)
+            lhs = _cell(v.lhs)
+            rhs = lhs if v.rhs is v.lhs else _cell(v.rhs)
+            row = cells + [v.status, lhs, rhs, _cell(v.reason)]
             if with_hyp:
                 row += [_cell(v.hypothesis_ok), _cell(v.hypothesis_note)]
             yield row

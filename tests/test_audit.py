@@ -23,6 +23,7 @@ from hlpoly.audit import (
     SINGULAR_PARAMETER,
     UNDEFINED,
     Verdict,
+    _compare,
     _congruence_rows,
     _derivative_rows,
     _product_rows,
@@ -378,6 +379,43 @@ def test_the_coefficient_store_calls_each_prefactor_once_per_run():
     assert calls == {(0, 0): 1, (1, 1): 1}
 
 
+# identity -> the Stirling lookups of its families' coefficient rows on the
+# default grid: bernoulli reads {n m}, the cauchy families [n m], and EQ9-EQ12
+# sum one family of each kind
+BOTH_KINDS = {"stirling1_unsigned": 91, "stirling2": 91}
+FAMILY_LOOKUPS = {
+    "THM4": {"stirling2": 91},
+    "THM5": {"stirling1_unsigned": 91},
+    "THM6": {"stirling1_unsigned": 91},
+    **dict.fromkeys(["EQ9", "EQ10", "EQ11", "EQ12"], BOTH_KINDS),
+}
+
+
+@pytest.mark.parametrize("identity", FAMILY_LOOKUPS)
+def test_a_run_reads_each_family_coefficient_store_once(monkeypatch, identity):
+    # THM4-THM6 and EQ9-EQ12 sum their families over one coefficient store
+    # per family for the whole run: each entry of rows 0..12 is looked up
+    # once, 91 per family and triangle kind, not once per point (3276)
+    calls = Counter()
+
+    def counted(name):
+        lookup = getattr(sequences, name)
+        return lambda n, m: calls.update([name]) or lookup(n, m)
+
+    for name in BOTH_KINDS:
+        monkeypatch.setattr(sequences, name, counted(name))
+    report = run_identity(identity, DEFAULT_GRID)
+    assert calls == FAMILY_LOOKUPS[identity]
+    # a shared point map: THM1-THM3 sum every family first, and the run
+    # reads their sums, so it looks up nothing
+    points = {}
+    for label in EXPLICIT.values():
+        run_identity(label, DEFAULT_GRID, None, points)
+    calls.clear()
+    assert run_identity(identity, DEFAULT_GRID, None, points) == report
+    assert calls == {}
+
+
 # each package triangle with its recurrence-free reference from bruteforce
 TRIANGLES = {
     "first": (stirling1_unsigned, lambda n, m: bruteforce.stirling1_unsigned_row(n)[m]),
@@ -679,6 +717,44 @@ def test_verdict_contract():
     # a named tuple: it iterates over its fields and equals a plain tuple
     assert list(by_position) == [FAILS, point, Fraction(1, 2), 3, None, None, None]
     assert by_position == (FAILS, point, Fraction(1, 2), 3, None, None, None)
+
+
+class _CountedEq(Fraction):
+    """A Fraction that counts the comparisons made on it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountedEq.compared += 1
+        return super().__eq__(other)
+
+    __hash__ = Fraction.__hash__
+
+
+def test_compare_holds_one_object_for_equal_sides_of_one_type():
+    point = {"k": 1, "n": 0}
+    lhs, rhs = Fraction(1, 2), Fraction(2, 4)
+    assert lhs is not rhs
+    held = _compare(point, lhs, rhs)
+    assert held.status == HOLDS and held.lhs is lhs and held.rhs is lhs
+    assert held == Verdict(HOLDS, point, lhs, rhs)
+    big = 10**30
+    assert _compare(point, big, int(str(big))).rhs is big
+    # equal sides of two types keep both objects
+    mixed = _compare(point, 1, Fraction(1))
+    assert mixed.status == HOLDS and type(mixed.lhs) is int and type(mixed.rhs) is Fraction
+    mixed = _compare(point, _CountedEq(1, 2), lhs)
+    assert mixed.status == HOLDS and type(mixed.rhs) is Fraction
+    # a FAILS row keeps both witnesses, and the flags pass through
+    lhs, rhs = Fraction(1, 3), Fraction(1, 2)
+    failed = _compare(point, lhs, rhs, hypothesis_ok=True, hypothesis_note=None)
+    assert failed.status == FAILS and failed.lhs is lhs and failed.rhs is rhs
+    assert failed == Verdict(FAILS, point, lhs, rhs, None, True, None)
+    # the sides are compared once, on either outcome
+    for other in (Fraction(1, 2), Fraction(1, 3)):
+        _CountedEq.compared = 0
+        _compare(point, _CountedEq(1, 2), other)
+        assert _CountedEq.compared == 1
 
 
 def test_reports_are_reproducible():

@@ -300,6 +300,26 @@ def test_json_rational_round_trip(q):
 # -- the report JSON writer ---------------------------------------------------
 
 
+# json.dumps writes a bool as true, where the writer puts a bool point value
+# as str() gives it, as _json_param always has. The reference marks a bool
+# with a lone surrogate, which no drawn text holds, and swaps the quoted mark
+# for that text after the dump.
+_BOOL_MARK = "\ud800"
+
+
+def _reference_param(value):
+    if isinstance(value, bool):
+        return _BOOL_MARK + str(value)
+    return cli.format_rational(value) if isinstance(value, Fraction) else value
+
+
+def _reference_dump(reference) -> str:
+    text = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    for value in (True, False):
+        text = text.replace(json.dumps(_BOOL_MARK + str(value)), str(value))
+    return text
+
+
 def _reference_report(report, variant):
     """One report as the dict tree that canonical_json serialized before the
     fixed-schema writer replaced it."""
@@ -310,10 +330,7 @@ def _reference_report(report, variant):
         "summary": report.summary,
         "verdicts": [
             {
-                "point": {
-                    key: cli.format_rational(value) if isinstance(value, Fraction) else value
-                    for key, value in v.point.items()
-                },
+                "point": {key: _reference_param(value) for key, value in v.point.items()},
                 "status": v.status,
                 "lhs": cli._json_rational(v.lhs) if isinstance(v.lhs, Fraction) else v.lhs,
                 "rhs": cli._json_rational(v.rhs) if isinstance(v.rhs, Fraction) else v.rhs,
@@ -354,17 +371,90 @@ _odd_verdicts = st.builds(
     hypothesis_note=st.one_of(st.none(), _odd_text),
 )
 _odd_reports = st.builds(AuditReport, _odd_text, st.lists(_odd_verdicts, max_size=4))
+
+
+class _Tagged(Fraction):
+    """A Fraction subclass with its own str(): the renderers' exact-type fast
+    paths must not take it for a Fraction where they used to str() it."""
+
+    def __str__(self):
+        return "tagged"
+
+
+def _twin(value):
+    """An equal value that is another object, past the ints -5..256 that
+    CPython keeps one object of."""
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
+    return int(str(value))
+
+
+_POINT_KEYS = ["k", "alpha", "a", "n", "p", "form"]
+
+
+@st.composite
+def _shared_reports(draw, one_key_set=False):
+    """A report whose verdicts share value objects, as a grid point's rows
+    do, so that the writers reuse a field's text. Its values come from one
+    pool: ints above 256, every number beside an equal but distinct twin,
+    True beside 1 and Fraction(1) under one key, and a Fraction subclass
+    beside the equal Fraction. Unless `one_key_set`, a key may be missing
+    from one point and present in the next, and keys come in any order."""
+    numbers = draw(
+        st.lists(st.one_of(_odd_ints, _odd_rationals, st.integers(257, 10**6)), max_size=3)
+    )
+    numbers += [_twin(x) for x in numbers] + [1, Fraction(1), Fraction(1, 2), _Tagged(1, 2)]
+    values = st.sampled_from(numbers + [True, False, draw(_odd_text)])
+    sides = st.one_of(st.none(), st.sampled_from(numbers))
+    keys = draw(st.lists(st.sampled_from(_POINT_KEYS), unique=True, max_size=5))
+    verdicts = []
+    for _ in range(draw(st.integers(0, 6))):
+        if one_key_set:
+            point = {key: draw(values) for key in keys}
+        else:
+            point = draw(st.dictionaries(st.sampled_from(_POINT_KEYS), values, max_size=5))
+        lhs = draw(sides)
+        # rhs is lhs itself, as a HOLDS row of one type holds it, an equal
+        # value (a twin, or 1 beside Fraction(1)), or any side
+        equal = [x for x in numbers if x == lhs] or [lhs]
+        rhs = draw(st.one_of(st.just(lhs), st.sampled_from(equal), sides))
+        verdicts.append(
+            Verdict(
+                draw(st.sampled_from([HOLDS, FAILS, UNDEFINED])),
+                point,
+                lhs,
+                rhs,
+                draw(st.one_of(st.none(), _odd_text)),
+                draw(st.one_of(st.none(), st.booleans())),
+                draw(st.one_of(st.none(), _odd_text)),
+            )
+        )
+    return AuditReport(draw(_odd_text), verdicts)
+
+
 _grids = st.sampled_from(
     [GridSpec(), GridSpec(n_max=0, k_values=(-2,), pairs=((Fraction(-1, 2), Fraction(7, 3)),))]
 )
 
 
+# consecutive rows whose values are equal but distinct objects under one key
+_LOOKALIKES = AuditReport(
+    "THM1",
+    [
+        Verdict(HOLDS, {"k": k, "alpha": alpha}, alpha, alpha)
+        for k in (True, 1, Fraction(1), 300, int("300"), False, 0)
+        for alpha in (Fraction(1, 2), _Tagged(1, 2))
+    ],
+)
+
+
 @settings(max_examples=60, deadline=None)
 @example("audit", GridSpec(), [AuditReport("THM8_B", [])], None)
+@example("audit", GridSpec(), [_LOOKALIKES], None)
 @given(
     st.sampled_from(["audit", "congruence-scan"]),
     _grids,
-    st.lists(_odd_reports, max_size=3),
+    st.lists(st.one_of(_odd_reports, _shared_reports()), max_size=3),
     st.one_of(st.none(), _odd_text),
 )
 def test_report_writer_matches_the_canonical_dump(command, grid, reports, variant):
@@ -375,15 +465,26 @@ def test_report_writer_matches_the_canonical_dump(command, grid, reports, varian
         "reports": [_reference_report(r, variant) for r in reports],
     }
     text = cli._json_reports(command, grid, reports, variant)
-    assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    assert text == _reference_dump(reference)
 
 
-class _Tagged(Fraction):
-    """A Fraction subclass with its own str(): the renderers' exact-type fast
-    paths must not take it for a Fraction where they used to str() it."""
-
-    def __str__(self):
-        return "tagged"
+@settings(max_examples=60, deadline=None)
+@example(_LOOKALIKES)
+@given(_shared_reports(one_key_set=True))
+def test_report_rows_render_every_cell_as_a_fresh_cell_call(report):
+    # the csv and text rows reuse a cell only for the very same object
+    keys = list(report.verdicts[0].point) if report.verdicts else []
+    with_hyp = any(v.hypothesis_ok is not None for v in report.verdicts)
+    expected = []
+    for v in report.verdicts:
+        row = [cli._cell(v.point[key]) for key in keys]
+        row += [v.status, cli._cell(v.lhs), cli._cell(v.rhs), cli._cell(v.reason)]
+        if with_hyp:
+            row += [cli._cell(v.hypothesis_ok), cli._cell(v.hypothesis_note)]
+        expected.append(row)
+    header, rows = cli._report_rows(report)
+    assert header[: len(keys)] == keys
+    assert list(rows) == expected
 
 
 _SIDE = '{\n            "den": "%s",\n            "num": "%s"\n          }'

@@ -108,6 +108,27 @@ GOLDEN = [
         "1ed945007471a5e0915497c0ae79d6d215ecfb135654f3e6bc3949f5c784c92c",
         id="congruence-scan-csv-out-of-order",
     ),
+    # k values past CPython's cache of small ints: the writers reuse a
+    # field's text only for the very same object, so here a k's text is
+    # reused only because the rows of a point hold its one k object
+    pytest.param(
+        [
+            "audit", "--identity", "all", "--format", "text", "--n-max", "4",
+            "--pair", "1,1", "--pair", "1/2,3/2", "--k-values=-257,300",
+            "--primes", "3", "--multipliers", "1",
+        ],
+        "f270a4abd7cee5223a9953892462a36726c57b2bb85a898b1d3baa0962c3add0",
+        id="audit-all-text-large-k",
+    ),
+    pytest.param(
+        [
+            "audit", "--identity", "all", "--format", "json", "--n-max", "4",
+            "--pair", "1,1", "--pair", "1/2,3/2", "--k-values=-257,300",
+            "--primes", "3", "--multipliers", "1",
+        ],
+        "6d073447e639a67ef3717b613a1ea3d25a4a44668e2920961f85ad728f7e4ce9",
+        id="audit-all-json-large-k",
+    ),
 ]
 
 
