@@ -138,14 +138,22 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
-# Row functions: the verdicts of one identity at one (k, alpha, a) point,
-# called as rows(label, family, params, grid, coefficients), `coefficients`
-# being what run_identity makes from `_RUN_ROWS` once for the run: a row
-# store, row n at `coefficients(n)`, of the family's Stirling coefficients
-# for THM1-THM3 and THM8 and of its printed derivative coefficients for
-# THM9-THM11; for THM4-THM6 the collapse triangle's store and the family's
-# coefficient store, and for EQ9-EQ12 the store of triangle products and the
-# coefficient stores of the lhs and the summed family.
+# Each CATALOGUE entry is a check, rows(label, family, grid, points,
+# prefactor), that gives a whole grid's verdicts. It makes the row stores it
+# reads when it starts, so that the run's points share them and none outlives
+# the run; a store's `store(n)` is row n, built on its first request.
+
+
+def _grid_params(grid: GridSpec, points: dict | None):
+    """The grid's `Params` in canonical, sorted (k, alpha, a) order, each taken
+    from the `points` map or stored there; without a map, the run's own."""
+    points = {} if points is None else points
+    # GridSpec lists no value twice, so no two keys tie
+    for key in sorted((k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values):
+        params = points.get(key)
+        if params is None:
+            params = points[key] = Params(*key)
+        yield params
 
 
 # Keys in canonical order: rows are made in the order of the point's values.
@@ -153,53 +161,57 @@ def _params_point(params: Params, n: int) -> dict:
     return {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
 
 
-def _value_rows(params: Params, n_max: int, reach: int, sides) -> list[Verdict]:
-    """The rows of a value identity at one point, n = 0..n_max.
+def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
+    """The rows of a value identity, n = 0..grid.n_max at each point.
 
-    Index n touches alpha*m + a up to m = n + reach. `sides(last)` returns the
-    identity's two sides, each the values at n = 0..last, for `last` the
-    largest evaluable index; it is not called when no index is. The indices
-    after `last` are SINGULAR_PARAMETER.
+    Index n touches alpha*m + a up to m = n + reach. `sides(params, last)`
+    returns the identity's two sides at a point, each the values at
+    n = 0..last, for `last` the largest evaluable index; it is not called
+    when no index is. The indices after `last` are SINGULAR_PARAMETER.
     """
-    s = params.singular_index(n_max + reach)
-    last = n_max if s is None else max(-1, min(n_max, s - 1 - reach))
+    n_max = grid.n_max
     verdicts = []
-    if last >= 0:
-        verdicts = [
-            _compare(_params_point(params, n), x, y)
-            for n, (x, y) in enumerate(zip(*sides(last)))
+    for params in _grid_params(grid, points):
+        s = params.singular_index(n_max + reach)
+        last = n_max if s is None else max(-1, min(n_max, s - 1 - reach))
+        if last >= 0:
+            verdicts += [
+                _compare(_params_point(params, n), x, y)
+                for n, (x, y) in enumerate(zip(*sides(params, last)))
+            ]
+        verdicts += [
+            _undefined(_params_point(params, n), SINGULAR_PARAMETER)
+            for n in range(last + 1, n_max + 1)
         ]
-    return verdicts + [
-        _undefined(_params_point(params, n), SINGULAR_PARAMETER)
-        for n in range(last + 1, n_max + 1)
-    ]
+    return verdicts
 
 
-def _explicit_rows(label, family, params, grid, coefficients) -> list[Verdict]:
+def _explicit_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """Stirling-sum path vs generating-function path, index by index."""
+    coefficients = coefficient_rows(family)
 
-    def sides(last):
+    def sides(params, last):
         lhs = explicit_sequence(family, last, params, coefficients)
         return lhs, oracle_sequence(family, last, params)
 
-    return _value_rows(params, grid.n_max, 0, sides)
+    return _value_rows(grid, points, 0, sides)
 
 
-def _derivative_rows(label, family, params, grid, coefficients) -> list[Verdict]:
+def _derivative_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """Closed-form derivative coefficients vs series-forced ones, index by
     index. FAILS rows carry the (printed, series) pair as lhs/rhs witness."""
+    coefficients = derivative_rows(family)
 
-    def sides(last):
+    def sides(params, last):
         printed = deriv_coeffs_printed(family, last, params, coefficients)
         return printed, deriv_coeffs_oracle(family, last, params)
 
-    return _value_rows(params, grid.n_max, 1, sides)
+    return _value_rows(grid, points, 1, sides)
 
 
 # THM4-THM6 and EQ9-EQ12 apply Stirling rows to a family's values, read once
 # per grid point up to the last defined index, in `_transformed`. Their family
-# rules are table rows read when a run starts (the triangles and prefactors) or
-# per point (the collapse factor): `_COLLAPSE_SHAPE` and `_DUALITY_SHAPE`.
+# rules are table rows read when a run starts: `_COLLAPSE_SHAPE`, `_DUALITY_SHAPE`.
 
 
 def _transformed(rows, family, last, params, family_rows) -> list[Fraction]:
@@ -219,34 +231,26 @@ _COLLAPSE_SHAPE = {
 }
 
 
-def _collapse_rows(family: Family):
-    """The row stores of a THM4-THM6 run: the triangle of `family`'s
-    collapse, whose `store(n)` is [T(n, m) for m = 0..n], built on its first
-    request, and the family's Stirling coefficients."""
-    triangle, _ = _COLLAPSE_SHAPE[family]
-    collapse = functools.cache(lambda n: [triangle(n, m) for m in range(n + 1)])
-    return collapse, coefficient_rows(family)
-
-
-def _orthogonality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
+def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """One family's Stirling-transform collapse at n = 0..n_max:
 
         bernoulli: sum_m [n m] B_m  = n! / (alpha n + a)^k
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
 
-    The triangle rows T(n, m) and the family's coefficients come from the
-    run's two `coefficients` stores.
+    The run's store of triangle rows, `collapse(n)` = [T(n, m) for m = 0..n],
+    builds each row on its first request.
     """
-    _, factor = _COLLAPSE_SHAPE[family]
-    collapse, family_rows = coefficients
+    triangle, factor = _COLLAPSE_SHAPE[family]
+    collapse = functools.cache(lambda n: [triangle(n, m) for m in range(n + 1)])
+    family_rows = coefficient_rows(family)
 
-    def sides(last):
+    def sides(params, last):
         lhs = _transformed(collapse, family, last, params, family_rows)
         weights, den = params.scaled_weights(last)
         return lhs, [Fraction(factor(n) * weights[n], den) for n in range(last + 1)]
 
-    return _value_rows(params, grid.n_max, 0, sides)
+    return _value_rows(grid, points, 0, sides)
 
 
 # The closed prefactor family of EQ9..EQ12, (-1)^EXP * (m!)^POWER: each EXP
@@ -274,11 +278,11 @@ def duality_prefactor(exp: str, power: int) -> Callable[[int, int], int | Fracti
 
 
 _DUALITY_SHAPE = {
-    # identity -> (lhs family, summed family, stirling triangle, printed prefactor)
-    "EQ9": (Family.BERNOULLI, Family.CAUCHY1, stirling2, duality_prefactor("m+n", 1)),
-    "EQ10": (Family.BERNOULLI, Family.CAUCHY2, stirling2, duality_prefactor("m", 1)),
-    "EQ11": (Family.CAUCHY1, Family.BERNOULLI, stirling1_unsigned, duality_prefactor("m+n", 1)),
-    "EQ12": (Family.CAUCHY2, Family.BERNOULLI, stirling1_unsigned, duality_prefactor("n", 1)),
+    # identity -> (summed family, stirling triangle, printed prefactor)
+    "EQ9": (Family.CAUCHY1, stirling2, duality_prefactor("m+n", 1)),
+    "EQ10": (Family.CAUCHY2, stirling2, duality_prefactor("m", 1)),
+    "EQ11": (Family.BERNOULLI, stirling1_unsigned, duality_prefactor("m+n", 1)),
+    "EQ12": (Family.BERNOULLI, stirling1_unsigned, duality_prefactor("n", 1)),
 }
 
 
@@ -303,7 +307,7 @@ def _product_rows(outer, inner, prefactor):
     return store
 
 
-def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
+def _duality_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """One double-sum interchange identity at n = 0..n_max:
 
         EQ9:  B_n  = sum_{l,m<=n} (-1)^(m+n) m! {n m} {m l} c_l
@@ -315,14 +319,15 @@ def _duality_rows(label, family, params, grid, coefficients) -> list[Verdict]:
     values x_l, with row n of the c_l read from the run's store of triangle
     products; both families' coefficients come from the run's stores too.
     """
-    lhs_family, summed_family, _, _ = _DUALITY_SHAPE[label]
-    products, lhs_rows, summed_rows = coefficients
+    summed_family, triangle, printed = _DUALITY_SHAPE[label]
+    products = _product_rows(triangle, triangle, prefactor or printed)
+    lhs_rows, summed_rows = coefficient_rows(family), coefficient_rows(summed_family)
 
-    def sides(last):
-        lhs = explicit_sequence(lhs_family, last, params, lhs_rows)
+    def sides(params, last):
+        lhs = explicit_sequence(family, last, params, lhs_rows)
         return lhs, _transformed(products, summed_family, last, params, summed_rows)
 
-    return _value_rows(params, grid.n_max, 0, sides)
+    return _value_rows(grid, points, 0, sides)
 
 
 def _hypothesis_flags(params: Params, p: int) -> dict:
@@ -347,42 +352,44 @@ def _hypothesis_flags(params: Params, p: int) -> dict:
     return {"hypothesis_ok": True, "hypothesis_note": None}
 
 
-def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]:
+def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """s_{n*p} = s_0 (mod p) for each multiplier n and prime p of the grid.
 
     Congruences are stated for k >= 1 only; other k give no rows. Both
     sequence values are computed exactly, from the Stirling coefficient rows
-    of the run's `coefficients` store (`sequences.coefficient_rows`), which
-    every point of the run shares, and then reduced mod p. The point's weight
-    prefix is sized once, to the largest evaluable n*p, so every value reads
-    the same weights over one denominator. A point is UNDEFINED, never a pass
-    or a fail, when p divides alpha (the standing assumption fails), alpha*m
-    + a vanishes at an m <= n*p, or p divides a denominator (the congruence
-    is not evaluable). Every verdict also records whether (alpha*m + a) stays
+    of the run's store (`sequences.coefficient_rows`), which every point of
+    the run shares, and then reduced mod p. A point's weight prefix is sized
+    once, to its largest evaluable n*p, so every value reads the same weights
+    over one denominator. A point is UNDEFINED, never a pass or a fail, when
+    p divides alpha (the standing assumption fails), alpha*m + a vanishes at
+    an m <= n*p, or p divides a denominator (the congruence is not
+    evaluable). Every verdict also records whether (alpha*m + a) stays
     invertible mod p, the assumption under which the congruence is claimed,
     with one flag per prime for all multipliers. The flag is reported, never
     used to suppress a result.
     """
-    if params.k < 1:
-        return []
-    flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
-    # (n, p) -> why s_{n*p} is not computed, or None where it is, in the
-    # rows' canonical order
-    reasons = {
-        (n, p): P_DIVIDES_ALPHA if params.alpha.numerator % p == 0
-        else SINGULAR_PARAMETER if params.singular_index(n * p) is not None
-        else None
-        for n in sorted(grid.multipliers)
-        for p in sorted(grid.primes)
-    }
-    # the largest evaluable index sizes the point's weight prefix, once
-    params.scaled_weights(max((n * p for (n, p), why in reasons.items() if not why), default=-1))
+    coefficients = coefficient_rows(family)
     verdicts = []
-    for (n, p), why in reasons.items():
-        point = {**_params_point(params, n), "p": p}
-        if why:
-            verdicts.append(_undefined(point, why, **flags[p]))
-        else:
+    for params in _grid_params(grid, points):
+        if params.k < 1:
+            continue
+        flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
+        # (n, p) -> why s_{n*p} is not computed, or None where it is, in the
+        # rows' canonical order
+        reasons = {
+            (n, p): P_DIVIDES_ALPHA if params.alpha.numerator % p == 0
+            else SINGULAR_PARAMETER if params.singular_index(n * p) is not None
+            else None
+            for n in sorted(grid.multipliers)
+            for p in sorted(grid.primes)
+        }
+        # the largest evaluable index sizes the point's weight prefix, once
+        params.scaled_weights(max((n * p for n, p in reasons if not reasons[n, p]), default=-1))
+        for (n, p), why in reasons.items():
+            point = {**_params_point(params, n), "p": p}
+            if why:
+                verdicts.append(_undefined(point, why, **flags[p]))
+                continue
             lhs = explicit_value(family, n * p, params, rows=coefficients)
             rhs = explicit_value(family, 0, params, rows=coefficients)
             try:
@@ -398,10 +405,10 @@ def _congruence_rows(label, family, params, grid, coefficients) -> list[Verdict]
     return verdicts
 
 
-def _stirling_orthogonality(n_max: int) -> AuditReport:
+def _stirling_orthogonality(label, family, grid, points, prefactor) -> list[Verdict]:
     """sum_{m=l..n} T(n,m) U(m,l) (-1)^m = (-1)^n delta_{n,l} over the full
-    triangle 0 <= l <= n <= n_max, for both triangle orders, the sums read
-    from the `_product_rows` store that EQ9..EQ12 read too:
+    triangle 0 <= l <= n <= grid.stirling_n_max, for both triangle orders,
+    the sums read from the `_product_rows` store that EQ9..EQ12 read too:
 
         form first_second: T = [..], U = {..}
         form second_first: T = {..}, U = [..]
@@ -412,12 +419,12 @@ def _stirling_orthogonality(n_max: int) -> AuditReport:
         ("second_first", stirling2, stirling1_unsigned),
     ):
         rows = _product_rows(outer, inner, duality_prefactor("m", 0))
-        for n in range(n_max + 1):
+        for n in range(grid.stirling_n_max + 1):
             for l, total in enumerate(rows(n)):
                 expected = (-1) ** n if n == l else 0
                 point = {"form": form, "n": n, "l": l}
                 verdicts.append(_compare(point, Fraction(total), Fraction(expected)))
-    return AuditReport("STIRLING_ORTHO", verdicts)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +483,8 @@ DEFAULT_GRID = GridSpec()
 
 
 # The identity catalogue, in the run order of `audit --identity all`:
-# label -> (CLI token, row function, family). EQ9..EQ12 carry their lhs
-# family. STIRLING_ORTHO does not depend on (k, alpha, a) and has no row
-# function.
+# label -> (CLI token, check, family). EQ9..EQ12 carry their lhs family;
+# STIRLING_ORTHO, which does not depend on (k, alpha, a), has none.
 CATALOGUE = {
     "THM1": ("thm1", _explicit_rows, Family.BERNOULLI),
     "THM2": ("thm2", _explicit_rows, Family.CAUCHY1),
@@ -496,18 +502,7 @@ CATALOGUE = {
     "THM9": ("thm9", _derivative_rows, Family.CAUCHY1),
     "THM10": ("thm10", _derivative_rows, Family.CAUCHY2),
     "THM11": ("thm11", _derivative_rows, Family.BERNOULLI),
-    "STIRLING_ORTHO": ("stirling-ortho", None, None),
-}
-
-# row function -> the maker of the row stores that one run shares across its
-# points, given the run's family; EQ9..EQ12's store of triangle products also
-# depends on the prefactor, so run_identity makes their stores from
-# `_DUALITY_SHAPE`
-_RUN_ROWS = {
-    _explicit_rows: coefficient_rows,
-    _orthogonality_rows: _collapse_rows,
-    _congruence_rows: coefficient_rows,
-    _derivative_rows: derivative_rows,
+    "STIRLING_ORTHO": ("stirling-ortho", _stirling_orthogonality, None),
 }
 
 
@@ -520,10 +515,10 @@ def run_identity(
     """Evaluate one catalogued identity over the grid.
 
     The report's rows come in canonical order (k, alpha, a, then indices),
-    whatever order the grid lists its values in: the points are visited in
-    sorted (k, alpha, a) order and each row function makes its rows in index
-    order, so the rows themselves are never sorted. Identical grids always
-    serialize to identical bytes. A `prefactor` is only accepted for
+    whatever order the grid lists its values in: the catalogue's check visits
+    the points in sorted (k, alpha, a) order and makes each point's rows in
+    index order, so the rows themselves are never sorted. Identical grids
+    always serialize to identical bytes. A `prefactor` is only accepted for
     EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
     `grid.stirling_n_max` rows, in the order its sums are generated.
 
@@ -532,33 +527,14 @@ def run_identity(
     Stirling sums and composed series, and the first identity in catalogue
     order that needs them does the work: in per-identity timings, THM1-THM3
     carry each family's sums and its one series composition, which
-    THM9-THM11 then read. Each run makes its row stores once for all its
-    points, one per kind of row it reads, `store(n)` being row n, and no
-    row outlives the run. Without a map, the run builds its own `Params`
-    too, so nothing it computes outlives it.
+    THM9-THM11 then read. Each check makes its row stores when its run
+    starts, one per kind of row it reads, `store(n)` being row n, and all
+    its points share them; no row outlives the run. Without a map, the run
+    builds its own `Params` too, so nothing it computes outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
     _, rows, family = CATALOGUE[identity]
     if prefactor is not None and rows is not _duality_rows:
         raise ValueError("a variant prefactor only applies to EQ9..EQ12")
-    if rows is None:
-        return _stirling_orthogonality(grid.stirling_n_max)
-    points = {} if points is None else points
-    if rows is _duality_rows:
-        lhs_family, summed_family, triangle, printed = _DUALITY_SHAPE[identity]
-        coefficients = (
-            _product_rows(triangle, triangle, prefactor or printed),
-            coefficient_rows(lhs_family),
-            coefficient_rows(summed_family),
-        )
-    else:
-        coefficients = _RUN_ROWS[rows](family)
-    verdicts: list[Verdict] = []
-    # GridSpec lists no value twice, so no two keys tie
-    for key in sorted((k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values):
-        params = points.get(key)
-        if params is None:
-            params = points[key] = Params(*key)
-        verdicts.extend(rows(identity, family, params, grid, coefficients))
-    return AuditReport(identity, verdicts)
+    return AuditReport(identity, rows(identity, family, grid, points, prefactor))

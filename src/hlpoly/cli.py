@@ -69,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
-# The one congruence token, and the row function that eq9..eq12 share: only
+# The one congruence token, and the check that eq9..eq12 share: only
 # they take a variant prefactor.
 _CONGRUENCE_TOKEN = "thm8"
 _DUALITY_ROWS = CATALOGUE["EQ9"][1]
@@ -84,7 +84,7 @@ def _json_rational(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-# JSON of the verdict fields that hold None or a bool.
+# JSON of the values None, True and False.
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
@@ -93,14 +93,16 @@ def _json_text(value: str | None) -> str:
 
 
 def _json_param(value: Fraction | int | str) -> str:
-    """A point's parameter: a Fraction as "p/q" text, a string, or an int."""
+    """A point's parameter: a Fraction as "p/q" text, a string, a bool, or an int."""
     # exact types first, as in _cell: isinstance of an int goes through
-    # ABCMeta; a Fraction subclass, a bool or a str takes the isinstance tests
+    # ABCMeta; a Fraction subclass or a str takes the isinstance tests
     kind = type(value)
     if kind is int:
         return str(value)
     if kind is Fraction or isinstance(value, Fraction):
         return f'"{format_rational(value)}"'
+    if kind is bool:
+        return _JSON_LITERALS[value]
     return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
 
 
@@ -131,8 +133,8 @@ def _json_side(value: Fraction | int | None) -> str:
     # exact types first, as in _json_param; a Fraction subclass takes the isinstance test
     kind = type(value)
     if kind is not Fraction:
-        if value is None:
-            return "null"
+        if value is None or kind is bool:
+            return _JSON_LITERALS[value]
         if kind is int or not isinstance(value, Fraction):
             return str(value)
     return (

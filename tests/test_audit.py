@@ -27,6 +27,7 @@ from hlpoly.audit import (
     _congruence_rows,
     _derivative_rows,
     _product_rows,
+    _stirling_orthogonality,
     _value_rows,
     duality_prefactor,
     exit_code,
@@ -361,7 +362,7 @@ def test_a_shared_point_map_changes_no_report(grid):
 
 
 def test_the_coefficient_store_calls_each_prefactor_once_per_run():
-    printed = _DUALITY_SHAPE["EQ11"][3]
+    printed = _DUALITY_SHAPE["EQ11"][2]
     calls = Counter()
 
     def counted(n, m):
@@ -492,8 +493,9 @@ def test_audit_derivative_fixtures():
 def test_audit_derivative_self_consistency_control():
     # x = x control: the comparison machinery reports HOLDS when both sides
     # are the oracle's own recomputation
+    grid = GridSpec(n_max=10, k_values=(P111.k,), pairs=((P111.alpha, P111.a),))
     verdicts = _value_rows(
-        P111, 10, 1, lambda last: [deriv_coeffs_oracle(Family.CAUCHY1, last, P111)] * 2
+        grid, None, 1, lambda params, last: [deriv_coeffs_oracle(Family.CAUCHY1, last, params)] * 2
     )
     assert len(verdicts) == 11
     assert all(v.status == HOLDS for v in verdicts)
@@ -503,7 +505,7 @@ def test_audit_derivative_self_consistency_control():
 VALUE_IDENTITIES = [
     label
     for label, (_, rows, _) in CATALOGUE.items()
-    if rows not in (None, _congruence_rows)
+    if rows not in (_stirling_orthogonality, _congruence_rows)
 ]
 
 

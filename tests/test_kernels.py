@@ -108,7 +108,7 @@ def test_each_series_has_its_own_power_table_and_composing_it_again_reuses_it():
 
 def _double_sum(identity, n, params, prefactor) -> Fraction:
     """The EQ9-EQ12 right-hand side as printed: a Fraction double sum."""
-    _, summed_family, triangle, _ = _DUALITY_SHAPE[identity]
+    summed_family, triangle, _ = _DUALITY_SHAPE[identity]
     inner = explicit_sequence(summed_family, n, params)
     rhs = Fraction(0)
     for m in range(n + 1):
@@ -134,7 +134,7 @@ def _audited_rhs(identity, n, params, prefactor=None) -> Fraction:
 )
 def test_collapsed_duality_equals_the_double_sum(identity, n, k, alpha, a, scale):
     params = _params(k, alpha, a, n)
-    printed = _DUALITY_SHAPE[identity][3]
+    printed = _DUALITY_SHAPE[identity][2]
     assert _audited_rhs(identity, n, params) == _double_sum(
         identity, n, params, printed
     )

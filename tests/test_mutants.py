@@ -117,17 +117,17 @@ def test_one_kernel_value_fails_its_explicit_identity(capsys, monkeypatch, name,
 
 
 def test_one_duality_prefactor_fails_eq9(capsys, monkeypatch):
-    lhs_family, summed_family, triangle, printed = audit._DUALITY_SHAPE["EQ9"]
+    summed_family, triangle, printed = audit._DUALITY_SHAPE["EQ9"]
 
     def mutant(n, m):
         return -printed(n, m) if (n, m) == (2, 1) else printed(n, m)
 
-    shape = (lhs_family, summed_family, triangle, mutant)
+    shape = (summed_family, triangle, mutant)
     assert_caught(capsys, monkeypatch, "eq9", "EQ9", audit._DUALITY_SHAPE, "EQ9", shape)
 
 
-# THM4-THM6 read their rule from the table per point: without (-1)^n the odd
-# rows of THM6 fail
+# THM4-THM6 read their rule from the table when a run starts: without (-1)^n
+# the odd rows of THM6 fail
 def test_a_dropped_collapse_sign_fails_thm6(capsys, monkeypatch):
     triangle, _ = audit._COLLAPSE_SHAPE[Family.CAUCHY2]
     shape = (triangle, lambda n: 1)
