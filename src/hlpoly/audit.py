@@ -43,6 +43,7 @@ from .sequences import (
     explicit_sequence,
     explicit_value,
     oracle_sequence,
+    row_store,
 )
 from .stirling import stirling1_unsigned, stirling2
 
@@ -242,7 +243,7 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
     builds each row on its first request.
     """
     triangle, factor = _COLLAPSE_SHAPE[family]
-    collapse = functools.cache(lambda n: [triangle(n, m) for m in range(n + 1)])
+    collapse = row_store(triangle)
     family_rows = coefficient_rows(family)
 
     def sides(params, last):

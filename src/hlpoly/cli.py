@@ -106,37 +106,46 @@ def _json_param(value: Fraction | int | str) -> str:
     return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
 
 
-def _json_points(verdicts) -> Iterator[str]:
-    """Each verdict's point as JSON text, indented as a verdict field, one
-    point at a time, reusing a field's text by the rule in `_json_reports`.
-    The keys are sorted once per run of points that list them in one order."""
+def _json_field(key: str, value) -> str:
+    """A point's field as JSON text, indented as a verdict field."""
+    return f"            {encode_basestring_ascii(key)}: {_json_param(value)}"
+
+
+def _point_fields(verdicts, order, render) -> Iterator[list[str]]:
+    """Each verdict's point as a new list of field texts, render(key, value)
+    for the keys that order(point keys) lists; order runs again only when a
+    point lists its keys unlike the one before. A field is rendered again
+    only when its value is another object than the one last rendered under
+    its key, never for an equal one (a bool beside 1, a Fraction subclass,
+    another big int): point values are immutable, so the object fixes its
+    text."""
     fields: dict = {}  # key -> (value, its field text)
-    order = keys = None
+    names = keys = None
     for v in verdicts:
         point = v.point
-        names = tuple(point)
-        if names != order:
-            order, keys = names, sorted(names)
+        if tuple(point) != names:
+            names = tuple(point)
+            keys = order(names)
         texts = []
         for key in keys:
             value = point[key]
             kept = fields.get(key)
             if kept is None or kept[0] is not value:
-                text = f"            {encode_basestring_ascii(key)}: {_json_param(value)}"
-                kept = fields[key] = (value, text)
+                kept = fields[key] = (value, render(key, value))
             texts.append(kept[1])
-        yield "{\n" + ",\n".join(texts) + "\n          }" if texts else "{}"
+        yield texts
 
 
-def _json_side(value: Fraction | int | None) -> str:
-    """lhs or rhs: a Fraction as the {"den", "num"} object, an int residue, or null."""
+def _json_side(value: Fraction | int | str | None) -> str:
+    """lhs or rhs: a Fraction as the {"den", "num"} object, an int residue, a
+    string, or null."""
     # exact types first, as in _json_param; a Fraction subclass takes the isinstance test
     kind = type(value)
     if kind is not Fraction:
         if value is None or kind is bool:
             return _JSON_LITERALS[value]
         if kind is int or not isinstance(value, Fraction):
-            return str(value)
+            return _json_param(value)
     return (
         f'{{\n            "den": "{value.denominator}",\n'
         f'            "num": "{value.numerator}"\n          }}'
@@ -151,12 +160,9 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     small grid header still goes through it. The pieces are joined once, so
     the text is held in memory once beside them.
 
-    Text is reused only for the very same object, never for an equal one
-    (a bool beside 1, a Fraction subclass, another big int): a point field
-    reuses the text last rendered for its key (`_json_points`, whose texts
-    zip with the verdicts, so no list of them is held), and rhs reuses
-    lhs's text when the verdict holds one object as both. Point and side
-    values are immutable, so the object fixes its text."""
+    A point field reuses its text by the rule of `_point_fields`, whose
+    texts zip with the verdicts, so no list of them is held; rhs reuses
+    lhs's text when the verdict holds one object as both."""
     pairs = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
     head = json.dumps(
         {"command": command, "grid": {**vars(grid), "pairs": pairs}}, indent=2, sort_keys=True
@@ -165,7 +171,9 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     parts = [head[:-2], ',\n  "reports": [']
     for i, report in enumerate(reports):
         verdicts = []
-        for v, point in zip(report.verdicts, _json_points(report.verdicts)):
+        points = _point_fields(report.verdicts, sorted, _json_field)
+        for v, fields in zip(report.verdicts, points):
+            point = "{\n" + ",\n".join(fields) + "\n          }" if fields else "{}"
             lhs = _json_side(v.lhs)
             verdicts.append(
                 "        {\n"
@@ -333,9 +341,11 @@ def _build_parser() -> _Parser:
         help="comma list; write --k-values=-2,... for negatives "
         f"(default {_listed(grid.k_values)})",
     )
-    scan = add(
-        "congruence-scan", "prime-period congruence scan across families", _cmd_congruence_scan
-    )
+    # a scan is a thm8 audit with its own flags: no stirling-ortho triangle
+    # or variant prefactor, a family filter, and k >= 1 throughout
+    audit.set_defaults(family="all")
+    scan = add("congruence-scan", "prime-period congruence scan across families", _cmd_audit)
+    scan.set_defaults(identity=_CONGRUENCE_TOKEN, variant_prefactor=None)
     scan.add_argument("--family", choices=[f.value for f in Family] + ["all"], default="all")
     scan.add_argument("--k-values", type=_integers, default="1,2,3", help="comma list, k >= 1")
     pairs = " ".join(f"{format_rational(al)},{format_rational(a)}" for al, a in grid.pairs)
@@ -409,21 +419,12 @@ def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
         header += ["hypothesis_ok", "hypothesis_note"]
 
     def rows():
-        # cells[i] is _cell(values[i]): a point cell is rendered again only
-        # when its value is another object, as in _json_points, and rhs
-        # reuses lhs's cell when the verdict holds one object as both
-        values = [None] * len(point_keys)
-        cells = [_cell(None)] * len(point_keys)
-        for v in report.verdicts:
-            point = v.point
-            for i, key in enumerate(point_keys):
-                value = point[key]
-                if value is not values[i]:
-                    values[i] = value
-                    cells[i] = _cell(value)
+        # point cells by the rule of _point_fields; rhs reuses lhs's cell
+        # when the verdict holds one object as both
+        points = _point_fields(report.verdicts, lambda _: point_keys, lambda _, x: _cell(x))
+        for v, row in zip(report.verdicts, points):
             lhs = _cell(v.lhs)
-            rhs = lhs if v.rhs is v.lhs else _cell(v.rhs)
-            row = cells + [v.status, lhs, rhs, _cell(v.reason)]
+            row += [v.status, lhs, lhs if v.rhs is v.lhs else _cell(v.rhs), _cell(v.reason)]
             if with_hyp:
                 row += [_cell(v.hypothesis_ok), _cell(v.hypothesis_note)]
             yield row
@@ -541,37 +542,37 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _cmd_audit(args) -> tuple[int, Iterable[str]]:
+    """An audit or congruence-scan result in the requested format, and the
+    exit code its verdicts give."""
     grid = _grid_from_args(args)
     labels = [
         label
-        for label, (token, _, _) in CATALOGUE.items()
-        if args.identity in (token, "all")
+        for label, (token, _, family) in CATALOGUE.items()
+        # STIRLING_ORTHO has no family, and only a scan filters by family
+        if args.identity in (token, "all") and args.family in ("all", family and family.value)
     ]
-    if args.identity == _CONGRUENCE_TOKEN and max(grid.k_values) < 1:
+    if args.command == "congruence-scan":
+        if min(grid.k_values) < 1:
+            raise UsageError("congruence scans require k >= 1")
+    elif args.identity == _CONGRUENCE_TOKEN and max(grid.k_values) < 1:
         raise UsageError("thm8 needs at least one k >= 1 in --k-values")
-    prefactor = None
+    prefactor = variant = None
     if args.variant_prefactor is not None:
         if any(CATALOGUE[label][1] is not _DUALITY_ROWS for label in labels):
             raise UsageError("--variant-prefactor only applies to eq9..eq12")
         prefactor = duality_prefactor(*args.variant_prefactor)
+        variant = _listed(args.variant_prefactor)
 
     # one Params per grid point for the whole command: labels share its memos
     points: dict = {}
     reports = [run_identity(label, grid, prefactor, points) for label in labels]
-    return _report_output(args, grid, reports)
-
-
-def _cmd_congruence_scan(args) -> tuple[int, Iterable[str]]:
-    grid = _grid_from_args(args)
-    if min(grid.k_values) < 1:
-        raise UsageError("congruence scans require k >= 1")
-    points: dict = {}
-    reports = [
-        run_identity(label, grid, None, points)
-        for label, (token, _, family) in CATALOGUE.items()
-        if token == _CONGRUENCE_TOKEN and args.family in ("all", family.value)
-    ]
-    return _report_output(args, grid, reports)
+    if args.format == "json":
+        output = [_json_reports(args.command, grid, reports, variant)]
+    elif args.format == "csv":
+        output = _csv_lines(reports)
+    else:
+        output = [_render_reports_text(reports, variant)]
+    return exit_code(reports), output
 
 
 def _csv_lines(reports) -> Iterator[str]:
@@ -583,21 +584,6 @@ def _csv_lines(reports) -> Iterator[str]:
         label = report.identity.lower()
         for row in _report_rows(report)[1]:
             yield ",".join([label] + row) + "\n"
-
-
-def _report_output(args, grid: GridSpec, reports) -> tuple[int, Iterable[str]]:
-    """An audit or congruence-scan result in the requested format, and the
-    exit code its verdicts give."""
-    # Every report of a run with --variant-prefactor is one of eq9..eq12.
-    variant = getattr(args, "variant_prefactor", None)
-    variant = variant and _listed(variant)
-    if args.format == "json":
-        output = [_json_reports(args.command, grid, reports, variant)]
-    elif args.format == "csv":
-        output = _csv_lines(reports)
-    else:
-        output = [_render_reports_text(reports, variant)]
-    return exit_code(reports), output
 
 
 def _write(output: Iterable[str]) -> None:

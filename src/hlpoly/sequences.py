@@ -63,6 +63,7 @@ __all__ = [
     "explicit_sequence",
     "explicit_value",
     "oracle_sequence",
+    "row_store",
 ]
 
 
@@ -163,7 +164,7 @@ def _ensure_nonsingular(params: Params, m_max: int) -> None:
         ensure_nonsingular(params.alpha, params.a, m_max)
 
 
-def _row_store(coeff, reach: int = 0) -> Callable[[int], list[int]]:
+def row_store(coeff, reach: int = 0) -> Callable[[int], list[int]]:
     """A row store: `rows(n)` is [coeff(n, m) for m = 0..n+reach], built on
     its first request and kept as long as the store."""
     return functools.cache(lambda n: [coeff(n, m) for m in range(n + reach + 1)])
@@ -175,7 +176,7 @@ def coefficient_rows(family: Family) -> Callable[[int], list[int]]:
     Calls that share one store build each row once, whatever their parameters.
     The store reads the family's coefficients when it is made.
     """
-    return _row_store(_STIRLING_COEFF[family])
+    return row_store(_STIRLING_COEFF[family])
 
 
 def _scaled_sums(rows, last: int, params: Params, reach: int = 0):
@@ -293,7 +294,7 @@ def derivative_rows(family: Family) -> Callable[[int], list[int]]:
     is the list of integer coefficients of 1/(alpha m + a)^k in D_n, m = 0..n
     for the cauchy families and 0..n+1 for bernoulli. It reads the family's
     coefficients when it is made, as `coefficient_rows` does."""
-    return _row_store(*_DERIV_COEFF[family])
+    return row_store(*_DERIV_COEFF[family])
 
 
 def deriv_coeffs_printed(

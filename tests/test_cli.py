@@ -348,8 +348,8 @@ _odd_verdicts = st.builds(
         st.one_of(_odd_ints, _odd_rationals, _odd_text),
         max_size=6,
     ),
-    lhs=st.one_of(st.none(), _odd_rationals, _odd_ints),
-    rhs=st.one_of(st.none(), _odd_rationals, _odd_ints),
+    lhs=st.one_of(st.none(), _odd_rationals, _odd_ints, _odd_text),
+    rhs=st.one_of(st.none(), _odd_rationals, _odd_ints, _odd_text),
     reason=st.one_of(st.none(), _odd_text),
     hypothesis_ok=st.one_of(st.none(), st.booleans()),
     hypothesis_note=st.one_of(st.none(), _odd_text),
@@ -494,7 +494,7 @@ _SIDE = '{\n            "den": "%s",\n            "num": "%s"\n          }'
         (cli._json_side, -3, "-3"),
         (cli._json_side, Fraction(-7, 3), _SIDE % (3, -7)),
         (cli._json_side, None, "null"),
-        (cli._json_side, "first_second", "first_second"),
+        (cli._json_side, "first_second", '"first_second"'),
         (cli._cell, _Tagged(2, 4), "tagged"),
         (cli._cell, True, "yes"),
         (cli._cell, False, "no"),
@@ -657,8 +657,42 @@ def test_congruence_scan_csv(capsys):
 
 
 def test_congruence_scan_requires_positive_k(capsys):
-    code, _, err = run(capsys, "congruence-scan", "--k-values", "0,1")
-    assert code == 64
+    code, out, err = run(capsys, "congruence-scan", "--k-values", "0,1")
+    assert code == 64 and out == ""
+    assert "congruence scans require k >= 1" in err
+
+
+def test_audit_thm8_needs_only_one_positive_k(capsys):
+    # the scan's rule is stricter: audit runs k = 0 beside k = 1
+    code, out, _ = run(capsys, "audit", "--identity", "thm8", "--k-values", "0,1")
+    assert code == 1
+    assert "identity thm8_c1: " in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_congruence_scan_prints_the_thm8_audit(capsys, fmt):
+    scan = run(capsys, "congruence-scan", "--format", fmt)
+    audit = run(capsys, "audit", "--identity", "thm8", "--format", fmt)
+    assert scan[0] == audit[0] == 1
+    if fmt == "text":
+        assert scan[1] == audit[1]
+    else:
+        assert json.loads(scan[1])["reports"] == json.loads(audit[1])["reports"]
+        assert json.loads(scan[1])["command"] == "congruence-scan"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_congruence_scan_family_runs_only_its_label(capsys, fmt):
+    code, out, _ = run(capsys, "congruence-scan", "--family", "cauchy2", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        names = [r["identity"] for r in json.loads(out)["reports"]]
+    elif fmt == "csv":
+        names = sorted({line.split(",")[0].upper() for line in out.splitlines()[1:]})
+    else:
+        titles = [line.split(":")[0] for line in out.splitlines() if line.startswith("identity ")]
+        names = [title.removeprefix("identity ").upper() for title in titles]
+    assert names == ["THM8_C2"]
 
 
 def test_congruence_scan_singular_parameter_exits_two(capsys):
