@@ -9,7 +9,10 @@ The composition kernels (1 - e^-t, +/-ln(1+t), e^+-t, 1/(1+t)) all have
 closed-form integer EGF values, written once in the `_KERNELS` table; summing
 powers of a kernel with zero constant term against rational weights is exact
 at any truncation order, which is what makes this module usable as an
-independent oracle.
+independent oracle. That sum is integer work from the parameters up: the
+weights 1 / (alpha*m + a)^k are integers over one denominator, built here from
+the integer form of alpha*m + a, and the powers are the partial Bell rows of
+the kernel's EGF integers, one table per series.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ensure_nonsingular, pow_rat
+from .exact import ensure_nonsingular
 
 __all__ = [
     "KERNEL_NAMES",
@@ -115,64 +118,77 @@ def kernel(name: str, order: int) -> PowerSeries:
     return PowerSeries(tuple(map(_KERNELS[name], range(order + 1))))
 
 
-# EGF numerators G_0..G_n of a composed series g = sum G_i t^i / (L i!) -> the
-# EGF integers of the powers (L g)^m, row i holding the coefficient of t^i/i!
-# for m = 0..i. The rows depend neither on L nor on the weights (k, alpha, a),
-# so there is one table per exact series, kept as long as the process: a run
-# of the CLI composes only the three kernels of `sequences`, at the few orders
-# its grid asks for.
+# EGF numerators G_0..G_n of a composed series g = sum G_i t^i / (L i!) -> its
+# partial Bell rows (Comtet 1974, section 3.3): row n holds the EGF integers
+# B(n, m) = [(L g)^m / m!]_n for m = 0..n, from B(0, 0) = 1 and
+# B(n, m) = sum_j C(n-1, j-1) G_j B(n-j, m-1). The rows depend neither on L nor
+# on the weights (k, alpha, a), so there is one table per exact series, kept as
+# long as the process: a run of the CLI composes only the three kernels of
+# `sequences`, at the few orders its grid asks for.
 @functools.cache
-def _power_rows(G: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..len(G) - 1 of the power table of numerators G."""
+def _bell_rows(G: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..len(G) - 1 of the partial Bell table of numerators G."""
     rows = [(1,)]
     for n in range(1, len(G)):
+        # C(n-1, j-1) G_j, shared by every m of row n
+        steps = [0, *(math.comb(n - 1, j - 1) * G[j] for j in range(1, n + 1))]
         row = [
-            sum(math.comb(n, j) * G[j] * rows[n - j][m - 1] for j in range(1, n - m + 2))
+            sum(steps[j] * rows[n - j][m - 1] for j in range(1, n - m + 2))
             for m in range(1, n + 1)
         ]
         rows.append((0, *row))
     return tuple(rows)
 
 
-def _weighted_power_sum(g: PowerSeries, weights: list[Fraction]) -> PowerSeries:
-    """sum_m weights[m] * g^m at g's order, on integers in EGF form.
+def _weighted_power_sum(g: PowerSeries, weights: list[int], den: int) -> PowerSeries:
+    """sum_m weights[m] / den * (g^m / m!) at g's order, on integers in EGF form.
 
-    With g = sum G_n t^n / (L n!) and weights[m] = W_m / D, the EGF integers
-    of (L g)^m come from the power table, and the sum has EGF value
-    sum_m W_m L^(N-m) [(L g)^m]_n / (D L^N) at t^n / n!.
+    With g = sum G_n t^n / (L n!) and weights[m] = W_m, the Bell rows give the
+    EGF integers of (L g)^m / m!, and the sum has EGF value
+    sum_m W_m L^(N-m) B(n, m) / (den L^N) at t^n / n!.
     """
     order, scale = g.order, g.den
-    den = math.lcm(*(w.denominator for w in weights))
-    coeffs = [
-        w.numerator * (den // w.denominator) * scale ** (order - m)
-        for m, w in enumerate(weights)
-    ]
-    rows = _power_rows(g.nums)
-    total = tuple(sum(c * p for c, p in zip(coeffs, rows[n])) for n in range(order + 1))
+    coeffs = [w * scale ** (order - m) for m, w in enumerate(weights)]
+    rows = _bell_rows(g.nums)
+    total = tuple(sum(c * b for c, b in zip(coeffs, rows[n])) for n in range(order + 1))
     return PowerSeries(total, den * scale**order)
 
 
-def _power_weights(g: PowerSeries, k: int, alpha, a) -> list[Fraction]:
-    """1 / (alpha*m + a)^k for m = 0..g's order, after checking that the
-    composition is defined."""
+def _power_weights(g: PowerSeries, k: int, alpha, a) -> tuple[list[int], int]:
+    """Integers W_0..W_N and D > 0 with W_m / D = 1 / (alpha*m + a)^k for
+    m = 0..N, g's order, after checking that the composition is defined.
+
+    With alpha*m + a = u_m / Q for integers u_m = P m + R and Q > 0, a k > 0
+    puts every weight over D = L^k, L = lcm |u_m|, as W_m = Q^k (L / u_m)^k
+    (u_m divides L, so its sign stays exact); a k <= 0 gives W_m = u_m^|k|
+    over D = Q^|k|.
+    """
     alpha, a = Fraction(alpha), Fraction(a)
     if g.nums[0] != 0:
         raise NonzeroConstantTermError(
             "composition requires a series with zero constant term"
         )
     ensure_nonsingular(alpha, a, g.order)
-    return [pow_rat(alpha * m + a, -k) for m in range(g.order + 1)]
+    q = math.lcm(alpha.denominator, a.denominator)
+    p, r = alpha.numerator * (q // alpha.denominator), a.numerator * (q // a.denominator)
+    u = [p * m + r for m in range(g.order + 1)]
+    if k > 0:
+        lcm = math.lcm(*u)
+        return [q**k * (lcm // v) ** k for v in u], lcm**k
+    return [v**-k for v in u], q**-k
 
 
 def phi_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
     """sum_{m=0..order} g(t)^m / (alpha*m + a)^k, exact at g's order."""
-    return _weighted_power_sum(g, _power_weights(g, k, alpha, a))
+    weights, den = _power_weights(g, k, alpha, a)
+    return _weighted_power_sum(
+        g, [w * math.factorial(m) for m, w in enumerate(weights)], den
+    )
 
 
 def phif_apply(g: PowerSeries, k: int, alpha, a) -> PowerSeries:
     """Like phi_apply with each m-term additionally divided by m!."""
-    weights = _power_weights(g, k, alpha, a)
-    return _weighted_power_sum(g, [w / math.factorial(m) for m, w in enumerate(weights)])
+    return _weighted_power_sum(g, *_power_weights(g, k, alpha, a))
 
 
 def egf_coeff(f: PowerSeries, n: int) -> Fraction:

@@ -142,8 +142,9 @@ def test_canonical_output_digest(capsys, argv, digest):
 
 # The series side of the CLI: every kernel to order 16, plain and EGF, and
 # both table methods (Stirling sum and generating function) for each family
-# at a negative and a positive k, then the default CSV format of a family
-# table and of a Stirling triangle. These all exit 0.
+# at a negative and a positive k, the oracle alone for each family at a
+# negative alpha, then the default CSV format of a family table and of a
+# Stirling triangle. These all exit 0.
 SERIES_GOLDEN = [
     pytest.param(
         ["series", "--kernel", "one_minus_exp_neg", "--order", "16"],
@@ -252,6 +253,32 @@ SERIES_GOLDEN = [
         ],
         "afed229fe083de80264102de68a70fdf9a0564a78ab8ab4bf1bd209d95d70ee4",
         id="table-cauchy2-k3",
+    ),
+    # the series oracle alone at a negative alpha: alpha*m + a = (14 - 3m)/6
+    # changes sign at m = 5, and the denominators 2 and 3 are coprime
+    pytest.param(
+        [
+            "table", "--family", "bernoulli", "--method", "oracle", "--format", "json",
+            "--n-max", "24", "--k", "3", "--alpha=-1/2", "--a", "7/3",
+        ],
+        "efc29c958d1e7de98e36ddc499c8caa353d52b31eb742075d0a0ca493358f57b",
+        id="table-bernoulli-oracle-negative-alpha",
+    ),
+    pytest.param(
+        [
+            "table", "--family", "cauchy1", "--method", "oracle", "--format", "json",
+            "--n-max", "24", "--k", "3", "--alpha=-1/2", "--a", "7/3",
+        ],
+        "e218a352b1bcbdff6098fe4f37b3e2285c24ff2f507e92dafa83328937004878",
+        id="table-cauchy1-oracle-negative-alpha",
+    ),
+    pytest.param(
+        [
+            "table", "--family", "cauchy2", "--method", "oracle", "--format", "json",
+            "--n-max", "24", "--k", "3", "--alpha=-1/2", "--a", "7/3",
+        ],
+        "aadcf98880658c12e82422b2debd3c31f9ae15ec588678f277e94dc33fda5e3d",
+        id="table-cauchy2-oracle-negative-alpha",
     ),
     pytest.param(
         ["table", "--family", "cauchy1", "--k", "2", "--alpha", "1/2", "--n-max", "12",

@@ -82,7 +82,7 @@ def test_series_kernels_match_a_compose_powers_sum(tail, k, alpha, a):
     assert phif_apply(g, k, alpha, a) == _power_sum(coeffs, k, alpha, a, True)
 
 
-def test_each_series_has_its_own_power_table_and_composing_it_again_reuses_it():
+def test_each_series_has_its_own_bell_table_and_composing_it_again_reuses_it():
     k, alpha, a = 2, Fraction(1, 2), Fraction(3)
     # integer EGF values, so a prefix of g keeps g's numerators; g and h agree
     # to order 3
@@ -97,12 +97,12 @@ def test_each_series_has_its_own_power_table_and_composing_it_again_reuses_it():
 
     for nums in (g, g[:4], h):
         check(nums)
-    hits = series._power_rows.cache_info().hits
+    hits = series._bell_rows.cache_info().hits
     check(g)
-    assert series._power_rows.cache_info().hits == hits + 2
+    assert series._bell_rows.cache_info().hits == hits + 2
     # row i reads only G_1..G_i, so series that share a prefix have equal rows
     # there
-    rows = series._power_rows
+    rows = series._bell_rows
     assert rows(g)[:4] == rows(g[:4]) == rows(h)[:4] and rows(g)[4:] != rows(h)[4:]
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from hlpoly import series as series_module
 from hlpoly.exact import SingularParameterError
 from hlpoly.series import (
     KERNEL_NAMES,
@@ -189,6 +190,26 @@ def test_power_valuation(f):
 
 
 # -- phi / phif ---------------------------------------------------------------
+
+
+# The integer weights W_m / D of 1 / (alpha*m + a)^k. alpha may be negative and
+# alpha*m + a may change sign inside 0..N; the examples pin a k > 0 and a
+# k < 0 at alpha = -1/2, a = 7/3 (coprime denominators, a sign change at m = 5)
+@given(
+    st.integers(-5, 5),
+    small_fractions.filter(bool),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)),
+    st.integers(0, 12),
+)
+@example(3, Fraction(-1, 2), Fraction(7, 3), 12)
+@example(-2, Fraction(-1, 2), Fraction(7, 3), 12)
+def test_power_weights_match_the_fraction_definition(k, alpha, a, order):
+    assume(all(alpha * m + a for m in range(order + 1)))
+    weights, den = series_module._power_weights(PowerSeries((0,) * (order + 1)), k, alpha, a)
+    assert den > 0 and all(type(v) is int for v in (*weights, den))
+    assert [Fraction(w, den) for w in weights] == [
+        1 / (alpha * m + a) ** k for m in range(order + 1)
+    ]
 
 
 def test_phi_of_zero_series():

@@ -2,8 +2,9 @@
 expansions, independent of both of the package's evaluation paths.
 
 Skipped when sympy is not installed. Every sympy value here is computed by
-sympy's own algorithms: its Stirling functions, `mod_inverse` and `series`
-of each family's generating function written out as a sympy expression.
+sympy's own algorithms: its Stirling functions, `mod_inverse`, its incomplete
+Bell polynomials and `series` of each family's generating function written
+out as a sympy expression.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import stirling  # noqa: E402
 
+from hlpoly import series  # noqa: E402
 from hlpoly.exact import NonreducibleDenominatorError, mod_reduce  # noqa: E402
 from hlpoly.sequences import (  # noqa: E402
     FAMILIES,
@@ -35,6 +37,18 @@ def test_both_triangles_match_sympy():
         for m in range(n + 1):
             assert stirling1_unsigned(n, m) == stirling(n, m, kind=1, signed=False)
             assert stirling2(n, m) == stirling(n, m, kind=2)
+
+
+# The series oracle's partial Bell rows B(n, m) = [(L g)^m / m!]_n against
+# sympy's incomplete Bell polynomials at the EGF numerators G_1, G_2, ...
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=8))
+def test_bell_rows_match_sympy_bell(tail):
+    G = (0, *tail)
+    rows = series._bell_rows(G)
+    assert [len(row) for row in rows] == list(range(1, len(G) + 1))
+    for n, row in enumerate(rows):
+        assert list(row) == [sympy.bell(n, m, tail) for m in range(n + 1)]
 
 
 @settings(max_examples=60, deadline=None)
