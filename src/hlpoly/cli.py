@@ -476,23 +476,22 @@ def _cmd_table(args) -> tuple[int, Iterable[str]]:
 
     family = Family(args.family)
     params = Params(args.k, args.alpha, args.a)
-    values: dict[str, list[Fraction]] = {}
-    if args.method in ("formula", "both"):
-        values["formula"] = explicit_sequence(family, args.n_max, params)
-    if args.method in ("oracle", "both"):
-        values["oracle"] = oracle_sequence(family, args.n_max, params)
+    # looked up when the command runs, so that a test can patch either path
+    paths = {"formula": explicit_sequence, "oracle": oracle_sequence}
+    both = args.method == "both"
+    names = list(paths) if both else [args.method]
+    rows = list(zip(*(paths[name](family, args.n_max, params) for name in names)))
+    # for both, one check on the values that JSON's "agree" and CSV's last column read
+    agree = [row[0] == row[-1] for row in rows]
 
     if args.format == "json":
-        rows = []
-        for n in range(args.n_max + 1):
-            entry: dict = {"n": n}
-            if args.method == "both":
-                entry["formula"] = _json_rational(values["formula"][n])
-                entry["oracle"] = _json_rational(values["oracle"][n])
-                entry["agree"] = values["formula"][n] == values["oracle"][n]
-            else:
-                entry["value"] = _json_rational(values[args.method][n])
-            rows.append(entry)
+        keys = names if both else ["value"]
+        values = []
+        for n, row in enumerate(rows):
+            entry = {"n": n, **{key: _json_rational(v) for key, v in zip(keys, row)}}
+            if both:
+                entry["agree"] = agree[n]
+            values.append(entry)
         payload = {
             "command": "table",
             "family": family.value,
@@ -500,19 +499,16 @@ def _cmd_table(args) -> tuple[int, Iterable[str]]:
             "alpha": _json_rational(params.alpha),
             "a": _json_rational(params.a),
             "method": args.method,
-            "values": rows,
+            "values": values,
         }
         return EXIT_OK, [canonical_json(payload)]
     # Built whole, so that a row that fails to render leaves no partial table.
     lines = []
-    for n in range(args.n_max + 1):
-        if args.method == "both":
-            formula = format_rational(values["formula"][n])
-            oracle = format_rational(values["oracle"][n])
-            disagreement = "" if formula == oracle else f"formula={formula};oracle={oracle}"
-            lines.append(f"{n},{formula},{oracle},{disagreement}\n")
-        else:
-            lines.append(f"{n},{format_rational(values[args.method][n])}\n")
+    for n, row in enumerate(rows):
+        cells = [str(n), *map(format_rational, row)]
+        if both:
+            cells.append("" if agree[n] else f"formula={cells[1]};oracle={cells[2]}")
+        lines.append(",".join(cells) + "\n")
     return EXIT_OK, ["".join(lines)]
 
 

@@ -236,11 +236,14 @@ def explicit_sequence(
     return [Fraction(num, den) for num in nums]
 
 
-# family -> (kernel name, composition) of its defining generating function
+# family -> (kernel name, composition) of its defining generating function,
+# and the EGF values v_n of the series that undoes the prefactor of its
+# derivative display: e^t (1, 1, 1, ...) for bernoulli's e^-t, and 1 + t
+# (1, 1, 0, ...) for the cauchy families' 1/(1+t)
 _SERIES_FOR = {
-    Family.BERNOULLI: ("one_minus_exp_neg", phi_apply),
-    Family.CAUCHY1: ("log1p", phif_apply),
-    Family.CAUCHY2: ("neg_log1p", phif_apply),
+    Family.BERNOULLI: ("one_minus_exp_neg", phi_apply, lambda n: 1),
+    Family.CAUCHY1: ("log1p", phif_apply, lambda n: int(n < 2)),
+    Family.CAUCHY2: ("neg_log1p", phif_apply, lambda n: int(n < 2)),
 }
 
 
@@ -256,7 +259,7 @@ def _family_series(family: Family, order: int, params: Params) -> PowerSeries:
     """
     kept = params._series.get(family)
     if kept is None or kept.order < order:
-        name, compose = _SERIES_FOR[family]
+        name, compose, _ = _SERIES_FOR[family]
         top = order + 1 if params.singular_index(order + 1) is None else order
         kept = params._series[family] = compose(
             kernel(name, top), params.k, params.alpha, params.a
@@ -327,10 +330,6 @@ def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Frac
     """
     _check_index(n_max)
     dg = _family_series(family, n_max + 1, params).derivative()
-    if family is Family.BERNOULLI:
-        prefactor_inverse = kernel("exp_pos", n_max)
-    else:
-        # 1 + t has EGF values 1, 1, 0, ...; a product keeps its smaller order
-        prefactor_inverse = PowerSeries((1, 1) + (0,) * (n_max - 1))
-    product = prefactor_inverse * dg
+    inverse = _SERIES_FOR[family][2]
+    product = PowerSeries(tuple(map(inverse, range(n_max + 1)))) * dg
     return [egf_coeff(product, n) for n in range(n_max + 1)]

@@ -92,6 +92,29 @@ def test_table_method_both_json_rows_agree(capsys):
     assert all(row["agree"] is True and row["formula"] == row["oracle"] for row in rows)
 
 
+def test_table_method_both_reports_a_disagreement(capsys, monkeypatch):
+    # an oracle path shifted by 1 at every index: CSV's last column names both
+    # values, and JSON's rows say they do not agree
+    oracle = cli.oracle_sequence
+    monkeypatch.setattr(
+        cli, "oracle_sequence", lambda *args: [value + 1 for value in oracle(*args)]
+    )
+    base = ["table", "--family", "cauchy1", "--n-max", "2", "--method", "both"]
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert out == (
+        "0,1,2,formula=1;oracle=2\n"
+        "1,1/2,3/2,formula=1/2;oracle=3/2\n"
+        "2,-1/6,5/6,formula=-1/6;oracle=5/6\n"
+    )
+    code, out, _ = run(capsys, *base, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["values"]
+    assert [row["agree"] for row in rows] == [False] * 3
+    assert rows[1]["formula"] == {"num": "1", "den": "2"}
+    assert rows[1]["oracle"] == {"num": "3", "den": "2"}
+
+
 def test_table_zero_alpha_is_usage_error(capsys):
     code, out, err = run(capsys, "table", "--family", "bernoulli", "--alpha", "0")
     assert code == 64

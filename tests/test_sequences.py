@@ -405,13 +405,13 @@ def test_an_audit_composes_each_family_once_per_point(monkeypatch):
     # every family; bernoulli composes through phi_apply, the cauchy families
     # through phif_apply
     calls = collections.Counter()
-    for family, (name, compose) in list(sequences._SERIES_FOR.items()):
+    for family, (name, compose, inverse) in list(sequences._SERIES_FOR.items()):
 
         def counted(*args, compose=compose):
             calls[compose.__name__] += 1
             return compose(*args)
 
-        monkeypatch.setitem(sequences._SERIES_FOR, family, (name, counted))
+        monkeypatch.setitem(sequences._SERIES_FOR, family, (name, counted, inverse))
     argv = ["audit", "--identity", "all", "--format", "json", "--n-max", "24",
             "--pair", "1,1", "--pair", "1/2,1", "--pair", "3,1/3", "--k-values=-2,1,3"]
     assert main(argv) == 1
