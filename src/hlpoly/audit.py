@@ -450,8 +450,9 @@ class GridSpec:
     default: the sequence index reaches multiplier * prime). `k_values` is
     filtered to k >= 1 for congruence identities, which are only stated for
     positive k. Construction raises ValueError unless n_max and stirling_n_max
-    are >= 0, every prime is a prime below 2**16, every multiplier is >= 1
-    and no k, pair, prime or multiplier is listed twice.
+    are >= 0, every prime is a prime below 2**16, every multiplier is >= 1,
+    no k, pair, prime or multiplier is listed twice, and every point makes a
+    `Params` (each k an int and each pair's alpha nonzero).
     """
 
     n_max: int = 12
@@ -478,6 +479,10 @@ class GridSpec:
             values = getattr(self, field)
             if len(set(values)) < len(values):
                 raise ValueError(f"{field} lists a value twice")
+        # Params states the point rules; none is kept, so no memo outlives a run
+        for alpha, a in self.pairs:
+            for k in self.k_values:
+                Params(k, alpha, a)
 
 
 DEFAULT_GRID = GridSpec()

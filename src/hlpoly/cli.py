@@ -88,22 +88,20 @@ def _json_rational(value: Fraction) -> dict[str, str]:
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _json_text(value: str | None) -> str:
-    return "null" if value is None else encode_basestring_ascii(value)
-
-
-def _json_param(value: Fraction | int | str) -> str:
-    """A point's parameter: a Fraction as "p/q" text, a string, a bool, or an int."""
-    # exact types first, as in _cell: isinstance of an int goes through
-    # ABCMeta; a Fraction subclass or a str takes the isinstance tests
+def _json_param(value: Fraction | int | str | None) -> str:
+    """A report scalar as JSON text: an int, null or a bool, a string, or a
+    Fraction as "p/q" text. It writes every point field, note, reason and
+    variant, and every lhs or rhs that is not a Fraction."""
+    # the hot int (the n field) by its exact type first: isinstance of an int
+    # goes through ABCMeta; a str or Fraction subclass takes the isinstance tests
     kind = type(value)
     if kind is int:
         return str(value)
-    if kind is Fraction or isinstance(value, Fraction):
-        return f'"{format_rational(value)}"'
-    if kind is bool:
+    if value is None or kind is bool:
         return _JSON_LITERALS[value]
-    return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return f'"{format_rational(value)}"' if isinstance(value, Fraction) else str(value)
 
 
 def _json_field(key: str, value) -> str:
@@ -137,19 +135,15 @@ def _point_fields(verdicts, order, render) -> Iterator[list[str]]:
 
 
 def _json_side(value: Fraction | int | str | None) -> str:
-    """lhs or rhs: a Fraction as the {"den", "num"} object, an int residue, a
-    string, or null."""
-    # exact types first, as in _json_param; a Fraction subclass takes the isinstance test
-    kind = type(value)
-    if kind is not Fraction:
-        if value is None or kind is bool:
-            return _JSON_LITERALS[value]
-        if kind is int or not isinstance(value, Fraction):
-            return _json_param(value)
-    return (
-        f'{{\n            "den": "{value.denominator}",\n'
-        f'            "num": "{value.numerator}"\n          }}'
-    )
+    """lhs or rhs: a Fraction as the {"den", "num"} object, any other value
+    as _json_param writes it."""
+    # isinstance tests an exact Fraction by its type before any ABCMeta hook
+    if isinstance(value, Fraction):
+        return (
+            f'{{\n            "den": "{value.denominator}",\n'
+            f'            "num": "{value.numerator}"\n          }}'
+        )
+    return _json_param(value)
 
 
 def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) -> str:
@@ -177,11 +171,11 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
             lhs = _json_side(v.lhs)
             verdicts.append(
                 "        {\n"
-                f'          "hypothesis_note": {_json_text(v.hypothesis_note)},\n'
+                f'          "hypothesis_note": {_json_param(v.hypothesis_note)},\n'
                 f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
                 f'          "lhs": {lhs},\n'
                 f'          "point": {point},\n'
-                f'          "reason": {_json_text(v.reason)},\n'
+                f'          "reason": {_json_param(v.reason)},\n'
                 f'          "rhs": {lhs if v.rhs is v.lhs else _json_side(v.rhs)},\n'
                 f'          "status": {encode_basestring_ascii(v.status)}\n'
                 "        }"
@@ -198,7 +192,7 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
             f'      "identity": {encode_basestring_ascii(report.identity)},\n'
             f'      "points": {len(report.verdicts)},\n'
             f'      "summary": {{\n{summary}\n      }},\n'
-            f'      "variant": {_json_text(variant)},\n'
+            f'      "variant": {_json_param(variant)},\n'
             f'      "verdicts": {verdicts}\n'
             "    }"
         )

@@ -99,6 +99,8 @@ class Params:
     a: Fraction
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise ValueError(f"k must be an int, got {self.k!r}")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "a", Fraction(self.a))
         if self.alpha == 0:

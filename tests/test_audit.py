@@ -588,6 +588,9 @@ def test_run_identity_rejects_unknown():
         {"pairs": ((1, 1), (Fraction(2, 2), Fraction(1)))},
         {"primes": (3, 3)},
         {"multipliers": (2, 2)},
+        # the rules of Params, checked at every point
+        {"pairs": ((Fraction(0), Fraction(1)),)},
+        {"k_values": (1, 1.5)},
     ],
 )
 def test_grid_rules_raise_at_construction(fields):

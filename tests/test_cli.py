@@ -368,7 +368,7 @@ _odd_verdicts = st.builds(
     status=st.sampled_from([HOLDS, FAILS, UNDEFINED]),
     point=st.dictionaries(
         st.one_of(st.sampled_from(["k", "alpha", "a", "n", "p", "form", "l"]), _odd_text),
-        st.one_of(_odd_ints, _odd_rationals, _odd_text),
+        st.one_of(st.none(), _odd_ints, _odd_rationals, _odd_text),
         max_size=6,
     ),
     lhs=st.one_of(st.none(), _odd_rationals, _odd_ints, _odd_text),
@@ -404,14 +404,14 @@ def _shared_reports(draw, one_key_set=False):
     """A report whose verdicts share value objects, as a grid point's rows
     do, so that the writers reuse a field's text. Its values come from one
     pool: ints above 256, every number beside an equal but distinct twin,
-    True beside 1 and Fraction(1) under one key, and a Fraction subclass
-    beside the equal Fraction. Unless `one_key_set`, a key may be missing
+    True beside 1 and Fraction(1) under one key, a Fraction subclass beside
+    the equal Fraction, and None. Unless `one_key_set`, a key may be missing
     from one point and present in the next, and keys come in any order."""
     numbers = draw(
         st.lists(st.one_of(_odd_ints, _odd_rationals, st.integers(257, 10**6)), max_size=3)
     )
     numbers += [_twin(x) for x in numbers] + [1, Fraction(1), Fraction(1, 2), _Tagged(1, 2)]
-    values = st.sampled_from(numbers + [True, False, draw(_odd_text)])
+    values = st.sampled_from(numbers + [None, True, False, draw(_odd_text)])
     sides = st.one_of(st.none(), st.sampled_from(numbers))
     keys = draw(st.lists(st.sampled_from(_POINT_KEYS), unique=True, max_size=5))
     verdicts = []
@@ -525,6 +525,7 @@ _SIDE = '{\n            "den": "%s",\n            "num": "%s"\n          }'
         (cli._cell, Fraction(-7, 3), "-7/3"),
         (cli._cell, "first_second", "first_second"),
         (cli._cell, None, "-"),
+        (cli._json_param, None, "null"),
     ],
 )
 def test_renderers_treat_subclasses_bools_ints_and_strings_as_before(render, value, text):

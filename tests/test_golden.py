@@ -15,16 +15,19 @@ GOLDEN = [
     pytest.param(
         ["audit", "--identity", "all", "--format", "json"],
         "4e404e4ddf3ddb33fd3399191356dbdd82ed11afee072f937c81d570c98b2fea",
+        1,
         id="audit-all-json",
     ),
     pytest.param(
         ["congruence-scan", "--format", "csv"],
         "f59cd3845dcb09a99a55612a2b5db8762aa65a95593aa3cce86f3a01b8f8ff2a",
+        1,
         id="congruence-scan-csv",
     ),
     pytest.param(
         ["audit", "--identity", "all", "--format", "json", "--n-max", "16"],
         "4fabae51d7ca1673c5e7bcfc0a932b53400ca537bf150639eb16c7d292033291",
+        1,
         id="audit-all-json-n16",
     ),
     # the audit_deep and congruence_scan benchmark workloads at seed 0
@@ -34,6 +37,7 @@ GOLDEN = [
             "--pair", "1,1", "--pair", "1/2,1", "--pair", "3,1/3", "--k-values=-2,1,3",
         ],
         "5de0cca1fe0c2ea176121155de5a11ae5ad8b0118ac8fe17449227248141a0d8",
+        1,
         id="audit-deep-json",
     ),
     pytest.param(
@@ -42,6 +46,7 @@ GOLDEN = [
             "--multipliers", "1,2,3,4,5,6", "--primes", "3,5,7,11,13",
         ],
         "c23d6166769adf34bf1c399f4b11dbea30ed49035717a82b40f45a9789550b31",
+        1,
         id="congruence-scan-csv-deep",
     ),
     # the boundaries of the one series composition per family and point:
@@ -52,6 +57,7 @@ GOLDEN = [
             "--k-values", "1", "--n-max", "6",
         ],
         "b5e38f009b97bd1a73448e8a80b28a3dc236e010f654418271ada01a4cc2103d",
+        1,
         id="audit-all-json-singular-past-n-max",
     ),
     pytest.param(
@@ -60,17 +66,20 @@ GOLDEN = [
             "--pair", "1/2,-3", "--k-values=-1,2", "--n-max", "6",
         ],
         "21fee1249849d4db581b7186ad0cf50c3dab05e7ba8d8a55b21c2bed398f3dec",
+        1,
         id="audit-all-json-singular-at-n-max",
     ),
     # the default text format: the report renderer and its aligned tables
     pytest.param(
         ["audit", "--identity", "all"],
         "b08a7613087931145c6efd710c3261011ce17d19795c61c0524c864ed2388202",
+        1,
         id="audit-all-text",
     ),
     pytest.param(
         ["congruence-scan"],
         "5ea599a5a923b4a07930f0d637d5abe77eaec05fb6d4c2c2c9f869943cec0151",
+        1,
         id="congruence-scan-text",
     ),
     # every THM8 row kind (HOLDS, FAILS, NONREDUCIBLE_DENOMINATOR,
@@ -85,6 +94,7 @@ GOLDEN = [
             "--multipliers", "4,1,2", "--k-values", "2,1",
         ],
         "eb4ca281fafe13ddae59af7ebc8bb8a977819a7d7428684b706603682423a862",
+        1,
         id="congruence-scan-csv-row-kinds",
     ),
     # grids listed out of order: rows still come in canonical point order.
@@ -97,6 +107,7 @@ GOLDEN = [
             "--k-values=3,-2,1", "--primes", "7,3", "--multipliers", "2,1",
         ],
         "b97fa99bbc554e559d548b04eefcaa704f9d77e264aa44fcf576059822cba131",
+        1,
         id="audit-all-json-out-of-order",
     ),
     # primes descending and multipliers unsorted
@@ -106,6 +117,7 @@ GOLDEN = [
             "--pair", "1,1", "--k-values", "3,1", "--primes", "13,5,3", "--multipliers", "3,1,2",
         ],
         "1ed945007471a5e0915497c0ae79d6d215ecfb135654f3e6bc3949f5c784c92c",
+        1,
         id="congruence-scan-csv-out-of-order",
     ),
     # k values past CPython's cache of small ints: the writers reuse a
@@ -118,6 +130,7 @@ GOLDEN = [
             "--primes", "3", "--multipliers", "1",
         ],
         "f270a4abd7cee5223a9953892462a36726c57b2bb85a898b1d3baa0962c3add0",
+        1,
         id="audit-all-text-large-k",
     ),
     pytest.param(
@@ -127,15 +140,29 @@ GOLDEN = [
             "--primes", "3", "--multipliers", "1",
         ],
         "6d073447e639a67ef3717b613a1ea3d25a4a44668e2920961f85ad728f7e4ce9",
+        1,
         id="audit-all-json-large-k",
+    ),
+    # alpha*m + a vanishes at m = 0, so every value row is SINGULAR_PARAMETER
+    # and the JSON writer renders each of their null sides and reasons; THM8
+    # adds string notes and false flags, STIRLING_ORTHO Fraction sides
+    pytest.param(
+        [
+            "audit", "--identity", "all", "--format", "json", "--pair", "1,0",
+            "--k-values", "1", "--n-max", "2",
+        ],
+        "c963c3ddd354bbb5708b86ff26ccd84fca5440fab8ae796c2da202fd6a05e7b9",
+        2,
+        id="audit-all-json-singular-at-zero",
     ),
 ]
 
 
-# Every pinned grid has FAILS rows (EQ10-EQ12, THM9-THM11), so each exits 1.
-@pytest.mark.parametrize("argv, digest", GOLDEN)
-def test_canonical_output_digest(capsys, argv, digest):
-    assert main(argv) == 1
+# A grid with FAILS rows (EQ10-EQ12, THM9-THM11) exits 1, one with only
+# HOLDS and UNDEFINED rows 2.
+@pytest.mark.parametrize("argv, digest, code", GOLDEN)
+def test_canonical_output_digest(capsys, argv, digest, code):
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -48,6 +48,12 @@ def test_params_rejects_zero_alpha():
         Params(1, 0, 1)
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, Fraction(1), "1", True])
+def test_params_rejects_a_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="k must be an int"):
+        Params(k, 1, 1)
+
+
 def test_params_singular_index():
     assert Params(1, 1, -2).singular_index(5) == 2
     assert Params(1, 1, -2).singular_index(1) is None
