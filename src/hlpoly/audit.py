@@ -85,10 +85,10 @@ class Verdict(NamedTuple):
     rhs; equal sides of two types, an int and a Fraction, keep both. The
     hypothesis fields are populated only by congruence checks.
 
-    A Verdict is an immutable named tuple: assigning a field raises
-    AttributeError, and it is built at the cost of a tuple. Being a tuple,
-    it iterates over its fields in the order above, and it compares equal to
-    a plain tuple of the same fields.
+    A Verdict is an immutable named tuple, built at the cost of a tuple, that
+    iterates over its fields in the order above and equals a plain tuple of
+    them. In one command the identities at a point share that point's dict,
+    so treat it as read-only.
     """
 
     status: str
@@ -157,9 +157,15 @@ def _grid_params(grid: GridSpec, points: dict | None):
         yield params
 
 
-# Keys in canonical order: rows are made in the order of the point's values.
-def _params_point(params: Params, n: int) -> dict:
-    return {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
+def _params_point(params: Params, n: int, p: int | None = None) -> dict:
+    """The point of (params, n), and THM8's prime p if given: one read-only
+    dict per key, kept on `params` for every identity that shares it. Keys
+    come in canonical order: rows are made in the order of the values."""
+    point = params._points.get((n, p))
+    if point is None:
+        point = {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
+        point = params._points[n, p] = point if p is None else {**point, "p": p}
+    return point
 
 
 def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
@@ -357,14 +363,14 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """s_{n*p} = s_0 (mod p) for each multiplier n and prime p of the grid.
 
     Congruences are stated for k >= 1 only; other k give no rows. Both
-    sequence values are computed exactly, from the Stirling coefficient rows
-    of the run's store (`sequences.coefficient_rows`), which every point of
-    the run shares, and then reduced mod p. A point's weight prefix is sized
-    once, to its largest evaluable n*p, so every value reads the same weights
-    over one denominator. A point is UNDEFINED, never a pass or a fail, when
-    p divides alpha (the standing assumption fails), alpha*m + a vanishes at
-    an m <= n*p, or p divides a denominator (the congruence is not
-    evaluable). Every verdict also records whether (alpha*m + a) stays
+    sequence values are computed exactly, from the run's store of Stirling
+    coefficient rows, and reduced mod p. `params` keeps each value, so s_0
+    is computed once per point, and each (n, p)'s point dict, which THM8_C1,
+    THM8_C2 and THM8_B share. Its weight prefix is sized once, to its
+    largest evaluable n*p. A point is UNDEFINED, never a pass or a fail,
+    when p divides alpha (the standing assumption fails), alpha*m + a
+    vanishes at an m <= n*p, or p divides a denominator (the congruence is
+    not evaluable). Every verdict also records whether (alpha*m + a) stays
     invertible mod p, the assumption under which the congruence is claimed,
     with one flag per prime for all multipliers. The flag is reported, never
     used to suppress a result.
@@ -387,7 +393,7 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
         # the largest evaluable index sizes the point's weight prefix, once
         params.scaled_weights(max((n * p for n, p in reasons if not reasons[n, p]), default=-1))
         for (n, p), why in reasons.items():
-            point = {**_params_point(params, n), "p": p}
+            point = _params_point(params, n, p)
             if why:
                 verdicts.append(_undefined(point, why, **flags[p]))
                 continue
@@ -530,8 +536,9 @@ def run_identity(
 
     `points` maps (k, alpha, a) to the `Params` of that grid point. Runs of
     several identities that share one map share each point's weights,
-    Stirling sums and composed series, and the first identity in catalogue
-    order that needs them does the work: in per-identity timings, THM1-THM3
+    Stirling sums and values, composed series and point dicts (the verdicts'
+    `point`, read-only), and the first identity in catalogue order that
+    needs them does the work: in per-identity timings, THM1-THM3
     carry each family's sums and its one series composition, which
     THM9-THM11 then read. Each check makes its row stores when its run
     starts, one per kind of row it reads, `store(n)` being row n, and all

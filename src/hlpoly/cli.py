@@ -109,31 +109,6 @@ def _json_field(key: str, value) -> str:
     return f"            {encode_basestring_ascii(key)}: {_json_param(value)}"
 
 
-def _point_fields(verdicts, order, render) -> Iterator[list[str]]:
-    """Each verdict's point as a new list of field texts, render(key, value)
-    for the keys that order(point keys) lists; order runs again only when a
-    point lists its keys unlike the one before. A field is rendered again
-    only when its value is another object than the one last rendered under
-    its key, never for an equal one (a bool beside 1, a Fraction subclass,
-    another big int): point values are immutable, so the object fixes its
-    text."""
-    fields: dict = {}  # key -> (value, its field text)
-    names = keys = None
-    for v in verdicts:
-        point = v.point
-        if tuple(point) != names:
-            names = tuple(point)
-            keys = order(names)
-        texts = []
-        for key in keys:
-            value = point[key]
-            kept = fields.get(key)
-            if kept is None or kept[0] is not value:
-                kept = fields[key] = (value, render(key, value))
-            texts.append(kept[1])
-        yield texts
-
-
 def _json_side(value: Fraction | int | str | None) -> str:
     """lhs or rhs: a Fraction as the {"den", "num"} object, any other value
     as _json_param writes it."""
@@ -154,20 +129,26 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     small grid header still goes through it. The pieces are joined once, so
     the text is held in memory once beside them.
 
-    A point field reuses its text by the rule of `_point_fields`, whose
-    texts zip with the verdicts, so no list of them is held; rhs reuses
-    lhs's text when the verdict holds one object as both."""
+    Each point object is rendered once: `points` maps its id to the point and
+    its text across all reports, and holding the point keeps the id from being
+    reused. The audit shares one read-only point object among the identities
+    at a point. rhs reuses lhs's text when the verdict holds one object as both."""
     pairs = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
     head = json.dumps(
         {"command": command, "grid": {**vars(grid), "pairs": pairs}}, indent=2, sort_keys=True
     )
     # head ends with the grid's closing "\n}"; "reports" sorts after "grid"
     parts = [head[:-2], ',\n  "reports": [']
+    points: dict = {}  # id(point) -> (point, its text)
     for i, report in enumerate(reports):
         verdicts = []
-        points = _point_fields(report.verdicts, sorted, _json_field)
-        for v, fields in zip(report.verdicts, points):
-            point = "{\n" + ",\n".join(fields) + "\n          }" if fields else "{}"
+        for v in report.verdicts:
+            kept = points.get(id(v.point))
+            if kept is None:
+                fields = ",\n".join(_json_field(key, v.point[key]) for key in sorted(v.point))
+                text = f"{{\n{fields}\n          }}" if fields else "{}"
+                kept = points[id(v.point)] = v.point, text
+            point = kept[1]
             lhs = _json_side(v.lhs)
             verdicts.append(
                 "        {\n"
@@ -404,6 +385,24 @@ def _aligned_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _point_fields(verdicts, keys) -> Iterator[list[str]]:
+    """Each verdict's point as a new list of the `_cell` texts of its values
+    under `keys`. A cell is rendered again only when its value is another
+    object than the one last rendered under its key, never for an equal one
+    (a bool beside 1, a Fraction subclass, another big int): point values
+    are immutable, so the object fixes its text."""
+    fields: dict = {}  # key -> (value, its cell)
+    for v in verdicts:
+        texts = []
+        for key in keys:
+            value = v.point[key]
+            kept = fields.get(key)
+            if kept is None or kept[0] is not value:
+                kept = fields[key] = (value, _cell(value))
+            texts.append(kept[1])
+        yield texts
+
+
 def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
     """The report's column header and a lazy iterator over its rows."""
     point_keys = list(report.verdicts[0].point.keys()) if report.verdicts else []
@@ -415,7 +414,7 @@ def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
     def rows():
         # point cells by the rule of _point_fields; rhs reuses lhs's cell
         # when the verdict holds one object as both
-        points = _point_fields(report.verdicts, lambda _: point_keys, lambda _, x: _cell(x))
+        points = _point_fields(report.verdicts, point_keys)
         for v, row in zip(report.verdicts, points):
             lhs = _cell(v.lhs)
             row += [v.status, lhs, lhs if v.rhs is v.lhs else _cell(v.rhs), _cell(v.reason)]

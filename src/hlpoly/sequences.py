@@ -84,14 +84,15 @@ class Params:
     touches; that is checked per call against the largest m actually used.
 
     A Params remembers the weights 1/(alpha*m + a)^k it has computed, as one
-    prefix over one denominator, and the sums `explicit_scaled` has returned,
-    so the Stirling-sum functions given one instance build each weight and
-    each family's sums once. Apart from those it keeps each family's
-    composed generating function, so that `oracle_sequence` and
-    `deriv_coeffs_oracle` compose it once. It computes the root -a/alpha
-    once, on construction, so `singular_index` is a comparison. None of this
-    is a field: (k, alpha, a) alone fix equality, hash and repr, and
-    `dataclasses.replace` starts an empty memo.
+    prefix over one denominator, the sums `explicit_scaled` has returned, and
+    the values `explicit_value` and `explicit_sequence` have returned, one
+    Fraction per (family, n), so the Stirling-sum functions given one
+    instance build each of those once. It holds the audit's point dicts, and
+    keeps each family's composed generating function, so that
+    `oracle_sequence` and `deriv_coeffs_oracle` compose it once. It computes
+    the root -a/alpha once, on construction, so `singular_index` is a
+    comparison. None of this is a field: (k, alpha, a) alone fix equality,
+    hash and repr, and `dataclasses.replace` starts an empty memo.
     """
 
     k: int
@@ -106,15 +107,17 @@ class Params:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         # Not fields: _root is the m >= 0 with alpha*m + a == 0, or None if
-        # there is none. _prefix is the (W, D) that scaled_weights returns,
-        # the weights computed so far. _sums maps (family, n_max) to what
-        # explicit_scaled returned for it, and _series a family to its series
-        # as _family_series last composed it.
+        # there is none; _prefix is the (W, D) that scaled_weights returns.
+        # Memos: _sums by (family, n_max) for explicit_scaled, _values by
+        # family and then n, _points by audit._params_point's (n, p), and
+        # _series by family, the series _family_series last composed.
         root = -self.a / self.alpha
         root = int(root) if root.denominator == 1 and root >= 0 else None
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_prefix", ([], 1))
         object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_values", {family: {} for family in FAMILIES})
+        object.__setattr__(self, "_points", {})
         object.__setattr__(self, "_series", {})
 
     def singular_index(self, m_max: int) -> int | None:
@@ -219,13 +222,16 @@ def explicit_value(
     """Stirling-sum value of one family member: the dot product of its
     coefficient row with the weights of `params`, the row read from `rows`,
     a `coefficient_rows(family)` store, or from a store made for this call.
+    `params` keeps it: each (family, n) is computed once per instance.
     """
     _check_index(n)
-    _ensure_nonsingular(params, n)
-    if rows is None:
-        rows = coefficient_rows(family)
-    weights, den = params.scaled_weights(n)
-    return Fraction(sum(map(operator.mul, rows(n), weights)), den)
+    known = params._values[family]
+    if n not in known:
+        _ensure_nonsingular(params, n)
+        weights, den = params.scaled_weights(n)
+        row = (rows or coefficient_rows(family))(n)
+        known[n] = Fraction(sum(map(operator.mul, row, weights)), den)
+    return known[n]
 
 
 def explicit_sequence(
@@ -234,8 +240,14 @@ def explicit_sequence(
     params: Params,
     rows: Callable[[int], list[int]] | None = None,
 ) -> list[Fraction]:
+    """Stirling-sum values 0..n_max from `explicit_scaled`, as a new list of
+    the Fractions that `params` keeps and `explicit_value` returns."""
     nums, den = explicit_scaled(family, n_max, params, rows)
-    return [Fraction(num, den) for num in nums]
+    known = params._values[family]
+    for n, num in enumerate(nums):
+        if n not in known:
+            known[n] = Fraction(num, den)
+    return list(map(known.__getitem__, range(n_max + 1)))
 
 
 # family -> (kernel name, composition) of its defining generating function,

@@ -361,6 +361,39 @@ def test_a_shared_point_map_changes_no_report(grid):
         assert run_identity(label, grid, None, points) == run_identity(label, grid)
 
 
+def test_a_shared_point_map_shares_each_point_object():
+    # a singular pair (its SINGULAR_PARAMETER rows), and a k < 1, which has
+    # no THM8 rows
+    grid = GridSpec(
+        n_max=4,
+        k_values=(-1, 1, 2),
+        pairs=((1, 1), (1, -2), (3, Fraction(1, 3))),
+        primes=(3, 5),
+        multipliers=(1, 2),
+        stirling_n_max=3,
+    )
+    points = {}
+    reports = {label: run_identity(label, grid, None, points) for label in CATALOGUE}
+    held = {}  # a point's keys and values -> the point objects of its verdicts
+    for label, report in reports.items():
+        for v in report.verdicts:
+            held.setdefault((label == "STIRLING_ORTHO", *v.point.items()), []).append(v.point)
+    shares = Counter()
+    for (ortho, *items), objects in held.items():
+        # STIRLING_ORTHO's points stay distinct; any other key set is one
+        # object, held by every label that has a row at it
+        assert len(objects) == 1 if ortho else all(x is objects[0] for x in objects)
+        shares[tuple(key for key, _ in items), len(objects)] += 1
+    value_point, congruence_point = ("k", "alpha", "a", "n"), ("k", "alpha", "a", "n", "p")
+    # THM1-THM6, EQ9-EQ12 and THM9-THM11 at each (k, alpha, a, n); THM8_C1,
+    # THM8_C2 and THM8_B at each (k, alpha, a, n, p) with k >= 1
+    assert shares[value_point, 13] == 3 * 3 * 5
+    assert shares[congruence_point, 3] == 2 * 3 * 2 * 2
+    assert sum(count for (keys, _), count in shares.items() if keys[0] != "form") == 45 + 24
+    # runs without a map give equal reports
+    assert all(run_identity(label, grid) == report for label, report in reports.items())
+
+
 def test_the_coefficient_store_calls_each_prefactor_once_per_run():
     printed = _DUALITY_SHAPE["EQ11"][2]
     calls = Counter()

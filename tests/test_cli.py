@@ -532,6 +532,32 @@ def test_renderers_treat_subclasses_bools_ints_and_strings_as_before(render, val
     assert render(value) == text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--identity", "all", "--format", "json"],
+        ["congruence-scan", "--format", "csv"],
+        ["congruence-scan", "--format", "text"],
+    ],
+)
+def test_no_output_depends_on_shared_point_objects(capsys, monkeypatch, argv):
+    # the same command with every verdict's point an equal fresh dict: a
+    # writer cache keyed by value, by key tuple, or by the id of a dead
+    # object would write other bytes
+    assert main(argv) == 1
+    shared = capsys.readouterr().out
+    run_identity = cli.run_identity
+
+    def fresh_points(*args):
+        report = run_identity(*args)
+        report.verdicts = [v._replace(point=dict(v.point)) for v in report.verdicts]
+        return report
+
+    monkeypatch.setattr(cli, "run_identity", fresh_points)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == shared
+
+
 def test_audit_text_runs_are_byte_identical(capsys):
     args = ("audit", "--identity", "thm8", "--multipliers", "1", "--k-values", "1")
     code1, first, _ = run(capsys, *args)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -288,10 +289,48 @@ def test_a_row_store_builds_each_row_once(monkeypatch):
             explicit_value(Family.BERNOULLI, n, params, rows)
     assert len(lookups) == 7 + 4  # rows 6 and 3, each once; no row in between
     assert rows(6) is rows(6)
-    # without a store, each call builds its row afresh
-    explicit_value(Family.BERNOULLI, 6, P111)
-    explicit_value(Family.BERNOULLI, 6, P111)
+    # without a store, each call builds its row afresh; each call has its
+    # own Params, since one Params keeps the value it returned
+    explicit_value(Family.BERNOULLI, 6, Params(1, 1, 1))
+    explicit_value(Family.BERNOULLI, 6, Params(1, 1, 1))
     assert len(lookups) == 11 + 2 * 7
+
+
+def test_a_params_computes_each_value_once(monkeypatch):
+    # a row built is its coefficient at m = 0 read; no call below is given a
+    # row store, so without the Params' memo each call would build its rows
+    built = collections.Counter()
+    for family, coeff in list(sequences._STIRLING_COEFF.items()):
+
+        def counted(n, m, family=family, coeff=coeff):
+            built[family, n] += m == 0
+            return coeff(n, m)
+
+        monkeypatch.setitem(sequences._STIRLING_COEFF, family, counted)
+    params = Params(2, Fraction(1, 2), 1)
+    for family in FAMILIES:
+        values = explicit_sequence(family, 6, params)
+        # explicit_value returns the very Fractions of the list
+        assert all(explicit_value(family, n, params) is values[n] for n in range(7))
+        seven = explicit_value(family, 7, params)
+        assert explicit_value(family, 7, params) is seven
+        # a caller's edit of the list does not reach the memo
+        kept = list(values)
+        values[0] = Fraction(99)
+        values.append(Fraction(98))
+        again = explicit_sequence(family, 6, params)
+        assert again is not values and all(map(operator.is_, again, kept))
+        assert explicit_value(family, 0, params) is kept[0]
+    assert built == {(family, n): 1 for family in FAMILIES for n in range(8)}
+    # a replaced instance starts an empty memo and computes afresh
+    fresh = dataclasses.replace(params)
+    assert explicit_value(Family.CAUCHY1, 7, fresh) == explicit_value(Family.CAUCHY1, 7, params)
+    assert explicit_value(Family.CAUCHY1, 7, fresh) is not explicit_value(
+        Family.CAUCHY1, 7, params
+    )
+    assert built[Family.CAUCHY1, 7] == 2
+    # the value memo is the Stirling path's: the series path never reads it
+    assert "_values" not in _names(sequences._family_series.__code__)
 
 
 # -- oracle path --------------------------------------------------------------
