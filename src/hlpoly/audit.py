@@ -103,8 +103,8 @@ class Verdict(NamedTuple):
 def _compare(point: dict, lhs, rhs, **extra) -> Verdict:
     """HOLDS or FAILS as the sides compare, compared once. Equal sides of
     one type are one value: the verdict holds lhs as both, so the CLI
-    renders it once."""
-    if lhs == rhs:
+    renders it once. One object as both sides HOLDS without a comparison."""
+    if lhs is rhs or lhs == rhs:
         return Verdict(HOLDS, point, lhs, lhs if type(lhs) is type(rhs) else rhs, **extra)
     return Verdict(FAILS, point, lhs, rhs, **extra)
 
@@ -146,11 +146,12 @@ def exit_code(reports) -> int:
 
 
 def _grid_params(grid: GridSpec, points: dict | None):
-    """The grid's `Params` in canonical, sorted (k, alpha, a) order, each taken
-    from the `points` map or stored there; without a map, the run's own."""
+    """The grid's `Params` in canonical, sorted (k, alpha, a) order, the order
+    the grid sorted its keys in when it was built, each taken from the
+    `points` map or stored there; without a map, the run's own. The map's
+    own order plays no part."""
     points = {} if points is None else points
-    # GridSpec lists no value twice, so no two keys tie
-    for key in sorted((k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values):
+    for key in grid._keys:
         params = points.get(key)
         if params is None:
             params = points[key] = Params(*key)
@@ -221,12 +222,27 @@ def _derivative_rows(label, family, grid, points, prefactor) -> list[Verdict]:
 # rules are table rows read when a run starts: `_COLLAPSE_SHAPE`, `_DUALITY_SHAPE`.
 
 
-def _transformed(rows, family, last, params, family_rows) -> list[Fraction]:
+def _transformed(rows, family, last, params, family_rows) -> tuple[list, int]:
     """sum_m rows(n)[m] s_m for n = 0..last, s the family's Stirling-sum
-    values, their coefficients read from the run's `family_rows` store: row
-    n of the row store `rows` dotted with their numerators."""
+    values, their coefficients read from the run's `family_rows` store, as
+    (T, D): value n is T[n] / D, not reduced. D is the denominator of the
+    family's sums and T[n] row n of the row store `rows` dotted with their
+    numerators, an int for integer rows (a Fraction for rows of Fractions,
+    as a variant prefactor's (m!)^-1 makes)."""
     nums, den = explicit_scaled(family, last, params, family_rows)
-    return [Fraction(sum(map(operator.mul, rows(n), nums)), den) for n in range(last + 1)]
+    return [sum(map(operator.mul, rows(n), nums)) for n in range(last + 1)], den
+
+
+def _decided(known: list[Fraction], nums: list, den: int) -> list[Fraction]:
+    """The values nums[n] / den, each decided against known[n] by
+    cross-multiplying, on integers but for a variant's Fraction numerators:
+    where the two are equal, the value is the very Fraction known[n], so
+    `_compare` finds one object and a HOLDS row keeps that one Fraction;
+    only an unequal value, a FAILS row's witness, is built."""
+    return [
+        x if x.numerator * den == num * x.denominator else Fraction(num, den)
+        for x, num in zip(known, nums)
+    ]
 
 
 _COLLAPSE_SHAPE = {
@@ -246,16 +262,19 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
 
     The run's store of triangle rows, `collapse(n)` = [T(n, m) for m = 0..n],
-    builds each row on its first request.
+    builds each row on its first request. The right side is built as
+    Fractions; the left side, integer sums over one denominator, is decided
+    against it, so a HOLDS row keeps the right side's Fraction as both.
     """
     triangle, factor = _COLLAPSE_SHAPE[family]
     collapse = row_store(triangle)
     family_rows = coefficient_rows(family)
 
     def sides(params, last):
-        lhs = _transformed(collapse, family, last, params, family_rows)
         weights, den = params.scaled_weights(last)
-        return lhs, [Fraction(factor(n) * weights[n], den) for n in range(last + 1)]
+        rhs = [Fraction(factor(n) * weights[n], den) for n in range(last + 1)]
+        sums = _transformed(collapse, family, last, params, family_rows)
+        return _decided(rhs, *sums), rhs
 
     return _value_rows(grid, points, 0, sides)
 
@@ -325,6 +344,9 @@ def _duality_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     The double sum is evaluated as sum_l c_l x_l over the summed family's
     values x_l, with row n of the c_l read from the run's store of triangle
     products; both families' coefficients come from the run's stores too.
+    The left side is the Fractions that `params` keeps; the double sums,
+    integer numerators over one denominator, are decided against them, so
+    a HOLDS row keeps the left side's Fraction as both and builds none.
     """
     summed_family, triangle, printed = _DUALITY_SHAPE[label]
     products = _product_rows(triangle, triangle, prefactor or printed)
@@ -332,7 +354,8 @@ def _duality_rows(label, family, grid, points, prefactor) -> list[Verdict]:
 
     def sides(params, last):
         lhs = explicit_sequence(family, last, params, lhs_rows)
-        return lhs, _transformed(products, summed_family, last, params, summed_rows)
+        sums = _transformed(products, summed_family, last, params, summed_rows)
+        return lhs, _decided(lhs, *sums)
 
     return _value_rows(grid, points, 0, sides)
 
@@ -343,13 +366,10 @@ def _hypothesis_flags(params: Params, p: int) -> dict:
     divides neither denominator the residue has period p in m, and if p
     divides one, m = 0 or m = 1 is already not invertible.
 
-    With alpha = P/Q and a = R/S, alpha*m + a = (P S m + R Q) / (Q S), and p
-    is tested against that numerator and denominator once divided by their
-    gcd, the reduced ones, in integers."""
-    alpha, a = params.alpha, params.a
-    slope = alpha.numerator * a.denominator
-    offset = a.numerator * alpha.denominator
-    den = alpha.denominator * a.denominator
+    With alpha = P/Q and a = R/S, alpha*m + a = (P S m + R Q) / (Q S), the
+    integer form `params` keeps, and p is tested against that numerator and
+    denominator once divided by their gcd, the reduced ones, in integers."""
+    slope, offset, den = params._line
     for m in range(p):
         num = slope * m + offset
         common = math.gcd(num, den)
@@ -419,6 +439,10 @@ def _stirling_orthogonality(label, family, grid, points, prefactor) -> list[Verd
 
         form first_second: T = [..], U = {..}
         form second_first: T = {..}, U = [..]
+
+    Each integer sum is decided against its integer right side; a HOLDS row
+    keeps the right side's one Fraction as both, and only a FAILS row builds
+    the sum's Fraction as its witness.
     """
     verdicts = []
     for form, outer, inner in (
@@ -429,8 +453,9 @@ def _stirling_orthogonality(label, family, grid, points, prefactor) -> list[Verd
         for n in range(grid.stirling_n_max + 1):
             for l, total in enumerate(rows(n)):
                 expected = (-1) ** n if n == l else 0
-                point = {"form": form, "n": n, "l": l}
-                verdicts.append(_compare(point, Fraction(total), Fraction(expected)))
+                rhs = Fraction(expected)
+                lhs = rhs if total == expected else Fraction(total)
+                verdicts.append(_compare({"form": form, "n": n, "l": l}, lhs, rhs))
     return verdicts
 
 
@@ -489,6 +514,12 @@ class GridSpec:
         for alpha, a in self.pairs:
             for k in self.k_values:
                 Params(k, alpha, a)
+        # The points' keys, sorted here once per grid in the canonical
+        # (k, alpha, a) order that every run visits them in; no two tie, as
+        # no value is listed twice. Not a field: equality, hash, repr and the
+        # CLI's JSON grid header read the fields alone.
+        keys = tuple(sorted((k, alpha, a) for alpha, a in self.pairs for k in self.k_values))
+        object.__setattr__(self, "_keys", keys)
 
 
 DEFAULT_GRID = GridSpec()
@@ -528,10 +559,11 @@ def run_identity(
 
     The report's rows come in canonical order (k, alpha, a, then indices),
     whatever order the grid lists its values in: the catalogue's check visits
-    the points in sorted (k, alpha, a) order and makes each point's rows in
-    index order, so the rows themselves are never sorted. Identical grids
-    always serialize to identical bytes. A `prefactor` is only accepted for
-    EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
+    the points in sorted (k, alpha, a) order, which the grid sorted once when
+    it was built, and makes each point's rows in index order, so the rows
+    themselves are never sorted, and the order of `points` plays no part.
+    Identical grids always serialize to identical bytes. A `prefactor` is
+    only accepted for EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
     `grid.stirling_n_max` rows, in the order its sums are generated.
 
     `points` maps (k, alpha, a) to the `Params` of that grid point. Runs of

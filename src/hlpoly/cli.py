@@ -133,10 +133,10 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     its text across all reports, and holding the point keeps the id from being
     reused. The audit shares one read-only point object among the identities
     at a point. rhs reuses lhs's text when the verdict holds one object as both."""
-    pairs = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
-    head = json.dumps(
-        {"command": command, "grid": {**vars(grid), "pairs": pairs}}, indent=2, sort_keys=True
-    )
+    # the grid's fields alone, not vars(grid), which holds its sorted keys too
+    header = {field: getattr(grid, field) for field in GridSpec.__dataclass_fields__}
+    header["pairs"] = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
+    head = json.dumps({"command": command, "grid": header}, indent=2, sort_keys=True)
     # head ends with the grid's closing "\n}"; "reports" sorts after "grid"
     parts = [head[:-2], ',\n  "reports": [']
     points: dict = {}  # id(point) -> (point, its text)

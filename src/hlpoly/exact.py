@@ -78,7 +78,10 @@ def pow_rat(base: Fraction | int, k: int) -> Fraction:
     Zero base rejects negative exponents explicitly instead of surfacing a
     bare division error from deep inside a summation.
     """
-    base = Fraction(base)
+    # an exact Fraction is used as it is: it is immutable, and a copy would
+    # cost a construction
+    if type(base) is not Fraction:
+        base = Fraction(base)
     if k < 0 and base == 0:
         raise ZeroDivisionError("cannot raise 0 to a negative power")
     return base**k

@@ -107,13 +107,18 @@ class Params:
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         # Not fields: _root is the m >= 0 with alpha*m + a == 0, or None if
-        # there is none; _prefix is the (W, D) that scaled_weights returns.
+        # there is none; _line is alpha*m + a in integers, (P S, R Q, Q S)
+        # for alpha = P/Q and a = R/S, so alpha*m + a = (P S m + R Q) / (Q S);
+        # _prefix is the (W, D) that scaled_weights returns.
         # Memos: _sums by (family, n_max) for explicit_scaled, _values by
         # family and then n, _points by audit._params_point's (n, p), and
         # _series by family, the series _family_series last composed.
-        root = -self.a / self.alpha
-        root = int(root) if root.denominator == 1 and root >= 0 else None
-        object.__setattr__(self, "_root", root)
+        alpha, a = self.alpha, self.a
+        slope, offset = alpha.numerator * a.denominator, a.numerator * alpha.denominator
+        object.__setattr__(self, "_line", (slope, offset, alpha.denominator * a.denominator))
+        # the root is -offset / slope, an m only where slope divides offset
+        root, rest = divmod(-offset, slope)
+        object.__setattr__(self, "_root", root if rest == 0 and root >= 0 else None)
         object.__setattr__(self, "_prefix", ([], 1))
         object.__setattr__(self, "_sums", {})
         object.__setattr__(self, "_values", {family: {} for family in FAMILIES})
@@ -135,11 +140,14 @@ class Params:
         Weights are computed once per instance, as one prefix: a request past
         it builds the missing weights and rescales the kept numerators once
         to the new D, and any other request returns the prefix as it is.
+        Each base alpha*m + a is one Fraction made from integers, with
+        alpha = P/Q and a = R/S: (P S m + R Q) / (Q S).
         """
         weights, den = self._prefix
         if m_max >= len(weights):
+            slope, offset, base_den = self._line
             new = [
-                pow_rat(self.alpha * m + self.a, -self.k)
+                pow_rat(Fraction(slope * m + offset, base_den), -self.k)
                 for m in range(len(weights), m_max + 1)
             ]
             grown = math.lcm(den, *(w.denominator for w in new))

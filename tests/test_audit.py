@@ -25,6 +25,7 @@ from hlpoly.audit import (
     Verdict,
     _compare,
     _congruence_rows,
+    _decided,
     _derivative_rows,
     _product_rows,
     _stirling_orthogonality,
@@ -722,6 +723,27 @@ def test_rows_follow_the_point_order_whatever_the_grid_order(pairs, k_values, pr
         assert report == expected
 
 
+def test_a_point_map_prefilled_in_grid_order_gives_canonical_rows():
+    # a caller's map that lists the points in the grid's own order, not the
+    # canonical one: rows still come in canonical order, each point's Params
+    # taken from the map (its point dicts are the verdicts' points)
+    grid = GridSpec(
+        n_max=ORDER_GRID.n_max,
+        k_values=(2, -1, 1),
+        pairs=tuple(reversed(ORDER_GRID.pairs)),
+        primes=(5, 2, 3),
+        multipliers=(2, 1),
+    )
+    points = {(k, alpha, a): Params(k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values}
+    assert list(points) != sorted(points)
+    for label, expected in ORDER_REPORTS.items():
+        report = run_identity(label, grid, None, points)
+        assert report == expected
+        for v in report.verdicts:
+            params = points[v.point["k"], v.point["alpha"], v.point["a"]]
+            assert v.point is params._points[v.point["n"], v.point.get("p")]
+
+
 def test_the_order_grid_has_every_row_kind():
     statuses = Counter(
         (v.status, v.reason) for report in ORDER_REPORTS.values() for v in report.verdicts
@@ -793,6 +815,67 @@ def test_compare_holds_one_object_for_equal_sides_of_one_type():
         _CountedEq.compared = 0
         _compare(point, _CountedEq(1, 2), other)
         assert _CountedEq.compared == 1
+    # one object as both sides holds, and is not compared at all
+    _CountedEq.compared = 0
+    one = _CountedEq(1, 2)
+    held = _compare(point, one, one)
+    assert held.status == HOLDS and held.lhs is one and held.rhs is one
+    assert _CountedEq.compared == 0
+
+
+# points with negative k, k = 0, a non-integer alpha or a, and a negative alpha
+DECIDED_GRID = GridSpec(
+    n_max=6,
+    k_values=(-2, 0, 1, 3),
+    pairs=((1, 1), (Fraction(1, 2), 1), (3, Fraction(1, 3)), (Fraction(-1, 2), Fraction(7, 3))),
+)
+
+
+def test_integer_decided_holds_rows_keep_one_fraction():
+    # THM4-THM6 and EQ9-EQ12 decide each row on integers: a HOLDS row holds
+    # one Fraction as both sides, and EQ9-EQ12's is the left side that the
+    # point's Params keeps, the very Fraction explicit_value returns
+    points = {}
+    statuses = Counter()
+    proved, printed = ("THM4", "THM5", "THM6", "EQ9"), ("EQ10", "EQ11", "EQ12")
+    for label in proved + printed:
+        for v in run_identity(label, DECIDED_GRID, None, points).verdicts:
+            statuses[label, v.status] += 1
+            assert type(v.lhs) is Fraction and type(v.rhs) is Fraction
+            if v.status == FAILS:
+                assert v.lhs != v.rhs
+                continue
+            assert v.status == HOLDS and v.rhs is v.lhs
+            if label.startswith("EQ"):
+                family = CATALOGUE[label][2]
+                params = points[v.point["k"], v.point["alpha"], v.point["a"]]
+                assert explicit_value(family, v.point["n"], params) is v.lhs
+    # every row of the proved identities holds, and the printed EQ10-EQ12
+    # give both kinds of row
+    assert not any(statuses[label, FAILS] for label in proved)
+    assert all(statuses[label, FAILS] and statuses[label, HOLDS] for label in printed)
+
+
+def test_a_decided_value_is_the_known_fraction_where_they_are_equal():
+    known = [Fraction(1, 2), Fraction(-2, 3), Fraction(5)]
+    decided = _decided(known, [3, -4, 31], 6)  # 1/2, -2/3 and 31/6
+    assert decided[0] is known[0] and decided[1] is known[1]
+    assert decided[2] == Fraction(31, 6) and type(decided[2]) is Fraction
+    # Fraction numerators, as a (m!)^-1 prefactor makes them
+    assert _decided(known, [Fraction(3, 2), Fraction(-2), Fraction(1, 3)], 3) == [
+        known[0], known[1], Fraction(1, 9)
+    ]
+    assert _decided(known[:1], [Fraction(3, 2)], 3)[0] is known[0]
+
+
+@pytest.mark.parametrize("label", sorted(ERRATA))
+def test_every_corrected_prefactor_holds_with_one_fraction(label):
+    # the corrected EQ11 and EQ12 prefactors, with (m!)^-1, make Fraction
+    # c_l, so their double sums' numerators are Fractions; those decide each
+    # row as the integer ones of EQ9 and EQ10 do
+    report = run_identity(label, DECIDED_GRID, duality_prefactor(*ERRATA[label]))
+    assert report.summary == {"holds": 4 * 4 * 7, "fails": 0, "undefined": 0}
+    assert all(type(v.lhs) is Fraction and v.rhs is v.lhs for v in report.verdicts)
 
 
 def test_reports_are_reproducible():

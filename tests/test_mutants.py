@@ -9,11 +9,12 @@ Each mutant runs after a warm-up audit of the unpatched code, so that a
 table keyed too coarsely would serve the unpatched values and hide it: the
 kernel powers keyed by kernel name, a point's Stirling sums kept past its
 command, or coefficient rows (THM8's, THM9-THM11's derivative rows, EQ9-EQ12's
-triangle products) that outlive their run. After
+and STIRLING_ORTHO's triangle products) that outlive their run. After
 the patch is undone, the audit holds again: no cache kept the mutant either.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -145,3 +146,23 @@ def test_a_sign_in_a_collapse_triangle_fails_thm4(capsys, monkeypatch):
 
     table = audit._COLLAPSE_SHAPE
     assert_caught(capsys, monkeypatch, "thm4", "THM4", table, Family.BERNOULLI, (mutant, factor))
+
+
+# STIRLING_ORTHO reads both triangles when its run starts: one wrong entry of
+# {n m} fails the sums that read it. Each sum is decided on integers, and a
+# FAILS row still keeps both sides as unequal Fractions, its witness.
+def test_a_sign_in_a_stirling_triangle_fails_stirling_ortho(capsys, monkeypatch):
+    second = audit.stirling2
+
+    def mutant(n, m):
+        return -second(n, m) if (n, m) == (3, 2) else second(n, m)
+
+    assert fails(capsys, "stirling-ortho")["STIRLING_ORTHO"] == 0
+    monkeypatch.setattr(audit, "stirling2", mutant)
+    failed = [v for v in audit.run_identity("STIRLING_ORTHO").verdicts if v.status == audit.FAILS]
+    assert failed
+    for v in failed:
+        assert type(v.lhs) is Fraction and type(v.rhs) is Fraction and v.lhs != v.rhs
+    assert fails(capsys, "stirling-ortho")["STIRLING_ORTHO"] == len(failed)
+    monkeypatch.undo()
+    assert fails(capsys, "stirling-ortho")["STIRLING_ORTHO"] == 0

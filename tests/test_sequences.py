@@ -124,6 +124,30 @@ def test_scaled_weights_memo_matches_a_fresh_build(params, requests):
     assert repr(params) == repr(fresh)
 
 
+# alpha and a negative or not whole and k of either sign, k <= 0 included:
+# the base alpha*m + a is made from integers as (P S m + R Q) / (Q S), for
+# alpha = P/Q and a = R/S, so its sign and denominator must come out right
+weight_params = st.builds(
+    Params,
+    st.integers(-5, 3),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+).filter(lambda params: params.singular_index(16) is None)
+
+
+@settings(max_examples=80, deadline=None)
+@example(Params(-3, Fraction(-3, 2), Fraction(-7, 3)), 12)
+@example(Params(0, Fraction(-1, 2), Fraction(5, 4)), 5)
+@example(Params(-1, Fraction(4, 6), Fraction(-9, 6)), 16)  # both given unreduced
+@example(Params(2, Fraction(5, 3), Fraction(-7, 2)), 9)
+@given(weight_params, st.integers(0, 16))
+def test_each_weight_is_one_over_its_base_to_the_k(params, m_max):
+    weights, den = params.scaled_weights(m_max)
+    for m in range(m_max + 1):
+        base = params.alpha * m + params.a
+        assert Fraction(weights[m], den) == 1 / base**params.k
+
+
 def test_scaled_weights_builds_each_weight_once_per_instance(monkeypatch):
     calls = []
     pow_rat = sequences.pow_rat
@@ -272,7 +296,11 @@ def test_a_shared_row_store_gives_the_values_of_a_fresh_one(params, indices):
                         explicit_value(family, n, params, store)
                 continue
             value = explicit_value(family, n, params, rows)
-            assert value == explicit_value(family, n, params)
+            # each store-less call on a Params of its own: `params` keeps the
+            # value just computed, so asking it again would compare it with
+            # itself
+            fresh = Params(params.k, params.alpha, params.a)
+            assert value == explicit_value(family, n, fresh)
             fresh = Params(params.k, params.alpha, params.a)
             assert value == explicit_sequence(family, n, fresh)[n]
 
@@ -284,7 +312,9 @@ def test_a_row_store_builds_each_row_once(monkeypatch):
         sequences, "stirling2", lambda n, m: lookups.append((n, m)) or stirling2(n, m)
     )
     rows = coefficient_rows(Family.BERNOULLI)
-    for params in (P111, Params(2, Fraction(1, 2), 3)):
+    # Params of the test's own: a shared one keeps values from other tests,
+    # so what this test counts would depend on which ran first
+    for params in (Params(1, 1, 1), Params(2, Fraction(1, 2), 3)):
         for n in (6, 3, 6):
             explicit_value(Family.BERNOULLI, n, params, rows)
     assert len(lookups) == 7 + 4  # rows 6 and 3, each once; no row in between
@@ -410,6 +440,61 @@ def test_classical_specialization():
             assert oracle_sequence(family, 8, Params(k, 1, 1)) == family_egf(
                 family.value, k, 1, 1, 8
             )
+
+
+# -- Kaneko's poly-Bernoulli numbers of negative index ------------------------
+
+KANEKO_MAX = 11
+
+
+def _negative_index_table(path, alpha=1, a=1):
+    """table[n][k] = B_n^(-k), the bernoulli family at k -> -k, for
+    n, k = 0..KANEKO_MAX, read off one evaluation path."""
+    columns = [
+        path(Family.BERNOULLI, KANEKO_MAX, Params(-k, alpha, a)) for k in range(KANEKO_MAX + 1)
+    ]
+    return [[column[n] for column in columns] for n in range(KANEKO_MAX + 1)]
+
+
+def _kaneko_closed_form(n, k):
+    """sum_{j=0..min(n,k)} (j!)^2 {n+1 j+1} {k+1 j+1}, from the
+    recurrence-free Stirling numbers of `bruteforce`."""
+    second = bruteforce.stirling2_explicit
+    return sum(
+        factorial(j) ** 2 * second(n + 1, j + 1) * second(k + 1, j + 1)
+        for j in range(min(n, k) + 1)
+    )
+
+
+BOTH_PATHS = [explicit_sequence, oracle_sequence]
+
+
+@pytest.mark.parametrize("path", BOTH_PATHS, ids=lambda path: path.__name__)
+def test_kaneko_duality_and_closed_form_at_alpha_and_a_one(path):
+    """M. Kaneko, "Poly-Bernoulli numbers", J. Theor. Nombres Bordeaux 9
+    (1997) 221-228, proves for n, k >= 0 the duality B_n^(-k) = B_k^(-n) and
+    the closed form B_n^(-k) = sum_{j=0..min(n,k)} (j!)^2 {n+1 j+1} {k+1 j+1}.
+    At alpha = a = 1 the bernoulli family is Kaneko's, so both hold on either
+    path; at k <= 0 the weights are (m + 1)^|k|, the branch of the weight
+    base with a nonnegative power."""
+    table = _negative_index_table(path)
+    for n in range(KANEKO_MAX + 1):
+        for k in range(KANEKO_MAX + 1):
+            assert table[n][k] == _kaneko_closed_form(n, k), (n, k)
+            assert table[n][k] == table[k][n], (n, k)
+
+
+@pytest.mark.parametrize("alpha, a", [(2, 1), (1, 2), (Fraction(1, 2), 1)])
+@pytest.mark.parametrize("path", BOTH_PATHS, ids=lambda path: path.__name__)
+def test_kaneko_duality_fails_away_from_alpha_and_a_one(path, alpha, a):
+    """Kaneko's duality (Kaneko 1997) is a fact of alpha = a = 1: the
+    generalised family is not symmetric, so a change that made it symmetric
+    by mistake is seen here."""
+    table = _negative_index_table(path, alpha, a)
+    asymmetric = [
+        (n, k) for n in range(KANEKO_MAX + 1) for k in range(n) if table[n][k] != table[k][n]
+    ]
+    assert asymmetric
 
 
 # -- one series composition per family and point -----------------------------
