@@ -81,9 +81,8 @@ class Verdict(NamedTuple):
     FAILS always carries the unequal (lhs, rhs) pair; UNDEFINED always
     carries a reason code. lhs/rhs are Fractions for value identities and
     plain ints (residues; the modulus sits in the point) for congruences.
-    A HOLDS verdict whose sides share a type carries one object as lhs and
-    rhs; equal sides of two types, an int and a Fraction, keep both. The
-    hypothesis fields are populated only by congruence checks.
+    A HOLDS verdict carries one object as both lhs and rhs. The hypothesis
+    fields are populated only by congruence checks.
 
     A Verdict is an immutable named tuple, built at the cost of a tuple, that
     iterates over its fields in the order above and equals a plain tuple of
@@ -98,15 +97,6 @@ class Verdict(NamedTuple):
     reason: str | None = None
     hypothesis_ok: bool | None = None
     hypothesis_note: str | None = None
-
-
-def _compare(point: dict, lhs, rhs, **extra) -> Verdict:
-    """HOLDS or FAILS as the sides compare, compared once. Equal sides of
-    one type are one value: the verdict holds lhs as both, so the CLI
-    renders it once. One object as both sides HOLDS without a comparison."""
-    if lhs is rhs or lhs == rhs:
-        return Verdict(HOLDS, point, lhs, lhs if type(lhs) is type(rhs) else rhs, **extra)
-    return Verdict(FAILS, point, lhs, rhs, **extra)
 
 
 def _undefined(point: dict, reason: str, **extra) -> Verdict:
@@ -175,7 +165,9 @@ def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
     Index n touches alpha*m + a up to m = n + reach. `sides(params, last)`
     returns the identity's two sides at a point, each the values at
     n = 0..last, for `last` the largest evaluable index; it is not called
-    when no index is. The indices after `last` are SINGULAR_PARAMETER.
+    when no index is, and decides the right side: where the two are equal,
+    its entry is the left side's object, and only then does the row HOLD.
+    The indices after `last` are SINGULAR_PARAMETER.
     """
     n_max = grid.n_max
     verdicts = []
@@ -184,7 +176,7 @@ def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
         last = n_max if s is None else max(-1, min(n_max, s - 1 - reach))
         if last >= 0:
             verdicts += [
-                _compare(_params_point(params, n), x, y)
+                Verdict(HOLDS if y is x else FAILS, _params_point(params, n), x, y)
                 for n, (x, y) in enumerate(zip(*sides(params, last)))
             ]
         verdicts += [
@@ -194,13 +186,18 @@ def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
     return verdicts
 
 
+def _matched(known: list[Fraction], values: list[Fraction]) -> list[Fraction]:
+    """values, each equal one replaced by known's object: one == per row."""
+    return [x if x == y else y for x, y in zip(known, values)]
+
+
 def _explicit_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """Stirling-sum path vs generating-function path, index by index."""
     coefficients = coefficient_rows(family)
 
     def sides(params, last):
         lhs = explicit_sequence(family, last, params, coefficients)
-        return lhs, oracle_sequence(family, last, params)
+        return lhs, _matched(lhs, oracle_sequence(family, last, params))
 
     return _value_rows(grid, points, 0, sides)
 
@@ -212,7 +209,7 @@ def _derivative_rows(label, family, grid, points, prefactor) -> list[Verdict]:
 
     def sides(params, last):
         printed = deriv_coeffs_printed(family, last, params, coefficients)
-        return printed, deriv_coeffs_oracle(family, last, params)
+        return printed, _matched(printed, deriv_coeffs_oracle(family, last, params))
 
     return _value_rows(grid, points, 1, sides)
 
@@ -236,9 +233,9 @@ def _transformed(rows, family, last, params, family_rows) -> tuple[list, int]:
 def _decided(known: list[Fraction], nums: list, den: int) -> list[Fraction]:
     """The values nums[n] / den, each decided against known[n] by
     cross-multiplying, on integers but for a variant's Fraction numerators:
-    where the two are equal, the value is the very Fraction known[n], so
-    `_compare` finds one object and a HOLDS row keeps that one Fraction;
-    only an unequal value, a FAILS row's witness, is built."""
+    where the two are equal, the value is the very Fraction known[n], as
+    `_matched` decides with ==; only an unequal value, a FAILS row's
+    witness, is built."""
     return [
         x if x.numerator * den == num * x.denominator else Fraction(num, den)
         for x, num in zip(known, nums)
@@ -420,7 +417,7 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
             lhs = explicit_value(family, n * p, params, rows=coefficients)
             rhs = explicit_value(family, 0, params, rows=coefficients)
             try:
-                residues = mod_reduce(lhs, p), mod_reduce(rhs, p)
+                x, y = mod_reduce(lhs, p), mod_reduce(rhs, p)
             except NonreducibleDenominatorError:
                 verdicts.append(
                     _undefined(
@@ -428,7 +425,8 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
                     )
                 )
             else:
-                verdicts.append(_compare(point, *residues, **flags[p]))
+                status, y = (HOLDS, x) if x == y else (FAILS, y)  # ints: one ==
+                verdicts.append(Verdict(status, point, x, y, **flags[p]))
     return verdicts
 
 
@@ -452,10 +450,10 @@ def _stirling_orthogonality(label, family, grid, points, prefactor) -> list[Verd
         rows = _product_rows(outer, inner, duality_prefactor("m", 0))
         for n in range(grid.stirling_n_max + 1):
             for l, total in enumerate(rows(n)):
-                expected = (-1) ** n if n == l else 0
-                rhs = Fraction(expected)
-                lhs = rhs if total == expected else Fraction(total)
-                verdicts.append(_compare({"form": form, "n": n, "l": l}, lhs, rhs))
+                rhs = Fraction((-1) ** n if n == l else 0)
+                lhs = rhs if total == rhs.numerator else Fraction(total)
+                point = {"form": form, "n": n, "l": l}
+                verdicts.append(Verdict(HOLDS if lhs is rhs else FAILS, point, lhs, rhs))
     return verdicts
 
 

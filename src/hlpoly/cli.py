@@ -104,9 +104,13 @@ def _json_param(value: Fraction | int | str | None) -> str:
     return f'"{format_rational(value)}"' if isinstance(value, Fraction) else str(value)
 
 
-def _json_field(key: str, value) -> str:
-    """A point's field as JSON text, indented as a verdict field."""
-    return f"            {encode_basestring_ascii(key)}: {_json_param(value)}"
+def _json_point(point: dict) -> str:
+    """A point as JSON object text, its keys sorted, indented as a verdict field."""
+    fields = ",\n".join(
+        f"            {encode_basestring_ascii(key)}: {_json_param(point[key])}"
+        for key in sorted(point)
+    )
+    return f"{{\n{fields}\n          }}" if fields else "{}"
 
 
 def _json_side(value: Fraction | int | str | None) -> str:
@@ -127,41 +131,28 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     field with the keys in sorted order. An indented json.dumps runs the
     pure-Python encoder, which took most of an audit's run time; only the
     small grid header still goes through it. The pieces are joined once, so
-    the text is held in memory once beside them.
-
-    Each point object is rendered once: `points` maps its id to the point and
-    its text across all reports, and holding the point keeps the id from being
-    reused. The audit shares one read-only point object among the identities
-    at a point. rhs reuses lhs's text when the verdict holds one object as both."""
+    the text is held in memory once beside them."""
     # the grid's fields alone, not vars(grid), which holds its sorted keys too
     header = {field: getattr(grid, field) for field in GridSpec.__dataclass_fields__}
     header["pairs"] = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
     head = json.dumps({"command": command, "grid": header}, indent=2, sort_keys=True)
     # head ends with the grid's closing "\n}"; "reports" sorts after "grid"
     parts = [head[:-2], ',\n  "reports": [']
-    points: dict = {}  # id(point) -> (point, its text)
+    points: dict = {}
     for i, report in enumerate(reports):
-        verdicts = []
-        for v in report.verdicts:
-            kept = points.get(id(v.point))
-            if kept is None:
-                fields = ",\n".join(_json_field(key, v.point[key]) for key in sorted(v.point))
-                text = f"{{\n{fields}\n          }}" if fields else "{}"
-                kept = points[id(v.point)] = v.point, text
-            point = kept[1]
-            lhs = _json_side(v.lhs)
-            verdicts.append(
-                "        {\n"
-                f'          "hypothesis_note": {_json_param(v.hypothesis_note)},\n'
-                f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
-                f'          "lhs": {lhs},\n'
-                f'          "point": {point},\n'
-                f'          "reason": {_json_param(v.reason)},\n'
-                f'          "rhs": {lhs if v.rhs is v.lhs else _json_side(v.rhs)},\n'
-                f'          "status": {encode_basestring_ascii(v.status)}\n'
-                "        }"
-            )
-        verdicts = ",\n".join(verdicts)
+        verdicts = ",\n".join(
+            "        {\n"
+            f'          "hypothesis_note": {_json_param(v.hypothesis_note)},\n'
+            f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
+            f'          "lhs": {lhs},\n'
+            f'          "point": {point},\n'
+            f'          "reason": {_json_param(v.reason)},\n'
+            f'          "rhs": {rhs},\n'
+            f'          "status": {encode_basestring_ascii(v.status)}\n'
+            "        }"
+            for v, point, lhs, rhs
+            in _verdict_texts(report.verdicts, points, _json_point, _json_side)
+        )
         verdicts = f"[\n{verdicts}\n      ]" if verdicts else "[]"
         summary = ",\n".join(
             f"        {encode_basestring_ascii(key)}: {count}"
@@ -385,25 +376,24 @@ def _aligned_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _point_fields(verdicts, keys) -> Iterator[list[str]]:
-    """Each verdict's point as a new list of the `_cell` texts of its values
-    under `keys`. A cell is rendered again only when its value is another
-    object than the one last rendered under its key, never for an equal one
-    (a bool beside 1, a Fraction subclass, another big int): point values
-    are immutable, so the object fixes its text."""
-    fields: dict = {}  # key -> (value, its cell)
+def _verdict_texts(verdicts, points: dict, point_text, side_text) -> Iterator[tuple]:
+    """(verdict, point's text, lhs's text, rhs's text) for each verdict: every
+    writer's one walk. `points`, the command's map id(point) -> (point, text),
+    renders each point object once (holding it keeps its id from reuse), and
+    rhs reuses lhs's text when one object is both, as in every HOLDS verdict."""
     for v in verdicts:
-        texts = []
-        for key in keys:
-            value = v.point[key]
-            kept = fields.get(key)
-            if kept is None or kept[0] is not value:
-                kept = fields[key] = (value, _cell(value))
-            texts.append(kept[1])
-        yield texts
+        kept = points.get(id(v.point))
+        if kept is None:
+            kept = points[id(v.point)] = v.point, point_text(v.point)
+        lhs = side_text(v.lhs)
+        yield v, kept[1], lhs, lhs if v.rhs is v.lhs else side_text(v.rhs)
 
 
-def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
+def _point_cells(point: dict) -> list[str]:
+    return [_cell(value) for value in point.values()]
+
+
+def _report_rows(report, points: dict) -> tuple[list[str], Iterator[list[str]]]:
     """The report's column header and a lazy iterator over its rows."""
     point_keys = list(report.verdicts[0].point.keys()) if report.verdicts else []
     with_hyp = any(v.hypothesis_ok is not None for v in report.verdicts)
@@ -412,12 +402,8 @@ def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
         header += ["hypothesis_ok", "hypothesis_note"]
 
     def rows():
-        # point cells by the rule of _point_fields; rhs reuses lhs's cell
-        # when the verdict holds one object as both
-        points = _point_fields(report.verdicts, point_keys)
-        for v, row in zip(report.verdicts, points):
-            lhs = _cell(v.lhs)
-            row += [v.status, lhs, lhs if v.rhs is v.lhs else _cell(v.rhs), _cell(v.reason)]
+        for v, point, lhs, rhs in _verdict_texts(report.verdicts, points, _point_cells, _cell):
+            row = [*point, v.status, lhs, rhs, _cell(v.reason)]
             if with_hyp:
                 row += [_cell(v.hypothesis_ok), _cell(v.hypothesis_note)]
             yield row
@@ -427,6 +413,7 @@ def _report_rows(report) -> tuple[list[str], Iterator[list[str]]]:
 
 def _render_reports_text(reports, variant: str | None) -> str:
     lines = [f"# hlpoly {__version__}"]
+    points: dict = {}
     for report in reports:
         s = report.summary
         title = f"identity {report.identity.lower()}"
@@ -437,7 +424,7 @@ def _render_reports_text(reports, variant: str | None) -> str:
             f"{title}: points={len(report.verdicts)} "
             f"holds={s['holds']} fails={s['fails']} undefined={s['undefined']}"
         )
-        header, rows = _report_rows(report)
+        header, rows = _report_rows(report, points)
         rows = list(rows)
         if rows:
             lines.append(_aligned_table(header, rows))
@@ -564,15 +551,24 @@ def _cmd_audit(args) -> tuple[int, Iterable[str]]:
     return exit_code(reports), output
 
 
+def _csv_point(point: dict) -> str:
+    """A point's cells, each followed by a comma, kept as one string, not a list."""
+    return "".join(f"{cell}," for cell in _point_cells(point))
+
+
 def _csv_lines(reports) -> Iterator[str]:
     # Only congruence-scan offers csv. Its reports all have the columns
     # k, alpha, a, n, p and the hypothesis flag, and none is empty. Rows
     # stream: joining a large scan's rows first raised peak memory by 5%.
-    yield ",".join(["identity"] + _report_rows(reports[0])[0]) + "\n"
+    points: dict = {}
+    yield ",".join(["identity"] + _report_rows(reports[0], points)[0]) + "\n"
     for report in reports:
         label = report.identity.lower()
-        for row in _report_rows(report)[1]:
-            yield ",".join([label] + row) + "\n"
+        for v, point, lhs, rhs in _verdict_texts(report.verdicts, points, _csv_point, _cell):
+            yield (
+                f"{label},{point}{v.status},{lhs},{rhs},{_cell(v.reason)},"
+                f"{_cell(v.hypothesis_ok)},{_cell(v.hypothesis_note)}\n"
+            )
 
 
 def _write(output: Iterable[str]) -> None:

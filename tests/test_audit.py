@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hlpoly
-from hlpoly import sequences
+from hlpoly import audit, sequences
 from hlpoly.audit import (
     _DUALITY_SHAPE,
     AuditReport,
@@ -23,10 +23,10 @@ from hlpoly.audit import (
     SINGULAR_PARAMETER,
     UNDEFINED,
     Verdict,
-    _compare,
     _congruence_rows,
     _decided,
     _derivative_rows,
+    _matched,
     _product_rows,
     _stirling_orthogonality,
     _value_rows,
@@ -754,6 +754,53 @@ def test_the_order_grid_has_every_row_kind():
     assert all(report.verdicts for report in ORDER_REPORTS.values())
 
 
+def test_every_row_is_decided_once_across_the_catalogue():
+    # every label on one map of the order grid, as one command runs them,
+    # and a variant EQ11 whose Fraction numerators decide both kinds of row:
+    # a HOLDS row holds one object as both sides, a FAILS row two unequal
+    # ones, and a value identity's UNDEFINED row none
+    points = {}
+    reports = [run_identity(label, ORDER_GRID, None, points) for label in CATALOGUE]
+    reports.append(run_identity("EQ11", ORDER_GRID, duality_prefactor("m", -1)))
+    statuses = Counter()
+    for report in reports:
+        congruence = CATALOGUE[report.identity][1] is _congruence_rows
+        for v in report.verdicts:
+            statuses[v.status] += 1
+            if v.status == HOLDS:
+                assert v.rhs is v.lhs, (report.identity, v)
+            elif v.status == FAILS:
+                assert v.lhs != v.rhs, (report.identity, v)
+            elif not congruence:
+                assert v.lhs is None and v.rhs is None, (report.identity, v)
+    assert statuses[HOLDS] and statuses[FAILS] and statuses[UNDEFINED]
+    assert reports[-1].summary == {"holds": 33, "fails": 24, "undefined": 3}
+
+
+def test_value_rows_compare_no_fraction_twice(monkeypatch):
+    # on a map that THM1-THM3 have filled, EQ10 decides every row on
+    # integers and THM1 with one == per evaluable row; neither compares a
+    # row's sides again
+    points = {}
+    for label in ("THM1", "THM2", "THM3"):
+        run_identity(label, ORDER_GRID, None, points)
+    compared = []
+    equal = Fraction.__eq__
+
+    def counted(self, other):
+        compared.append(self)
+        return equal(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    eq10 = run_identity("EQ10", ORDER_GRID, None, points)
+    eq10_compared = len(compared)
+    thm1 = run_identity("THM1", ORDER_GRID, None, points)
+    thm1_compared = len(compared) - eq10_compared
+    monkeypatch.undo()
+    assert eq10.summary["fails"] and eq10_compared == 0
+    assert thm1_compared == thm1.summary["holds"] + thm1.summary["fails"] > 0
+
+
 def test_verdict_contract():
     point = {"k": 1, "n": 0}
     by_keyword = Verdict(status=HOLDS, point=point)
@@ -791,36 +838,33 @@ class _CountedEq(Fraction):
     __hash__ = Fraction.__hash__
 
 
-def test_compare_holds_one_object_for_equal_sides_of_one_type():
-    point = {"k": 1, "n": 0}
-    lhs, rhs = Fraction(1, 2), Fraction(2, 4)
-    assert lhs is not rhs
-    held = _compare(point, lhs, rhs)
-    assert held.status == HOLDS and held.lhs is lhs and held.rhs is lhs
-    assert held == Verdict(HOLDS, point, lhs, rhs)
-    big = 10**30
-    assert _compare(point, big, int(str(big))).rhs is big
-    # equal sides of two types keep both objects
-    mixed = _compare(point, 1, Fraction(1))
-    assert mixed.status == HOLDS and type(mixed.lhs) is int and type(mixed.rhs) is Fraction
-    mixed = _compare(point, _CountedEq(1, 2), lhs)
-    assert mixed.status == HOLDS and type(mixed.rhs) is Fraction
-    # a FAILS row keeps both witnesses, and the flags pass through
-    lhs, rhs = Fraction(1, 3), Fraction(1, 2)
-    failed = _compare(point, lhs, rhs, hypothesis_ok=True, hypothesis_note=None)
-    assert failed.status == FAILS and failed.lhs is lhs and failed.rhs is rhs
-    assert failed == Verdict(FAILS, point, lhs, rhs, None, True, None)
-    # the sides are compared once, on either outcome
-    for other in (Fraction(1, 2), Fraction(1, 3)):
-        _CountedEq.compared = 0
-        _compare(point, _CountedEq(1, 2), other)
-        assert _CountedEq.compared == 1
+def test_a_row_holds_one_object_for_equal_sides(monkeypatch):
+    grid = GridSpec(n_max=1, k_values=(1,), pairs=((1, 1),))
     # one object as both sides holds, and is not compared at all
     _CountedEq.compared = 0
     one = _CountedEq(1, 2)
-    held = _compare(point, one, one)
-    assert held.status == HOLDS and held.lhs is one and held.rhs is one
-    assert _CountedEq.compared == 0
+    held = _value_rows(grid, None, 0, lambda params, last: ([one] * (last + 1),) * 2)
+    assert all(v.status == HOLDS and v.lhs is one and v.rhs is one for v in held)
+    assert len(held) == 2 and _CountedEq.compared == 0
+    # a FAILS row keeps both witnesses
+    lhs, rhs = Fraction(1, 3), Fraction(1, 2)
+    failed = _value_rows(grid, None, 0, lambda params, last: ([lhs] * 2, [rhs] * 2))
+    assert all(v.status == FAILS and v.lhs is lhs and v.rhs is rhs for v in failed)
+    # _matched decides each row with one ==: an equal value is the known object
+    known = [_CountedEq(1, 2), _CountedEq(1, 3)]
+    values = [Fraction(2, 4), Fraction(1, 2)]
+    _CountedEq.compared = 0
+    decided = _matched(known, values)
+    assert decided[0] is known[0] and decided[1] is values[1]
+    assert _CountedEq.compared == 2
+    # THM8's equal residues, here two distinct ints past the small-int cache,
+    # hold one object; the hypothesis flags pass through
+    monkeypatch.setattr(audit, "mod_reduce", lambda value, p: int(str(10**30)))
+    grid = GridSpec(n_max=0, k_values=(1,), pairs=((1, 1),), primes=(3,), multipliers=(1,))
+    (v,) = run_identity("THM8_C1", grid).verdicts
+    assert v.status == HOLDS and v.lhs == 10**30 and v.rhs is v.lhs
+    note = "alpha*m + a not invertible mod 3 at m = 2"
+    assert (v.hypothesis_ok, v.hypothesis_note) == (False, note)
 
 
 # points with negative k, k = 0, a non-integer alpha or a, and a negative alpha

@@ -492,7 +492,7 @@ def test_report_rows_render_every_cell_as_a_fresh_cell_call(report):
         if with_hyp:
             row += [cli._cell(v.hypothesis_ok), cli._cell(v.hypothesis_note)]
         expected.append(row)
-    header, rows = cli._report_rows(report)
+    header, rows = cli._report_rows(report, {})
     assert header[: len(keys)] == keys
     assert list(rows) == expected
 
@@ -558,6 +558,30 @@ def test_no_output_depends_on_shared_point_objects(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "run_identity", fresh_points)
     assert main(argv) == 1
     assert capsys.readouterr().out == shared
+
+
+@pytest.mark.parametrize(
+    "fmt, renderer", [("csv", "_point_cells"), ("text", "_point_cells"), ("json", "_json_point")]
+)
+def test_every_writer_renders_each_point_object_once(capsys, monkeypatch, fmt, renderer):
+    # the default scan: 3 labels x 216 points (k, alpha, a, n, p), each
+    # point object shared by THM8_C1, THM8_C2 and THM8_B
+    rendered = []
+    render = getattr(cli, renderer)
+
+    def counted(point):
+        rendered.append(point)
+        return render(point)
+
+    monkeypatch.setattr(cli, renderer, counted)
+    assert main(["congruence-scan", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        rows = sum(len(report["verdicts"]) for report in json.loads(out)["reports"])
+    else:
+        rows = sum(line.startswith(("thm8", "1 ", "2 ", "3 ")) for line in out.splitlines())
+    assert rows == 648
+    assert len(rendered) == len({id(point) for point in rendered}) == 216
 
 
 def test_audit_text_runs_are_byte_identical(capsys):
