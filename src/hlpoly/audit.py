@@ -139,23 +139,46 @@ def _grid_params(grid: GridSpec, points: dict | None):
     """The grid's `Params` in canonical, sorted (k, alpha, a) order, the order
     the grid sorted its keys in when it was built, each taken from the
     `points` map or stored there; without a map, the run's own. The map's
-    own order plays no part."""
-    points = {} if points is None else points
-    for key in grid._keys:
+    own order plays no part.
+
+    A map whose keys are the grid's own key tuples, in that order, as the
+    first run on an empty map leaves it, is walked as it is, with no key
+    hashed; any other map is looked up key by key."""
+    keys = grid._keys
+    if points is not None and len(points) == len(keys) and all(map(operator.is_, points, keys)):
+        return points.values()
+    return _stored_params(keys, {} if points is None else points)
+
+
+def _stored_params(keys: tuple, points: dict):
+    """The `Params` of each key in turn, from `points` or stored there."""
+    for key in keys:
         params = points.get(key)
         if params is None:
             params = points[key] = Params(*key)
         yield params
 
 
-def _params_point(params: Params, n: int, p: int | None = None) -> dict:
-    """The point of (params, n), and THM8's prime p if given: one read-only
-    dict per key, kept on `params` for every identity that shares it. Keys
-    come in canonical order: rows are made in the order of the values."""
+def _index_points(params: Params, n_max: int) -> list[dict]:
+    """The points of (params, n) for n = 0..n_max, and beyond where a run
+    asked for more: one read-only dict per n, kept on `params` as one list
+    for every value identity that shares it. Keys come in canonical order."""
+    kept = params._index_points
+    if len(kept) <= n_max:
+        k, alpha, a = params.k, params.alpha, params.a
+        kept += [{"k": k, "alpha": alpha, "a": a, "n": n} for n in range(len(kept), n_max + 1)]
+    return kept
+
+
+def _params_point(params: Params, n: int, p: int) -> dict:
+    """THM8's point of (params, n) and prime p: one read-only dict per key,
+    kept on `params` for every congruence label that shares it. Keys come in
+    canonical order: rows are made in the order of the values."""
     point = params._points.get((n, p))
     if point is None:
-        point = {"k": params.k, "alpha": params.alpha, "a": params.a, "n": n}
-        point = params._points[n, p] = point if p is None else {**point, "p": p}
+        point = params._points[n, p] = {
+            "k": params.k, "alpha": params.alpha, "a": params.a, "n": n, "p": p
+        }
     return point
 
 
@@ -174,14 +197,14 @@ def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
     for params in _grid_params(grid, points):
         s = params.singular_index(n_max + reach)
         last = n_max if s is None else max(-1, min(n_max, s - 1 - reach))
+        index_points = _index_points(params, n_max)
         if last >= 0:
             verdicts += [
-                Verdict(HOLDS if y is x else FAILS, _params_point(params, n), x, y)
-                for n, (x, y) in enumerate(zip(*sides(params, last)))
+                Verdict(HOLDS if y is x else FAILS, point, x, y)
+                for point, x, y in zip(index_points, *sides(params, last))
             ]
         verdicts += [
-            _undefined(_params_point(params, n), SINGULAR_PARAMETER)
-            for n in range(last + 1, n_max + 1)
+            _undefined(point, SINGULAR_PARAMETER) for point in index_points[last + 1 : n_max + 1]
         ]
     return verdicts
 
@@ -259,17 +282,21 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
 
     The run's store of triangle rows, `collapse(n)` = [T(n, m) for m = 0..n],
-    builds each row on its first request. The right side is built as
-    Fractions; the left side, integer sums over one denominator, is decided
-    against it, so a HOLDS row keeps the right side's Fraction as both.
+    builds each row on its first request. The right side is the point's
+    weight Fraction, kept on `params`, where f(n) is 1, its negation where
+    f(n) is -1, and its product with f(n) otherwise; the left side, integer
+    sums over one denominator, is decided against it, so a HOLDS row keeps
+    the right side's Fraction as both.
     """
     triangle, factor = _COLLAPSE_SHAPE[family]
     collapse = row_store(triangle)
     family_rows = coefficient_rows(family)
 
     def sides(params, last):
-        weights, den = params.scaled_weights(last)
-        rhs = [Fraction(factor(n) * weights[n], den) for n in range(last + 1)]
+        rhs = [
+            w if f == 1 else -w if f == -1 else w * f
+            for w, f in zip(params.weights(last), map(factor, range(last + 1)))
+        ]
         sums = _transformed(collapse, family, last, params, family_rows)
         return _decided(rhs, *sums), rhs
 
@@ -389,15 +416,19 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     vanishes at an m <= n*p, or p divides a denominator (the congruence is
     not evaluable). Every verdict also records whether (alpha*m + a) stays
     invertible mod p, the assumption under which the congruence is claimed,
-    with one flag per prime for all multipliers. The flag is reported, never
-    used to suppress a result.
+    with one flag per prime for all multipliers, kept on `params`, so that
+    THM8_C1, THM8_C2 and THM8_B compute it once per point and prime. The
+    flag is reported, never used to suppress a result.
     """
     coefficients = coefficient_rows(family)
     verdicts = []
     for params in _grid_params(grid, points):
         if params.k < 1:
             continue
-        flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
+        flags = params._flags
+        for p in grid.primes:
+            if p not in flags:
+                flags[p] = _hypothesis_flags(params, p)
         # (n, p) -> why s_{n*p} is not computed, or None where it is, in the
         # rows' canonical order
         reasons = {
@@ -438,10 +469,11 @@ def _stirling_orthogonality(label, family, grid, points, prefactor) -> list[Verd
         form first_second: T = [..], U = {..}
         form second_first: T = {..}, U = [..]
 
-    Each integer sum is decided against its integer right side; a HOLDS row
-    keeps the right side's one Fraction as both, and only a FAILS row builds
-    the sum's Fraction as its witness.
+    Each integer sum is decided against its integer right side, one of three
+    Fractions the run shares; a HOLDS row keeps that Fraction as both, and
+    only a FAILS row builds the sum's Fraction as its witness.
     """
+    signs = {value: Fraction(value) for value in (-1, 0, 1)}
     verdicts = []
     for form, outer, inner in (
         ("first_second", stirling1_unsigned, stirling2),
@@ -450,7 +482,7 @@ def _stirling_orthogonality(label, family, grid, points, prefactor) -> list[Verd
         rows = _product_rows(outer, inner, duality_prefactor("m", 0))
         for n in range(grid.stirling_n_max + 1):
             for l, total in enumerate(rows(n)):
-                rhs = Fraction((-1) ** n if n == l else 0)
+                rhs = signs[(-1) ** n if n == l else 0]
                 lhs = rhs if total == rhs.numerator else Fraction(total)
                 point = {"form": form, "n": n, "l": l}
                 verdicts.append(Verdict(HOLDS if lhs is rhs else FAILS, point, lhs, rhs))
@@ -566,9 +598,10 @@ def run_identity(
 
     `points` maps (k, alpha, a) to the `Params` of that grid point. Runs of
     several identities that share one map share each point's weights,
-    Stirling sums and values, composed series and point dicts (the verdicts'
-    `point`, read-only), and the first identity in catalogue order that
-    needs them does the work: in per-identity timings, THM1-THM3
+    Stirling sums and values, printed derivative coefficients (THM10 reads
+    THM9's), composed series, congruence hypothesis flags and point dicts
+    (the verdicts' `point`, read-only), and the first identity in catalogue
+    order that needs them does the work: in per-identity timings, THM1-THM3
     carry each family's sums and its one series composition, which
     THM9-THM11 then read. Each check makes its row stores when its run
     starts, one per kind of row it reads, `store(n)` being row n, and all

@@ -19,8 +19,10 @@ The two paths never share code beyond basic rational arithmetic, so either
 can audit the other.
 
 The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
-remembers those it has computed, as one prefix over one denominator, and the
-Stirling sums built from them; its fields (k, alpha, a) still fix its value.
+remembers those it has computed, as reduced Fractions and as one prefix over
+one denominator, and the Stirling sums and printed derivative coefficients
+built from them, the latter once per coefficient rule, so the two cauchy
+families share theirs; its fields (k, alpha, a) still fix its value.
 Each Stirling sum dots the weights with a coefficient row read from a row
 store, a `functools.cache` over a row builder; callers may share a
 `coefficient_rows` or `derivative_rows` store across points. The series
@@ -42,6 +44,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,19 +83,26 @@ FAMILIES = (Family.BERNOULLI, Family.CAUCHY1, Family.CAUCHY2)
 class Params:
     """Family parameters: integer k (any sign), rational alpha != 0, rational a.
 
+    alpha and a are ints or rationals (`numbers.Rational`), kept as exact
+    Fractions; a float, whose binary expansion is rarely the value meant, or
+    any other type raises ValueError, as a k that is not an int does.
     alpha*m + a must stay nonzero over whichever index range a computation
     touches; that is checked per call against the largest m actually used.
 
-    A Params remembers the weights 1/(alpha*m + a)^k it has computed, as one
-    prefix over one denominator, the sums `explicit_scaled` has returned, and
-    the values `explicit_value` and `explicit_sequence` have returned, one
-    Fraction per (family, n), so the Stirling-sum functions given one
-    instance build each of those once. It holds the audit's point dicts, and
-    keeps each family's composed generating function, so that
-    `oracle_sequence` and `deriv_coeffs_oracle` compose it once. It computes
-    the root -a/alpha once, on construction, so `singular_index` is a
-    comparison. None of this is a field: (k, alpha, a) alone fix equality,
-    hash and repr, and `dataclasses.replace` starts an empty memo.
+    A Params remembers the weights 1/(alpha*m + a)^k it has computed, both
+    as reduced Fractions and as one integer prefix over one denominator, the
+    sums `explicit_scaled` has returned, the values `explicit_value` and
+    `explicit_sequence` have returned, one Fraction per (family, n), and the
+    printed derivative coefficients `deriv_coeffs_printed` has returned, per
+    coefficient rule, reach and last index, so the Stirling-sum functions
+    given one instance build each of those once; two families that share a
+    printed rule share its Fractions. It holds the audit's point dicts and
+    hypothesis flags per prime, and keeps each family's composed generating
+    function, so that `oracle_sequence` and `deriv_coeffs_oracle` compose it
+    once. It computes the root -a/alpha once, on construction, so
+    `singular_index` is a comparison. None of this is a field: (k, alpha, a)
+    alone fix equality, hash and repr, and `dataclasses.replace` starts an
+    empty memo.
     """
 
     k: int
@@ -102,17 +112,25 @@ class Params:
     def __post_init__(self):
         if type(self.k) is not int:
             raise ValueError(f"k must be an int, got {self.k!r}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "a", Fraction(self.a))
+        for name in ("alpha", "a"):
+            value = getattr(self, name)
+            # an exact Fraction is kept as it is: only another type is copied
+            if type(value) is not Fraction:
+                if not isinstance(value, numbers.Rational):
+                    raise ValueError(f"{name} must be an int or a rational, got {value!r}")
+                object.__setattr__(self, name, Fraction(value))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         # Not fields: _root is the m >= 0 with alpha*m + a == 0, or None if
         # there is none; _line is alpha*m + a in integers, (P S, R Q, Q S)
         # for alpha = P/Q and a = R/S, so alpha*m + a = (P S m + R Q) / (Q S);
-        # _prefix is the (W, D) that scaled_weights returns.
+        # _prefix is the (W, D) that scaled_weights returns, and _weights the
+        # same weights as reduced Fractions, the list `weights` returns.
         # Memos: _sums by (family, n_max) for explicit_scaled, _values by
-        # family and then n, _points by audit._params_point's (n, p), and
-        # _series by family, the series _family_series last composed.
+        # family and then n, _printed by (rule, reach, n_max) for
+        # deriv_coeffs_printed, _series by family, the series _family_series
+        # last composed, and for the audit: _index_points, the point dict of
+        # each n, _points, those of each (n, p), and _flags, by p.
         alpha, a = self.alpha, self.a
         slope, offset = alpha.numerator * a.denominator, a.numerator * alpha.denominator
         object.__setattr__(self, "_line", (slope, offset, alpha.denominator * a.denominator))
@@ -120,10 +138,14 @@ class Params:
         root, rest = divmod(-offset, slope)
         object.__setattr__(self, "_root", root if rest == 0 and root >= 0 else None)
         object.__setattr__(self, "_prefix", ([], 1))
+        object.__setattr__(self, "_weights", [])
         object.__setattr__(self, "_sums", {})
         object.__setattr__(self, "_values", {family: {} for family in FAMILIES})
-        object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_printed", {})
         object.__setattr__(self, "_series", {})
+        object.__setattr__(self, "_index_points", [])
+        object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_flags", {})
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
@@ -150,12 +172,20 @@ class Params:
                 pow_rat(Fraction(slope * m + offset, base_den), -self.k)
                 for m in range(len(weights), m_max + 1)
             ]
+            self._weights.extend(new)
             grown = math.lcm(den, *(w.denominator for w in new))
             weights = [num * (grown // den) for num in weights]
             weights += [w.numerator * (grown // w.denominator) for w in new]
             den = grown
             object.__setattr__(self, "_prefix", (weights, den))
         return weights, den
+
+    def weights(self, m_max: int) -> list[Fraction]:
+        """The weights 1/(alpha*m + a)^k for m = 0..len - 1, len > m_max, as
+        the reduced Fractions that `scaled_weights` builds its prefix from:
+        the instance's own list, which callers read and never change."""
+        self.scaled_weights(m_max)
+        return self._weights
 
 
 def _check_index(n: int) -> None:
@@ -334,12 +364,20 @@ def deriv_coeffs_printed(
         bernoulli:       D_n = sum_{m=1..n+1} {n m-1} m! / (alpha m + a)^k
 
     The rows come from `rows`, a `derivative_rows(family)` store, or from a
-    store made for this call.
+    store made for this call. `params` keeps the result under the family's
+    coefficient rule, its reach and n_max, and the call returns a new list of
+    the kept Fractions: families that share a rule, as the two cauchy
+    families do, share its sums, and a family given its own rule in
+    `_DERIV_COEFF` gets its own.
     """
     _check_index(n_max)
-    _, reach = _DERIV_COEFF[family]
-    nums, den = _scaled_sums(rows or derivative_rows(family), n_max, params, reach)
-    return [Fraction(num, den) for num in nums]
+    coeff, reach = _DERIV_COEFF[family]
+    key = (coeff, reach, n_max)
+    kept = params._printed.get(key)
+    if kept is None:
+        nums, den = _scaled_sums(rows or derivative_rows(family), n_max, params, reach)
+        kept = params._printed[key] = tuple(Fraction(num, den) for num in nums)
+    return list(kept)
 
 
 def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Fraction]:

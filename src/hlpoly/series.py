@@ -61,8 +61,11 @@ class PowerSeries:
         if self.den <= 0:
             raise ValueError("the denominator must be positive")
         common = math.gcd(self.den, *self.nums)
-        object.__setattr__(self, "nums", tuple(v // common for v in self.nums))
-        object.__setattr__(self, "den", self.den // common)
+        if common != 1:
+            object.__setattr__(self, "nums", tuple(v // common for v in self.nums))
+            object.__setattr__(self, "den", self.den // common)
+        elif type(self.nums) is not tuple:
+            object.__setattr__(self, "nums", tuple(self.nums))
 
     @property
     def order(self) -> int:
@@ -110,12 +113,20 @@ KERNEL_NAMES = tuple(_KERNELS)
 
 def kernel(name: str, order: int) -> PowerSeries:
     """Exact expansion of a named kernel, truncated at `order`, as the EGF
-    values v_0..v_order that `_KERNELS` gives for `name`."""
+    values v_0..v_order that `_KERNELS` gives for `name`. The series is built
+    once per value rule and order and kept as long as the process, so calls
+    share one immutable object; a rule put in `_KERNELS` later gets its own."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if name not in _KERNELS:
         raise ValueError(f"unknown kernel: {name!r}")
-    return PowerSeries(tuple(map(_KERNELS[name], range(order + 1))))
+    return _expansion(_KERNELS[name], order)
+
+
+@functools.cache
+def _expansion(rule, order: int) -> PowerSeries:
+    """The series of EGF values rule(0)..rule(order)."""
+    return PowerSeries(tuple(map(rule, range(order + 1))))
 
 
 # EGF numerators G_0..G_n of a composed series g = sum G_i t^i / (L i!) -> its
@@ -163,15 +174,21 @@ def _power_weights(g: PowerSeries, k: int, alpha, a) -> tuple[list[int], int]:
     (u_m divides L, so its sign stays exact); a k <= 0 gives W_m = u_m^|k|
     over D = Q^|k|.
     """
-    alpha, a = Fraction(alpha), Fraction(a)
+    # an exact Fraction is used as it is; only another type is copied
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    if type(a) is not Fraction:
+        a = Fraction(a)
     if g.nums[0] != 0:
         raise NonzeroConstantTermError(
             "composition requires a series with zero constant term"
         )
-    ensure_nonsingular(alpha, a, g.order)
     q = math.lcm(alpha.denominator, a.denominator)
     p, r = alpha.numerator * (q // alpha.denominator), a.numerator * (q // a.denominator)
     u = [p * m + r for m in range(g.order + 1)]
+    # alpha*m + a vanishes in 0..N exactly where some u_m does (p = 0 too)
+    if 0 in u:
+        ensure_nonsingular(alpha, a, g.order)
     if k > 0:
         lcm = math.lcm(*u)
         return [q**k * (lcm // v) ** k for v in u], lcm**k

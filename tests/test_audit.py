@@ -1,3 +1,4 @@
+import operator
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -741,7 +742,95 @@ def test_a_point_map_prefilled_in_grid_order_gives_canonical_rows():
         assert report == expected
         for v in report.verdicts:
             params = points[v.point["k"], v.point["alpha"], v.point["a"]]
-            assert v.point is params._points[v.point["n"], v.point.get("p")]
+            n = v.point["n"]
+            kept = params._points[n, v.point["p"]] if "p" in v.point else params._index_points[n]
+            assert v.point is kept
+
+
+def test_a_point_map_prefilled_in_reverse_grid_order_gives_canonical_rows():
+    # the grid's own key tuples, listed backwards: each is looked up, and
+    # the map's Params are the ones read
+    points = {key: Params(*key) for key in reversed(ORDER_GRID._keys)}
+    for label, expected in ORDER_REPORTS.items():
+        assert run_identity(label, ORDER_GRID, None, points) == expected
+    assert all(params._index_points or params._points for params in points.values())
+    assert list(points) == list(reversed(ORDER_GRID._keys))
+
+
+def test_a_map_filled_by_the_first_run_is_walked_without_lookups():
+    class Counted(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            Counted.lookups += 1
+            return super().get(key, default)
+
+    points = Counted()
+    run_identity("THM1", ORDER_GRID, None, points)
+    assert Counted.lookups == len(ORDER_GRID._keys)
+    assert all(map(operator.is_, points, ORDER_GRID._keys))
+    for label, expected in ORDER_REPORTS.items():
+        assert run_identity(label, ORDER_GRID, None, points) == expected
+    assert Counted.lookups == len(ORDER_GRID._keys)
+    # equal keys that are not the grid's own tuples are looked up
+    copied = Counted({tuple(list(key)): params for key, params in points.items()})
+    assert run_identity("THM2", ORDER_GRID, None, copied) == ORDER_REPORTS["THM2"]
+    assert Counted.lookups == 2 * len(ORDER_GRID._keys)
+
+
+def test_thm9_and_thm10_rows_hold_the_same_printed_objects(monkeypatch):
+    # both cauchy families read one printed rule: with one map, THM10's
+    # rows hold the Fractions THM9 built, at every evaluable index
+    def printed_pairs(points):
+        thm9 = run_identity("THM9", ORDER_GRID, None, points).verdicts
+        thm10 = run_identity("THM10", ORDER_GRID, None, points).verdicts
+        assert [v.point for v in thm9] == [v.point for v in thm10]
+        return [(x.lhs, y.lhs) for x, y in zip(thm9, thm10) if x.status != UNDEFINED]
+
+    shared = printed_pairs({})
+    assert shared and all(x is y for x, y in shared)
+    # a rule of its own, equal in value, gives THM10 sums of its own
+    coeff, reach = sequences._DERIV_COEFF[Family.CAUCHY2]
+    own = (lambda n, m: coeff(n, m), reach)
+    monkeypatch.setitem(sequences._DERIV_COEFF, Family.CAUCHY2, own)
+    apart = printed_pairs({})
+    assert apart == shared and all(x is not y for x, y in apart)
+
+
+def test_collapse_rows_hold_the_points_weights():
+    # THM5's right side is the weight Fraction that Params keeps, THM6's the
+    # weight or its negation, THM4's n! times the weight
+    points = {}
+    for label in ("THM4", "THM5", "THM6"):
+        held = 0
+        for v in run_identity(label, ORDER_GRID, None, points).verdicts:
+            if v.status != HOLDS:
+                continue
+            n = v.point["n"]
+            weight = points[v.point["k"], v.point["alpha"], v.point["a"]].weights(n)[n]
+            assert v.lhs is v.rhs
+            if label == "THM5" or label == "THM6" and n % 2 == 0:
+                assert v.rhs is weight
+            else:
+                assert v.rhs == weight * (factorial(n) if label == "THM4" else -1)
+            held += 1
+        assert held
+
+
+def test_hypothesis_flags_are_computed_once_per_point_and_prime(monkeypatch):
+    calls = Counter()
+    flags = audit._hypothesis_flags
+
+    def counted(params, p):
+        calls[params, p] += 1
+        return flags(params, p)
+
+    monkeypatch.setattr(audit, "_hypothesis_flags", counted)
+    points = {}
+    for label in CONGRUENCE.values():
+        assert run_identity(label, ORDER_GRID, None, points) == ORDER_REPORTS[label]
+    congruent = [params for params in points.values() if params.k >= 1]
+    assert calls == {(params, p): 1 for params in congruent for p in ORDER_GRID.primes}
 
 
 def test_the_order_grid_has_every_row_kind():

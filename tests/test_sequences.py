@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import operator
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -53,6 +54,37 @@ def test_params_rejects_zero_alpha():
 def test_params_rejects_a_k_that_is_not_an_int(k):
     with pytest.raises(ValueError, match="k must be an int"):
         Params(k, 1, 1)
+
+
+# a float is its binary expansion: 0.1 would audit 3602879701896397/2**55
+@pytest.mark.parametrize(
+    "alpha, a, name, value",
+    [
+        (0.1, 1, "alpha", "0.1"),
+        (1, 0.5, "a", "0.5"),
+        (1.0, 1, "alpha", "1.0"),
+        ("1/2", 1, "alpha", "'1/2'"),
+    ],
+)
+def test_params_rejects_an_alpha_or_a_that_is_not_rational(alpha, a, name, value):
+    message = f"^{name} must be an int or a rational, got {re.escape(value)}$"
+    with pytest.raises(ValueError, match=message):
+        Params(1, alpha, a)
+    with pytest.raises(ValueError, match=message):
+        GridSpec(k_values=(1,), pairs=((alpha, a),))
+
+
+def test_params_keeps_an_exact_fraction_and_copies_any_other_rational():
+    alpha, a = Fraction(1, 2), Fraction(-3)
+    params = Params(1, alpha, a)
+    assert params.alpha is alpha and params.a is a
+
+    class Half(Fraction):
+        pass
+
+    params = Params(1, Half(1, 2), 1)
+    assert type(params.alpha) is Fraction and type(params.a) is Fraction
+    assert (params.alpha, params.a) == (Fraction(1, 2), 1)
 
 
 def test_params_singular_index():
@@ -643,13 +675,14 @@ def test_deriv_printed_is_what_it_says():
 
 def test_a_shared_derivative_row_store_gives_the_values_of_a_fresh_one():
     # one store per family across points and last indices, as a THM9-THM11
-    # run shares it
+    # run shares it; the store-less call is given a fresh Params, since the
+    # first one keeps the sums it returned
     for family in FAMILIES:
         rows = derivative_rows(family)
         for params in SMALL_GRID:
             for n_max in (6, 3, 8):
                 shared = deriv_coeffs_printed(family, n_max, params, rows)
-                assert shared == deriv_coeffs_printed(family, n_max, params)
+                assert shared == deriv_coeffs_printed(family, n_max, dataclasses.replace(params))
 
 
 def test_deriv_validity_range():

@@ -144,6 +144,19 @@ def test_kernel_coefficients_match_the_taylor_reference(name, order):
     assert [f.coefficient(n) for n in range(order + 1)] == taylor(name, order)
 
 
+def test_a_kernel_is_built_once_per_value_rule_and_order(monkeypatch):
+    first = kernel("log1p", 6)
+    assert kernel("log1p", 6) is first
+    assert kernel("log1p", 5) is not first and kernel("neg_log1p", 6) is not first
+    # a rule put in the table gets its own series, even with the same values
+    value = series_module._KERNELS["log1p"]
+    monkeypatch.setitem(series_module._KERNELS, "log1p", lambda n: value(n))
+    patched = kernel("log1p", 6)
+    assert patched is not first and patched == first
+    monkeypatch.undo()
+    assert kernel("log1p", 6) is first
+
+
 def test_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
         kernel("sin", 4)
@@ -230,6 +243,49 @@ def test_phi_bernoulli_fixture():
 def test_phi_singular_parameter():
     with pytest.raises(SingularParameterError):
         phi_apply(kernel("one_minus_exp_neg", 3), 1, 1, -2)
+
+
+def naive_compositions(g: PowerSeries, k: int, alpha, a) -> tuple[PowerSeries, PowerSeries]:
+    """phi_apply and phif_apply of g summed term by term over Fractions."""
+    alpha, a = Fraction(alpha), Fraction(a)
+    powers = compose_powers(ordinary(g), g.order)
+    phi, phif = [Fraction(0)] * (g.order + 1), [Fraction(0)] * (g.order + 1)
+    for m, power in enumerate(powers):
+        weight = 1 / (alpha * m + a) ** k
+        phi = [c + p * weight for c, p in zip(phi, power)]
+        phif = [c + p * weight / factorial(m) for c, p in zip(phif, power)]
+    return series(*phi), series(*phif)
+
+
+# alpha = 0 (one weight for every m), negative alpha, alpha*m + a changing
+# sign past the order, ints and Fractions
+@pytest.mark.parametrize(
+    "alpha, a",
+    [(0, 2), (0, Fraction(-1, 3)), (-1, Fraction(7, 2)), (Fraction(-1, 2), 5), (-1, 6)],
+)
+@pytest.mark.parametrize("k", [-2, 0, 3])
+def test_compositions_match_the_term_by_term_sum(alpha, a, k):
+    g = kernel("log1p", 5)
+    assert (phi_apply(g, k, alpha, a), phif_apply(g, k, alpha, a)) == naive_compositions(
+        g, k, alpha, a
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, a, message",
+    [
+        (0, 0, "alpha*m + a vanishes at m = 0 for alpha = 0, a = 0"),
+        (-1, 3, "alpha*m + a vanishes at m = 3 for alpha = -1, a = 3"),
+        (Fraction(-1, 2), 2, "alpha*m + a vanishes at m = 4 for alpha = -1/2, a = 2"),
+    ],
+)
+@pytest.mark.parametrize("k", [-1, 0, 2])
+def test_a_singular_composition_names_its_index(alpha, a, message, k):
+    g = kernel("neg_log1p", 5)
+    for compose in (phi_apply, phif_apply):
+        with pytest.raises(SingularParameterError) as caught:
+            compose(g, k, alpha, a)
+        assert str(caught.value) == message
 
 
 def test_phi_rejects_nonzero_constant_term():
