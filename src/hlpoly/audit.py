@@ -130,33 +130,11 @@ def exit_code(reports) -> int:
 # checks
 # ---------------------------------------------------------------------------
 # Each CATALOGUE entry is a check, rows(label, family, grid, points,
-# prefactor), that gives a whole grid's verdicts. It makes the row stores it
-# reads when it starts, so that the run's points share them and none outlives
-# the run; a store's `store(n)` is row n, built on its first request.
-
-
-def _grid_params(grid: GridSpec, points: dict | None):
-    """The grid's `Params` in canonical, sorted (k, alpha, a) order, the order
-    the grid sorted its keys in when it was built, each taken from the
-    `points` map or stored there; without a map, the run's own. The map's
-    own order plays no part.
-
-    A map whose keys are the grid's own key tuples, in that order, as the
-    first run on an empty map leaves it, is walked as it is, with no key
-    hashed; any other map is looked up key by key."""
-    keys = grid._keys
-    if points is not None and len(points) == len(keys) and all(map(operator.is_, points, keys)):
-        return points.values()
-    return _stored_params(keys, {} if points is None else points)
-
-
-def _stored_params(keys: tuple, points: dict):
-    """The `Params` of each key in turn, from `points` or stored there."""
-    for key in keys:
-        params = points.get(key)
-        if params is None:
-            params = points[key] = Params(*key)
-        yield params
+# prefactor), that gives a whole grid's verdicts, `points` being the grid's
+# `Params` in canonical order, as `GridSpec.params()` lists them. It makes the
+# row stores it reads when it starts, so that the run's points share them and
+# none outlives the run; a store's `store(n)` is row n, built on its first
+# request.
 
 
 def _index_points(params: Params, n_max: int) -> list[dict]:
@@ -170,20 +148,8 @@ def _index_points(params: Params, n_max: int) -> list[dict]:
     return kept
 
 
-def _params_point(params: Params, n: int, p: int) -> dict:
-    """THM8's point of (params, n) and prime p: one read-only dict per key,
-    kept on `params` for every congruence label that shares it. Keys come in
-    canonical order: rows are made in the order of the values."""
-    point = params._points.get((n, p))
-    if point is None:
-        point = params._points[n, p] = {
-            "k": params.k, "alpha": params.alpha, "a": params.a, "n": n, "p": p
-        }
-    return point
-
-
-def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
-    """The rows of a value identity, n = 0..grid.n_max at each point.
+def _value_rows(grid: GridSpec, points: list[Params], reach: int, sides) -> list[Verdict]:
+    """The rows of a value identity, n = 0..grid.n_max at each of `points`.
 
     Index n touches alpha*m + a up to m = n + reach. `sides(params, last)`
     returns the identity's two sides at a point, each the values at
@@ -194,7 +160,7 @@ def _value_rows(grid: GridSpec, points, reach: int, sides) -> list[Verdict]:
     """
     n_max = grid.n_max
     verdicts = []
-    for params in _grid_params(grid, points):
+    for params in points:
         s = params.singular_index(n_max + reach)
         last = n_max if s is None else max(-1, min(n_max, s - 1 - reach))
         index_points = _index_points(params, n_max)
@@ -403,61 +369,70 @@ def _hypothesis_flags(params: Params, p: int) -> dict:
     return {"hypothesis_ok": True, "hypothesis_note": None}
 
 
+def _congruence_plan(params: Params, grid: GridSpec) -> list[tuple]:
+    """THM8's rows at one point, in canonical (n, p) order, as (n*p, point,
+    reason, flags): the point dict, read-only, the reason s_{n*p} is not
+    computed, or None where it is, and the hypothesis flags of p, one dict
+    per prime. `params` keeps the plan per (multipliers, primes), so THM8_C1,
+    THM8_C2 and THM8_B share it, and building it sizes the weight prefix
+    once, to the largest evaluable n*p."""
+    key = grid.multipliers, grid.primes
+    plan = params._congruence.get(key)
+    if plan is None:
+        k, alpha, a = params.k, params.alpha, params.a
+        flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
+        plan = params._congruence[key] = [
+            (
+                n * p,
+                {"k": k, "alpha": alpha, "a": a, "n": n, "p": p},
+                P_DIVIDES_ALPHA if alpha.numerator % p == 0
+                else SINGULAR_PARAMETER if params.singular_index(n * p) is not None
+                else None,
+                flags[p],
+            )
+            for n in sorted(grid.multipliers)
+            for p in sorted(grid.primes)
+        ]
+        params.scaled_weights(max((index for index, _, why, _ in plan if not why), default=-1))
+    return plan
+
+
 def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """s_{n*p} = s_0 (mod p) for each multiplier n and prime p of the grid.
 
     Congruences are stated for k >= 1 only; other k give no rows. Both
     sequence values are computed exactly, from the run's store of Stirling
     coefficient rows, and reduced mod p. `params` keeps each value, so s_0
-    is computed once per point, and each (n, p)'s point dict, which THM8_C1,
-    THM8_C2 and THM8_B share. Its weight prefix is sized once, to its
-    largest evaluable n*p. A point is UNDEFINED, never a pass or a fail,
-    when p divides alpha (the standing assumption fails), alpha*m + a
-    vanishes at an m <= n*p, or p divides a denominator (the congruence is
-    not evaluable). Every verdict also records whether (alpha*m + a) stays
-    invertible mod p, the assumption under which the congruence is claimed,
-    with one flag per prime for all multipliers, kept on `params`, so that
-    THM8_C1, THM8_C2 and THM8_B compute it once per point and prime. The
-    flag is reported, never used to suppress a result.
+    is computed once per point, and the point's THM8 plan, `_congruence_plan`,
+    which THM8_C1, THM8_C2 and THM8_B share. A point is UNDEFINED, never a
+    pass or a fail, when p divides alpha (the standing assumption fails),
+    alpha*m + a vanishes at an m <= n*p, or p divides a denominator (the
+    congruence is not evaluable). Every verdict also records whether
+    (alpha*m + a) stays invertible mod p, the assumption under which the
+    congruence is claimed. The flag is reported, never used to suppress a
+    result.
     """
     coefficients = coefficient_rows(family)
     verdicts = []
-    for params in _grid_params(grid, points):
+    for params in points:
         if params.k < 1:
             continue
-        flags = params._flags
-        for p in grid.primes:
-            if p not in flags:
-                flags[p] = _hypothesis_flags(params, p)
-        # (n, p) -> why s_{n*p} is not computed, or None where it is, in the
-        # rows' canonical order
-        reasons = {
-            (n, p): P_DIVIDES_ALPHA if params.alpha.numerator % p == 0
-            else SINGULAR_PARAMETER if params.singular_index(n * p) is not None
-            else None
-            for n in sorted(grid.multipliers)
-            for p in sorted(grid.primes)
-        }
-        # the largest evaluable index sizes the point's weight prefix, once
-        params.scaled_weights(max((n * p for n, p in reasons if not reasons[n, p]), default=-1))
-        for (n, p), why in reasons.items():
-            point = _params_point(params, n, p)
+        for index, point, why, flags in _congruence_plan(params, grid):
             if why:
-                verdicts.append(_undefined(point, why, **flags[p]))
+                verdicts.append(_undefined(point, why, **flags))
                 continue
-            lhs = explicit_value(family, n * p, params, rows=coefficients)
+            lhs = explicit_value(family, index, params, rows=coefficients)
             rhs = explicit_value(family, 0, params, rows=coefficients)
+            p = point["p"]
             try:
                 x, y = mod_reduce(lhs, p), mod_reduce(rhs, p)
             except NonreducibleDenominatorError:
                 verdicts.append(
-                    _undefined(
-                        point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags[p]
-                    )
+                    _undefined(point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags)
                 )
             else:
                 status, y = (HOLDS, x) if x == y else (FAILS, y)  # ints: one ==
-                verdicts.append(Verdict(status, point, x, y, **flags[p]))
+                verdicts.append(Verdict(status, point, x, y, **flags))
     return verdicts
 
 
@@ -510,10 +485,12 @@ class GridSpec:
     `multipliers` is the n of s_{n*p} in congruence checks (kept small by
     default: the sequence index reaches multiplier * prime). `k_values` is
     filtered to k >= 1 for congruence identities, which are only stated for
-    positive k. Construction raises ValueError unless n_max and stirling_n_max
-    are >= 0, every prime is a prime below 2**16, every multiplier is >= 1,
-    no k, pair, prime or multiplier is listed twice, and every point makes a
-    `Params` (each k an int and each pair's alpha nonzero).
+    positive k. Construction raises ValueError unless n_max, stirling_n_max,
+    every prime and every multiplier is an int (not a float or a bool), n_max
+    and stirling_n_max are >= 0, every prime is a prime below 2**16, every
+    multiplier is >= 1, no k, pair, prime or multiplier is listed twice, and
+    every point makes a `Params` (each k an int and each pair's alpha
+    nonzero). `params()` lists the points.
     """
 
     n_max: int = 12
@@ -524,6 +501,12 @@ class GridSpec:
     stirling_n_max: int = 20
 
     def __post_init__(self):
+        # the rule Params applies to k: a float or a bool is not an index
+        for value in (self.n_max, self.stirling_n_max, *self.primes, *self.multipliers):
+            if type(value) is not int:
+                raise ValueError(
+                    f"n_max, stirling_n_max, primes and multipliers must be ints, got {value!r}"
+                )
         if min(self.n_max, self.stirling_n_max) < 0:
             raise ValueError("n_max and stirling_n_max must be >= 0")
         for p in self.primes:
@@ -540,16 +523,23 @@ class GridSpec:
             values = getattr(self, field)
             if len(set(values)) < len(values):
                 raise ValueError(f"{field} lists a value twice")
-        # Params states the point rules; none is kept, so no memo outlives a run
+        # Params states the point rules, checked before the sort below so
+        # that a value that is not rational raises ValueError; none is kept
         for alpha, a in self.pairs:
             for k in self.k_values:
                 Params(k, alpha, a)
         # The points' keys, sorted here once per grid in the canonical
-        # (k, alpha, a) order that every run visits them in; no two tie, as
-        # no value is listed twice. Not a field: equality, hash, repr and the
-        # CLI's JSON grid header read the fields alone.
+        # (k, alpha, a) order of `params()`; no two tie, as no value is listed
+        # twice. Not a field: equality, hash, repr and the CLI's JSON grid
+        # header read the fields alone.
         keys = tuple(sorted((k, alpha, a) for alpha, a in self.pairs for k in self.k_values))
         object.__setattr__(self, "_keys", keys)
+
+    def params(self) -> list[Params]:
+        """A new `Params` for each point, in canonical (k, alpha, a) order:
+        the list `run_identity` takes. Runs that share one list share each
+        point's memos."""
+        return [Params(*key) for key in self._keys]
 
 
 DEFAULT_GRID = GridSpec()
@@ -583,34 +573,36 @@ def run_identity(
     identity: str,
     grid: GridSpec = DEFAULT_GRID,
     prefactor: Callable[[int, int], Fraction] | None = None,
-    points: dict[tuple, Params] | None = None,
+    points: list[Params] | None = None,
 ) -> AuditReport:
     """Evaluate one catalogued identity over the grid.
 
     The report's rows come in canonical order (k, alpha, a, then indices),
-    whatever order the grid lists its values in: the catalogue's check visits
-    the points in sorted (k, alpha, a) order, which the grid sorted once when
-    it was built, and makes each point's rows in index order, so the rows
-    themselves are never sorted, and the order of `points` plays no part.
-    Identical grids always serialize to identical bytes. A `prefactor` is
-    only accepted for EQ9..EQ12. STIRLING_ORTHO runs over the triangle of
-    `grid.stirling_n_max` rows, in the order its sums are generated.
+    whatever order the grid lists its values in: the check visits the points
+    in the canonical order of `grid.params()`, which the grid sorted once
+    when it was built, and makes each point's rows in index order, so the
+    rows themselves are never sorted. Identical grids always serialize to
+    identical bytes. A `prefactor` is only accepted for EQ9..EQ12.
+    STIRLING_ORTHO runs over the triangle of `grid.stirling_n_max` rows, in
+    the order its sums are generated.
 
-    `points` maps (k, alpha, a) to the `Params` of that grid point. Runs of
-    several identities that share one map share each point's weights,
-    Stirling sums and values, printed derivative coefficients (THM10 reads
-    THM9's), composed series, congruence hypothesis flags and point dicts
+    `points` is the list `grid.params()` returned, or None for a new one.
+    Runs of several identities that share one list share each point's
+    weights, Stirling sums and values, printed derivative coefficients
+    (THM10 reads THM9's), composed series, value point dicts and THM8 plan
     (the verdicts' `point`, read-only), and the first identity in catalogue
     order that needs them does the work: in per-identity timings, THM1-THM3
     carry each family's sums and its one series composition, which
     THM9-THM11 then read. Each check makes its row stores when its run
     starts, one per kind of row it reads, `store(n)` being row n, and all
-    its points share them; no row outlives the run. Without a map, the run
-    builds its own `Params` too, so nothing it computes outlives it.
+    its points share them; no row outlives the run. Without a list, nothing
+    the run computes outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
     _, rows, family = CATALOGUE[identity]
     if prefactor is not None and rows is not _duality_rows:
         raise ValueError("a variant prefactor only applies to EQ9..EQ12")
+    if points is None:
+        points = grid.params()
     return AuditReport(identity, rows(identity, family, grid, points, prefactor))

@@ -540,7 +540,7 @@ def _cmd_audit(args) -> tuple[int, Iterable[str]]:
         variant = _listed(args.variant_prefactor)
 
     # one Params per grid point for the whole command: labels share its memos
-    points: dict = {}
+    points = grid.params()
     reports = [run_identity(label, grid, prefactor, points) for label in labels]
     if args.format == "json":
         output = [_json_reports(args.command, grid, reports, variant)]

@@ -96,8 +96,8 @@ class Params:
     printed derivative coefficients `deriv_coeffs_printed` has returned, per
     coefficient rule, reach and last index, so the Stirling-sum functions
     given one instance build each of those once; two families that share a
-    printed rule share its Fractions. It holds the audit's point dicts and
-    hypothesis flags per prime, and keeps each family's composed generating
+    printed rule share its Fractions. It holds the audit's point dicts of
+    each index and its THM8 plan, and keeps each family's composed generating
     function, so that `oracle_sequence` and `deriv_coeffs_oracle` compose it
     once. It computes the root -a/alpha once, on construction, so
     `singular_index` is a comparison. None of this is a field: (k, alpha, a)
@@ -130,7 +130,7 @@ class Params:
         # family and then n, _printed by (rule, reach, n_max) for
         # deriv_coeffs_printed, _series by family, the series _family_series
         # last composed, and for the audit: _index_points, the point dict of
-        # each n, _points, those of each (n, p), and _flags, by p.
+        # each n, and _congruence, THM8's plan by (multipliers, primes).
         alpha, a = self.alpha, self.a
         slope, offset = alpha.numerator * a.denominator, a.numerator * alpha.denominator
         object.__setattr__(self, "_line", (slope, offset, alpha.denominator * a.denominator))
@@ -144,8 +144,7 @@ class Params:
         object.__setattr__(self, "_printed", {})
         object.__setattr__(self, "_series", {})
         object.__setattr__(self, "_index_points", [])
-        object.__setattr__(self, "_points", {})
-        object.__setattr__(self, "_flags", {})
+        object.__setattr__(self, "_congruence", {})
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""

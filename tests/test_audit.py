@@ -1,4 +1,3 @@
-import operator
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -356,9 +355,9 @@ def distinct(elements, max_size):
     )
 )
 def test_a_shared_point_map_changes_no_report(grid):
-    # `audit --identity all` runs every label on one map of the grid's
-    # points; each report equals the label's run on a map of its own
-    points = {}
+    # `audit --identity all` runs every label on one list of the grid's
+    # points; each report equals the label's run on a list of its own
+    points = grid.params()
     for label in CATALOGUE:
         assert run_identity(label, grid, None, points) == run_identity(label, grid)
 
@@ -374,7 +373,7 @@ def test_a_shared_point_map_shares_each_point_object():
         multipliers=(1, 2),
         stirling_n_max=3,
     )
-    points = {}
+    points = grid.params()
     reports = {label: run_identity(label, grid, None, points) for label in CATALOGUE}
     held = {}  # a point's keys and values -> the point objects of its verdicts
     for label, report in reports.items():
@@ -392,7 +391,7 @@ def test_a_shared_point_map_shares_each_point_object():
     assert shares[value_point, 13] == 3 * 3 * 5
     assert shares[congruence_point, 3] == 2 * 3 * 2 * 2
     assert sum(count for (keys, _), count in shares.items() if keys[0] != "form") == 45 + 24
-    # runs without a map give equal reports
+    # runs without a list give equal reports
     assert all(run_identity(label, grid) == report for label, report in reports.items())
 
 
@@ -442,9 +441,9 @@ def test_a_run_reads_each_family_coefficient_store_once(monkeypatch, identity):
         monkeypatch.setattr(sequences, name, counted(name))
     report = run_identity(identity, DEFAULT_GRID)
     assert calls == FAMILY_LOOKUPS[identity]
-    # a shared point map: THM1-THM3 sum every family first, and the run
+    # a shared point list: THM1-THM3 sum every family first, and the run
     # reads their sums, so it looks up nothing
-    points = {}
+    points = DEFAULT_GRID.params()
     for label in EXPLICIT.values():
         run_identity(label, DEFAULT_GRID, None, points)
     calls.clear()
@@ -530,7 +529,10 @@ def test_audit_derivative_self_consistency_control():
     # are the oracle's own recomputation
     grid = GridSpec(n_max=10, k_values=(P111.k,), pairs=((P111.alpha, P111.a),))
     verdicts = _value_rows(
-        grid, None, 1, lambda params, last: [deriv_coeffs_oracle(Family.CAUCHY1, last, params)] * 2
+        grid,
+        grid.params(),
+        1,
+        lambda params, last: [deriv_coeffs_oracle(Family.CAUCHY1, last, params)] * 2,
     )
     assert len(verdicts) == 11
     assert all(v.status == HOLDS for v in verdicts)
@@ -626,6 +628,12 @@ def test_run_identity_rejects_unknown():
         # the rules of Params, checked at every point
         {"pairs": ((Fraction(0), Fraction(1)),)},
         {"k_values": (1, 1.5)},
+        # indices, primes and multipliers are ints, as k is: not a float, not a bool
+        {"n_max": 2.5},
+        {"multipliers": (1.5,)},
+        {"stirling_n_max": 3.5},
+        {"primes": (3.0,)},
+        {"n_max": True},
     ],
 )
 def test_grid_rules_raise_at_construction(fields):
@@ -699,6 +707,13 @@ ORDER_REPORTS = {
 }
 
 
+def point_params(points, verdict):
+    """The Params of a verdict's point, out of the list it was run on."""
+    key = verdict.point["k"], verdict.point["alpha"], verdict.point["a"]
+    (params,) = [params for params in points if (params.k, params.alpha, params.a) == key]
+    return params
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     st.permutations(ORDER_GRID.pairs),
@@ -716,7 +731,7 @@ def test_rows_follow_the_point_order_whatever_the_grid_order(pairs, k_values, pr
         primes=tuple(primes),
         multipliers=tuple(multipliers),
     )
-    points = {}
+    points = grid.params()
     for label, expected in ORDER_REPORTS.items():
         report = run_identity(label, grid, None, points)
         keys = [tuple(v.point.values()) for v in report.verdicts]
@@ -724,62 +739,69 @@ def test_rows_follow_the_point_order_whatever_the_grid_order(pairs, k_values, pr
         assert report == expected
 
 
-def test_a_point_map_prefilled_in_grid_order_gives_canonical_rows():
-    # a caller's map that lists the points in the grid's own order, not the
-    # canonical one: rows still come in canonical order, each point's Params
-    # taken from the map (its point dicts are the verdicts' points)
-    grid = GridSpec(
+def memo_ids(params):
+    """The ids of the containers a Params keeps its memos in."""
+    kept = [value for value in vars(params).values() if isinstance(value, (list, dict))]
+    return {id(memo) for memo in [*kept, params._prefix[0], *params._values.values()]}
+
+
+def test_each_params_call_lists_new_points_in_canonical_order():
+    first = ORDER_GRID.params()
+    for label in CATALOGUE:
+        run_identity(label, ORDER_GRID, None, first)
+    second = ORDER_GRID.params()
+    assert [(params.k, params.alpha, params.a) for params in second] == list(ORDER_GRID._keys)
+    assert second == first
+    # new Params with empty memos, whatever a run did to an earlier list
+    assert all(vars(params) == vars(Params(params.k, params.alpha, params.a)) for params in second)
+    assert all(vars(params) != vars(Params(params.k, params.alpha, params.a)) for params in first)
+    assert not {id(params) for params in first} & {id(params) for params in second}
+    assert not set().union(*map(memo_ids, first)) & set().union(*map(memo_ids, second))
+    # an equal grid that lists its values in other orders lists equal points
+    shuffled = GridSpec(
         n_max=ORDER_GRID.n_max,
-        k_values=(2, -1, 1),
+        k_values=tuple(reversed(ORDER_GRID.k_values)),
         pairs=tuple(reversed(ORDER_GRID.pairs)),
-        primes=(5, 2, 3),
-        multipliers=(2, 1),
+        primes=tuple(reversed(ORDER_GRID.primes)),
+        multipliers=tuple(reversed(ORDER_GRID.multipliers)),
     )
-    points = {(k, alpha, a): Params(k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values}
-    assert list(points) != sorted(points)
-    for label, expected in ORDER_REPORTS.items():
-        report = run_identity(label, grid, None, points)
-        assert report == expected
-        for v in report.verdicts:
-            params = points[v.point["k"], v.point["alpha"], v.point["a"]]
-            n = v.point["n"]
-            kept = params._points[n, v.point["p"]] if "p" in v.point else params._index_points[n]
-            assert v.point is kept
+    assert shuffled.params() == second
 
 
-def test_a_point_map_prefilled_in_reverse_grid_order_gives_canonical_rows():
-    # the grid's own key tuples, listed backwards: each is looked up, and
-    # the map's Params are the ones read
-    points = {key: Params(*key) for key in reversed(ORDER_GRID._keys)}
-    for label, expected in ORDER_REPORTS.items():
-        assert run_identity(label, ORDER_GRID, None, points) == expected
-    assert all(params._index_points or params._points for params in points.values())
-    assert list(points) == list(reversed(ORDER_GRID._keys))
+def test_the_thm8_labels_build_each_points_plan_once():
+    # the reason, point dict and flags of each (n, p) are worked out once
+    # per point, into the one plan its Params keeps: THM8_C1 builds it, and
+    # THM8_C2, THM8_B and any later run on the list read it as it is
+    calls = Counter()
 
+    class Counted(Params):
+        def singular_index(self, m_max):
+            calls[self, m_max] += 1
+            return super().singular_index(m_max)
 
-def test_a_map_filled_by_the_first_run_is_walked_without_lookups():
-    class Counted(dict):
-        lookups = 0
-
-        def get(self, key, default=None):
-            Counted.lookups += 1
-            return super().get(key, default)
-
-    points = Counted()
-    run_identity("THM1", ORDER_GRID, None, points)
-    assert Counted.lookups == len(ORDER_GRID._keys)
-    assert all(map(operator.is_, points, ORDER_GRID._keys))
-    for label, expected in ORDER_REPORTS.items():
-        assert run_identity(label, ORDER_GRID, None, points) == expected
-    assert Counted.lookups == len(ORDER_GRID._keys)
-    # equal keys that are not the grid's own tuples are looked up
-    copied = Counted({tuple(list(key)): params for key, params in points.items()})
-    assert run_identity("THM2", ORDER_GRID, None, copied) == ORDER_REPORTS["THM2"]
-    assert Counted.lookups == 2 * len(ORDER_GRID._keys)
+    points = [Counted(params.k, params.alpha, params.a) for params in ORDER_GRID.params()]
+    reports = [run_identity(label, ORDER_GRID, None, points) for label in CONGRUENCE.values()]
+    assert reports == [ORDER_REPORTS[label] for label in CONGRUENCE.values()]
+    congruent = [params for params in points if params.k >= 1]
+    assert not any(params._congruence for params in points if params.k < 1)
+    for report in reports:
+        rows = iter(report.verdicts)
+        for params in congruent:
+            (plan,) = params._congruence.values()
+            for (index, point, why, flags), v in zip(plan, rows):
+                assert v.point is point and index == point["n"] * point["p"]
+                assert v.reason == why if why else v.reason in (None, NONREDUCIBLE_DENOMINATOR)
+                assert (v.hypothesis_ok, v.hypothesis_note) == tuple(flags.values())
+        assert next(rows, None) is None
+    # every value a second round reads is kept: it works out no reason again
+    calls.clear()
+    for label in CONGRUENCE.values():
+        assert run_identity(label, ORDER_GRID, None, points) == ORDER_REPORTS[label]
+    assert calls == {}
 
 
 def test_thm9_and_thm10_rows_hold_the_same_printed_objects(monkeypatch):
-    # both cauchy families read one printed rule: with one map, THM10's
+    # both cauchy families read one printed rule: with one list, THM10's
     # rows hold the Fractions THM9 built, at every evaluable index
     def printed_pairs(points):
         thm9 = run_identity("THM9", ORDER_GRID, None, points).verdicts
@@ -787,27 +809,27 @@ def test_thm9_and_thm10_rows_hold_the_same_printed_objects(monkeypatch):
         assert [v.point for v in thm9] == [v.point for v in thm10]
         return [(x.lhs, y.lhs) for x, y in zip(thm9, thm10) if x.status != UNDEFINED]
 
-    shared = printed_pairs({})
+    shared = printed_pairs(ORDER_GRID.params())
     assert shared and all(x is y for x, y in shared)
     # a rule of its own, equal in value, gives THM10 sums of its own
     coeff, reach = sequences._DERIV_COEFF[Family.CAUCHY2]
     own = (lambda n, m: coeff(n, m), reach)
     monkeypatch.setitem(sequences._DERIV_COEFF, Family.CAUCHY2, own)
-    apart = printed_pairs({})
+    apart = printed_pairs(ORDER_GRID.params())
     assert apart == shared and all(x is not y for x, y in apart)
 
 
 def test_collapse_rows_hold_the_points_weights():
     # THM5's right side is the weight Fraction that Params keeps, THM6's the
     # weight or its negation, THM4's n! times the weight
-    points = {}
+    points = ORDER_GRID.params()
     for label in ("THM4", "THM5", "THM6"):
         held = 0
         for v in run_identity(label, ORDER_GRID, None, points).verdicts:
             if v.status != HOLDS:
                 continue
             n = v.point["n"]
-            weight = points[v.point["k"], v.point["alpha"], v.point["a"]].weights(n)[n]
+            weight = point_params(points, v).weights(n)[n]
             assert v.lhs is v.rhs
             if label == "THM5" or label == "THM6" and n % 2 == 0:
                 assert v.rhs is weight
@@ -826,10 +848,10 @@ def test_hypothesis_flags_are_computed_once_per_point_and_prime(monkeypatch):
         return flags(params, p)
 
     monkeypatch.setattr(audit, "_hypothesis_flags", counted)
-    points = {}
+    points = ORDER_GRID.params()
     for label in CONGRUENCE.values():
         assert run_identity(label, ORDER_GRID, None, points) == ORDER_REPORTS[label]
-    congruent = [params for params in points.values() if params.k >= 1]
+    congruent = [params for params in points if params.k >= 1]
     assert calls == {(params, p): 1 for params in congruent for p in ORDER_GRID.primes}
 
 
@@ -844,11 +866,11 @@ def test_the_order_grid_has_every_row_kind():
 
 
 def test_every_row_is_decided_once_across_the_catalogue():
-    # every label on one map of the order grid, as one command runs them,
+    # every label on one list of the order grid, as one command runs them,
     # and a variant EQ11 whose Fraction numerators decide both kinds of row:
     # a HOLDS row holds one object as both sides, a FAILS row two unequal
     # ones, and a value identity's UNDEFINED row none
-    points = {}
+    points = ORDER_GRID.params()
     reports = [run_identity(label, ORDER_GRID, None, points) for label in CATALOGUE]
     reports.append(run_identity("EQ11", ORDER_GRID, duality_prefactor("m", -1)))
     statuses = Counter()
@@ -867,10 +889,10 @@ def test_every_row_is_decided_once_across_the_catalogue():
 
 
 def test_value_rows_compare_no_fraction_twice(monkeypatch):
-    # on a map that THM1-THM3 have filled, EQ10 decides every row on
+    # on a list that THM1-THM3 have filled, EQ10 decides every row on
     # integers and THM1 with one == per evaluable row; neither compares a
     # row's sides again
-    points = {}
+    points = ORDER_GRID.params()
     for label in ("THM1", "THM2", "THM3"):
         run_identity(label, ORDER_GRID, None, points)
     compared = []
@@ -932,12 +954,12 @@ def test_a_row_holds_one_object_for_equal_sides(monkeypatch):
     # one object as both sides holds, and is not compared at all
     _CountedEq.compared = 0
     one = _CountedEq(1, 2)
-    held = _value_rows(grid, None, 0, lambda params, last: ([one] * (last + 1),) * 2)
+    held = _value_rows(grid, grid.params(), 0, lambda params, last: ([one] * (last + 1),) * 2)
     assert all(v.status == HOLDS and v.lhs is one and v.rhs is one for v in held)
     assert len(held) == 2 and _CountedEq.compared == 0
     # a FAILS row keeps both witnesses
     lhs, rhs = Fraction(1, 3), Fraction(1, 2)
-    failed = _value_rows(grid, None, 0, lambda params, last: ([lhs] * 2, [rhs] * 2))
+    failed = _value_rows(grid, grid.params(), 0, lambda params, last: ([lhs] * 2, [rhs] * 2))
     assert all(v.status == FAILS and v.lhs is lhs and v.rhs is rhs for v in failed)
     # _matched decides each row with one ==: an equal value is the known object
     known = [_CountedEq(1, 2), _CountedEq(1, 3)]
@@ -968,7 +990,7 @@ def test_integer_decided_holds_rows_keep_one_fraction():
     # THM4-THM6 and EQ9-EQ12 decide each row on integers: a HOLDS row holds
     # one Fraction as both sides, and EQ9-EQ12's is the left side that the
     # point's Params keeps, the very Fraction explicit_value returns
-    points = {}
+    points = DECIDED_GRID.params()
     statuses = Counter()
     proved, printed = ("THM4", "THM5", "THM6", "EQ9"), ("EQ10", "EQ11", "EQ12")
     for label in proved + printed:
@@ -981,8 +1003,7 @@ def test_integer_decided_holds_rows_keep_one_fraction():
             assert v.status == HOLDS and v.rhs is v.lhs
             if label.startswith("EQ"):
                 family = CATALOGUE[label][2]
-                params = points[v.point["k"], v.point["alpha"], v.point["a"]]
-                assert explicit_value(family, v.point["n"], params) is v.lhs
+                assert explicit_value(family, v.point["n"], point_params(points, v)) is v.lhs
     # every row of the proved identities holds, and the printed EQ10-EQ12
     # give both kinds of row
     assert not any(statuses[label, FAILS] for label in proved)

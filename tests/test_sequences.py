@@ -218,16 +218,14 @@ def test_a_thm8_run_grows_each_points_weight_prefix_once():
 
     pairs = tuple((Fraction(alpha), Fraction(a)) for alpha, a in ((1, 1), (3, "1/3"), (1, -20)))
     grid = GridSpec(k_values=(-1, 1, 2), pairs=pairs, primes=(3, 5, 7), multipliers=(1, 2, 3, 4))
-    points = {
-        (k, alpha, a): Counted(k, alpha, a) for alpha, a in grid.pairs for k in grid.k_values
-    }
+    points = [Counted(params.k, params.alpha, params.a) for params in grid.params()]
     for identity in ("THM8_C1", "THM8_C2", "THM8_B"):
         run_identity(identity, grid, points=points)
     # k = -1 has no congruence rows; 3,1/3 reads to 4*7 (p = 3 divides
     # alpha), and alpha*m + a vanishes at m = 20 for 1,-20, so 3*5 is its top
     tops = {Fraction(1): 28, Fraction(1, 3): 28, Fraction(-20): 15}
-    assert grows == {params: 1 for params in points.values() if params.k >= 1}
-    for params in points.values():
+    assert grows == {params: 1 for params in points if params.k >= 1}
+    for params in points:
         top = tops[params.a] if params.k >= 1 else -1
         assert len(params._prefix[0]) == top + 1
 
