@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exact import NonreducibleDenominatorError, is_prime, mod_reduce
+from .exact import NonreducibleDenominatorError, decided, is_prime, mod_reduce
 from .sequences import (
     Family,
     Params,
@@ -156,9 +156,11 @@ def _value_rows(grid: GridSpec, points: list[Params], reach: int, sides) -> list
     n = 0..last, for `last` the largest evaluable index; it is not called
     when no index is, and decides the right side: where the two are equal,
     its entry is the left side's object, and only then does the row HOLD.
-    The indices after `last` are SINGULAR_PARAMETER.
+    The indices after `last` are SINGULAR_PARAMETER. tuple.__new__ makes
+    each row at the cost of a tuple, equal to Verdict(status, point, x, y).
     """
     n_max = grid.n_max
+    new = tuple.__new__
     verdicts = []
     for params in points:
         s = params.singular_index(n_max + reach)
@@ -166,7 +168,7 @@ def _value_rows(grid: GridSpec, points: list[Params], reach: int, sides) -> list
         index_points = _index_points(params, n_max)
         if last >= 0:
             verdicts += [
-                Verdict(HOLDS if y is x else FAILS, point, x, y)
+                new(Verdict, (HOLDS if y is x else FAILS, point, x, y, None, None, None))
                 for point, x, y in zip(index_points, *sides(params, last))
             ]
         verdicts += [
@@ -175,30 +177,27 @@ def _value_rows(grid: GridSpec, points: list[Params], reach: int, sides) -> list
     return verdicts
 
 
-def _matched(known: list[Fraction], values: list[Fraction]) -> list[Fraction]:
-    """values, each equal one replaced by known's object: one == per row."""
-    return [x if x == y else y for x, y in zip(known, values)]
-
-
 def _explicit_rows(label, family, grid, points, prefactor) -> list[Verdict]:
-    """Stirling-sum path vs generating-function path, index by index."""
+    """Stirling-sum path vs generating-function path, index by index; the
+    series side is decided against the sums as `known`."""
     coefficients = coefficient_rows(family)
 
     def sides(params, last):
         lhs = explicit_sequence(family, last, params, coefficients)
-        return lhs, _matched(lhs, oracle_sequence(family, last, params))
+        return lhs, oracle_sequence(family, last, params, known=lhs)
 
     return _value_rows(grid, points, 0, sides)
 
 
 def _derivative_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     """Closed-form derivative coefficients vs series-forced ones, index by
-    index. FAILS rows carry the (printed, series) pair as lhs/rhs witness."""
+    index, the series side decided against the printed ones. FAILS rows
+    carry the (printed, series) pair as lhs/rhs witness."""
     coefficients = derivative_rows(family)
 
     def sides(params, last):
         printed = deriv_coeffs_printed(family, last, params, coefficients)
-        return printed, _matched(printed, deriv_coeffs_oracle(family, last, params))
+        return printed, deriv_coeffs_oracle(family, last, params, known=printed)
 
     return _value_rows(grid, points, 1, sides)
 
@@ -217,18 +216,6 @@ def _transformed(rows, family, last, params, family_rows) -> tuple[list, int]:
     as a variant prefactor's (m!)^-1 makes)."""
     nums, den = explicit_scaled(family, last, params, family_rows)
     return [sum(map(operator.mul, rows(n), nums)) for n in range(last + 1)], den
-
-
-def _decided(known: list[Fraction], nums: list, den: int) -> list[Fraction]:
-    """The values nums[n] / den, each decided against known[n] by
-    cross-multiplying, on integers but for a variant's Fraction numerators:
-    where the two are equal, the value is the very Fraction known[n], as
-    `_matched` decides with ==; only an unequal value, a FAILS row's
-    witness, is built."""
-    return [
-        x if x.numerator * den == num * x.denominator else Fraction(num, den)
-        for x, num in zip(known, nums)
-    ]
 
 
 _COLLAPSE_SHAPE = {
@@ -264,7 +251,7 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
             for w, f in zip(params.weights(last), map(factor, range(last + 1)))
         ]
         sums = _transformed(collapse, family, last, params, family_rows)
-        return _decided(rhs, *sums), rhs
+        return decided(rhs, *sums), rhs
 
     return _value_rows(grid, points, 0, sides)
 
@@ -345,7 +332,7 @@ def _duality_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     def sides(params, last):
         lhs = explicit_sequence(family, last, params, lhs_rows)
         sums = _transformed(products, summed_family, last, params, summed_rows)
-        return lhs, _decided(lhs, *sums)
+        return lhs, decided(lhs, *sums)
 
     return _value_rows(grid, points, 0, sides)
 
@@ -489,8 +476,8 @@ class GridSpec:
     every prime and every multiplier is an int (not a float or a bool), n_max
     and stirling_n_max are >= 0, every prime is a prime below 2**16, every
     multiplier is >= 1, no k, pair, prime or multiplier is listed twice, and
-    every point makes a `Params` (each k an int and each pair's alpha
-    nonzero). `params()` lists the points.
+    every point would make a `Params` (each k an int and each pair's alpha
+    nonzero), checked per k and per pair. `params()` lists the points.
     """
 
     n_max: int = 12
@@ -523,11 +510,14 @@ class GridSpec:
             values = getattr(self, field)
             if len(set(values)) < len(values):
                 raise ValueError(f"{field} lists a value twice")
-        # Params states the point rules, checked before the sort below so
-        # that a value that is not rational raises ValueError; none is kept
-        for alpha, a in self.pairs:
+        # the rules of Params, once per k and per pair where the grid has a
+        # point, before the sort below: a value not rational is a ValueError
+        if self.pairs:
             for k in self.k_values:
-                Params(k, alpha, a)
+                Params.check_k(k)
+        if self.k_values:
+            for alpha, a in self.pairs:
+                Params.rational_pair(alpha, a)
         # The points' keys, sorted here once per grid in the canonical
         # (k, alpha, a) order of `params()`; no two tie, as no value is listed
         # twice. Not a field: equality, hash, repr and the CLI's JSON grid

@@ -139,20 +139,28 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     # head ends with the grid's closing "\n}"; "reports" sorts after "grid"
     parts = [head[:-2], ',\n  "reports": [']
     points: dict = {}
+    # a verdict's constant fields -> the text around its lhs, point and rhs,
+    # rendered once per combination (str, None or bool: equal values, equal text)
+    constants: dict = {}
+
+    def verdict_texts(verdicts) -> Iterator[str]:
+        for v, point, lhs, rhs in _verdict_texts(verdicts, points, _json_point, _json_side):
+            key = v.status, v.reason, v.hypothesis_ok, v.hypothesis_note
+            kept = constants.get(key)
+            if kept is None:
+                kept = constants[key] = (
+                    "        {\n"
+                    f'          "hypothesis_note": {_json_param(v.hypothesis_note)},\n'
+                    f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
+                    '          "lhs": ',
+                    f',\n          "reason": {_json_param(v.reason)},\n          "rhs": ',
+                    f',\n          "status": {encode_basestring_ascii(v.status)}\n        }}',
+                )
+            head, reason, status = kept
+            yield f'{head}{lhs},\n          "point": {point}{reason}{rhs}{status}'
+
     for i, report in enumerate(reports):
-        verdicts = ",\n".join(
-            "        {\n"
-            f'          "hypothesis_note": {_json_param(v.hypothesis_note)},\n'
-            f'          "hypothesis_ok": {_JSON_LITERALS[v.hypothesis_ok]},\n'
-            f'          "lhs": {lhs},\n'
-            f'          "point": {point},\n'
-            f'          "reason": {_json_param(v.reason)},\n'
-            f'          "rhs": {rhs},\n'
-            f'          "status": {encode_basestring_ascii(v.status)}\n'
-            "        }"
-            for v, point, lhs, rhs
-            in _verdict_texts(report.verdicts, points, _json_point, _json_side)
-        )
+        verdicts = ",\n".join(verdict_texts(report.verdicts))
         verdicts = f"[\n{verdicts}\n      ]" if verdicts else "[]"
         summary = ",\n".join(
             f"        {encode_basestring_ascii(key)}: {count}"

@@ -1,5 +1,5 @@
 """Exact rational scalars: parsing and "p/q" text, signed integer powers,
-and reduction modulo a prime.
+reduction modulo a prime, and exact comparison against known Fractions.
 
 `fractions.Fraction` is the value type throughout the package. It already
 maintains the invariants everything else relies on: arbitrary-precision
@@ -8,6 +8,7 @@ integers, positive denominator, and numerator/denominator kept coprime.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fractions import Fraction
 __all__ = [
     "NonreducibleDenominatorError",
     "SingularParameterError",
+    "decided",
     "ensure_nonsingular",
     "format_rational",
     "is_prime",
@@ -82,7 +84,7 @@ def pow_rat(base: Fraction | int, k: int) -> Fraction:
     # cost a construction
     if type(base) is not Fraction:
         base = Fraction(base)
-    if k < 0 and base == 0:
+    if k < 0 and not base.numerator:
         raise ZeroDivisionError("cannot raise 0 to a negative power")
     return base**k
 
@@ -119,14 +121,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# a scan reduces many values by each of a few primes; typed, as 3.0 is no int
+_modulus_is_prime = functools.lru_cache(maxsize=256, typed=True)(is_prime)
+
+
 def mod_reduce(value: Fraction | int, p: int) -> int:
     """Reduce num/den to its residue (num * den^-1) mod p, in 0..p-1.
 
     Raises NonreducibleDenominatorError when p divides the denominator; the
     caller decides what that means (for identity audits it marks the point
-    UNDEFINED rather than passing or failing).
+    UNDEFINED rather than passing or failing). A modulus that is not prime
+    raises ValueError.
     """
-    if not is_prime(p):
+    if not _modulus_is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if type(value) is not Fraction and not isinstance(value, Fraction):
         value = Fraction(value)
@@ -134,3 +141,15 @@ def mod_reduce(value: Fraction | int, p: int) -> int:
         raise NonreducibleDenominatorError(value, p)
     inv = pow(value.denominator % p, -1, p)
     return (value.numerator * inv) % p
+
+
+def decided(known: list[Fraction], nums, den: int) -> list[Fraction]:
+    """The values nums[n] / den, each decided against known[n] by
+    cross-multiplying: an equal value is the very Fraction known[n], and only
+    an unequal one, a FAILS witness, is a new Fraction. nums are ints (one
+    integer == each, no Fraction compared) or, under a (m!)^-1 prefactor,
+    Fractions; ValueError if nums and known differ in length."""
+    return [
+        x if x.numerator * den == num * x.denominator else Fraction(num, den)
+        for x, num in zip(known, nums, strict=True)
+    ]

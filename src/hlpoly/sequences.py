@@ -35,8 +35,12 @@ The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
 equal the derivative of the family's generating function?"): one from a
 closed-form Stirling sum, one forced term by term from the series itself.
-They are kept separate and are *not* asserted equal here; comparing them is
-the audit layer's job.
+
+`oracle_sequence` and `deriv_coeffs_oracle` may be given the Stirling side's
+values as `known`: once the series' integers are computed, each is decided
+against known[n] by `exact.decided`, so an equal entry is known[n] itself,
+the only thing the two paths share. Neither asserts that they agree; the
+audit reports whether they do.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exact import ensure_nonsingular, pow_rat
+from .exact import decided, ensure_nonsingular, pow_rat
 from .series import PowerSeries, egf_coeff, kernel, phi_apply, phif_apply
 from .stirling import stirling1_unsigned, stirling2
 
@@ -74,6 +78,10 @@ class Family(enum.Enum):
     BERNOULLI = "bernoulli"
     CAUCHY1 = "cauchy1"
     CAUCHY2 = "cauchy2"
+
+    # a member is a singleton: hashed by identity, in C, not by Enum's
+    # Python-level __hash__; no set of families is iterated for output
+    __hash__ = object.__hash__
 
 
 FAMILIES = (Family.BERNOULLI, Family.CAUCHY1, Family.CAUCHY2)
@@ -110,17 +118,10 @@ class Params:
     a: Fraction
 
     def __post_init__(self):
-        if type(self.k) is not int:
-            raise ValueError(f"k must be an int, got {self.k!r}")
-        for name in ("alpha", "a"):
-            value = getattr(self, name)
-            # an exact Fraction is kept as it is: only another type is copied
-            if type(value) is not Fraction:
-                if not isinstance(value, numbers.Rational):
-                    raise ValueError(f"{name} must be an int or a rational, got {value!r}")
-                object.__setattr__(self, name, Fraction(value))
-        if self.alpha == 0:
-            raise ValueError("alpha must be nonzero")
+        self.check_k(self.k)
+        alpha, a = self.rational_pair(self.alpha, self.a)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "a", a)
         # Not fields: _root is the m >= 0 with alpha*m + a == 0, or None if
         # there is none; _line is alpha*m + a in integers, (P S, R Q, Q S)
         # for alpha = P/Q and a = R/S, so alpha*m + a = (P S m + R Q) / (Q S);
@@ -131,7 +132,6 @@ class Params:
         # deriv_coeffs_printed, _series by family, the series _family_series
         # last composed, and for the audit: _index_points, the point dict of
         # each n, and _congruence, THM8's plan by (multipliers, primes).
-        alpha, a = self.alpha, self.a
         slope, offset = alpha.numerator * a.denominator, a.numerator * alpha.denominator
         object.__setattr__(self, "_line", (slope, offset, alpha.denominator * a.denominator))
         # the root is -offset / slope, an m only where slope divides offset
@@ -145,6 +145,27 @@ class Params:
         object.__setattr__(self, "_series", {})
         object.__setattr__(self, "_index_points", [])
         object.__setattr__(self, "_congruence", {})
+
+    @staticmethod
+    def check_k(k) -> None:
+        """ValueError unless k is an int: a float or a bool is not an index."""
+        if type(k) is not int:
+            raise ValueError(f"k must be an int, got {k!r}")
+
+    @staticmethod
+    def rational_pair(alpha, a) -> tuple[Fraction, Fraction]:
+        """(alpha, a) as the Fractions a Params keeps: an exact Fraction as it
+        is, another rational copied, anything else or alpha == 0 ValueError."""
+        pair = []
+        for name, value in (("alpha", alpha), ("a", a)):
+            if type(value) is not Fraction:
+                if not isinstance(value, numbers.Rational):
+                    raise ValueError(f"{name} must be an int or a rational, got {value!r}")
+                value = Fraction(value)
+            pair.append(value)
+        if not pair[0].numerator:
+            raise ValueError("alpha must be nonzero")
+        return pair[0], pair[1]
 
     def singular_index(self, m_max: int) -> int | None:
         """Smallest m in 0..m_max with alpha*m + a == 0, or None."""
@@ -259,16 +280,18 @@ def explicit_value(
     """Stirling-sum value of one family member: the dot product of its
     coefficient row with the weights of `params`, the row read from `rows`,
     a `coefficient_rows(family)` store, or from a store made for this call.
-    `params` keeps it: each (family, n) is computed once per instance.
+    `params` keeps it: each (family, n) is computed once per instance, and
+    read again, before any check, with one dict lookup.
     """
-    _check_index(n)
     known = params._values[family]
-    if n not in known:
+    value = known.get(n)
+    if value is None:
+        _check_index(n)
         _ensure_nonsingular(params, n)
         weights, den = params.scaled_weights(n)
         row = (rows or coefficient_rows(family))(n)
-        known[n] = Fraction(sum(map(operator.mul, row, weights)), den)
-    return known[n]
+        value = known[n] = Fraction(sum(map(operator.mul, row, weights)), den)
+    return value
 
 
 def explicit_sequence(
@@ -318,16 +341,21 @@ def _family_series(family: Family, order: int, params: Params) -> PowerSeries:
     return kept
 
 
-def oracle_sequence(family: Family, n_max: int, params: Params) -> list[Fraction]:
+def oracle_sequence(
+    family: Family, n_max: int, params: Params, known: list[Fraction] | None = None
+) -> list[Fraction]:
     """EGF coefficients 0..n_max read off the defining generating function.
 
     Composition with a zero-constant-term kernel is exact at order n_max, so
     no guard digits are needed; the result is independent of the
-    Stirling-sum path.
+    Stirling-sum path. Each is a new Fraction, but where `known`, n_max + 1
+    Fractions, is given and known[n] is equal, it is known[n] itself.
     """
     _check_index(n_max)
     f = _family_series(family, n_max, params)
-    return [egf_coeff(f, n) for n in range(n_max + 1)]
+    if known is None:
+        return [egf_coeff(f, n) for n in range(n_max + 1)]
+    return decided(known, f.nums[: n_max + 1], f.den)
 
 
 def _cauchy_deriv_coeff(n: int, m: int) -> int:
@@ -379,16 +407,21 @@ def deriv_coeffs_printed(
     return list(kept)
 
 
-def deriv_coeffs_oracle(family: Family, n_max: int, params: Params) -> list[Fraction]:
+def deriv_coeffs_oracle(
+    family: Family, n_max: int, params: Params, known: list[Fraction] | None = None
+) -> list[Fraction]:
     """Derivative coefficients forced by the generating function itself.
 
     With G the family's series, this returns the EGF coefficients of
     (1+t) * G'(t) for the cauchy families and of e^t * G'(t) for the
     bernoulli family, i.e. the unique sequence making the corresponding
-    1/(1+t)- or e^-t-prefactor display of d/dt G true.
+    1/(1+t)- or e^-t-prefactor display of d/dt G true. `known` is read as
+    `oracle_sequence` reads it.
     """
     _check_index(n_max)
     dg = _family_series(family, n_max + 1, params).derivative()
     inverse = _SERIES_FOR[family][2]
     product = PowerSeries(tuple(map(inverse, range(n_max + 1)))) * dg
-    return [egf_coeff(product, n) for n in range(n_max + 1)]
+    if known is None:
+        return [egf_coeff(product, n) for n in range(n_max + 1)]
+    return decided(known, product.nums, product.den)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,15 +78,17 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         """EGF product: binomial convolution of the numerators at the smaller
-        order, over the product of the denominators."""
-        f, g = self.nums, other.nums
-        return PowerSeries(
-            tuple(
-                sum(math.comb(n, j) * f[j] * g[n - j] for j in range(n + 1) if f[j])
-                for n in range(min(self.order, other.order) + 1)
-            ),
-            self.den * other.den,
-        )
+        order, over the product of the denominators. Only the nonzero terms
+        of the left factor are visited: a nonzero f_j adds C(n, j) f_j g_(n-j)
+        to every coefficient n >= j."""
+        order = min(self.order, other.order)
+        g = other.nums
+        total = [0] * (order + 1)
+        for j, f in enumerate(self.nums[: order + 1]):
+            if f:
+                for n in range(j, order + 1):
+                    total[n] += math.comb(n, j) * f * g[n - j]
+        return PowerSeries(tuple(total), self.den * other.den)
 
     # The product commutes. bench/tracer.py counts series products by
     # wrapping both names, so the reflected name stays bound.
@@ -161,7 +164,7 @@ def _weighted_power_sum(g: PowerSeries, weights: list[int], den: int) -> PowerSe
     order, scale = g.order, g.den
     coeffs = [w * scale ** (order - m) for m, w in enumerate(weights)]
     rows = _bell_rows(g.nums)
-    total = tuple(sum(c * b for c, b in zip(coeffs, rows[n])) for n in range(order + 1))
+    total = tuple(sum(map(operator.mul, coeffs, rows[n])) for n in range(order + 1))
     return PowerSeries(total, den * scale**order)
 
 

@@ -24,9 +24,7 @@ from hlpoly.audit import (
     UNDEFINED,
     Verdict,
     _congruence_rows,
-    _decided,
     _derivative_rows,
-    _matched,
     _product_rows,
     _stirling_orthogonality,
     _value_rows,
@@ -34,7 +32,7 @@ from hlpoly.audit import (
     exit_code,
     run_identity,
 )
-from hlpoly.exact import mod_reduce
+from hlpoly.exact import decided, mod_reduce
 from hlpoly.sequences import Family, Params, deriv_coeffs_oracle, explicit_value
 from hlpoly.stirling import stirling1_unsigned, stirling2
 
@@ -641,6 +639,26 @@ def test_grid_rules_raise_at_construction(fields):
         GridSpec(**fields)
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(1.5, 1, 1), (True, 1, 1), (1, 0, 1), (1, 1.5, 1), (1, 1, 0.5), (1, "1", 1), (1.5, 0.5, 1)],
+)
+def test_a_grid_checks_the_point_rules_without_building_a_point(monkeypatch, point):
+    # the rules of Params, checked once per k and once per pair with its
+    # messages, and no Params built until params() lists the points
+    built = []
+    check = Params.__post_init__
+    monkeypatch.setattr(Params, "__post_init__", lambda self: built.append(check(self)))
+    assert GridSpec() == DEFAULT_GRID and built == []
+    assert len(DEFAULT_GRID.params()) == len(built) == 36
+    k, alpha, a = point
+    with pytest.raises(ValueError) as direct:
+        Params(k, alpha, a)
+    with pytest.raises(ValueError) as grid:
+        GridSpec(k_values=(2, k), pairs=((2, 1), (alpha, a)))
+    assert str(grid.value) == str(direct.value)
+
+
 def test_run_identity_shapes():
     report = run_identity("THM5", QUICK_GRID)
     assert report.identity == "THM5"
@@ -888,13 +906,18 @@ def test_every_row_is_decided_once_across_the_catalogue():
     assert reports[-1].summary == {"holds": 33, "fails": 24, "undefined": 3}
 
 
+VALUE_IDENTITIES = [
+    label for label, (_, rows, _) in CATALOGUE.items()
+    if rows not in (_congruence_rows, _stirling_orthogonality)
+]
+
+
 def test_value_rows_compare_no_fraction_twice(monkeypatch):
-    # on a list that THM1-THM3 have filled, EQ10 decides every row on
-    # integers and THM1 with one == per evaluable row; neither compares a
-    # row's sides again
+    # every value identity decides every row on integers, the series side of
+    # THM1-THM3 and THM9-THM11 too: no Fraction is compared at all, whether
+    # a run fills the list or reads what earlier runs kept
+    assert len(VALUE_IDENTITIES) == 13
     points = ORDER_GRID.params()
-    for label in ("THM1", "THM2", "THM3"):
-        run_identity(label, ORDER_GRID, None, points)
     compared = []
     equal = Fraction.__eq__
 
@@ -903,13 +926,44 @@ def test_value_rows_compare_no_fraction_twice(monkeypatch):
         return equal(self, other)
 
     monkeypatch.setattr(Fraction, "__eq__", counted)
-    eq10 = run_identity("EQ10", ORDER_GRID, None, points)
-    eq10_compared = len(compared)
-    thm1 = run_identity("THM1", ORDER_GRID, None, points)
-    thm1_compared = len(compared) - eq10_compared
+    reports = [
+        run_identity(label, ORDER_GRID, None, points)
+        for _ in range(2)
+        for label in VALUE_IDENTITIES
+    ]
     monkeypatch.undo()
-    assert eq10.summary["fails"] and eq10_compared == 0
-    assert thm1_compared == thm1.summary["holds"] + thm1.summary["fails"] > 0
+    assert compared == []
+    summaries = {report.identity: report.summary for report in reports}
+    assert all(summaries[label]["holds"] for label in VALUE_IDENTITIES if label != "THM10")
+    assert all(summaries[label]["fails"] for label in ("EQ10", "THM9", "THM10", "THM11"))
+
+
+def test_value_rows_are_the_verdicts_the_named_tuple_makes():
+    # rows made at tuple cost are Verdicts equal to those Verdict() makes:
+    # a HOLDS row at n = 0, where one object is both sides, FAILS rows after
+    # it, and at (1, 1, -2) a SINGULAR_PARAMETER tail from n = 2
+    grid = GridSpec(n_max=3, k_values=(1,), pairs=((1, 1), (1, -2)))
+
+    def sides(params, last):
+        lhs = [Fraction(n) for n in range(last + 1)]
+        return lhs, [lhs[0], *(Fraction(-n) for n in range(1, last + 1))]
+
+    rows = _value_rows(grid, grid.params(), 0, sides)
+    assert all(type(v) is Verdict for v in rows)
+
+    def point(a, n):
+        return {"k": 1, "alpha": 1, "a": a, "n": n}
+
+    expected = [
+        Verdict(HOLDS, point(-2, 0), Fraction(0), Fraction(0)),
+        Verdict(FAILS, point(-2, 1), Fraction(1), Fraction(-1)),
+        Verdict(UNDEFINED, point(-2, 2), reason=SINGULAR_PARAMETER),
+        Verdict(UNDEFINED, point(-2, 3), reason=SINGULAR_PARAMETER),
+        Verdict(HOLDS, point(1, 0), Fraction(0), Fraction(0)),
+        *(Verdict(FAILS, point(1, n), Fraction(n), Fraction(-n)) for n in (1, 2, 3)),
+    ]
+    assert rows == expected
+    assert [v._asdict() for v in rows] == [v._asdict() for v in expected]
 
 
 def test_verdict_contract():
@@ -961,13 +1015,13 @@ def test_a_row_holds_one_object_for_equal_sides(monkeypatch):
     lhs, rhs = Fraction(1, 3), Fraction(1, 2)
     failed = _value_rows(grid, grid.params(), 0, lambda params, last: ([lhs] * 2, [rhs] * 2))
     assert all(v.status == FAILS and v.lhs is lhs and v.rhs is rhs for v in failed)
-    # _matched decides each row with one ==: an equal value is the known object
+    # the shared helper decides each row on integers: an equal value is the
+    # known object, an unequal one a new witness, and none is compared
     known = [_CountedEq(1, 2), _CountedEq(1, 3)]
-    values = [Fraction(2, 4), Fraction(1, 2)]
     _CountedEq.compared = 0
-    decided = _matched(known, values)
-    assert decided[0] is known[0] and decided[1] is values[1]
-    assert _CountedEq.compared == 2
+    values = decided(known, [2, 2], 4)
+    assert values[0] is known[0] and values[1] == Fraction(1, 2)
+    assert type(values[1]) is Fraction and _CountedEq.compared == 0
     # THM8's equal residues, here two distinct ints past the small-int cache,
     # hold one object; the hypothesis flags pass through
     monkeypatch.setattr(audit, "mod_reduce", lambda value, p: int(str(10**30)))
@@ -1012,14 +1066,19 @@ def test_integer_decided_holds_rows_keep_one_fraction():
 
 def test_a_decided_value_is_the_known_fraction_where_they_are_equal():
     known = [Fraction(1, 2), Fraction(-2, 3), Fraction(5)]
-    decided = _decided(known, [3, -4, 31], 6)  # 1/2, -2/3 and 31/6
-    assert decided[0] is known[0] and decided[1] is known[1]
-    assert decided[2] == Fraction(31, 6) and type(decided[2]) is Fraction
+    values = decided(known, [3, -4, 31], 6)  # 1/2, -2/3 and 31/6
+    assert values[0] is known[0] and values[1] is known[1]
+    # an unequal value is a new Fraction in lowest terms
+    assert values[2] == Fraction(31, 6) and type(values[2]) is Fraction
+    assert (values[2].numerator, values[2].denominator) == (31, 6)
+    assert decided([Fraction(1)], [4], 6)[0].denominator == 3
     # Fraction numerators, as a (m!)^-1 prefactor makes them
-    assert _decided(known, [Fraction(3, 2), Fraction(-2), Fraction(1, 3)], 3) == [
-        known[0], known[1], Fraction(1, 9)
-    ]
-    assert _decided(known[:1], [Fraction(3, 2)], 3)[0] is known[0]
+    values = decided(known, [Fraction(3, 2), Fraction(-2), Fraction(1, 3)], 3)
+    assert values == [known[0], known[1], Fraction(1, 9)]
+    assert values[0] is known[0] and values[1] is known[1] and type(values[2]) is Fraction
+    # numerators and known values are read pairwise: a length apart is an error
+    with pytest.raises(ValueError):
+        decided(known, [3, -4], 6)
 
 
 @pytest.mark.parametrize("label", sorted(ERRATA))

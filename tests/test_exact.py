@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hlpoly import exact
 from hlpoly.exact import (
     NonreducibleDenominatorError,
     format_rational,
@@ -175,6 +176,31 @@ def test_nonreducible_denominator_error_text_fields_and_pickle():
 def test_mod_reduce_requires_prime():
     with pytest.raises(ValueError):
         mod_reduce(Fraction(1, 2), 4)
+
+
+def test_mod_reduce_tests_each_modulus_once():
+    # a scan reduces many values by each of a few primes: primality is kept
+    # per modulus, in a bounded cache, and a composite modulus raises each time
+    exact._modulus_is_prime.cache_clear()
+    assert [mod_reduce(Fraction(n, 2), 7) for n in range(5)] == [0, 4, 1, 5, 2]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="modulus 9 is not prime"):
+            mod_reduce(1, 9)
+    info = exact._modulus_is_prime.cache_info()
+    assert (info.misses, info.hits) == (2, 5) and info.maxsize is not None
+
+
+def test_pow_rat_tests_a_zero_base_without_comparing_fractions(monkeypatch):
+    def refused(self, other):
+        raise AssertionError("a Fraction was compared")
+
+    monkeypatch.setattr(Fraction, "__eq__", refused)
+    for base in (0, Fraction(0), Fraction(0, 5)):
+        with pytest.raises(ZeroDivisionError):
+            pow_rat(base, -2)
+    results = [pow_rat(Fraction(0), 2), pow_rat(Fraction(-2, 3), -3), pow_rat(0, 0)]
+    monkeypatch.undo()
+    assert results == [0, Fraction(-27, 8), 1]
 
 
 @given(rationals, rationals, st.sampled_from([3, 5, 7, 11, 13]))

@@ -117,6 +117,31 @@ def test_one_kernel_value_fails_its_explicit_identity(capsys, monkeypatch, name,
     assert_caught(capsys, monkeypatch, label.lower(), label, series._KERNELS, name, mutant)
 
 
+# THM1's series side decides its integers against the Stirling values it is
+# given: one wrong numerator must still fail, with the series' own value
+def test_one_series_numerator_fails_thm1_with_the_series_value(capsys, monkeypatch):
+    weighted = series._weighted_power_sum
+
+    def mutant(g, weights, den):
+        f = weighted(g, weights, den)
+        return series.PowerSeries((*f.nums[:3], f.nums[3] + 1, *f.nums[4:]), f.den)
+
+    grid = audit.GridSpec(n_max=5, k_values=(-1, 1, 2), pairs=((1, 1), (Fraction(1, 2), 1)))
+    assert fails(capsys, "thm1")["THM1"] == 0
+    monkeypatch.setattr(series, "_weighted_power_sum", mutant)
+    failed = [v for v in audit.run_identity("THM1", grid).verdicts if v.status == audit.FAILS]
+    assert len(failed) == 6 and {v.point["n"] for v in failed} == {3}
+    for v in failed:
+        point = [v.point[key] for key in ("k", "alpha", "a")]
+        assert v.lhs == sequences.explicit_value(Family.BERNOULLI, 3, sequences.Params(*point))
+        # the run's series, composed to the order index 5 asks for
+        series_value = sequences.oracle_sequence(Family.BERNOULLI, 5, sequences.Params(*point))
+        assert type(v.rhs) is Fraction and v.rhs == series_value[3] != v.lhs
+    assert fails(capsys, "thm1")["THM1"] == len(failed)
+    monkeypatch.undo()
+    assert fails(capsys, "thm1")["THM1"] == 0
+
+
 def test_one_duality_prefactor_fails_eq9(capsys, monkeypatch):
     summed_family, triangle, printed = audit._DUALITY_SHAPE["EQ9"]
 

@@ -597,6 +597,59 @@ def test_the_series_memo_and_the_stirling_memos_stay_apart():
         assert "_series" not in _names(function.__code__), function.__name__
 
 
+SERIES_SIDES = [(oracle_sequence, explicit_sequence), (deriv_coeffs_oracle, deriv_coeffs_printed)]
+
+
+@pytest.mark.parametrize(
+    "function, stirling", SERIES_SIDES, ids=["oracle_sequence", "deriv_coeffs_oracle"]
+)
+def test_known_values_decide_the_series_side_and_change_no_value(function, stirling):
+    # without known, every entry is a new Fraction; with the Stirling side's
+    # values as known, the same values, an equal entry being known's object
+    # and an unequal one a new Fraction (derivative rows of both kinds occur)
+    kinds = collections.Counter()
+    for params in SMALL_GRID:
+        for family in FAMILIES:
+            known = stirling(family, 6, params)
+            plain = function(family, 6, params)
+            assert all(type(value) is Fraction for value in plain)
+            assert not any(map(operator.is_, plain, known))
+            values = function(family, 6, dataclasses.replace(params), known=known)
+            assert values == plain
+            for x, y in zip(known, values):
+                assert type(y) is Fraction and (y is x) == (y == x)
+                kinds[y is x] += 1
+            # a wrong known entry is not taken: the series' value is built
+            wrong = [*known[:2], known[2] + 1, *known[3:]]
+            values = function(family, 6, params, known=wrong)
+            assert values == plain and values[2] is not wrong[2]
+    assert kinds[True] and (kinds[False] or function is oracle_sequence)
+    with pytest.raises(ValueError):
+        function(Family.CAUCHY1, 6, P111, known=[Fraction(0)] * 6)
+
+
+def test_a_kept_value_is_read_before_any_check(monkeypatch):
+    # a memo hit is one dict lookup: no index or singularity check, and a
+    # family hashes by identity, in C
+    assert Family.__hash__ is object.__hash__
+    params = Params(1, 1, -3)
+    value = explicit_value(Family.BERNOULLI, 2, params)
+
+    def refused(*args):
+        raise AssertionError("checked on a memo hit")
+
+    monkeypatch.setattr(sequences, "_check_index", refused)
+    monkeypatch.setattr(sequences, "_ensure_nonsingular", refused)
+    assert explicit_value(Family.BERNOULLI, 2, params) is value
+    with pytest.raises(AssertionError):
+        explicit_value(Family.BERNOULLI, 3, params)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        explicit_value(Family.BERNOULLI, -1, params)
+    with pytest.raises(SingularParameterError):
+        explicit_value(Family.BERNOULLI, 3, params)
+
+
 # -- derivative coefficients --------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import assume, example, given
@@ -87,6 +87,24 @@ def test_mul_examples():
 def test_mul_matches_the_ordinary_product(f, g):
     order = min(len(f), len(g)) - 1
     assert ordinary(series(*f) * series(*g)) == mul_trunc(f, g, order)
+
+
+# EGF numerators with many zeros, as the cauchy families' 1 + t has
+sparse_nums = st.lists(
+    st.one_of(st.just(0), st.integers(-50, 50)), min_size=1, max_size=14
+)
+
+
+@given(sparse_nums, sparse_nums, st.integers(1, 12), st.integers(1, 12))
+@example([1, 1] + [0] * 12, list(range(14)), 1, 7)
+def test_mul_visiting_nonzero_terms_is_the_dense_convolution(f, g, d, e):
+    # every product term C(n, j) f_j g_(n-j), j = 0..n, over d * e, reduced
+    # as the series keeps it; the product visits only f's nonzero terms
+    order = min(len(f), len(g)) - 1
+    dense = tuple(
+        sum(comb(n, j) * f[j] * g[n - j] for j in range(n + 1)) for n in range(order + 1)
+    )
+    assert PowerSeries(tuple(f), d) * PowerSeries(tuple(g), e) == PowerSeries(dense, d * e)
 
 
 @given(small_coeffs.filter(lambda c: len(c) > 1))
