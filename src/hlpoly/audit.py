@@ -58,6 +58,7 @@ __all__ = [
     "PREFACTOR_EXPONENTS",
     "PREFACTOR_POWERS",
     "P_DIVIDES_ALPHA",
+    "Point",
     "SINGULAR_PARAMETER",
     "UNDEFINED",
     "Verdict",
@@ -131,24 +132,24 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 # Each CATALOGUE entry is a check, rows(label, family, grid, points,
 # prefactor), that gives a whole grid's verdicts, `points` being the grid's
-# `Params` in canonical order, as `GridSpec.params()` lists them. It makes the
-# row stores it reads when it starts, so that the run's points share them and
-# none outlives the run; a store's `store(n)` is row n, built on its first
-# request.
+# `Point` records in canonical order, as `GridSpec.points()` lists them. It
+# makes the row stores it reads when it starts, so that the run's points share
+# them and none outlives the run; a store's `store(n)` is row n, built on its
+# first request.
 
 
-def _index_points(params: Params, n_max: int) -> list[dict]:
-    """The points of (params, n) for n = 0..n_max, and beyond where a run
-    asked for more: one read-only dict per n, kept on `params` as one list
-    for every value identity that shares it. Keys come in canonical order."""
-    kept = params._index_points
-    if len(kept) <= n_max:
-        k, alpha, a = params.k, params.alpha, params.a
-        kept += [{"k": k, "alpha": alpha, "a": a, "n": n} for n in range(len(kept), n_max + 1)]
-    return kept
+class Point(NamedTuple):
+    """One grid point of a command, shared by every label run on its list:
+    `params` keeps the point's values, `index` the value identities' point
+    dicts by n, read-only, and `plans` THM8's plan per (multipliers, primes),
+    which `_congruence_plan` builds."""
+
+    params: Params
+    index: list[dict]
+    plans: dict
 
 
-def _value_rows(grid: GridSpec, points: list[Params], reach: int, sides) -> list[Verdict]:
+def _value_rows(grid: GridSpec, points: list[Point], reach: int, sides) -> list[Verdict]:
     """The rows of a value identity, n = 0..grid.n_max at each of `points`.
 
     Index n touches alpha*m + a up to m = n + reach. `sides(params, last)`
@@ -156,23 +157,29 @@ def _value_rows(grid: GridSpec, points: list[Params], reach: int, sides) -> list
     n = 0..last, for `last` the largest evaluable index; it is not called
     when no index is, and decides the right side: where the two are equal,
     its entry is the left side's object, and only then does the row HOLD.
-    The indices after `last` are SINGULAR_PARAMETER. tuple.__new__ makes
-    each row at the cost of a tuple, equal to Verdict(status, point, x, y).
+    The indices after `last` are SINGULAR_PARAMETER. A point's `index` grows
+    to n_max before its rows are made, so no row is dropped, and keeps its
+    keys in canonical order. tuple.__new__ makes each row at the cost of a
+    tuple, equal to Verdict(status, point, x, y).
     """
     n_max = grid.n_max
     new = tuple.__new__
     verdicts = []
-    for params in points:
+    for params, index, _ in points:
         s = params.singular_index(n_max + reach)
         last = n_max if s is None else max(-1, min(n_max, s - 1 - reach))
-        index_points = _index_points(params, n_max)
+        if len(index) <= n_max:
+            k, alpha, a = params.k, params.alpha, params.a
+            index += [
+                {"k": k, "alpha": alpha, "a": a, "n": n} for n in range(len(index), n_max + 1)
+            ]
         if last >= 0:
             verdicts += [
                 new(Verdict, (HOLDS if y is x else FAILS, point, x, y, None, None, None))
-                for point, x, y in zip(index_points, *sides(params, last))
+                for point, x, y in zip(index, *sides(params, last))
             ]
         verdicts += [
-            _undefined(point, SINGULAR_PARAMETER) for point in index_points[last + 1 : n_max + 1]
+            _undefined(point, SINGULAR_PARAMETER) for point in index[last + 1 : n_max + 1]
         ]
     return verdicts
 
@@ -356,19 +363,20 @@ def _hypothesis_flags(params: Params, p: int) -> dict:
     return {"hypothesis_ok": True, "hypothesis_note": None}
 
 
-def _congruence_plan(params: Params, grid: GridSpec) -> list[tuple]:
+def _congruence_plan(record: Point, grid: GridSpec) -> list[tuple]:
     """THM8's rows at one point, in canonical (n, p) order, as (n*p, point,
     reason, flags): the point dict, read-only, the reason s_{n*p} is not
     computed, or None where it is, and the hypothesis flags of p, one dict
-    per prime. `params` keeps the plan per (multipliers, primes), so THM8_C1,
+    per prime. `record` keeps the plan per (multipliers, primes), so THM8_C1,
     THM8_C2 and THM8_B share it, and building it sizes the weight prefix
     once, to the largest evaluable n*p."""
     key = grid.multipliers, grid.primes
-    plan = params._congruence.get(key)
+    plan = record.plans.get(key)
     if plan is None:
+        params = record.params
         k, alpha, a = params.k, params.alpha, params.a
         flags = {p: _hypothesis_flags(params, p) for p in grid.primes}
-        plan = params._congruence[key] = [
+        plan = record.plans[key] = [
             (
                 n * p,
                 {"k": k, "alpha": alpha, "a": a, "n": n, "p": p},
@@ -389,22 +397,21 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
 
     Congruences are stated for k >= 1 only; other k give no rows. Both
     sequence values are computed exactly, from the run's store of Stirling
-    coefficient rows, and reduced mod p. `params` keeps each value, so s_0
-    is computed once per point, and the point's THM8 plan, `_congruence_plan`,
-    which THM8_C1, THM8_C2 and THM8_B share. A point is UNDEFINED, never a
-    pass or a fail, when p divides alpha (the standing assumption fails),
-    alpha*m + a vanishes at an m <= n*p, or p divides a denominator (the
-    congruence is not evaluable). Every verdict also records whether
-    (alpha*m + a) stays invertible mod p, the assumption under which the
-    congruence is claimed. The flag is reported, never used to suppress a
-    result.
+    coefficient rows, and reduced mod p; `params` keeps each value, so s_0
+    is computed once per point. A point is UNDEFINED, never a pass or a
+    fail, when p divides alpha (the standing assumption fails), alpha*m + a
+    vanishes at an m <= n*p, or p divides a denominator (the congruence is
+    not evaluable). Every verdict also records whether (alpha*m + a) stays
+    invertible mod p, the assumption under which the congruence is claimed.
+    The flag is reported, never used to suppress a result.
     """
     coefficients = coefficient_rows(family)
     verdicts = []
-    for params in points:
+    for record in points:
+        params = record.params
         if params.k < 1:
             continue
-        for index, point, why, flags in _congruence_plan(params, grid):
+        for index, point, why, flags in _congruence_plan(record, grid):
             if why:
                 verdicts.append(_undefined(point, why, **flags))
                 continue
@@ -477,7 +484,7 @@ class GridSpec:
     and stirling_n_max are >= 0, every prime is a prime below 2**16, every
     multiplier is >= 1, no k, pair, prime or multiplier is listed twice, and
     every point would make a `Params` (each k an int and each pair's alpha
-    nonzero), checked per k and per pair. `params()` lists the points.
+    nonzero), checked per k and per pair. `points()` lists the points.
     """
 
     n_max: int = 12
@@ -519,17 +526,17 @@ class GridSpec:
             for alpha, a in self.pairs:
                 Params.rational_pair(alpha, a)
         # The points' keys, sorted here once per grid in the canonical
-        # (k, alpha, a) order of `params()`; no two tie, as no value is listed
+        # (k, alpha, a) order of `points()`; no two tie, as no value is listed
         # twice. Not a field: equality, hash, repr and the CLI's JSON grid
         # header read the fields alone.
         keys = tuple(sorted((k, alpha, a) for alpha, a in self.pairs for k in self.k_values))
         object.__setattr__(self, "_keys", keys)
 
-    def params(self) -> list[Params]:
-        """A new `Params` for each point, in canonical (k, alpha, a) order:
-        the list `run_identity` takes. Runs that share one list share each
-        point's memos."""
-        return [Params(*key) for key in self._keys]
+    def points(self) -> list[Point]:
+        """A new `Point` for each point, in canonical (k, alpha, a) order,
+        with a new `Params` and no point dict or plan yet: the list
+        `run_identity` takes. Runs that share one list share all of them."""
+        return [Point(Params(*key), [], {}) for key in self._keys]
 
 
 DEFAULT_GRID = GridSpec()
@@ -563,30 +570,30 @@ def run_identity(
     identity: str,
     grid: GridSpec = DEFAULT_GRID,
     prefactor: Callable[[int, int], Fraction] | None = None,
-    points: list[Params] | None = None,
+    points: list[Point] | None = None,
 ) -> AuditReport:
     """Evaluate one catalogued identity over the grid.
 
     The report's rows come in canonical order (k, alpha, a, then indices),
     whatever order the grid lists its values in: the check visits the points
-    in the canonical order of `grid.params()`, which the grid sorted once
+    in the canonical order of `grid.points()`, which the grid sorted once
     when it was built, and makes each point's rows in index order, so the
     rows themselves are never sorted. Identical grids always serialize to
     identical bytes. A `prefactor` is only accepted for EQ9..EQ12.
     STIRLING_ORTHO runs over the triangle of `grid.stirling_n_max` rows, in
     the order its sums are generated.
 
-    `points` is the list `grid.params()` returned, or None for a new one.
+    `points` is the list `grid.points()` returned, or None for a new one.
     Runs of several identities that share one list share each point's
-    weights, Stirling sums and values, printed derivative coefficients
-    (THM10 reads THM9's), composed series, value point dicts and THM8 plan
-    (the verdicts' `point`, read-only), and the first identity in catalogue
-    order that needs them does the work: in per-identity timings, THM1-THM3
-    carry each family's sums and its one series composition, which
-    THM9-THM11 then read. Each check makes its row stores when its run
-    starts, one per kind of row it reads, `store(n)` being row n, and all
-    its points share them; no row outlives the run. Without a list, nothing
-    the run computes outlives it.
+    `Params` (weights, Stirling sums and values, printed derivative
+    coefficients, which THM10 reads from THM9, and composed series) and the
+    record's point dicts and THM8 plan (the verdicts' `point`, read-only).
+    The first identity in catalogue order that needs them does the work: in
+    per-identity timings, THM1-THM3 carry each family's sums and its one
+    series composition, which THM9-THM11 then read. Each check makes its row
+    stores when its run starts, one per kind of row it reads, `store(n)`
+    being row n, and all its points share them; no row outlives the run.
+    Without a list, nothing the run computes outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")
@@ -594,5 +601,5 @@ def run_identity(
     if prefactor is not None and rows is not _duality_rows:
         raise ValueError("a variant prefactor only applies to EQ9..EQ12")
     if points is None:
-        points = grid.params()
+        points = grid.points()
     return AuditReport(identity, rows(identity, family, grid, points, prefactor))

@@ -547,8 +547,8 @@ def _cmd_audit(args) -> tuple[int, Iterable[str]]:
         prefactor = duality_prefactor(*args.variant_prefactor)
         variant = _listed(args.variant_prefactor)
 
-    # one Params per grid point for the whole command: labels share its memos
-    points = grid.params()
+    # one record per grid point for the whole command: labels share its memos
+    points = grid.points()
     reports = [run_identity(label, grid, prefactor, points) for label in labels]
     if args.format == "json":
         output = [_json_reports(args.command, grid, reports, variant)]

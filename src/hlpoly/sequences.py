@@ -18,18 +18,12 @@ Each family has two deliberately independent evaluation paths:
 The two paths never share code beyond basic rational arithmetic, so either
 can audit the other.
 
-The Stirling path reads its weights 1/(alpha m + a)^k from `Params`, which
-remembers those it has computed, as reduced Fractions and as one prefix over
-one denominator, and the Stirling sums and printed derivative coefficients
-built from them, the latter once per coefficient rule, so the two cauchy
-families share theirs; its fields (k, alpha, a) still fix its value.
-Each Stirling sum dots the weights with a coefficient row read from a row
-store, a `functools.cache` over a row builder; callers may share a
-`coefficient_rows` or `derivative_rows` store across points. The series
-path builds its own weights. It keeps its own memo on `Params` too, apart
-from the Stirling path's: each family's composed series, one order past the
-highest asked for where alpha*m + a allows it, which a request at or below
-its order reads as it is. The Stirling path never reads it.
+The Stirling path dots integer coefficient rows with the weights
+1/(alpha m + a)^k that `Params` keeps; each row is read from a row store, a
+`functools.cache` over a row builder, and callers may share a
+`coefficient_rows` or `derivative_rows` store across points. The series path
+builds its own weights; the series it composes are kept on `Params` apart
+from the Stirling path's memos, and the Stirling path never reads them.
 
 The derivative-coefficient functions evaluate two candidate answers to the
 same question ("what sequence D_n makes prefactor(t) * sum(D_n t^n/n!)
@@ -45,6 +39,7 @@ audit reports whether they do.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -97,20 +92,23 @@ class Params:
     alpha*m + a must stay nonzero over whichever index range a computation
     touches; that is checked per call against the largest m actually used.
 
-    A Params remembers the weights 1/(alpha*m + a)^k it has computed, both
-    as reduced Fractions and as one integer prefix over one denominator, the
-    sums `explicit_scaled` has returned, the values `explicit_value` and
-    `explicit_sequence` have returned, one Fraction per (family, n), and the
-    printed derivative coefficients `deriv_coeffs_printed` has returned, per
-    coefficient rule, reach and last index, so the Stirling-sum functions
-    given one instance build each of those once; two families that share a
-    printed rule share its Fractions. It holds the audit's point dicts of
-    each index and its THM8 plan, and keeps each family's composed generating
-    function, so that `oracle_sequence` and `deriv_coeffs_oracle` compose it
-    once. It computes the root -a/alpha once, on construction, so
-    `singular_index` is a comparison. None of this is a field: (k, alpha, a)
-    alone fix equality, hash and repr, and `dataclasses.replace` starts an
-    empty memo.
+    A Params computes the root -a/alpha and alpha*m + a in integers once, on
+    construction, so `singular_index` is a comparison, and keeps what the
+    functions given it compute, each once, in memos that are not fields:
+    (k, alpha, a) alone fix equality, hash and repr, and `dataclasses.replace`
+    starts them empty. They are
+
+      _prefix   the weights 1/(alpha*m + a)^k as one integer prefix over one
+                denominator, (W, D), which `scaled_weights` grows;
+      _weights  the same weights as reduced Fractions, for `weights`;
+      _sums     Stirling sums as integers over D, per coefficient rule and
+                last index, which `explicit_scaled` returns;
+      _values   one Fraction per coefficient rule and n, which
+                `explicit_value`, `explicit_sequence` and
+                `deriv_coeffs_printed` return: families that share a rule, as
+                the two cauchy families' printed one, share its Fractions;
+      _series   each family's composed generating function, which only
+                `oracle_sequence` and `deriv_coeffs_oracle` read.
     """
 
     k: int
@@ -122,29 +120,17 @@ class Params:
         alpha, a = self.rational_pair(self.alpha, self.a)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "a", a)
-        # Not fields: _root is the m >= 0 with alpha*m + a == 0, or None if
-        # there is none; _line is alpha*m + a in integers, (P S, R Q, Q S)
-        # for alpha = P/Q and a = R/S, so alpha*m + a = (P S m + R Q) / (Q S);
-        # _prefix is the (W, D) that scaled_weights returns, and _weights the
-        # same weights as reduced Fractions, the list `weights` returns.
-        # Memos: _sums by (family, n_max) for explicit_scaled, _values by
-        # family and then n, _printed by (rule, reach, n_max) for
-        # deriv_coeffs_printed, _series by family, the series _family_series
-        # last composed, and for the audit: _index_points, the point dict of
-        # each n, and _congruence, THM8's plan by (multipliers, primes).
+        # alpha*m + a = (P S m + R Q) / (Q S) for alpha = P/Q and a = R/S
         slope, offset = alpha.numerator * a.denominator, a.numerator * alpha.denominator
         object.__setattr__(self, "_line", (slope, offset, alpha.denominator * a.denominator))
-        # the root is -offset / slope, an m only where slope divides offset
+        # the root is -offset / slope, an m >= 0 only where slope divides offset
         root, rest = divmod(-offset, slope)
         object.__setattr__(self, "_root", root if rest == 0 and root >= 0 else None)
         object.__setattr__(self, "_prefix", ([], 1))
         object.__setattr__(self, "_weights", [])
         object.__setattr__(self, "_sums", {})
-        object.__setattr__(self, "_values", {family: {} for family in FAMILIES})
-        object.__setattr__(self, "_printed", {})
+        object.__setattr__(self, "_values", collections.defaultdict(dict))
         object.__setattr__(self, "_series", {})
-        object.__setattr__(self, "_index_points", [])
-        object.__setattr__(self, "_congruence", {})
 
     @staticmethod
     def check_k(k) -> None:
@@ -182,8 +168,7 @@ class Params:
         Weights are computed once per instance, as one prefix: a request past
         it builds the missing weights and rescales the kept numerators once
         to the new D, and any other request returns the prefix as it is.
-        Each base alpha*m + a is one Fraction made from integers, with
-        alpha = P/Q and a = R/S: (P S m + R Q) / (Q S).
+        Each base alpha*m + a is one Fraction made from integers, `_line`.
         """
         weights, den = self._prefix
         if m_max >= len(weights):
@@ -213,11 +198,12 @@ def _check_index(n: int) -> None:
         raise ValueError("sequence index must be >= 0")
 
 
-# (n, m) -> integer coefficient of 1/(alpha m + a)^k in member n
+# family -> ((n, m) -> integer coefficient of 1/(alpha m + a)^k in member n,
+# reach 0): member n sums m = 0..n, as `explicit_value` does
 _STIRLING_COEFF = {
-    Family.BERNOULLI: lambda n, m: (-1) ** (n + m) * math.factorial(m) * stirling2(n, m),
-    Family.CAUCHY1: lambda n, m: (-1) ** (n + m) * stirling1_unsigned(n, m),
-    Family.CAUCHY2: lambda n, m: (-1) ** n * stirling1_unsigned(n, m),
+    Family.BERNOULLI: (lambda n, m: (-1) ** (n + m) * math.factorial(m) * stirling2(n, m), 0),
+    Family.CAUCHY1: (lambda n, m: (-1) ** (n + m) * stirling1_unsigned(n, m), 0),
+    Family.CAUCHY2: (lambda n, m: (-1) ** n * stirling1_unsigned(n, m), 0),
 }
 
 
@@ -239,17 +225,39 @@ def coefficient_rows(family: Family) -> Callable[[int], list[int]]:
     Calls that share one store build each row once, whatever their parameters.
     The store reads the family's coefficients when it is made.
     """
-    return row_store(_STIRLING_COEFF[family])
+    return row_store(*_STIRLING_COEFF[family])
 
 
-def _scaled_sums(rows, last: int, params: Params, reach: int = 0):
-    """Integer sums S over the weights' common denominator D, for n = 0..last:
+def _stirling_sums(rule, n_max: int, params: Params, rows):
+    """Integer sums S over the weights' common denominator D, for n = 0..n_max,
+    kept on `params` per (rule, n_max), `rule` being a (coefficient, reach)
+    entry of `_STIRLING_COEFF` or `_DERIV_COEFF`:
 
         S[n] / D = sum_{m=0..n+reach} rows(n)[m] / (alpha m + a)^k
-    """
-    _ensure_nonsingular(params, last + reach)
-    weights, den = params.scaled_weights(last + reach)
-    return [sum(map(operator.mul, rows(n), weights)) for n in range(last + 1)], den
+
+    The rows come from `rows`, or from a `row_store(*rule)` made for this
+    call."""
+    key = rule, n_max
+    kept = params._sums.get(key)
+    if kept is None:
+        reach = rule[1]
+        _ensure_nonsingular(params, n_max + reach)
+        weights, den = params.scaled_weights(n_max + reach)
+        rows = rows or row_store(*rule)
+        nums = tuple([sum(map(operator.mul, rows(n), weights)) for n in range(n_max + 1)])
+        kept = params._sums[key] = nums, den
+    return kept
+
+
+def _stirling_values(rule, n_max: int, params: Params, rows) -> list[Fraction]:
+    """The sums of `_stirling_sums` as a new list of the Fractions that
+    `params` keeps, one per rule and n."""
+    nums, den = _stirling_sums(rule, n_max, params, rows)
+    kept = params._values[rule]
+    for n, num in enumerate(nums):
+        if n not in kept:
+            kept[n] = Fraction(num, den)
+    return list(map(kept.__getitem__, range(n_max + 1)))
 
 
 def explicit_scaled(
@@ -259,16 +267,11 @@ def explicit_scaled(
     rows: Callable[[int], list[int]] | None = None,
 ) -> tuple[tuple[int, ...], int]:
     """Stirling-sum values 0..n_max as integer numerators over one common
-    denominator D: value n is num[n] / D, not reduced. `params` keeps the
-    result, so each (family, n_max) is summed once per instance. The rows
-    come from `rows`, a `coefficient_rows(family)` store, or from a store
-    made for this call."""
+    denominator D: value n is num[n] / D, not reduced. The rows come from
+    `rows`, a `coefficient_rows(family)` store, or from a store made for this
+    call."""
     _check_index(n_max)
-    key = (family, n_max)
-    if key not in params._sums:
-        nums, den = _scaled_sums(rows or coefficient_rows(family), n_max, params)
-        params._sums[key] = tuple(nums), den
-    return params._sums[key]
+    return _stirling_sums(_STIRLING_COEFF[family], n_max, params, rows)
 
 
 def explicit_value(
@@ -280,17 +283,17 @@ def explicit_value(
     """Stirling-sum value of one family member: the dot product of its
     coefficient row with the weights of `params`, the row read from `rows`,
     a `coefficient_rows(family)` store, or from a store made for this call.
-    `params` keeps it: each (family, n) is computed once per instance, and
-    read again, before any check, with one dict lookup.
+    A value `params` keeps is read, before any check, by dict lookups alone.
     """
-    known = params._values[family]
-    value = known.get(n)
+    rule = _STIRLING_COEFF[family]
+    kept = params._values[rule]
+    value = kept.get(n)
     if value is None:
         _check_index(n)
         _ensure_nonsingular(params, n)
         weights, den = params.scaled_weights(n)
-        row = (rows or coefficient_rows(family))(n)
-        value = known[n] = Fraction(sum(map(operator.mul, row, weights)), den)
+        row = (rows or row_store(*rule))(n)
+        value = kept[n] = Fraction(sum(map(operator.mul, row, weights)), den)
     return value
 
 
@@ -300,14 +303,10 @@ def explicit_sequence(
     params: Params,
     rows: Callable[[int], list[int]] | None = None,
 ) -> list[Fraction]:
-    """Stirling-sum values 0..n_max from `explicit_scaled`, as a new list of
-    the Fractions that `params` keeps and `explicit_value` returns."""
-    nums, den = explicit_scaled(family, n_max, params, rows)
-    known = params._values[family]
-    for n, num in enumerate(nums):
-        if n not in known:
-            known[n] = Fraction(num, den)
-    return list(map(known.__getitem__, range(n_max + 1)))
+    """Stirling-sum values 0..n_max, the sums `explicit_scaled` returns, as a
+    new list of the Fractions that `explicit_value` returns."""
+    _check_index(n_max)
+    return _stirling_values(_STIRLING_COEFF[family], n_max, params, rows)
 
 
 # family -> (kernel name, composition) of its defining generating function,
@@ -391,20 +390,10 @@ def deriv_coeffs_printed(
         bernoulli:       D_n = sum_{m=1..n+1} {n m-1} m! / (alpha m + a)^k
 
     The rows come from `rows`, a `derivative_rows(family)` store, or from a
-    store made for this call. `params` keeps the result under the family's
-    coefficient rule, its reach and n_max, and the call returns a new list of
-    the kept Fractions: families that share a rule, as the two cauchy
-    families do, share its sums, and a family given its own rule in
-    `_DERIV_COEFF` gets its own.
+    store made for this call.
     """
     _check_index(n_max)
-    coeff, reach = _DERIV_COEFF[family]
-    key = (coeff, reach, n_max)
-    kept = params._printed.get(key)
-    if kept is None:
-        nums, den = _scaled_sums(rows or derivative_rows(family), n_max, params, reach)
-        kept = params._printed[key] = tuple(Fraction(num, den) for num in nums)
-    return list(kept)
+    return _stirling_values(_DERIV_COEFF[family], n_max, params, rows)
 
 
 def deriv_coeffs_oracle(

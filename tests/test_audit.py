@@ -1,3 +1,4 @@
+import operator
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -21,6 +22,7 @@ from hlpoly.audit import (
     PREFACTOR_EXPONENTS,
     PREFACTOR_POWERS,
     SINGULAR_PARAMETER,
+    Point,
     UNDEFINED,
     Verdict,
     _congruence_rows,
@@ -33,7 +35,13 @@ from hlpoly.audit import (
     run_identity,
 )
 from hlpoly.exact import decided, mod_reduce
-from hlpoly.sequences import Family, Params, deriv_coeffs_oracle, explicit_value
+from hlpoly.sequences import (
+    Family,
+    Params,
+    deriv_coeffs_oracle,
+    deriv_coeffs_printed,
+    explicit_value,
+)
 from hlpoly.stirling import stirling1_unsigned, stirling2
 
 import bruteforce
@@ -355,7 +363,7 @@ def distinct(elements, max_size):
 def test_a_shared_point_map_changes_no_report(grid):
     # `audit --identity all` runs every label on one list of the grid's
     # points; each report equals the label's run on a list of its own
-    points = grid.params()
+    points = grid.points()
     for label in CATALOGUE:
         assert run_identity(label, grid, None, points) == run_identity(label, grid)
 
@@ -371,7 +379,7 @@ def test_a_shared_point_map_shares_each_point_object():
         multipliers=(1, 2),
         stirling_n_max=3,
     )
-    points = grid.params()
+    points = grid.points()
     reports = {label: run_identity(label, grid, None, points) for label in CATALOGUE}
     held = {}  # a point's keys and values -> the point objects of its verdicts
     for label, report in reports.items():
@@ -391,6 +399,18 @@ def test_a_shared_point_map_shares_each_point_object():
     assert sum(count for (keys, _), count in shares.items() if keys[0] != "form") == 45 + 24
     # runs without a list give equal reports
     assert all(run_identity(label, grid) == report for label, report in reports.items())
+
+
+def test_runs_to_a_larger_index_grow_each_records_point_dicts():
+    # runs on one list may ask for different n_max: each record's point
+    # dicts grow to the largest asked for, so no run drops a row, and a
+    # shorter run reads the first of them; (1, -4) has a singular tail
+    short, long = (GridSpec(n_max=n, k_values=(1,), pairs=((1, 1), (1, -4))) for n in (2, 5))
+    points = short.points()
+    for grid in (short, long, short):
+        for label in ("THM1", "THM9"):
+            assert run_identity(label, grid, None, points) == run_identity(label, grid)
+    assert [len(index) for _, index, _ in points] == [6, 6]
 
 
 def test_the_coefficient_store_calls_each_prefactor_once_per_run():
@@ -441,7 +461,7 @@ def test_a_run_reads_each_family_coefficient_store_once(monkeypatch, identity):
     assert calls == FAMILY_LOOKUPS[identity]
     # a shared point list: THM1-THM3 sum every family first, and the run
     # reads their sums, so it looks up nothing
-    points = DEFAULT_GRID.params()
+    points = DEFAULT_GRID.points()
     for label in EXPLICIT.values():
         run_identity(label, DEFAULT_GRID, None, points)
     calls.clear()
@@ -528,7 +548,7 @@ def test_audit_derivative_self_consistency_control():
     grid = GridSpec(n_max=10, k_values=(P111.k,), pairs=((P111.alpha, P111.a),))
     verdicts = _value_rows(
         grid,
-        grid.params(),
+        grid.points(),
         1,
         lambda params, last: [deriv_coeffs_oracle(Family.CAUCHY1, last, params)] * 2,
     )
@@ -645,12 +665,12 @@ def test_grid_rules_raise_at_construction(fields):
 )
 def test_a_grid_checks_the_point_rules_without_building_a_point(monkeypatch, point):
     # the rules of Params, checked once per k and once per pair with its
-    # messages, and no Params built until params() lists the points
+    # messages, and no Params built until points() lists the points
     built = []
     check = Params.__post_init__
     monkeypatch.setattr(Params, "__post_init__", lambda self: built.append(check(self)))
     assert GridSpec() == DEFAULT_GRID and built == []
-    assert len(DEFAULT_GRID.params()) == len(built) == 36
+    assert len(DEFAULT_GRID.points()) == len(built) == 36
     k, alpha, a = point
     with pytest.raises(ValueError) as direct:
         Params(k, alpha, a)
@@ -728,7 +748,7 @@ ORDER_REPORTS = {
 def point_params(points, verdict):
     """The Params of a verdict's point, out of the list it was run on."""
     key = verdict.point["k"], verdict.point["alpha"], verdict.point["a"]
-    (params,) = [params for params in points if (params.k, params.alpha, params.a) == key]
+    (params,) = [params for params, _, _ in points if (params.k, params.alpha, params.a) == key]
     return params
 
 
@@ -749,7 +769,7 @@ def test_rows_follow_the_point_order_whatever_the_grid_order(pairs, k_values, pr
         primes=tuple(primes),
         multipliers=tuple(multipliers),
     )
-    points = grid.params()
+    points = grid.points()
     for label, expected in ORDER_REPORTS.items():
         report = run_identity(label, grid, None, points)
         keys = [tuple(v.point.values()) for v in report.verdicts]
@@ -757,24 +777,55 @@ def test_rows_follow_the_point_order_whatever_the_grid_order(pairs, k_values, pr
         assert report == expected
 
 
-def memo_ids(params):
-    """The ids of the containers a Params keeps its memos in."""
+def memo_ids(record):
+    """The ids of the containers a point record and its Params keep memos in."""
+    params = record.params
     kept = [value for value in vars(params).values() if isinstance(value, (list, dict))]
-    return {id(memo) for memo in [*kept, params._prefix[0], *params._values.values()]}
+    memos = [*kept, params._prefix[0], *params._values.values(), record.index, record.plans]
+    return {id(memo) for memo in memos}
 
 
-def test_each_params_call_lists_new_points_in_canonical_order():
-    first = ORDER_GRID.params()
-    for label in CATALOGUE:
-        run_identity(label, ORDER_GRID, None, first)
-    second = ORDER_GRID.params()
-    assert [(params.k, params.alpha, params.a) for params in second] == list(ORDER_GRID._keys)
-    assert second == first
-    # new Params with empty memos, whatever a run did to an earlier list
-    assert all(vars(params) == vars(Params(params.k, params.alpha, params.a)) for params in second)
-    assert all(vars(params) != vars(Params(params.k, params.alpha, params.a)) for params in first)
-    assert not {id(params) for params in first} & {id(params) for params in second}
+def held_ids(value) -> set[int]:
+    """The ids of `value` and of every object it holds, through lists,
+    tuples, sets, dicts (keys and values) and Params' attributes."""
+    ids, todo = set(), [value]
+    while todo:
+        item = todo.pop()
+        if id(item) in ids:
+            continue
+        ids.add(id(item))
+        if isinstance(item, dict):
+            todo += [*item.keys(), *item.values()]
+        elif isinstance(item, (list, tuple, set)):
+            todo += item
+        elif isinstance(item, Params):
+            todo += vars(item).values()
+    return ids
+
+
+def test_each_points_call_lists_new_points_in_canonical_order():
+    first = ORDER_GRID.points()
+    reports = [run_identity(label, ORDER_GRID, None, first) for label in CATALOGUE]
+    second = ORDER_GRID.points()
+    keys = [(params.k, params.alpha, params.a) for params, _, _ in second]
+    assert keys == list(ORDER_GRID._keys)
+    assert [record.params for record in second] == [record.params for record in first]
+    # new records and Params with empty memos, whatever a run did to an
+    # earlier list
+    assert all(index == [] and plans == {} for _, index, plans in second)
+    assert all(index and plans for params, index, plans in first if params.k >= 1)
+    assert all(vars(params) == vars(Params(*key)) for (params, _, _), key in zip(second, keys))
+    assert all(vars(params) != vars(Params(*key)) for (params, _, _), key in zip(first, keys))
+    assert not {id(record.params) for record in first} & {id(record.params) for record in second}
     assert not set().union(*map(memo_ids, first)) & set().union(*map(memo_ids, second))
+    # the point dicts and THM8 plans live on the records: after every label
+    # has run on the list, no Params holds one
+    dicts = {id(v.point) for report in reports for v in report.verdicts}
+    plans = {id(plan) for record in first for plan in record.plans.values()}
+    assert dicts and plans
+    for record in first:
+        assert not held_ids(record.params) & (dicts | plans)
+        assert all(id(point) in dicts for point in record.index)
     # an equal grid that lists its values in other orders lists equal points
     shuffled = GridSpec(
         n_max=ORDER_GRID.n_max,
@@ -783,12 +834,12 @@ def test_each_params_call_lists_new_points_in_canonical_order():
         primes=tuple(reversed(ORDER_GRID.primes)),
         multipliers=tuple(reversed(ORDER_GRID.multipliers)),
     )
-    assert shuffled.params() == second
+    assert [record.params for record in shuffled.points()] == [params for params, _, _ in second]
 
 
 def test_the_thm8_labels_build_each_points_plan_once():
     # the reason, point dict and flags of each (n, p) are worked out once
-    # per point, into the one plan its Params keeps: THM8_C1 builds it, and
+    # per point, into the one plan its record keeps: THM8_C1 builds it, and
     # THM8_C2, THM8_B and any later run on the list read it as it is
     calls = Counter()
 
@@ -797,15 +848,15 @@ def test_the_thm8_labels_build_each_points_plan_once():
             calls[self, m_max] += 1
             return super().singular_index(m_max)
 
-    points = [Counted(params.k, params.alpha, params.a) for params in ORDER_GRID.params()]
+    points = [Point(Counted(*key), [], {}) for key in ORDER_GRID._keys]
     reports = [run_identity(label, ORDER_GRID, None, points) for label in CONGRUENCE.values()]
     assert reports == [ORDER_REPORTS[label] for label in CONGRUENCE.values()]
-    congruent = [params for params in points if params.k >= 1]
-    assert not any(params._congruence for params in points if params.k < 1)
+    congruent = [record for record in points if record.params.k >= 1]
+    assert not any(record.plans for record in points if record.params.k < 1)
     for report in reports:
         rows = iter(report.verdicts)
-        for params in congruent:
-            (plan,) = params._congruence.values()
+        for record in congruent:
+            (plan,) = record.plans.values()
             for (index, point, why, flags), v in zip(plan, rows):
                 assert v.point is point and index == point["n"] * point["p"]
                 assert v.reason == why if why else v.reason in (None, NONREDUCIBLE_DENOMINATOR)
@@ -827,20 +878,34 @@ def test_thm9_and_thm10_rows_hold_the_same_printed_objects(monkeypatch):
         assert [v.point for v in thm9] == [v.point for v in thm10]
         return [(x.lhs, y.lhs) for x, y in zip(thm9, thm10) if x.status != UNDEFINED]
 
-    shared = printed_pairs(ORDER_GRID.params())
+    shared = printed_pairs(ORDER_GRID.points())
     assert shared and all(x is y for x, y in shared)
     # a rule of its own, equal in value, gives THM10 sums of its own
     coeff, reach = sequences._DERIV_COEFF[Family.CAUCHY2]
     own = (lambda n, m: coeff(n, m), reach)
     monkeypatch.setitem(sequences._DERIV_COEFF, Family.CAUCHY2, own)
-    apart = printed_pairs(ORDER_GRID.params())
+    apart = printed_pairs(ORDER_GRID.points())
     assert apart == shared and all(x is not y for x, y in apart)
+
+
+def test_printed_coefficients_are_one_fraction_per_rule_and_index():
+    # whatever last index a call asks for, as THM9-THM11 stop at each point's
+    # own: a Params keeps one printed Fraction per (rule, n), which the two
+    # cauchy families share
+    params = Params(2, Fraction(1, 2), 1)
+    for family in Family:
+        short = deriv_coeffs_printed(family, 3, params)
+        long = deriv_coeffs_printed(family, 5, params)
+        assert len(short) == 4 and all(map(operator.is_, short, long))
+        assert all(map(operator.is_, deriv_coeffs_printed(family, 2, params), long))
+    cauchy1 = deriv_coeffs_printed(Family.CAUCHY1, 4, params)
+    assert all(map(operator.is_, deriv_coeffs_printed(Family.CAUCHY2, 5, params), cauchy1))
 
 
 def test_collapse_rows_hold_the_points_weights():
     # THM5's right side is the weight Fraction that Params keeps, THM6's the
     # weight or its negation, THM4's n! times the weight
-    points = ORDER_GRID.params()
+    points = ORDER_GRID.points()
     for label in ("THM4", "THM5", "THM6"):
         held = 0
         for v in run_identity(label, ORDER_GRID, None, points).verdicts:
@@ -866,10 +931,10 @@ def test_hypothesis_flags_are_computed_once_per_point_and_prime(monkeypatch):
         return flags(params, p)
 
     monkeypatch.setattr(audit, "_hypothesis_flags", counted)
-    points = ORDER_GRID.params()
+    points = ORDER_GRID.points()
     for label in CONGRUENCE.values():
         assert run_identity(label, ORDER_GRID, None, points) == ORDER_REPORTS[label]
-    congruent = [params for params in points if params.k >= 1]
+    congruent = [params for params, _, _ in points if params.k >= 1]
     assert calls == {(params, p): 1 for params in congruent for p in ORDER_GRID.primes}
 
 
@@ -888,7 +953,7 @@ def test_every_row_is_decided_once_across_the_catalogue():
     # and a variant EQ11 whose Fraction numerators decide both kinds of row:
     # a HOLDS row holds one object as both sides, a FAILS row two unequal
     # ones, and a value identity's UNDEFINED row none
-    points = ORDER_GRID.params()
+    points = ORDER_GRID.points()
     reports = [run_identity(label, ORDER_GRID, None, points) for label in CATALOGUE]
     reports.append(run_identity("EQ11", ORDER_GRID, duality_prefactor("m", -1)))
     statuses = Counter()
@@ -917,7 +982,7 @@ def test_value_rows_compare_no_fraction_twice(monkeypatch):
     # THM1-THM3 and THM9-THM11 too: no Fraction is compared at all, whether
     # a run fills the list or reads what earlier runs kept
     assert len(VALUE_IDENTITIES) == 13
-    points = ORDER_GRID.params()
+    points = ORDER_GRID.points()
     compared = []
     equal = Fraction.__eq__
 
@@ -948,7 +1013,7 @@ def test_value_rows_are_the_verdicts_the_named_tuple_makes():
         lhs = [Fraction(n) for n in range(last + 1)]
         return lhs, [lhs[0], *(Fraction(-n) for n in range(1, last + 1))]
 
-    rows = _value_rows(grid, grid.params(), 0, sides)
+    rows = _value_rows(grid, grid.points(), 0, sides)
     assert all(type(v) is Verdict for v in rows)
 
     def point(a, n):
@@ -1008,12 +1073,12 @@ def test_a_row_holds_one_object_for_equal_sides(monkeypatch):
     # one object as both sides holds, and is not compared at all
     _CountedEq.compared = 0
     one = _CountedEq(1, 2)
-    held = _value_rows(grid, grid.params(), 0, lambda params, last: ([one] * (last + 1),) * 2)
+    held = _value_rows(grid, grid.points(), 0, lambda params, last: ([one] * (last + 1),) * 2)
     assert all(v.status == HOLDS and v.lhs is one and v.rhs is one for v in held)
     assert len(held) == 2 and _CountedEq.compared == 0
     # a FAILS row keeps both witnesses
     lhs, rhs = Fraction(1, 3), Fraction(1, 2)
-    failed = _value_rows(grid, grid.params(), 0, lambda params, last: ([lhs] * 2, [rhs] * 2))
+    failed = _value_rows(grid, grid.points(), 0, lambda params, last: ([lhs] * 2, [rhs] * 2))
     assert all(v.status == FAILS and v.lhs is lhs and v.rhs is rhs for v in failed)
     # the shared helper decides each row on integers: an equal value is the
     # known object, an unequal one a new witness, and none is compared
@@ -1044,7 +1109,7 @@ def test_integer_decided_holds_rows_keep_one_fraction():
     # THM4-THM6 and EQ9-EQ12 decide each row on integers: a HOLDS row holds
     # one Fraction as both sides, and EQ9-EQ12's is the left side that the
     # point's Params keeps, the very Fraction explicit_value returns
-    points = DECIDED_GRID.params()
+    points = DECIDED_GRID.points()
     statuses = Counter()
     proved, printed = ("THM4", "THM5", "THM6", "EQ9"), ("EQ10", "EQ11", "EQ12")
     for label in proved + printed:

@@ -49,13 +49,13 @@ EXPLICIT = [(Family.BERNOULLI, "THM1"), (Family.CAUCHY1, "THM2"), (Family.CAUCHY
 def test_a_sign_in_a_stirling_coefficient_fails_its_explicit_identity(
     capsys, monkeypatch, family, label
 ):
-    coeff = sequences._STIRLING_COEFF[family]
+    coeff, reach = sequences._STIRLING_COEFF[family]
 
     def mutant(n, m):
         return -coeff(n, m) if m == 1 else coeff(n, m)
 
     table = sequences._STIRLING_COEFF
-    assert_caught(capsys, monkeypatch, label.lower(), label, table, family, mutant)
+    assert_caught(capsys, monkeypatch, label.lower(), label, table, family, (mutant, reach))
 
 
 SCAN = ["--pair", "1,1", "--pair", "1/2,3/2", "--k-values", "1,2", "--primes", "3,5",
@@ -73,12 +73,12 @@ def test_a_sign_in_a_stirling_coefficient_changes_the_congruence_scan(
         return capsys.readouterr().out
 
     clean = scan()
-    coeff = sequences._STIRLING_COEFF[family]
+    coeff, reach = sequences._STIRLING_COEFF[family]
 
     def mutant(n, m):
         return -coeff(n, m) if m == 1 else coeff(n, m)
 
-    monkeypatch.setitem(sequences._STIRLING_COEFF, family, mutant)
+    monkeypatch.setitem(sequences._STIRLING_COEFF, family, (mutant, reach))
     assert scan() != clean
     monkeypatch.undo()
     assert scan() == clean

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlpoly import exact, sequences, series
-from hlpoly.audit import GridSpec, run_identity
+from hlpoly.audit import GridSpec, Point, run_identity
 from hlpoly.cli import main
 from hlpoly.exact import SingularParameterError, ensure_nonsingular
 from hlpoly.sequences import (
@@ -218,14 +218,14 @@ def test_a_thm8_run_grows_each_points_weight_prefix_once():
 
     pairs = tuple((Fraction(alpha), Fraction(a)) for alpha, a in ((1, 1), (3, "1/3"), (1, -20)))
     grid = GridSpec(k_values=(-1, 1, 2), pairs=pairs, primes=(3, 5, 7), multipliers=(1, 2, 3, 4))
-    points = [Counted(params.k, params.alpha, params.a) for params in grid.params()]
+    points = [Point(Counted(*key), [], {}) for key in grid._keys]
     for identity in ("THM8_C1", "THM8_C2", "THM8_B"):
         run_identity(identity, grid, points=points)
     # k = -1 has no congruence rows; 3,1/3 reads to 4*7 (p = 3 divides
     # alpha), and alpha*m + a vanishes at m = 20 for 1,-20, so 3*5 is its top
     tops = {Fraction(1): 28, Fraction(1, 3): 28, Fraction(-20): 15}
-    assert grows == {params: 1 for params in points if params.k >= 1}
-    for params in points:
+    assert grows == {params: 1 for params, _, _ in points if params.k >= 1}
+    for params, _, _ in points:
         top = tops[params.a] if params.k >= 1 else -1
         assert len(params._prefix[0]) == top + 1
 
@@ -360,13 +360,13 @@ def test_a_params_computes_each_value_once(monkeypatch):
     # a row built is its coefficient at m = 0 read; no call below is given a
     # row store, so without the Params' memo each call would build its rows
     built = collections.Counter()
-    for family, coeff in list(sequences._STIRLING_COEFF.items()):
+    for family, (coeff, reach) in list(sequences._STIRLING_COEFF.items()):
 
         def counted(n, m, family=family, coeff=coeff):
             built[family, n] += m == 0
             return coeff(n, m)
 
-        monkeypatch.setitem(sequences._STIRLING_COEFF, family, counted)
+        monkeypatch.setitem(sequences._STIRLING_COEFF, family, (counted, reach))
     params = Params(2, Fraction(1, 2), 1)
     for family in FAMILIES:
         values = explicit_sequence(family, 6, params)
@@ -586,12 +586,14 @@ def _names(code) -> set[str]:
 
 
 def test_the_series_memo_and_the_stirling_memos_stay_apart():
-    stirling_memos = {"_sums", "_prefix", "scaled_weights", "_scaled_sums"}
+    stirling_memos = {"_sums", "_values", "_prefix", "scaled_weights", "_stirling_sums"}
     assert not stirling_memos & _names(sequences._family_series.__code__)
     for function in (
-        sequences._scaled_sums,
+        sequences._stirling_sums,
+        sequences._stirling_values,
         explicit_scaled,
         explicit_value,
+        explicit_sequence,
         deriv_coeffs_printed,
     ):
         assert "_series" not in _names(function.__code__), function.__name__
@@ -629,7 +631,7 @@ def test_known_values_decide_the_series_side_and_change_no_value(function, stirl
 
 
 def test_a_kept_value_is_read_before_any_check(monkeypatch):
-    # a memo hit is one dict lookup: no index or singularity check, and a
+    # a memo hit is dict lookups alone: no index or singularity check, and a
     # family hashes by identity, in C
     assert Family.__hash__ is object.__hash__
     params = Params(1, 1, -3)
@@ -803,12 +805,12 @@ def test_the_recurrence_in_k_equals_both_paths_at_depth(family, alpha, a, k):
 def test_a_stirling_sign_breaks_the_stirling_path_against_the_recurrence(monkeypatch):
     params = (2, Fraction(1, 2), Fraction(1))
     expected = bruteforce.family_by_k_recurrence("cauchy2", *params, 8)
-    coeff = sequences._STIRLING_COEFF[Family.CAUCHY2]
+    coeff, reach = sequences._STIRLING_COEFF[Family.CAUCHY2]
 
     def mutant(n, m):
         return -coeff(n, m) if m == 1 else coeff(n, m)
 
-    monkeypatch.setitem(sequences._STIRLING_COEFF, Family.CAUCHY2, mutant)
+    monkeypatch.setitem(sequences._STIRLING_COEFF, Family.CAUCHY2, (mutant, reach))
     assert explicit_sequence(Family.CAUCHY2, 8, Params(*params)) != expected
     assert oracle_sequence(Family.CAUCHY2, 8, Params(*params)) == expected
 
