@@ -133,9 +133,12 @@ def exit_code(reports) -> int:
 # Each CATALOGUE entry is a check, rows(label, family, grid, points,
 # prefactor), that gives a whole grid's verdicts, `points` being the grid's
 # `Point` records in canonical order, as `GridSpec.points()` lists them. It
-# makes the row stores it reads when it starts, so that the run's points share
-# them and none outlives the run; a store's `store(n)` is row n, built on its
-# first request.
+# takes the row stores it reads when it starts, so that the run's points share
+# them; a store's `store(n)` is row n, built on its first request. The stores
+# of family coefficients live as long as the run. The triangle products and
+# collapse rows depend on no (k, alpha, a) and live as long as the process,
+# one store per tuple of the functions the run read when it started, so a
+# patched table entry or binding gets fresh rows.
 
 
 class Point(NamedTuple):
@@ -225,6 +228,10 @@ def _transformed(rows, family, last, params, family_rows) -> tuple[list, int]:
     return [sum(map(operator.mul, rows(n), nums)) for n in range(last + 1)], den
 
 
+# THM4-THM6's stores of triangle rows, one per triangle function: the CLI
+# reaches two, and the bound keeps a caller's new functions from piling up
+_triangle_rows = functools.lru_cache(maxsize=8)(row_store)
+
 _COLLAPSE_SHAPE = {
     # family -> (stirling triangle T, right-hand factor f) of
     # sum_m T(n, m) s_m = f(n) / (alpha n + a)^k
@@ -241,7 +248,8 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
         cauchy1:   sum_m {n m} c_m  = 1 / (alpha n + a)^k
         cauchy2:   sum_m {n m} ch_m = (-1)^n / (alpha n + a)^k
 
-    The run's store of triangle rows, `collapse(n)` = [T(n, m) for m = 0..n],
+    The store of triangle rows, `collapse(n)` = [T(n, m) for m = 0..n], is
+    the process's one store for the triangle function the run reads, and
     builds each row on its first request. The right side is the point's
     weight Fraction, kept on `params`, where f(n) is 1, its negation where
     f(n) is -1, and its product with f(n) otherwise; the left side, integer
@@ -249,7 +257,7 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
     the right side's Fraction as both.
     """
     triangle, factor = _COLLAPSE_SHAPE[family]
-    collapse = row_store(triangle)
+    collapse = _triangle_rows(triangle)
     family_rows = coefficient_rows(family)
 
     def sides(params, last):
@@ -270,11 +278,14 @@ PREFACTOR_EXPONENTS = {"0": (0, 0), "m": (1, 0), "n": (0, 1), "m+n": (1, 1)}
 PREFACTOR_POWERS = (-1, 0, 1)
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a bool or float power is checked
 def duality_prefactor(exp: str, power: int) -> Callable[[int, int], int | Fraction]:
     """(-1)^exp * (m!)^power as a function of (n, m), for an EXP token of
     PREFACTOR_EXPONENTS and a power in PREFACTOR_POWERS: an int for power 0
-    or 1, a Fraction for -1."""
-    if exp not in PREFACTOR_EXPONENTS or power not in PREFACTOR_POWERS:
+    or 1, a Fraction for -1. Each (exp, power) gives one function object, so
+    its triangle products are built once per process. A power that is not an
+    int, such as 1.0 or True, is refused."""
+    if exp not in PREFACTOR_EXPONENTS or type(power) is not int or power not in PREFACTOR_POWERS:
         raise ValueError(f"no prefactor (-1)^({exp}) * (m!)^{power} in the family")
     of_m, of_n = PREFACTOR_EXPONENTS[exp]
 
@@ -296,11 +307,18 @@ _DUALITY_SHAPE = {
 }
 
 
+# At most 26 keys are reachable from the CLI: the 12 prefactors of the family
+# on each of the two triangle pairs (the printed four among them) and
+# STIRLING_ORTHO's two forms. The bound keeps a caller that passes a new
+# prefactor on every run from growing the cache without limit.
+@functools.lru_cache(maxsize=32)
 def _product_rows(outer, inner, prefactor):
     """A row store of two Stirling triangles' product: `store(n)` is row n,
     l = 0..n, of c(n, l) = sum_{m=l..n} prefactor(n, m) outer(n, m) inner(m, l).
-    Each row is built once, on its first request, so the prefactor is called
-    once per (n, m) with outer(n, m) != 0 and only for rows someone asks for.
+    One store per (outer, inner, prefactor) object triple, kept for the
+    process. Each row is built once, on its first request, so a prefactor
+    object is called once per (n, m) with outer(n, m) != 0 and only for rows
+    someone asks for, however many runs read it.
     """
 
     @functools.cache
@@ -326,8 +344,9 @@ def _duality_rows(label, family, grid, points, prefactor) -> list[Verdict]:
         EQ12: ch_n = sum_{l,m<=n} (-1)^n     m! [n m] [m l] B_l
 
     The double sum is evaluated as sum_l c_l x_l over the summed family's
-    values x_l, with row n of the c_l read from the run's store of triangle
-    products; both families' coefficients come from the run's stores too.
+    values x_l, with row n of the c_l read from the process's store of the
+    triangle products under the run's prefactor; both families' coefficients
+    come from the run's stores.
     The left side is the Fractions that `params` keeps; the double sums,
     integer numerators over one denominator, are decided against them, so
     a HOLDS row keeps the left side's Fraction as both and builds none.
@@ -433,7 +452,9 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
 def _stirling_orthogonality(label, family, grid, points, prefactor) -> list[Verdict]:
     """sum_{m=l..n} T(n,m) U(m,l) (-1)^m = (-1)^n delta_{n,l} over the full
     triangle 0 <= l <= n <= grid.stirling_n_max, for both triangle orders,
-    the sums read from the `_product_rows` store that EQ9..EQ12 read too:
+    the sums read from the `_product_rows` builder that EQ9..EQ12 read too,
+    one store per form for the process, keyed by this module's
+    `stirling1_unsigned` and `stirling2` bindings as the run reads them:
 
         form first_second: T = [..], U = {..}
         form second_first: T = {..}, U = [..]
@@ -525,11 +546,13 @@ class GridSpec:
         if self.k_values:
             for alpha, a in self.pairs:
                 Params.rational_pair(alpha, a)
-        # The points' keys, sorted here once per grid in the canonical
-        # (k, alpha, a) order of `points()`; no two tie, as no value is listed
-        # twice. Not a field: equality, hash, repr and the CLI's JSON grid
-        # header read the fields alone.
-        keys = tuple(sorted((k, alpha, a) for alpha, a in self.pairs for k in self.k_values))
+        # The points' keys in the canonical (k, alpha, a) order of `points()`,
+        # built once per grid: k-major over the sorted k values and sorted
+        # pairs is the order of the sorted key tuples, as no value is listed
+        # twice, and sorts only the pairs by their Fractions. Not a field:
+        # equality, hash, repr and the CLI's JSON grid header read the fields.
+        pairs = sorted(self.pairs)
+        keys = tuple((k, alpha, a) for k in sorted(self.k_values) for alpha, a in pairs)
         object.__setattr__(self, "_keys", keys)
 
     def points(self) -> list[Point]:
@@ -590,10 +613,14 @@ def run_identity(
     record's point dicts and THM8 plan (the verdicts' `point`, read-only).
     The first identity in catalogue order that needs them does the work: in
     per-identity timings, THM1-THM3 carry each family's sums and its one
-    series composition, which THM9-THM11 then read. Each check makes its row
+    series composition, which THM9-THM11 then read. Each check takes its row
     stores when its run starts, one per kind of row it reads, `store(n)`
-    being row n, and all its points share them; no row outlives the run.
-    Without a list, nothing the run computes outlives it.
+    being row n, and all its points share them. Family coefficient rows
+    live as long as the run; the triangle products of EQ9..EQ12 and
+    STIRLING_ORTHO and THM4-THM6's triangle rows depend on no point and
+    live as long as the process, one store per tuple of functions the run
+    reads when it starts (a `prefactor` object is one key). Without a list,
+    nothing else the run computes outlives it.
     """
     if identity not in CATALOGUE:
         raise ValueError(f"unknown identity: {identity!r}")

@@ -374,14 +374,9 @@ def _cell(value) -> str:
 
 
 def _aligned_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    line = "  ".join(f"{{:<{width}}}" for width in widths).format
+    return "\n".join([line(*row).rstrip() for row in (header, *rows)])
 
 
 def _verdict_texts(verdicts, points: dict, point_text, side_text) -> Iterator[tuple]:

@@ -145,7 +145,7 @@ def test_the_prefactor_family_is_a_sign_times_a_power_of_m_factorial():
                     expected = (-1) ** (of_m * m + of_n * n) * Fraction(factorial(m)) ** power
                     assert value == expected
                     assert type(value) is (Fraction if power < 0 else int)
-    for exp, power in (("1", 1), ("m", 2), ("m+n", "1")):
+    for exp, power in (("1", 1), ("m", 2), ("m+n", "1"), ("m", 0.0), ("n", True)):
         with pytest.raises(ValueError):
             duality_prefactor(exp, power)
 
@@ -413,23 +413,60 @@ def test_runs_to_a_larger_index_grow_each_records_point_dicts():
     assert [len(index) for _, index, _ in points] == [6, 6]
 
 
-def test_the_coefficient_store_calls_each_prefactor_once_per_run():
-    printed = _DUALITY_SHAPE["EQ11"][2]
+def counted_prefactor(prefactor) -> tuple:
+    """A new function object equal to `prefactor`, and its calls per (n, m)."""
     calls = Counter()
 
     def counted(n, m):
         calls[n, m] += 1
-        return printed(n, m)
+        return prefactor(n, m)
 
+    return counted, calls
+
+
+def test_the_coefficient_store_calls_each_prefactor_object_once():
+    # the triangle products are kept for the process, one store per
+    # prefactor object: it is called once per (n, m) with [n m] != 0, not
+    # once per point, and a later run with the same object calls it no more
+    printed = _DUALITY_SHAPE["EQ11"][2]
+    counted, calls = counted_prefactor(printed)
     # (1, -2) is singular at m = 2, so that point evaluates n <= 1 only
     grid = GridSpec(n_max=5, k_values=(1, 2), pairs=((1, 1), (1, -2), (2, 1)))
     assert run_identity("EQ11", grid, counted) == run_identity("EQ11", grid)
-    # once per (n, m) with [n m] != 0 for the whole run, not once per point
     needed = {(n, m) for n in range(6) for m in range(n + 1) if stirling1_unsigned(n, m)}
     assert calls == dict.fromkeys(needed, 1)
     calls.clear()
+    assert run_identity("EQ11", grid, counted) == run_identity("EQ11", grid)
+    assert calls == {}
+    # a new object gets a store of its own, built only as far as asked for
+    counted, calls = counted_prefactor(printed)
     run_identity("EQ11", GridSpec(n_max=5, k_values=(1, 2), pairs=((1, -2),)), counted)
     assert calls == {(0, 0): 1, (1, 1): 1}
+
+
+def test_each_prefactor_and_triangle_tuple_has_one_store_for_the_process():
+    for exp in PREFACTOR_EXPONENTS:
+        for power in PREFACTOR_POWERS:
+            assert duality_prefactor(exp, power) is duality_prefactor(exp, power)
+    printed = _DUALITY_SHAPE["EQ11"][2]
+    store = _product_rows(stirling1_unsigned, stirling1_unsigned, printed)
+    assert _product_rows(stirling1_unsigned, stirling1_unsigned, printed) is store
+    counted, _ = counted_prefactor(printed)
+    other = _product_rows(stirling1_unsigned, stirling1_unsigned, counted)
+    assert other is not store and other(6) == store(6)
+    # every key the CLI can reach fits in the bound, so none is rebuilt:
+    # STIRLING_ORTHO's two forms and each family prefactor on both pairs
+    triangles = (stirling1_unsigned, stirling2)
+    keys = [(*pair, duality_prefactor("m", 0)) for pair in (triangles, triangles[::-1])]
+    keys += [
+        (triangle, triangle, duality_prefactor(exp, power))
+        for triangle in triangles
+        for exp in PREFACTOR_EXPONENTS
+        for power in PREFACTOR_POWERS
+    ]
+    stores = [_product_rows(*key) for key in keys]
+    assert len(keys) <= _product_rows.cache_parameters()["maxsize"]
+    assert all(_product_rows(*key) is kept for key, kept in zip(keys, stores))
 
 
 # identity -> the Stirling lookups of its families' coefficient rows on the

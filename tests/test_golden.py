@@ -167,6 +167,26 @@ def test_canonical_output_digest(capsys, argv, digest, code):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# One process, several commands: the triangle products and collapse rows live
+# as long as the process, so a variant prefactor's store and STIRLING_ORTHO's
+# stores grown past the default 20 rows must leave the default audit's bytes
+# as a fresh process writes them.
+WARM = [
+    (["audit", "--identity", "eq11", "--variant-prefactor", "m+n,-1"], 0),
+    (["audit", "--identity", "stirling-ortho", "--stirling-n-max", "60"], 0),
+]
+
+
+def test_a_warm_process_writes_the_canonical_audit(capsys):
+    argv, digest, code = GOLDEN[0].values
+    outputs = []
+    for command, expected in [(argv, code), *WARM, (argv, code)]:
+        assert main(command) == expected
+        outputs.append(capsys.readouterr().out)
+    assert outputs[-1] == outputs[0]
+    assert hashlib.sha256(outputs[0].encode("utf-8")).hexdigest() == digest
+
+
 # The series side of the CLI: every kernel to order 16, plain and EGF, and
 # both table methods (Stirling sum and generating function) for each family
 # at a negative and a positive k, the oracle alone for each family at a

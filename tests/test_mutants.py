@@ -8,9 +8,12 @@ invariant by behaviour, as tests/test_independence.py checks it by imports.
 Each mutant runs after a warm-up audit of the unpatched code, so that a
 table keyed too coarsely would serve the unpatched values and hide it: the
 kernel powers keyed by kernel name, a point's Stirling sums kept past its
-command, or coefficient rows (THM8's, THM9-THM11's derivative rows, EQ9-EQ12's
-and STIRLING_ORTHO's triangle products) that outlive their run. After
-the patch is undone, the audit holds again: no cache kept the mutant either.
+command, or coefficient rows (THM8's, THM9-THM11's derivative rows) that
+outlive their run. EQ9-EQ12's and STIRLING_ORTHO's triangle products and
+THM4-THM6's triangle rows do outlive their run: the process keeps them, keyed
+by the functions a run reads when it starts, so a patched table entry or
+binding is a new key with fresh rows. After the patch is undone, the audit
+holds again: no cache kept the mutant either.
 """
 
 import json
@@ -161,8 +164,8 @@ def test_a_dropped_collapse_sign_fails_thm6(capsys, monkeypatch):
     assert_caught(capsys, monkeypatch, "thm6", "THM6", table, Family.CAUCHY2, shape)
 
 
-# THM4-THM6 read their triangle when a run starts: a triangle row store that
-# outlived its run would keep the unpatched rows
+# THM4-THM6 read their triangle when a run starts: a triangle row store kept
+# by family, not by triangle function, would serve the unpatched rows
 def test_a_sign_in_a_collapse_triangle_fails_thm4(capsys, monkeypatch):
     triangle, factor = audit._COLLAPSE_SHAPE[Family.BERNOULLI]
 
