@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -104,10 +103,24 @@ def _undefined(point: dict, reason: str, **extra) -> Verdict:
     return Verdict(status=UNDEFINED, point=point, reason=reason, **extra)
 
 
-@dataclass
 class AuditReport:
-    identity: str
-    verdicts: list[Verdict]
+    """One identity's verdicts, in the order its check made them. Reports
+    with equal identities and equal verdict lists compare equal; a report,
+    whose verdict list can change, is not hashable."""
+
+    __slots__ = ("identity", "verdicts")
+
+    def __init__(self, identity: str, verdicts: list[Verdict]):
+        self.identity = identity
+        self.verdicts = verdicts
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.identity == other.identity and self.verdicts == other.verdicts
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(identity={self.identity!r}, verdicts={self.verdicts!r})"
 
     @property
     def summary(self) -> dict[str, int]:
@@ -493,7 +506,6 @@ DEFAULT_PAIRS: tuple[tuple[Fraction, Fraction], ...] = (
 )
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid for audits; the defaults are the documented ones.
 
@@ -505,17 +517,29 @@ class GridSpec:
     and stirling_n_max are >= 0, every prime is a prime below 2**16, every
     multiplier is >= 1, no k, pair, prime or multiplier is listed twice, and
     every point would make a `Params` (each k an int and each pair's alpha
-    nonzero), checked per k and per pair. `points()` lists the points.
+    and a rationals, not bools, with alpha nonzero), checked per k and per
+    pair. `points()` lists the points.
+
+    A grid is a value: its fields, named in order by `FIELDS`, alone fix
+    equality, hash and repr, and none can be assigned after construction.
     """
 
-    n_max: int = 12
-    k_values: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
-    pairs: tuple[tuple[Fraction, Fraction], ...] = DEFAULT_PAIRS
-    primes: tuple[int, ...] = (3, 5, 7, 11)
-    multipliers: tuple[int, ...] = (1, 2, 3)
-    stirling_n_max: int = 20
+    FIELDS = ("n_max", "k_values", "pairs", "primes", "multipliers", "stirling_n_max")
+    __slots__ = (*FIELDS, "_keys")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n_max: int = 12,
+        k_values: tuple[int, ...] = (-2, -1, 0, 1, 2, 3),
+        pairs: tuple[tuple[Fraction, Fraction], ...] = DEFAULT_PAIRS,
+        primes: tuple[int, ...] = (3, 5, 7, 11),
+        multipliers: tuple[int, ...] = (1, 2, 3),
+        stirling_n_max: int = 20,
+    ):
+        # the arguments in the order of FIELDS
+        given = n_max, k_values, pairs, primes, multipliers, stirling_n_max
+        for field, value in zip(self.FIELDS, given):
+            object.__setattr__(self, field, value)
         # the rule Params applies to k: a float or a bool is not an index
         for value in (self.n_max, self.stirling_n_max, *self.primes, *self.multipliers):
             if type(value) is not int:
@@ -550,10 +574,34 @@ class GridSpec:
         # built once per grid: k-major over the sorted k values and sorted
         # pairs is the order of the sorted key tuples, as no value is listed
         # twice, and sorts only the pairs by their Fractions. Not a field:
-        # equality, hash, repr and the CLI's JSON grid header read the fields.
+        # equality, hash, repr and the CLI's JSON grid header read `FIELDS`.
         pairs = sorted(self.pairs)
         keys = tuple((k, alpha, a) for k in sorted(self.k_values) for alpha, a in pairs)
         object.__setattr__(self, "_keys", keys)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.FIELDS)
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
     def points(self) -> list[Point]:
         """A new `Point` for each point, in canonical (k, alpha, a) order,

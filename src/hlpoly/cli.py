@@ -133,7 +133,7 @@ def _json_reports(command: str, grid: GridSpec, reports, variant: str | None) ->
     small grid header still goes through it. The pieces are joined once, so
     the text is held in memory once beside them."""
     # the grid's fields alone, not vars(grid), which holds its sorted keys too
-    header = {field: getattr(grid, field) for field in GridSpec.__dataclass_fields__}
+    header = {field: getattr(grid, field) for field in GridSpec.FIELDS}
     header["pairs"] = [[format_rational(alpha), format_rational(a)] for alpha, a in grid.pairs]
     head = json.dumps({"command": command, "grid": header}, indent=2, sort_keys=True)
     # head ends with the grid's closing "\n}"; "reports" sorts after "grid"
@@ -512,7 +512,7 @@ def _cmd_series(args) -> tuple[int, Iterable[str]]:
 
 def _grid_from_args(args) -> GridSpec:
     """The grid of the flags given; GridSpec fills in the rest and checks it."""
-    given = {field: getattr(args, field, None) for field in GridSpec.__dataclass_fields__}
+    given = {field: getattr(args, field, None) for field in GridSpec.FIELDS}
     given["pairs"] = tuple(args.pair) if args.pair else None
     try:
         return GridSpec(**{key: value for key, value in given.items() if value is not None})
@@ -564,14 +564,18 @@ def _csv_lines(reports) -> Iterator[str]:
     # k, alpha, a, n, p and the hypothesis flag, and none is empty. Rows
     # stream: joining a large scan's rows first raised peak memory by 5%.
     points: dict = {}
+    # a verdict's constant fields after rhs -> the row's text from reason on,
+    # rendered once per combination, as the JSON writer's `constants` are
+    tails: dict = {}
     yield ",".join(["identity"] + _report_rows(reports[0], points)[0]) + "\n"
     for report in reports:
         label = report.identity.lower()
         for v, point, lhs, rhs in _verdict_texts(report.verdicts, points, _csv_point, _cell):
-            yield (
-                f"{label},{point}{v.status},{lhs},{rhs},{_cell(v.reason)},"
-                f"{_cell(v.hypothesis_ok)},{_cell(v.hypothesis_note)}\n"
-            )
+            key = v.reason, v.hypothesis_ok, v.hypothesis_note
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = ",".join(map(_cell, key)) + "\n"
+            yield f"{label},{point}{v.status},{lhs},{rhs},{tail}"
 
 
 def _write(output: Iterable[str]) -> None:

@@ -45,7 +45,6 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -82,21 +81,21 @@ class Family(enum.Enum):
 FAMILIES = (Family.BERNOULLI, Family.CAUCHY1, Family.CAUCHY2)
 
 
-@dataclass(frozen=True)
 class Params:
     """Family parameters: integer k (any sign), rational alpha != 0, rational a.
 
     alpha and a are ints or rationals (`numbers.Rational`), kept as exact
-    Fractions; a float, whose binary expansion is rarely the value meant, or
-    any other type raises ValueError, as a k that is not an int does.
-    alpha*m + a must stay nonzero over whichever index range a computation
-    touches; that is checked per call against the largest m actually used.
+    Fractions; a bool, a float, whose binary expansion is rarely the value
+    meant, or any other type raises ValueError, as a k that is not an int
+    does. alpha*m + a must stay nonzero over whichever index range a
+    computation touches; that is checked per call against the largest m
+    actually used.
 
     A Params computes the root -a/alpha and alpha*m + a in integers once, on
     construction, so `singular_index` is a comparison, and keeps what the
     functions given it compute, each once, in memos that are not fields:
-    (k, alpha, a) alone fix equality, hash and repr, and `dataclasses.replace`
-    starts them empty. They are
+    (k, alpha, a) alone fix equality, hash and repr, none of the three can be
+    assigned, and `Params(p.k, p.alpha, p.a)` starts the memos empty. They are
 
       _prefix   the weights 1/(alpha*m + a)^k as one integer prefix over one
                 denominator, (W, D), which `scaled_weights` grows;
@@ -111,13 +110,18 @@ class Params:
                 `oracle_sequence` and `deriv_coeffs_oracle` read.
     """
 
+    __slots__ = (
+        "k", "alpha", "a", "_line", "_root", "_prefix", "_weights", "_sums", "_values", "_series"
+    )
+
     k: int
     alpha: Fraction
     a: Fraction
 
-    def __post_init__(self):
-        self.check_k(self.k)
-        alpha, a = self.rational_pair(self.alpha, self.a)
+    def __init__(self, k: int, alpha, a):
+        self.check_k(k)
+        alpha, a = self.rational_pair(alpha, a)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "a", a)
         # alpha*m + a = (P S m + R Q) / (Q S) for alpha = P/Q and a = R/S
@@ -132,6 +136,26 @@ class Params:
         object.__setattr__(self, "_values", collections.defaultdict(dict))
         object.__setattr__(self, "_series", {})
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.k, self.alpha, self.a)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.k == other.k and self.alpha == other.alpha and self.a == other.a
+
+    def __hash__(self):
+        return hash((self.k, self.alpha, self.a))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(k={self.k!r}, alpha={self.alpha!r}, a={self.a!r})"
+
     @staticmethod
     def check_k(k) -> None:
         """ValueError unless k is an int: a float or a bool is not an index."""
@@ -141,11 +165,13 @@ class Params:
     @staticmethod
     def rational_pair(alpha, a) -> tuple[Fraction, Fraction]:
         """(alpha, a) as the Fractions a Params keeps: an exact Fraction as it
-        is, another rational copied, anything else or alpha == 0 ValueError."""
+        is, another rational copied, a bool, anything else or alpha == 0
+        ValueError."""
         pair = []
         for name, value in (("alpha", alpha), ("a", a)):
             if type(value) is not Fraction:
-                if not isinstance(value, numbers.Rational):
+                # a bool is a numbers.Rational, but True is not the 1 meant
+                if type(value) is bool or not isinstance(value, numbers.Rational):
                     raise ValueError(f"{name} must be an int or a rational, got {value!r}")
                 value = Fraction(value)
             pair.append(value)

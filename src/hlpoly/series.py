@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ensure_nonsingular
@@ -45,28 +44,52 @@ class TruncationExceededError(ValueError):
     """A coefficient beyond the stored truncation order was requested."""
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """sum(nums[n] / den * t^n / n!) truncated at order len(nums) - 1.
 
     The numerators and the denominator are ints, kept in lowest terms (their
-    gcd divided out), so equal series compare equal.
+    gcd divided out), so equal series compare equal. A series is a value:
+    (nums, den) alone fix equality, hash and repr, and neither can be
+    assigned after construction.
     """
 
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("nums", "den")
 
-    def __post_init__(self):
-        if not self.nums:
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, nums: tuple[int, ...], den: int = 1):
+        if not nums:
             raise ValueError("a series stores at least the constant coefficient")
-        if self.den <= 0:
+        if den <= 0:
             raise ValueError("the denominator must be positive")
-        common = math.gcd(self.den, *self.nums)
+        common = math.gcd(den, *nums)
         if common != 1:
-            object.__setattr__(self, "nums", tuple(v // common for v in self.nums))
-            object.__setattr__(self, "den", self.den // common)
-        elif type(self.nums) is not tuple:
-            object.__setattr__(self, "nums", tuple(self.nums))
+            nums, den = tuple(v // common for v in nums), den // common
+        elif type(nums) is not tuple:
+            nums = tuple(nums)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.nums, self.den)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(nums={self.nums!r}, den={self.den!r})"
 
     @property
     def order(self) -> int:

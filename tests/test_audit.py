@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -698,14 +700,25 @@ def test_grid_rules_raise_at_construction(fields):
 
 @pytest.mark.parametrize(
     "point",
-    [(1.5, 1, 1), (True, 1, 1), (1, 0, 1), (1, 1.5, 1), (1, 1, 0.5), (1, "1", 1), (1.5, 0.5, 1)],
+    [
+        (1.5, 1, 1),
+        (True, 1, 1),
+        (1, 0, 1),
+        (1, 1.5, 1),
+        (1, 1, 0.5),
+        (1, "1", 1),
+        (1.5, 0.5, 1),
+        # a bool is a numbers.Rational, and is refused as alpha or a too
+        (1, True, 1),
+        (1, 1, False),
+    ],
 )
 def test_a_grid_checks_the_point_rules_without_building_a_point(monkeypatch, point):
     # the rules of Params, checked once per k and once per pair with its
     # messages, and no Params built until points() lists the points
     built = []
-    check = Params.__post_init__
-    monkeypatch.setattr(Params, "__post_init__", lambda self: built.append(check(self)))
+    check = Params.__init__
+    monkeypatch.setattr(Params, "__init__", lambda self, *key: built.append(check(self, *key)))
     assert GridSpec() == DEFAULT_GRID and built == []
     assert len(DEFAULT_GRID.points()) == len(built) == 36
     k, alpha, a = point
@@ -814,10 +827,15 @@ def test_rows_follow_the_point_order_whatever_the_grid_order(pairs, k_values, pr
         assert report == expected
 
 
+def slot_values(params: Params) -> list:
+    """Every attribute a Params holds, its fields and its memos."""
+    return [getattr(params, name) for name in Params.__slots__]
+
+
 def memo_ids(record):
     """The ids of the containers a point record and its Params keep memos in."""
     params = record.params
-    kept = [value for value in vars(params).values() if isinstance(value, (list, dict))]
+    kept = [value for value in slot_values(params) if isinstance(value, (list, dict))]
     memos = [*kept, params._prefix[0], *params._values.values(), record.index, record.plans]
     return {id(memo) for memo in memos}
 
@@ -836,7 +854,7 @@ def held_ids(value) -> set[int]:
         elif isinstance(item, (list, tuple, set)):
             todo += item
         elif isinstance(item, Params):
-            todo += vars(item).values()
+            todo += slot_values(item)
     return ids
 
 
@@ -851,8 +869,9 @@ def test_each_points_call_lists_new_points_in_canonical_order():
     # earlier list
     assert all(index == [] and plans == {} for _, index, plans in second)
     assert all(index and plans for params, index, plans in first if params.k >= 1)
-    assert all(vars(params) == vars(Params(*key)) for (params, _, _), key in zip(second, keys))
-    assert all(vars(params) != vars(Params(*key)) for (params, _, _), key in zip(first, keys))
+    new = [slot_values(Params(*key)) for key in keys]
+    assert all(slot_values(params) == held for (params, _, _), held in zip(second, new))
+    assert all(slot_values(params) != held for (params, _, _), held in zip(first, new))
     assert not {id(record.params) for record in first} & {id(record.params) for record in second}
     assert not set().union(*map(memo_ids, first)) & set().union(*map(memo_ids, second))
     # the point dicts and THM8 plans live on the records: after every label
@@ -1191,6 +1210,47 @@ def test_every_corrected_prefactor_holds_with_one_fraction(label):
     report = run_identity(label, DECIDED_GRID, duality_prefactor(*ERRATA[label]))
     assert report.summary == {"holds": 4 * 4 * 7, "fails": 0, "undefined": 0}
     assert all(type(v.lhs) is Fraction and v.rhs is v.lhs for v in report.verdicts)
+
+
+def test_grids_and_reports_are_values():
+    # a grid's fields alone fix equality, hash and repr, and none can be
+    # assigned or deleted; a copy or a pickled copy is an equal grid
+    grid = GridSpec(n_max=3, k_values=(1,), pairs=((1, Fraction(1, 2)),), primes=(3,))
+    assert repr(grid) == (
+        "GridSpec(n_max=3, k_values=(1,), pairs=((1, Fraction(1, 2)),), primes=(3,), "
+        "multipliers=(1, 2, 3), stirling_n_max=20)"
+    )
+    again = GridSpec(3, (1,), ((Fraction(1), Fraction(1, 2)),), (3,), (1, 2, 3), 20)
+    assert grid == again and hash(grid) == hash(again)
+    assert GridSpec() == DEFAULT_GRID and hash(GridSpec()) == hash(DEFAULT_GRID)
+    assert grid != GridSpec(3, (1,), ((1, Fraction(1, 2)),), (5,))
+    # the same values listed in another order make the same points, not an
+    # equal grid
+    reordered = GridSpec(3, (1,), ((1, Fraction(1, 2)),), (3,), (3, 2, 1))
+    assert reordered != grid and reordered._keys == grid._keys
+    fields = ("n_max", "k_values", "pairs", "primes", "multipliers", "stirling_n_max")
+    assert grid != tuple(getattr(grid, field) for field in fields)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(grid, field, getattr(grid, field))
+        with pytest.raises(AttributeError):
+            delattr(grid, field)
+    for same in (copy.copy(grid), pickle.loads(pickle.dumps(grid))):
+        assert same == grid and repr(same) == repr(grid)
+        assert same.points() == grid.points()
+    # a report compares its identity and verdicts, is not hashable, and its
+    # verdict list can be replaced
+    verdict = Verdict(HOLDS, {"k": 1, "n": 0}, Fraction(1), Fraction(1))
+    report = AuditReport("THM1", [verdict])
+    assert report == AuditReport("THM1", [Verdict(HOLDS, {"k": 1, "n": 0}, 1, 1)])
+    assert report != AuditReport("THM2", [verdict]) and report != AuditReport("THM1", [])
+    assert report != ("THM1", [verdict])
+    assert repr(AuditReport("THM1", [])) == "AuditReport(identity='THM1', verdicts=[])"
+    with pytest.raises(TypeError):
+        hash(report)
+    report.verdicts = []
+    assert report == AuditReport("THM1", [])
+    assert report.summary == {"holds": 0, "fails": 0, "undefined": 0}
 
 
 def test_reports_are_reproducible():

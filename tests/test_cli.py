@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -470,7 +469,7 @@ def test_report_writer_matches_the_canonical_dump(command, grid, reports, varian
     reference = {
         "command": command,
         # the grid's fields, and no attribute that is not one
-        "grid": {**dataclasses.asdict(grid), "pairs": pairs},
+        "grid": {**{field: getattr(grid, field) for field in GridSpec.FIELDS}, "pairs": pairs},
         "reports": [_reference_report(r, variant) for r in reports],
     }
     text = cli._json_reports(command, grid, reports, variant)
@@ -994,6 +993,31 @@ def test_internal_error_exits_70_on_one_stderr_line(capsys, argv):
     assert (code, out) == (70, "")
     assert err.startswith("error: internal error: ValueError: ")
     assert err.count("\n") == 1
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The names in sys.modules of a fresh interpreter that ran `statement`."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    return set(child.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["hlpoly.cli", "hlpoly"])
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect(module):
+    # every command pays for its imports before it reads its argv, and
+    # dataclasses brings inspect, ast and dis; the bare interpreter's own
+    # modules, which a site hook may extend, are not the package's
+    loaded = _modules_after(f"import {module}") - _modules_after("pass")
+    assert module in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 # A reader that stops early, as `| head -1` does, ends the output: the run

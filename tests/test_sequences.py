@@ -1,7 +1,8 @@
 import collections
-import dataclasses
+import copy
 import itertools
 import operator
+import pickle
 import re
 from fractions import Fraction
 from math import factorial
@@ -156,6 +157,28 @@ def test_scaled_weights_memo_matches_a_fresh_build(params, requests):
     assert repr(params) == repr(fresh)
 
 
+def test_a_params_is_a_value():
+    # (k, alpha, a) alone fix equality, hash and repr, the memos do not, and
+    # no attribute can be assigned or deleted; a copy or a pickled copy is
+    # an equal Params
+    params = Params(2, Fraction(1, 2), 1)
+    assert repr(params) == "Params(k=2, alpha=Fraction(1, 2), a=Fraction(1, 1))"
+    for same in (copy.copy(params), pickle.loads(pickle.dumps(params))):
+        assert same == params and repr(same) == repr(params)
+    params.scaled_weights(6)
+    explicit_sequence(Family.CAUCHY1, 4, params)
+    fresh = Params(2, Fraction(2, 4), Fraction(1))
+    assert params == fresh and hash(params) == hash(fresh)
+    assert params != Params(3, Fraction(1, 2), 1) and params != Params(2, Fraction(1, 2), 2)
+    assert params != (2, Fraction(1, 2), Fraction(1))
+    for name in ("k", "alpha", "a", "_prefix", "_values"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, getattr(params, name))
+        with pytest.raises(AttributeError):
+            delattr(params, name)
+    assert copy.copy(params) == params
+
+
 # alpha and a negative or not whole and k of either sign, k <= 0 included:
 # the base alpha*m + a is made from integers as (P S m + R Q) / (Q S), for
 # alpha = P/Q and a = R/S, so its sign and denominator must come out right
@@ -193,12 +216,12 @@ def test_scaled_weights_builds_each_weight_once_per_instance(monkeypatch):
     assert len(calls) == 21
     warm.scaled_weights(24)
     assert len(calls) == 25
-    # replace builds a new instance, whose memo starts empty
-    copy = dataclasses.replace(warm)
+    # a new instance of the same key starts an empty memo
+    copy = Params(warm.k, warm.alpha, warm.a)
     assert copy == warm
     copy.scaled_weights(3)
     assert len(calls) == 29
-    assert dataclasses.replace(warm, k=3).scaled_weights(4) == bruteforce.scaled_weights(
+    assert Params(3, warm.alpha, warm.a).scaled_weights(4) == bruteforce.scaled_weights(
         3, Fraction(1, 2), 1, 4
     )
 
@@ -249,9 +272,9 @@ def test_explicit_scaled_sums_each_family_once_per_instance(monkeypatch):
     assert len(lookups) == 38
     fresh = Params(2, Fraction(1, 2), 1)
     assert params == fresh and hash(params) == hash(fresh) and repr(params) == repr(fresh)
-    # a new instance, from replace too, starts with no sums
+    # a new instance, from the kept Fractions too, starts with no sums
     assert explicit_scaled(Family.BERNOULLI, 6, fresh) == first
-    assert explicit_scaled(Family.BERNOULLI, 6, dataclasses.replace(params)) == first
+    assert explicit_scaled(Family.BERNOULLI, 6, Params(params.k, params.alpha, params.a)) == first
     assert len(lookups) == 38 + 2 * 28
 
 
@@ -382,8 +405,8 @@ def test_a_params_computes_each_value_once(monkeypatch):
         assert again is not values and all(map(operator.is_, again, kept))
         assert explicit_value(family, 0, params) is kept[0]
     assert built == {(family, n): 1 for family in FAMILIES for n in range(8)}
-    # a replaced instance starts an empty memo and computes afresh
-    fresh = dataclasses.replace(params)
+    # a new instance of the same key starts an empty memo and computes afresh
+    fresh = Params(params.k, params.alpha, params.a)
     assert explicit_value(Family.CAUCHY1, 7, fresh) == explicit_value(Family.CAUCHY1, 7, params)
     assert explicit_value(Family.CAUCHY1, 7, fresh) is not explicit_value(
         Family.CAUCHY1, 7, params
@@ -616,7 +639,7 @@ def test_known_values_decide_the_series_side_and_change_no_value(function, stirl
             plain = function(family, 6, params)
             assert all(type(value) is Fraction for value in plain)
             assert not any(map(operator.is_, plain, known))
-            values = function(family, 6, dataclasses.replace(params), known=known)
+            values = function(family, 6, Params(params.k, params.alpha, params.a), known=known)
             assert values == plain
             for x, y in zip(known, values):
                 assert type(y) is Fraction and (y is x) == (y == x)
@@ -735,7 +758,8 @@ def test_a_shared_derivative_row_store_gives_the_values_of_a_fresh_one():
         for params in SMALL_GRID:
             for n_max in (6, 3, 8):
                 shared = deriv_coeffs_printed(family, n_max, params, rows)
-                assert shared == deriv_coeffs_printed(family, n_max, dataclasses.replace(params))
+                fresh = Params(params.k, params.alpha, params.a)
+                assert shared == deriv_coeffs_printed(family, n_max, fresh)
 
 
 def test_deriv_validity_range():

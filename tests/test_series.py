@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -56,6 +58,23 @@ def test_series_holds_ints_in_lowest_terms():
         PowerSeries(())
     with pytest.raises(TypeError):
         PowerSeries((Fraction(1, 2),))
+
+
+def test_a_series_is_a_value():
+    # (nums, den) alone fix equality, hash and repr, and neither field can
+    # be assigned or deleted; a copy or a pickled copy is an equal series
+    f = PowerSeries([0, 2], 2)
+    assert repr(f) == "PowerSeries(nums=(0, 1), den=1)"
+    assert f == PowerSeries((0, 1)) and hash(f) == hash(PowerSeries((0, 3), 3))
+    assert f != PowerSeries((0, 1), 2) and f != PowerSeries((0, 1, 0))
+    assert f != ((0, 1), 1)
+    for field in ("nums", "den"):
+        with pytest.raises(AttributeError):
+            setattr(f, field, getattr(f, field))
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+    for same in (copy.copy(f), pickle.loads(pickle.dumps(f))):
+        assert same == f and repr(same) == repr(f)
 
 
 @given(small_coeffs, st.integers(1, 50))
