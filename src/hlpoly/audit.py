@@ -99,10 +99,6 @@ class Verdict(NamedTuple):
     hypothesis_note: str | None = None
 
 
-def _undefined(point: dict, reason: str, **extra) -> Verdict:
-    return Verdict(status=UNDEFINED, point=point, reason=reason, **extra)
-
-
 class AuditReport:
     """One identity's verdicts, in the order its check made them. Reports
     with equal identities and equal verdict lists compare equal; a report,
@@ -195,7 +191,8 @@ def _value_rows(grid: GridSpec, points: list[Point], reach: int, sides) -> list[
                 for point, x, y in zip(index, *sides(params, last))
             ]
         verdicts += [
-            _undefined(point, SINGULAR_PARAMETER) for point in index[last + 1 : n_max + 1]
+            new(Verdict, (UNDEFINED, point, None, None, SINGULAR_PARAMETER, None, None))
+            for point in index[last + 1 : n_max + 1]
         ]
     return verdicts
 
@@ -376,11 +373,12 @@ def _duality_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     return _value_rows(grid, points, 0, sides)
 
 
-def _hypothesis_flags(params: Params, p: int) -> dict:
+def _hypothesis_flags(params: Params, p: int) -> tuple[bool, str | None]:
     """Whether alpha*m + a is invertible mod p for every m, as the verdict
-    fields, with the first m where it is not. m = 0..p-1 decides it: if p
-    divides neither denominator the residue has period p in m, and if p
-    divides one, m = 0 or m = 1 is already not invertible.
+    fields (hypothesis_ok, hypothesis_note), the note naming the first m where
+    it is not. m = 0..p-1 decides it: if p divides neither denominator the
+    residue has period p in m, and if p divides one, m = 0 or m = 1 is already
+    not invertible.
 
     With alpha = P/Q and a = R/S, alpha*m + a = (P S m + R Q) / (Q S), the
     integer form `params` keeps, and p is tested against that numerator and
@@ -390,15 +388,14 @@ def _hypothesis_flags(params: Params, p: int) -> dict:
         num = slope * m + offset
         common = math.gcd(num, den)
         if num // common % p == 0 or den // common % p == 0:
-            note = f"alpha*m + a not invertible mod {p} at m = {m}"
-            return {"hypothesis_ok": False, "hypothesis_note": note}
-    return {"hypothesis_ok": True, "hypothesis_note": None}
+            return False, f"alpha*m + a not invertible mod {p} at m = {m}"
+    return True, None
 
 
 def _congruence_plan(record: Point, grid: GridSpec) -> list[tuple]:
     """THM8's rows at one point, in canonical (n, p) order, as (n*p, point,
     reason, flags): the point dict, read-only, the reason s_{n*p} is not
-    computed, or None where it is, and the hypothesis flags of p, one dict
+    computed, or None where it is, and the hypothesis flags of p, one pair
     per prime. `record` keeps the plan per (multipliers, primes), so THM8_C1,
     THM8_C2 and THM8_B share it, and building it sizes the weight prefix
     once, to the largest evaluable n*p."""
@@ -435,30 +432,31 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
     vanishes at an m <= n*p, or p divides a denominator (the congruence is
     not evaluable). Every verdict also records whether (alpha*m + a) stays
     invertible mod p, the assumption under which the congruence is claimed.
-    The flag is reported, never used to suppress a result.
+    The flag is reported, never used to suppress a result. Rows are made as
+    `_value_rows` makes them, by tuple.__new__.
     """
     coefficients = coefficient_rows(family)
+    new = tuple.__new__
     verdicts = []
     for record in points:
         params = record.params
         if params.k < 1:
             continue
-        for index, point, why, flags in _congruence_plan(record, grid):
+        for index, point, why, (ok, note) in _congruence_plan(record, grid):
             if why:
-                verdicts.append(_undefined(point, why, **flags))
+                verdicts.append(new(Verdict, (UNDEFINED, point, None, None, why, ok, note)))
                 continue
-            lhs = explicit_value(family, index, params, rows=coefficients)
-            rhs = explicit_value(family, 0, params, rows=coefficients)
+            lhs = explicit_value(family, index, params, coefficients)
+            rhs = explicit_value(family, 0, params, coefficients)
             p = point["p"]
             try:
                 x, y = mod_reduce(lhs, p), mod_reduce(rhs, p)
             except NonreducibleDenominatorError:
-                verdicts.append(
-                    _undefined(point, NONREDUCIBLE_DENOMINATOR, lhs=lhs, rhs=rhs, **flags)
-                )
+                row = UNDEFINED, point, lhs, rhs, NONREDUCIBLE_DENOMINATOR, ok, note
             else:
                 status, y = (HOLDS, x) if x == y else (FAILS, y)  # ints: one ==
-                verdicts.append(Verdict(status, point, x, y, **flags))
+                row = status, point, x, y, None, ok, note
+            verdicts.append(new(Verdict, row))
     return verdicts
 
 
@@ -656,7 +654,8 @@ def run_identity(
 
     `points` is the list `grid.points()` returned, or None for a new one.
     Runs of several identities that share one list share each point's
-    `Params` (weights, Stirling sums and values, printed derivative
+    `Params` (weights, Stirling sums and values, the cauchy pair's halves,
+    which the second cauchy label reads from the first, printed derivative
     coefficients, which THM10 reads from THM9, and composed series) and the
     record's point dicts and THM8 plan (the verdicts' `point`, read-only).
     The first identity in catalogue order that needs them does the work: in

@@ -37,15 +37,14 @@ class NonreducibleDenominatorError(ArithmeticError):
     This is a first-class outcome, not a bug: a congruence probed at such a
     value is simply not evaluable there, and callers report that fact.
 
-    `args` is (value, modulus). The message is built by `__str__`, so a
-    caller that catches the error without printing it never renders a value
-    that may be large.
+    `args` is (value, modulus), which `value` and `modulus` read. The class
+    has no `__init__` of its own, so a raise costs what a bare exception's
+    does, and the message is built by `__str__`, so a caller that catches the
+    error without printing it never renders a value that may be large.
     """
 
-    def __init__(self, value: Fraction, modulus: int):
-        super().__init__(value, modulus)
-        self.value = value
-        self.modulus = modulus
+    value = property(lambda self: self.args[0], doc="the rational with no residue")
+    modulus = property(lambda self: self.args[1], doc="the prime dividing its denominator")
 
     def __str__(self) -> str:
         return (
@@ -137,10 +136,10 @@ def mod_reduce(value: Fraction | int, p: int) -> int:
         raise ValueError(f"modulus {p} is not prime")
     if type(value) is not Fraction and not isinstance(value, Fraction):
         value = Fraction(value)
-    if value.denominator % p == 0:
+    residue = value.denominator % p
+    if not residue:
         raise NonreducibleDenominatorError(value, p)
-    inv = pow(value.denominator % p, -1, p)
-    return (value.numerator * inv) % p
+    return value.numerator * pow(residue, -1, p) % p
 
 
 def decided(known: list[Fraction], nums, den: int) -> list[Fraction]:

@@ -21,7 +21,10 @@ can audit the other.
 The Stirling path dots integer coefficient rows with the weights
 1/(alpha m + a)^k that `Params` keeps; each row is read from a row store, a
 `functools.cache` over a row builder, and callers may share a
-`coefficient_rows` or `derivative_rows` store across points. The series path
+`coefficient_rows` or `derivative_rows` store across points. The cauchy rows
+are unsigned: with E_n and O_n the even-m and odd-m halves of
+sum_m [n m] / (alpha m + a)^k, c_n = (-1)^n (E_n - O_n) and
+ch_n = (-1)^n (E_n + O_n), and a `Params` keeps the halves for both. The series path
 builds its own weights; the series it composes are kept on `Params` apart
 from the Stirling path's memos, and the Stirling path never reads them.
 
@@ -100,6 +103,8 @@ class Params:
       _prefix   the weights 1/(alpha*m + a)^k as one integer prefix over one
                 denominator, (W, D), which `scaled_weights` grows;
       _weights  the same weights as reduced Fractions, for `weights`;
+      _halves   the even-m and odd-m halves of the cauchy pair's unsigned
+                sums, integers over D, per coefficient function, reach and n;
       _sums     Stirling sums as integers over D, per coefficient rule and
                 last index, which `explicit_scaled` returns;
       _values   one Fraction per coefficient rule and n, which
@@ -111,7 +116,8 @@ class Params:
     """
 
     __slots__ = (
-        "k", "alpha", "a", "_line", "_root", "_prefix", "_weights", "_sums", "_values", "_series"
+        "k", "alpha", "a", "_line", "_root", "_prefix", "_weights", "_halves", "_sums",
+        "_values", "_series",
     )
 
     k: int
@@ -132,6 +138,7 @@ class Params:
         object.__setattr__(self, "_root", root if rest == 0 and root >= 0 else None)
         object.__setattr__(self, "_prefix", ([], 1))
         object.__setattr__(self, "_weights", [])
+        object.__setattr__(self, "_halves", collections.defaultdict(dict))
         object.__setattr__(self, "_sums", {})
         object.__setattr__(self, "_values", collections.defaultdict(dict))
         object.__setattr__(self, "_series", {})
@@ -224,12 +231,20 @@ def _check_index(n: int) -> None:
         raise ValueError("sequence index must be >= 0")
 
 
-# family -> ((n, m) -> integer coefficient of 1/(alpha m + a)^k in member n,
-# reach 0): member n sums m = 0..n, as `explicit_value` does
+def _first_kind(n: int, m: int) -> int:
+    """[n m] through this module's binding: the cauchy pair's one coefficient."""
+    return stirling1_unsigned(n, m)
+
+
+# family -> (c, reach) or (c, reach, of_n, of_m): member n sums
+# (-1)^(n*of_n + m*of_m) c(n, m) / (alpha m + a)^k over m = 0..n + reach. The
+# cauchy pair states its sign apart from its one c, [n m], and differs only in
+# of_m, so one set of halves serves both; bernoulli's c, which no other family
+# shares, holds its sign. An entry with a c of its own gets halves of its own.
 _STIRLING_COEFF = {
     Family.BERNOULLI: (lambda n, m: (-1) ** (n + m) * math.factorial(m) * stirling2(n, m), 0),
-    Family.CAUCHY1: (lambda n, m: (-1) ** (n + m) * stirling1_unsigned(n, m), 0),
-    Family.CAUCHY2: (lambda n, m: (-1) ** n * stirling1_unsigned(n, m), 0),
+    Family.CAUCHY1: (_first_kind, 0, 1, 1),
+    Family.CAUCHY2: (_first_kind, 0, 1, 0),
 }
 
 
@@ -246,32 +261,53 @@ def row_store(coeff, reach: int = 0) -> Callable[[int], list[int]]:
 
 
 def coefficient_rows(family: Family) -> Callable[[int], list[int]]:
-    """A row store of one family's Stirling coefficients: `rows(n)` is the
-    list of integer coefficients of 1/(alpha m + a)^k in member n, m = 0..n.
-    Calls that share one store build each row once, whatever their parameters.
-    The store reads the family's coefficients when it is made.
+    """A row store of one family's Stirling coefficients: `rows(n)` is
+    [c(n, m) for m = 0..n], (-1)^(n+m) m! {n m} for bernoulli and the unsigned
+    [n m] for the cauchy families, whose sign `_STIRLING_COEFF` states. Calls
+    that share one store build each row once, whatever their parameters. The
+    store reads the family's coefficients when it is made.
     """
-    return row_store(*_STIRLING_COEFF[family])
+    return row_store(*_STIRLING_COEFF[family][:2])
+
+
+def _signed_sums(rule, indices, params: Params, rows) -> tuple[list[int], int]:
+    """Integer sums S over the weights' common denominator D, one per n of
+    `indices`. A (c, reach) rule, as bernoulli's and `_DERIV_COEFF`'s, is one
+    dot product per n, S / D = sum_{m=0..n+reach} c(n, m) / (alpha m + a)^k. A
+    (c, reach, of_n, of_m) rule, as the cauchy pair's, gives
+    S = (-1)^(n*of_n) (E + (-1)^of_m O) for the even-m and odd-m halves E / D
+    and O / D of that sum, which `params` keeps per (c, reach) and n over the
+    D they were made with, so the rules on one c share them. Rows come from
+    `rows` or a `row_store(c, reach)`, and a kept half reads none."""
+    coeff, reach, *sign = rule
+    top = max(indices) + reach
+    _ensure_nonsingular(params, top)
+    weights, den = params.scaled_weights(top)
+    rows = rows or row_store(coeff, reach)
+    if not sign:
+        return [sum(map(operator.mul, rows(n), weights)) for n in indices], den
+    of_n, of_m = sign
+    kept = params._halves[coeff, reach]
+    sums = []
+    for n in indices:
+        halves = kept.get(n)
+        if halves is None:
+            products = list(map(operator.mul, rows(n), weights))
+            halves = kept[n] = sum(products[::2]), sum(products[1::2]), den
+        even, odd, at = halves
+        total = (even - odd if of_m else even + odd) * (den // at)
+        sums.append(-total if n * of_n % 2 else total)
+    return sums, den
 
 
 def _stirling_sums(rule, n_max: int, params: Params, rows):
-    """Integer sums S over the weights' common denominator D, for n = 0..n_max,
-    kept on `params` per (rule, n_max), `rule` being a (coefficient, reach)
-    entry of `_STIRLING_COEFF` or `_DERIV_COEFF`:
-
-        S[n] / D = sum_{m=0..n+reach} rows(n)[m] / (alpha m + a)^k
-
-    The rows come from `rows`, or from a `row_store(*rule)` made for this
-    call."""
+    """The sums of `_signed_sums` for n = 0..n_max, as (tuple, D), kept on
+    `params` per (rule, n_max)."""
     key = rule, n_max
     kept = params._sums.get(key)
     if kept is None:
-        reach = rule[1]
-        _ensure_nonsingular(params, n_max + reach)
-        weights, den = params.scaled_weights(n_max + reach)
-        rows = rows or row_store(*rule)
-        nums = tuple([sum(map(operator.mul, rows(n), weights)) for n in range(n_max + 1)])
-        kept = params._sums[key] = nums, den
+        nums, den = _signed_sums(rule, range(n_max + 1), params, rows)
+        kept = params._sums[key] = tuple(nums), den
     return kept
 
 
@@ -306,20 +342,19 @@ def explicit_value(
     params: Params,
     rows: Callable[[int], list[int]] | None = None,
 ) -> Fraction:
-    """Stirling-sum value of one family member: the dot product of its
-    coefficient row with the weights of `params`, the row read from `rows`,
-    a `coefficient_rows(family)` store, or from a store made for this call.
-    A value `params` keeps is read, before any check, by dict lookups alone.
+    """Stirling-sum value of one family member: its coefficient row dotted
+    with the weights of `params`, in halves for the cauchy families, the row
+    read from `rows`, a `coefficient_rows(family)` store, or from a store made
+    for this call. A value `params` keeps is read, before any check, by dict
+    lookups alone, and halves the other cauchy family left build no row.
     """
     rule = _STIRLING_COEFF[family]
     kept = params._values[rule]
     value = kept.get(n)
     if value is None:
         _check_index(n)
-        _ensure_nonsingular(params, n)
-        weights, den = params.scaled_weights(n)
-        row = (rows or row_store(*rule))(n)
-        value = kept[n] = Fraction(sum(map(operator.mul, row, weights)), den)
+        (num,), den = _signed_sums(rule, (n,), params, rows)
+        value = kept[n] = Fraction(num, den)
     return value
 
 
@@ -388,7 +423,7 @@ def _cauchy_deriv_coeff(n: int, m: int) -> int:
 
 
 # family -> ((n, m) -> integer coefficient of 1/(alpha m + a)^k in the printed
-# D_n, reach): D_n sums m = 0..n + reach
+# D_n, reach): D_n sums m = 0..n + reach, one dot product, as no twin shares it
 _DERIV_COEFF = {
     Family.BERNOULLI: (lambda n, m: math.factorial(m) * stirling2(n, m - 1), 1),
     Family.CAUCHY1: (_cauchy_deriv_coeff, 0),

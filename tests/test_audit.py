@@ -916,13 +916,56 @@ def test_the_thm8_labels_build_each_points_plan_once():
             for (index, point, why, flags), v in zip(plan, rows):
                 assert v.point is point and index == point["n"] * point["p"]
                 assert v.reason == why if why else v.reason in (None, NONREDUCIBLE_DENOMINATOR)
-                assert (v.hypothesis_ok, v.hypothesis_note) == tuple(flags.values())
+                assert (v.hypothesis_ok, v.hypothesis_note) == flags
         assert next(rows, None) is None
     # every value a second round reads is kept: it works out no reason again
     calls.clear()
     for label in CONGRUENCE.values():
         assert run_identity(label, ORDER_GRID, None, points) == ORDER_REPORTS[label]
     assert calls == {}
+
+
+# every label that reads a cauchy family, in pairs read in either order
+CAUCHY_PAIRS = [
+    ("THM2", "THM3"), ("THM5", "THM6"), ("EQ11", "EQ12"), ("THM8_C1", "THM8_C2"), ("EQ9", "EQ10")
+]
+
+
+@pytest.mark.parametrize("pair", CAUCHY_PAIRS, ids="-".join)
+def test_the_cauchy_twins_give_their_own_rows_in_either_order_on_one_list(pair):
+    # the two cauchy families share the halves of their sums: on one point
+    # list each label gives the rows it gives alone, whichever runs first
+    for labels in (pair, pair[::-1]):
+        points = ORDER_GRID.points()
+        reports = [run_identity(label, ORDER_GRID, None, points) for label in labels]
+        assert reports == [ORDER_REPORTS[label] for label in labels]
+
+
+def test_the_cauchy_pair_builds_each_first_kind_row_once_per_run_pair(monkeypatch):
+    # both cauchy entries read one counted coefficient object: a row built is
+    # its coefficient at m = 0 read. On one point list the second label of a
+    # pair reads the halves the first left and builds no row; on two lists
+    # each label builds its own
+    built = Counter()
+    coeff, *_ = sequences._STIRLING_COEFF[Family.CAUCHY1]
+
+    def counted(n, m):
+        built[n] += m == 0
+        return coeff(n, m)
+
+    for family in (Family.CAUCHY1, Family.CAUCHY2):
+        _, *sign = sequences._STIRLING_COEFF[family]
+        monkeypatch.setitem(sequences._STIRLING_COEFF, family, (counted, *sign))
+    for pair in [("THM2", "THM3"), ("THM8_C1", "THM8_C2")]:
+        for labels in (pair, pair[::-1]):
+            for shared in (True, False):
+                built.clear()
+                points = ORDER_GRID.points()
+                for label in labels:
+                    report = run_identity(label, ORDER_GRID, None, points)
+                    assert report == ORDER_REPORTS[label]
+                    points = points if shared else ORDER_GRID.points()
+                assert built and set(built.values()) == {1 if shared else 2}
 
 
 def test_thm9_and_thm10_rows_hold_the_same_printed_objects(monkeypatch):

@@ -715,6 +715,17 @@ def test_identity_token_runs_its_catalogue_labels_in_order(capsys, token, labels
     assert names == [label for label, (t, _, _) in CATALOGUE.items() if t == token]
 
 
+def test_a_cauchy2_label_alone_gives_the_report_it_gives_in_the_full_audit(capsys):
+    # THM3, THM6, EQ10 and EQ12 read cauchy2's sums: run by their own token
+    # they compute its halves, inside `--identity all` they read cauchy1's
+    _, full, _ = run(capsys, "audit", "--identity", "all", "--format", "json")
+    reports = {report["identity"]: report for report in json.loads(full)["reports"]}
+    for token in ("thm3", "thm6", "eq10", "eq12"):
+        _, alone, _ = run(capsys, "audit", "--identity", token, "--format", "json")
+        (report,) = json.loads(alone)["reports"]
+        assert report == reports[token.upper()]
+
+
 # -- congruence-scan ----------------------------------------------------------
 
 
@@ -768,6 +779,18 @@ def test_congruence_scan_family_runs_only_its_label(capsys, fmt):
         titles = [line.split(":")[0] for line in out.splitlines() if line.startswith("identity ")]
         names = [title.removeprefix("identity ").upper() for title in titles]
     assert names == ["THM8_C2"]
+
+
+def test_the_cauchy2_scan_gives_the_thm8_c2_rows_of_the_full_scan(capsys):
+    # alone, cauchy2 computes the halves of its sums itself; in the full scan
+    # it reads those cauchy1 left
+    argv = ["--format", "csv", "--multipliers", "1,2,3,4", "--primes", "3,5,7,11"]
+    code, alone, _ = run(capsys, "congruence-scan", "--family", "cauchy2", *argv)
+    assert code == 1
+    _, full, _ = run(capsys, "congruence-scan", *argv)
+    header, *rows = full.splitlines()
+    expected = [header, *(row for row in rows if row.startswith("thm8_c2,"))]
+    assert alone.splitlines() == expected and len(expected) > 1
 
 
 def test_congruence_scan_singular_parameter_exits_two(capsys):

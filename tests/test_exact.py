@@ -164,13 +164,27 @@ def test_subclasses_bools_ints_and_strings_take_the_general_path():
 
 
 def test_nonreducible_denominator_error_text_fields_and_pickle():
-    error = NonreducibleDenominatorError(Fraction(1, 3), 3)
-    assert str(error) == "1/3 has no residue mod 3: denominator 3 is divisible by 3"
-    assert (error.value, error.modulus) == (Fraction(1, 3), 3)
-    assert error.args == (Fraction(1, 3), 3)
-    copy = pickle.loads(pickle.dumps(error))
-    assert type(copy) is NonreducibleDenominatorError
-    assert (copy.value, copy.modulus, str(copy)) == (error.value, error.modulus, str(error))
+    # built directly, and raised by mod_reduce on a Fraction and on a
+    # subclass, which it keeps as it is: value and modulus are read from args
+    errors = [NonreducibleDenominatorError(Fraction(1, 3), 3)]
+    for value in ("5/9", _Tagged(5, 9)):
+        with pytest.raises(NonreducibleDenominatorError) as raised:
+            mod_reduce(value, 3)
+        errors.append(raised.value)
+    expected = [
+        (Fraction(1, 3), Fraction, "1/3 has no residue mod 3: denominator 3 is divisible by 3"),
+        (Fraction(5, 9), Fraction, "5/9 has no residue mod 3: denominator 9 is divisible by 3"),
+        (Fraction(5, 9), _Tagged, "5/9 has no residue mod 3: denominator 9 is divisible by 3"),
+    ]
+    for error, (value, kind, text) in zip(errors, expected, strict=True):
+        assert str(error) == text
+        assert (error.value, error.modulus) == (value, 3) and type(error.value) is kind
+        assert error.args == (value, 3) and error.args[0] is error.value
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is NonreducibleDenominatorError and type(copy.value) is kind
+        assert (copy.value, copy.modulus, copy.args, str(copy)) == (value, 3, (value, 3), text)
+    # no __init__ of the class's own: a raise costs what a bare exception's does
+    assert "__init__" not in vars(NonreducibleDenominatorError)
 
 
 def test_mod_reduce_requires_prime():

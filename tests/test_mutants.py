@@ -12,8 +12,10 @@ command, or coefficient rows (THM8's, THM9-THM11's derivative rows) that
 outlive their run. EQ9-EQ12's and STIRLING_ORTHO's triangle products and
 THM4-THM6's triangle rows do outlive their run: the process keeps them, keyed
 by the functions a run reads when it starts, so a patched table entry or
-binding is a new key with fresh rows. After the patch is undone, the audit
-holds again: no cache kept the mutant either.
+binding is a new key with fresh rows. Within one command the cauchy pair
+shares the halves of its sums, keyed by coefficient function, so a mutant for
+one family is never served the halves the other left. After the patch is
+undone, the audit holds again: no cache kept the mutant either.
 """
 
 import json
@@ -52,13 +54,13 @@ EXPLICIT = [(Family.BERNOULLI, "THM1"), (Family.CAUCHY1, "THM2"), (Family.CAUCHY
 def test_a_sign_in_a_stirling_coefficient_fails_its_explicit_identity(
     capsys, monkeypatch, family, label
 ):
-    coeff, reach = sequences._STIRLING_COEFF[family]
+    coeff, *rest = sequences._STIRLING_COEFF[family]
 
     def mutant(n, m):
         return -coeff(n, m) if m == 1 else coeff(n, m)
 
     table = sequences._STIRLING_COEFF
-    assert_caught(capsys, monkeypatch, label.lower(), label, table, family, (mutant, reach))
+    assert_caught(capsys, monkeypatch, label.lower(), label, table, family, (mutant, *rest))
 
 
 SCAN = ["--pair", "1,1", "--pair", "1/2,3/2", "--k-values", "1,2", "--primes", "3,5",
@@ -76,15 +78,81 @@ def test_a_sign_in_a_stirling_coefficient_changes_the_congruence_scan(
         return capsys.readouterr().out
 
     clean = scan()
-    coeff, reach = sequences._STIRLING_COEFF[family]
+    coeff, *rest = sequences._STIRLING_COEFF[family]
 
     def mutant(n, m):
         return -coeff(n, m) if m == 1 else coeff(n, m)
 
-    monkeypatch.setitem(sequences._STIRLING_COEFF, family, (mutant, reach))
+    monkeypatch.setitem(sequences._STIRLING_COEFF, family, (mutant, *rest))
     assert scan() != clean
     monkeypatch.undo()
     assert scan() == clean
+
+
+# The cauchy pair shares the halves of its sums, kept per coefficient
+# function. A mutant coefficient for one family is a function of its own, so
+# it gets halves of its own even where the other family has filled the shared
+# ones first: the halves are keyed by the function the run reads, not by the
+# family.
+def reports(capsys, token: str) -> dict[str, dict]:
+    """The JSON report of each label of `audit --identity token` on GRID."""
+    main(["audit", "--identity", token, "--format", "json", *GRID])
+    return {r["identity"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+
+
+def sign_at_one(family):
+    """The family's table entry with c(n, 1) negated."""
+    coeff, *rest = sequences._STIRLING_COEFF[family]
+    return (lambda n, m: -coeff(n, m) if m == 1 else coeff(n, m)), *rest
+
+
+def test_a_cauchy2_mutant_after_cauchy1_filled_the_halves_fails_thm3(capsys, monkeypatch):
+    # one command: THM2 and THM8_C1 run first and fill the shared halves
+    clean = reports(capsys, "all")
+    assert clean["THM2"]["summary"]["fails"] == clean["THM3"]["summary"]["fails"] == 0
+    monkeypatch.setitem(sequences._STIRLING_COEFF, Family.CAUCHY2, sign_at_one(Family.CAUCHY2))
+    mutated = reports(capsys, "all")
+    assert mutated["THM3"]["summary"]["fails"] > 0 and mutated["THM8_C2"] != clean["THM8_C2"]
+    assert all(mutated[label] == clean[label] for label in ("THM2", "THM8_C1"))
+    monkeypatch.undo()
+    assert reports(capsys, "all") == clean
+
+
+def test_a_cauchy1_mutant_after_cauchy2_filled_the_halves_fails_thm2(monkeypatch):
+    # the reverse order, which no command runs: cauchy2's labels first on
+    # one point list
+    grid = audit.GridSpec(n_max=5, k_values=(-1, 1, 2), pairs=((1, 1), (Fraction(1, 2), 1)))
+    labels = ("THM3", "THM8_C2", "THM2", "THM8_C1")
+
+    def run() -> dict:
+        points = grid.points()
+        return {label: audit.run_identity(label, grid, None, points) for label in labels}
+
+    clean = run()
+    explicit = [v.status for label in ("THM2", "THM3") for v in clean[label].verdicts]
+    assert audit.FAILS not in explicit
+    monkeypatch.setitem(sequences._STIRLING_COEFF, Family.CAUCHY1, sign_at_one(Family.CAUCHY1))
+    mutated = run()
+    assert any(v.status == audit.FAILS for v in mutated["THM2"].verdicts)
+    assert mutated["THM8_C1"] != clean["THM8_C1"]
+    assert all(mutated[label] == clean[label] for label in ("THM3", "THM8_C2"))
+    monkeypatch.undo()
+    assert run() == clean
+
+
+# c_n = (-1)^n (E_n - O_n) and ch_n = (-1)^n (E_n + O_n): the entries' of_m
+# swapped give each family the other's sum, which its series side refutes
+def test_swapped_halves_fail_thm2_and_thm3(capsys, monkeypatch):
+    table = sequences._STIRLING_COEFF
+    twins = table[Family.CAUCHY1], table[Family.CAUCHY2]
+    assert [entry[:3] for entry in twins] == [twins[0][:3]] * 2 and twins[0] != twins[1]
+    assert fails(capsys, "all")["THM2"] == fails(capsys, "all")["THM3"] == 0
+    monkeypatch.setitem(table, Family.CAUCHY1, twins[1])
+    monkeypatch.setitem(table, Family.CAUCHY2, twins[0])
+    counts = fails(capsys, "all")
+    assert counts["THM2"] > 0 and counts["THM3"] > 0
+    monkeypatch.undo()
+    assert fails(capsys, "all")["THM2"] == 0
 
 
 def test_a_sign_in_a_derivative_coefficient_changes_thm11(capsys, monkeypatch):

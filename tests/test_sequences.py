@@ -381,15 +381,20 @@ def test_a_row_store_builds_each_row_once(monkeypatch):
 
 def test_a_params_computes_each_value_once(monkeypatch):
     # a row built is its coefficient at m = 0 read; no call below is given a
-    # row store, so without the Params' memo each call would build its rows
+    # row store, so without the Params' memo each call would build its rows.
+    # One counted function per coefficient function: the cauchy pair shares
+    # [n m], so it shares one, and the halves of its sums
     built = collections.Counter()
-    for family, (coeff, reach) in list(sequences._STIRLING_COEFF.items()):
+    counted_for = {}
+    first_kind = sequences._STIRLING_COEFF[Family.CAUCHY1][0]
+    for family, (coeff, *rest) in list(sequences._STIRLING_COEFF.items()):
 
-        def counted(n, m, family=family, coeff=coeff):
-            built[family, n] += m == 0
+        def counted(n, m, coeff=coeff):
+            built[coeff, n] += m == 0
             return coeff(n, m)
 
-        monkeypatch.setitem(sequences._STIRLING_COEFF, family, (counted, reach))
+        counted = counted_for.setdefault(coeff, counted)
+        monkeypatch.setitem(sequences._STIRLING_COEFF, family, (counted, *rest))
     params = Params(2, Fraction(1, 2), 1)
     for family in FAMILIES:
         values = explicit_sequence(family, 6, params)
@@ -404,16 +409,37 @@ def test_a_params_computes_each_value_once(monkeypatch):
         again = explicit_sequence(family, 6, params)
         assert again is not values and all(map(operator.is_, again, kept))
         assert explicit_value(family, 0, params) is kept[0]
-    assert built == {(family, n): 1 for family in FAMILIES for n in range(8)}
+    # cauchy2 builds no row: it reads the halves cauchy1 left, row 7's too
+    assert len(counted_for) == 2
+    assert built == {(coeff, n): 1 for coeff in counted_for for n in range(8)}
     # a new instance of the same key starts an empty memo and computes afresh
     fresh = Params(params.k, params.alpha, params.a)
     assert explicit_value(Family.CAUCHY1, 7, fresh) == explicit_value(Family.CAUCHY1, 7, params)
     assert explicit_value(Family.CAUCHY1, 7, fresh) is not explicit_value(
         Family.CAUCHY1, 7, params
     )
-    assert built[Family.CAUCHY1, 7] == 2
+    assert built[first_kind, 7] == 2
     # the value memo is the Stirling path's: the series path never reads it
     assert "_values" not in _names(sequences._family_series.__code__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonsingular_params, st.lists(st.integers(0, 30), min_size=1, max_size=6))
+def test_a_cauchy_family_reads_its_twins_halves_in_any_order(params, indices):
+    # one family's values at indices in any order, each request past the
+    # weight prefix growing its denominator, then the other family's: halves
+    # kept over an older denominator are rescaled when read, so every value
+    # and sum equals the one computed alone
+    key = params.k, params.alpha, params.a
+    top = max(indices)
+    for first, second in ((Family.CAUCHY1, Family.CAUCHY2), (Family.CAUCHY2, Family.CAUCHY1)):
+        shared = Params(*key)
+        for n in indices:
+            explicit_value(first, n, shared)
+        alone = explicit_sequence(second, top, Params(*key))
+        assert [explicit_value(second, n, shared) for n in indices] == [alone[n] for n in indices]
+        nums, den = explicit_scaled(second, top, shared)
+        assert [Fraction(num, den) for num in nums] == alone
 
 
 # -- oracle path --------------------------------------------------------------
@@ -829,12 +855,12 @@ def test_the_recurrence_in_k_equals_both_paths_at_depth(family, alpha, a, k):
 def test_a_stirling_sign_breaks_the_stirling_path_against_the_recurrence(monkeypatch):
     params = (2, Fraction(1, 2), Fraction(1))
     expected = bruteforce.family_by_k_recurrence("cauchy2", *params, 8)
-    coeff, reach = sequences._STIRLING_COEFF[Family.CAUCHY2]
+    coeff, *rest = sequences._STIRLING_COEFF[Family.CAUCHY2]
 
     def mutant(n, m):
         return -coeff(n, m) if m == 1 else coeff(n, m)
 
-    monkeypatch.setitem(sequences._STIRLING_COEFF, Family.CAUCHY2, (mutant, reach))
+    monkeypatch.setitem(sequences._STIRLING_COEFF, Family.CAUCHY2, (mutant, *rest))
     assert explicit_sequence(Family.CAUCHY2, 8, Params(*params)) != expected
     assert oracle_sequence(Family.CAUCHY2, 8, Params(*params)) == expected
 
