@@ -30,7 +30,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exact import NonreducibleDenominatorError, decided, is_prime, mod_reduce
+from .exact import NonreducibleDenominatorError, decided, fraction, is_prime, mod_reduce
 from .sequences import (
     Family,
     Params,
@@ -41,6 +41,7 @@ from .sequences import (
     explicit_scaled,
     explicit_sequence,
     explicit_value,
+    explicit_values,
     oracle_sequence,
     row_store,
 )
@@ -261,8 +262,8 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
     The store of triangle rows, `collapse(n)` = [T(n, m) for m = 0..n], is
     the process's one store for the triangle function the run reads, and
     builds each row on its first request. The right side is the point's
-    weight Fraction, kept on `params`, where f(n) is 1, its negation where
-    f(n) is -1, and its product with f(n) otherwise; the left side, integer
+    weight Fraction, kept on `params`, where f(n) is 1, and its product with
+    f(n), built from integers, otherwise; the left side, integer
     sums over one denominator, is decided against it, so a HOLDS row keeps
     the right side's Fraction as both.
     """
@@ -272,7 +273,7 @@ def _orthogonality_rows(label, family, grid, points, prefactor) -> list[Verdict]
 
     def sides(params, last):
         rhs = [
-            w if f == 1 else -w if f == -1 else w * f
+            w if f == 1 else fraction(w.numerator * f, w.denominator)
             for w, f in zip(params.weights(last), map(factor, range(last + 1)))
         ]
         sums = _transformed(collapse, family, last, params, family_rows)
@@ -426,11 +427,11 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
 
     Congruences are stated for k >= 1 only; other k give no rows. Both
     sequence values are computed exactly, from the run's store of Stirling
-    coefficient rows, and reduced mod p; `params` keeps each value, so s_0
-    is computed once per point. A point is UNDEFINED, never a pass or a
-    fail, when p divides alpha (the standing assumption fails), alpha*m + a
-    vanishes at an m <= n*p, or p divides a denominator (the congruence is
-    not evaluable). Every verdict also records whether (alpha*m + a) stays
+    coefficient rows, and reduced mod p: s_0 and each evaluable row's s_{n*p}
+    in one pass per point, kept on `params`, and none where no row is
+    evaluable. A point is UNDEFINED, never a pass or a fail, when p divides
+    alpha (the standing assumption fails), alpha*m + a vanishes at an
+    m <= n*p, or p divides a denominator (the congruence is not evaluable). Every verdict also records whether (alpha*m + a) stays
     invertible mod p, the assumption under which the congruence is claimed.
     The flag is reported, never used to suppress a result. Rows are made as
     `_value_rows` makes them, by tuple.__new__.
@@ -442,7 +443,11 @@ def _congruence_rows(label, family, grid, points, prefactor) -> list[Verdict]:
         params = record.params
         if params.k < 1:
             continue
-        for index, point, why, (ok, note) in _congruence_plan(record, grid):
+        plan = _congruence_plan(record, grid)
+        evaluable = sorted({index for index, _, why, _ in plan if not why})
+        if evaluable:
+            explicit_values(family, [0, *evaluable], params, coefficients)
+        for index, point, why, (ok, note) in plan:
             if why:
                 verdicts.append(new(Verdict, (UNDEFINED, point, None, None, why, ok, note)))
                 continue

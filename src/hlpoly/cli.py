@@ -114,13 +114,13 @@ def _json_point(point: dict) -> str:
 
 
 def _json_side(value: Fraction | int | str | None) -> str:
-    """lhs or rhs: a Fraction as the {"den", "num"} object, any other value
-    as _json_param writes it."""
+    """lhs or rhs: a Fraction as the {"den", "num"} object, read from its slots
+    as `hlpoly.exact` reads them, any other value as _json_param writes it."""
     # isinstance tests an exact Fraction by its type before any ABCMeta hook
     if isinstance(value, Fraction):
         return (
-            f'{{\n            "den": "{value.denominator}",\n'
-            f'            "num": "{value.numerator}"\n          }}'
+            f'{{\n            "den": "{value._denominator}",\n'
+            f'            "num": "{value._numerator}"\n          }}'
         )
     return _json_param(value)
 

@@ -4,6 +4,11 @@ reduction modulo a prime, and exact comparison against known Fractions.
 `fractions.Fraction` is the value type throughout the package. It already
 maintains the invariants everything else relies on: arbitrary-precision
 integers, positive denominator, and numerator/denominator kept coprime.
+
+`fraction` builds one from ints with one gcd: `_filled`, the one writer, sets
+the slots `_numerator` and `_denominator` of a bare instance, skipping the
+pure-Python `Fraction.__new__`, twice the cost. Hot readers read those slots,
+not the properties; such reads stay in this module and `cli._json_side`.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ __all__ = [
     "decided",
     "ensure_nonsingular",
     "format_rational",
+    "fraction",
     "is_prime",
     "mod_reduce",
     "parse_rational",
@@ -53,6 +59,19 @@ class NonreducibleDenominatorError(ArithmeticError):
         )
 
 
+def _filled(num: int, den: int) -> Fraction:
+    """A Fraction holding num/den as they are: coprime ints, den > 0."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
+def fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for ints num and den > 0, built with one gcd."""
+    common = math.gcd(num, den)
+    return _filled(num // common, den // common)
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9][0-9]*)?$")
 
 
@@ -68,24 +87,28 @@ def format_rational(value: Fraction | int) -> str:
     # an exact Fraction skips the isinstance call, which costs more than the type test
     if type(value) is not Fraction and not isinstance(value, Fraction):
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    if value._denominator == 1:
+        return str(value._numerator)
+    return f"{value._numerator}/{value._denominator}"
 
 
 def pow_rat(base: Fraction | int, k: int) -> Fraction:
     """base**k for any integer k, with base**0 == 1.
 
     Zero base rejects negative exponents explicitly instead of surfacing a
-    bare division error from deep inside a summation.
+    bare division error from deep inside a summation. The powers of a reduced
+    base are coprime: the result is built with no gcd.
     """
     # an exact Fraction is used as it is: it is immutable, and a copy would
     # cost a construction
     if type(base) is not Fraction:
         base = Fraction(base)
-    if k < 0 and not base.numerator:
-        raise ZeroDivisionError("cannot raise 0 to a negative power")
-    return base**k
+    num, den = base._numerator, base._denominator
+    if k < 0:
+        if not num:
+            raise ZeroDivisionError("cannot raise 0 to a negative power")
+        num, den, k = (-den, -num, -k) if num < 0 else (den, num, -k)
+    return _filled(num**k, den**k)
 
 
 def singular_index(alpha: Fraction, a: Fraction, m_max: int) -> int | None:
@@ -136,10 +159,10 @@ def mod_reduce(value: Fraction | int, p: int) -> int:
         raise ValueError(f"modulus {p} is not prime")
     if type(value) is not Fraction and not isinstance(value, Fraction):
         value = Fraction(value)
-    residue = value.denominator % p
+    residue = value._denominator % p
     if not residue:
         raise NonreducibleDenominatorError(value, p)
-    return value.numerator * pow(residue, -1, p) % p
+    return value._numerator * pow(residue, -1, p) % p
 
 
 def decided(known: list[Fraction], nums, den: int) -> list[Fraction]:
@@ -147,8 +170,9 @@ def decided(known: list[Fraction], nums, den: int) -> list[Fraction]:
     cross-multiplying: an equal value is the very Fraction known[n], and only
     an unequal one, a FAILS witness, is a new Fraction. nums are ints (one
     integer == each, no Fraction compared) or, under a (m!)^-1 prefactor,
-    Fractions; ValueError if nums and known differ in length."""
+    Fractions, over an int den > 0; ValueError if nums and known differ in length."""
     return [
-        x if x.numerator * den == num * x.denominator else Fraction(num, den)
+        x if x._numerator * den == num * x._denominator
+        else fraction(num, den) if type(num) is int else Fraction(num, den)
         for x, num in zip(known, nums, strict=True)
     ]

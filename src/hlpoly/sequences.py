@@ -51,7 +51,7 @@ import operator
 from fractions import Fraction
 from typing import Callable
 
-from .exact import decided, ensure_nonsingular, pow_rat
+from .exact import decided, ensure_nonsingular, fraction, pow_rat
 from .series import PowerSeries, egf_coeff, kernel, phi_apply, phif_apply
 from .stirling import stirling1_unsigned, stirling2
 
@@ -66,6 +66,7 @@ __all__ = [
     "explicit_scaled",
     "explicit_sequence",
     "explicit_value",
+    "explicit_values",
     "oracle_sequence",
     "row_store",
 ]
@@ -207,7 +208,7 @@ class Params:
         if m_max >= len(weights):
             slope, offset, base_den = self._line
             new = [
-                pow_rat(Fraction(slope * m + offset, base_den), -self.k)
+                pow_rat(fraction(slope * m + offset, base_den), -self.k)
                 for m in range(len(weights), m_max + 1)
             ]
             self._weights.extend(new)
@@ -255,9 +256,11 @@ def _ensure_nonsingular(params: Params, m_max: int) -> None:
 
 
 def row_store(coeff, reach: int = 0) -> Callable[[int], list[int]]:
-    """A row store: `rows(n)` is [coeff(n, m) for m = 0..n+reach], built on
-    its first request and kept as long as the store."""
-    return functools.cache(lambda n: [coeff(n, m) for m in range(n + reach + 1)])
+    """A row store, `rows.rule` = (coeff, reach): `rows(n)`, built on its
+    first request and kept as long as the store, is [coeff(n, m) for m = 0..n+reach]."""
+    rows = functools.cache(lambda n: [coeff(n, m) for m in range(n + reach + 1)])
+    rows.rule = coeff, reach
+    return rows
 
 
 def coefficient_rows(family: Family) -> Callable[[int], list[int]]:
@@ -277,13 +280,15 @@ def _signed_sums(rule, indices, params: Params, rows) -> tuple[list[int], int]:
     (c, reach, of_n, of_m) rule, as the cauchy pair's, gives
     S = (-1)^(n*of_n) (E + (-1)^of_m O) for the even-m and odd-m halves E / D
     and O / D of that sum, which `params` keeps per (c, reach) and n over the
-    D they were made with, so the rules on one c share them. Rows come from
-    `rows` or a `row_store(c, reach)`, and a kept half reads none."""
+    D they were made with, so the rules on one c share them. A kept half reads
+    no row; others read `rows` (ValueError unless made for (c, reach)) or a new store."""
     coeff, reach, *sign = rule
+    rows = rows or row_store(coeff, reach)
+    if rows.rule != (coeff, reach):
+        raise ValueError("the row store was made for another coefficient rule")
     top = max(indices) + reach
     _ensure_nonsingular(params, top)
     weights, den = params.scaled_weights(top)
-    rows = rows or row_store(coeff, reach)
     if not sign:
         return [sum(map(operator.mul, rows(n), weights)) for n in indices], den
     of_n, of_m = sign
@@ -311,15 +316,20 @@ def _stirling_sums(rule, n_max: int, params: Params, rows):
     return kept
 
 
-def _stirling_values(rule, n_max: int, params: Params, rows) -> list[Fraction]:
-    """The sums of `_stirling_sums` as a new list of the Fractions that
-    `params` keeps, one per rule and n."""
-    nums, den = _stirling_sums(rule, n_max, params, rows)
+def _stirling_values(rule, indices, params: Params, rows) -> list[Fraction]:
+    """The Fractions `params` keeps per rule and n of `indices`, as a new list,
+    those not kept made in one pass: for a range 0..n_max, the sums `explicit_scaled`
+    reads too, and for distinct indices one `_signed_sums` call over the n not kept."""
     kept = params._values[rule]
-    for n, num in enumerate(nums):
+    if type(indices) is range:
+        made, (nums, den) = indices, _stirling_sums(rule, indices[-1], params, rows)
+    else:
+        made = [n for n in indices if n not in kept]
+        nums, den = _signed_sums(rule, made, params, rows) if made else ((), 1)
+    for n, num in zip(made, nums):
         if n not in kept:
-            kept[n] = Fraction(num, den)
-    return list(map(kept.__getitem__, range(n_max + 1)))
+            kept[n] = fraction(num, den)
+    return list(map(kept.__getitem__, indices))
 
 
 def explicit_scaled(
@@ -348,14 +358,15 @@ def explicit_value(
     for this call. A value `params` keeps is read, before any check, by dict
     lookups alone, and halves the other cauchy family left build no row.
     """
-    rule = _STIRLING_COEFF[family]
-    kept = params._values[rule]
-    value = kept.get(n)
-    if value is None:
-        _check_index(n)
-        (num,), den = _signed_sums(rule, (n,), params, rows)
-        value = kept[n] = Fraction(num, den)
-    return value
+    value = params._values[_STIRLING_COEFF[family]].get(n)
+    return explicit_values(family, (n,), params, rows)[0] if value is None else value
+
+
+def explicit_values(family: Family, indices, params: Params, rows=None) -> list[Fraction]:
+    """The Fractions `explicit_value` returns at `indices`, distinct ints
+    >= 0, as a new list; those `params` does not keep are made in one pass."""
+    _check_index(min(indices, default=0))
+    return _stirling_values(_STIRLING_COEFF[family], indices, params, rows)
 
 
 def explicit_sequence(
@@ -367,7 +378,7 @@ def explicit_sequence(
     """Stirling-sum values 0..n_max, the sums `explicit_scaled` returns, as a
     new list of the Fractions that `explicit_value` returns."""
     _check_index(n_max)
-    return _stirling_values(_STIRLING_COEFF[family], n_max, params, rows)
+    return _stirling_values(_STIRLING_COEFF[family], range(n_max + 1), params, rows)
 
 
 # family -> (kernel name, composition) of its defining generating function,
@@ -454,7 +465,7 @@ def deriv_coeffs_printed(
     store made for this call.
     """
     _check_index(n_max)
-    return _stirling_values(_DERIV_COEFF[family], n_max, params, rows)
+    return _stirling_values(_DERIV_COEFF[family], range(n_max + 1), params, rows)
 
 
 def deriv_coeffs_oracle(

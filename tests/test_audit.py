@@ -925,6 +925,61 @@ def test_the_thm8_labels_build_each_points_plan_once():
     assert calls == {}
 
 
+# THM8's grid: evaluable rows at indices below and above n_max = 4, rows
+# whose denominator p divides, P_DIVIDES_ALPHA at alpha = 3 with p = 3, and
+# SINGULAR_PARAMETER at alpha*m + a = m - 4
+THM8_GRID = GridSpec(
+    n_max=4,
+    k_values=(1, 2),
+    pairs=ORDER_GRID.pairs,
+    primes=(2, 3, 5),
+    multipliers=(1, 2, 3),
+)
+
+
+@pytest.mark.parametrize("label", list(CONGRUENCE.values()))
+def test_a_thm8_label_gives_one_report_alone_after_the_others_and_inside_all(label):
+    # each point's values come from one pass before its rows; where THM1-THM3
+    # or the other THM8 labels ran first on the list, the pass computes only
+    # what they did not keep
+    alone = run_identity(label, THM8_GRID)
+    points = THM8_GRID.points()
+    for other in CONGRUENCE.values():
+        if other != label:
+            run_identity(other, THM8_GRID, None, points)
+    after = run_identity(label, THM8_GRID, None, points)
+    points = THM8_GRID.points()
+    inside = {name: run_identity(name, THM8_GRID, None, points) for name in CATALOGUE}[label]
+    assert alone == after == inside
+    reasons = Counter(v.reason for v in alone.verdicts)
+    assert reasons.keys() >= {None, NONREDUCIBLE_DENOMINATOR, P_DIVIDES_ALPHA, SINGULAR_PARAMETER}
+    # every evaluable row's two values, one index at a time on a fresh Params
+    family = CATALOGUE[label][2]
+    for v in alone.verdicts:
+        if v.reason in (None, NONREDUCIBLE_DENOMINATOR):
+            point = v.point
+            params = Params(point["k"], point["alpha"], point["a"])
+            lhs = explicit_value(family, point["n"] * point["p"], params)
+            rhs = explicit_value(family, 0, params)
+            if v.reason is None:
+                assert (v.lhs, v.rhs) == (mod_reduce(lhs, point["p"]), mod_reduce(rhs, point["p"]))
+            else:
+                assert (v.lhs, v.rhs) == (lhs, rhs)
+
+
+def test_a_thm8_point_with_no_evaluable_row_computes_no_value():
+    # alpha*m + a vanishes at m = 0 at (1, 0) and p = 3 divides alpha = 3 at
+    # (3, 1): the pass has nothing to read, and s_0 is not computed either
+    grid = GridSpec(k_values=(1, 2), pairs=((1, 0), (3, 1)), primes=(3,), multipliers=(1, 2))
+    points = grid.points()
+    for label in CONGRUENCE.values():
+        report = run_identity(label, grid, None, points)
+        assert {v.reason for v in report.verdicts} == {SINGULAR_PARAMETER, P_DIVIDES_ALPHA}
+    for record in points:
+        assert record.params._values == {} and record.params._sums == {}
+        assert record.params._prefix == ([], 1)
+
+
 # every label that reads a cauchy family, in pairs read in either order
 CAUCHY_PAIRS = [
     ("THM2", "THM3"), ("THM5", "THM6"), ("EQ11", "EQ12"), ("THM8_C1", "THM8_C2"), ("EQ9", "EQ10")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlpoly import cli
+from hlpoly import cli, sequences
 from hlpoly.audit import CATALOGUE, FAILS, HOLDS, UNDEFINED, AuditReport, GridSpec, Verdict
 from hlpoly.cli import main
 
@@ -791,6 +791,32 @@ def test_the_cauchy2_scan_gives_the_thm8_c2_rows_of_the_full_scan(capsys):
     header, *rows = full.splitlines()
     expected = [header, *(row for row in rows if row.startswith("thm8_c2,"))]
     assert alone.splitlines() == expected and len(expected) > 1
+
+
+@pytest.mark.parametrize("family", ["cauchy1", "cauchy2", "bernoulli"])
+def test_a_scan_of_one_family_gives_its_thm8_report_in_the_full_audit(capsys, family):
+    # the scan of one family alone fills each point's values in its own
+    # pass; inside `--identity all`, THM1-THM3 and the THM8 labels before it
+    # have kept some of them
+    argv = ["--format", "json", "--k-values", "1,2,3", "--primes", "3,5,7", "--multipliers", "1,2,3"]
+    _, scan, _ = run(capsys, "congruence-scan", "--family", family, *argv)
+    (report,) = json.loads(scan)["reports"]
+    _, full, _ = run(capsys, "audit", "--identity", "all", *argv)
+    reports = {r["identity"]: r for r in json.loads(full)["reports"]}
+    assert report == reports[report["identity"]] and report["verdicts"]
+
+
+def test_a_scan_with_no_evaluable_row_computes_nothing_and_exits_two(capsys, monkeypatch):
+    # alpha*m + a vanishes at m = 0: every row is SINGULAR_PARAMETER, and no
+    # value, s_0 included, is computed, which would raise
+    def refused(*args):
+        raise AssertionError("a value was computed")
+
+    monkeypatch.setattr(sequences, "_signed_sums", refused)
+    argv = ["--format", "csv", "--pair", "1,0", "--primes", "3", "--multipliers", "1"]
+    code, out, err = run(capsys, "congruence-scan", *argv, "--k-values", "1")
+    assert code == 2 and err == ""
+    assert out.count("SINGULAR_PARAMETER") == 3
 
 
 def test_congruence_scan_singular_parameter_exits_two(capsys):

@@ -2,13 +2,15 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hlpoly import exact
 from hlpoly.exact import (
     NonreducibleDenominatorError,
+    decided,
     format_rational,
+    fraction,
     is_prime,
     mod_reduce,
     parse_rational,
@@ -234,3 +236,89 @@ def test_mod_reduce_multiplicative(a, b, p):
     except NonreducibleDenominatorError:
         return
     assert rprod == (ra * rb) % p
+
+
+# -- the Fraction builder -------------------------------------------------------
+
+
+def test_the_stdlib_fraction_has_the_two_slots_the_builder_fills():
+    # `exact` writes and reads these slots; a Python that changes the layout
+    # fails here, not in the output
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def same_fraction(built, expected) -> bool:
+    """Exactly the Fraction `expected`: type, reduced slots, hash and repr."""
+    return (
+        type(built) is Fraction
+        and (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
+        and hash(built) == hash(expected)
+        and repr(built) == repr(expected)
+    )
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**12),
+    st.integers(1, 10**6),
+    rationals.filter(bool),
+)
+@example(0, 7, 1, Fraction(1))
+@example(-6, 1, 4, Fraction(-1, 2))
+def test_the_builder_gives_the_fraction_the_constructor_gives(num, den, common, other):
+    # negative and zero numerators, den == 1, and shared factors
+    for n, d in ((num, den), (num * common, den * common), (num, 1), (0, den)):
+        built, expected = fraction(n, d), Fraction(n, d)
+        assert same_fraction(built, expected)
+        copy = pickle.loads(pickle.dumps(built))
+        assert same_fraction(copy, expected)
+        assert (built < other, built <= other, built > other) == (
+            expected < other, expected <= other, expected > other
+        )
+        assert built == expected and not built != expected
+        for result, want in (
+            (built + other, expected + other),
+            (built - other, expected - other),
+            (built * other, expected * other),
+            (built / other, expected / other),
+            (-built, -expected),
+            (built**2, expected**2),
+        ):
+            assert same_fraction(result, want)
+
+
+@given(rationals, st.integers(-7, 7))
+@example(Fraction(-2, 3), -3)
+@example(Fraction(-2, 3), 0)
+@example(Fraction(-2, 3), 3)
+@example(Fraction(5, 4), -2)
+@example(Fraction(0), 0)
+@example(Fraction(0), 4)
+def test_pow_rat_is_the_stdlib_power(base, k):
+    # positive and negative bases at k < 0, k = 0 and k > 0, as reduced
+    # Fractions built without a gcd
+    if not base and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            pow_rat(base, k)
+        return
+    assert same_fraction(pow_rat(base, k), base**k)
+    assert same_fraction(pow_rat(base.numerator, k), Fraction(base.numerator) ** k)
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_pow_rat_refuses_a_zero_base_at_every_negative_k(k):
+    for base in (0, Fraction(0), fraction(0, 9)):
+        with pytest.raises(ZeroDivisionError):
+            pow_rat(base, k)
+
+
+def test_decided_takes_the_fraction_numerators_of_a_variant_prefactor():
+    # a (m!)^-1 prefactor makes the numerators Fractions: an equal one is the
+    # known Fraction itself, an unequal one the Fraction num / den
+    known = [Fraction(1, 2), Fraction(-2, 3), Fraction(5)]
+    nums = [Fraction(3, 2), Fraction(-2), Fraction(7, 6)]
+    values = decided(known, nums, 3)
+    assert values[0] is known[0] and values[1] is known[1]
+    assert same_fraction(values[2], Fraction(7, 18))
+    # int numerators take the builder and give the same Fraction
+    assert same_fraction(decided([Fraction(1)], [-4], 6)[0], Fraction(-2, 3))

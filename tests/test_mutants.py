@@ -18,6 +18,7 @@ one family is never served the halves the other left. After the patch is
 undone, the audit holds again: no cache kept the mutant either.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -87,6 +88,32 @@ def test_a_sign_in_a_stirling_coefficient_changes_the_congruence_scan(
     assert scan() != clean
     monkeypatch.undo()
     assert scan() == clean
+
+
+# THM8 computes a point's values in one pass before its rows, which read
+# them as kept: a pass that fills one index with a wrong value changes the
+# rows that read it, which the scan's canonical CSV digest pins
+SCAN_CSV_SHA256 = "f59cd3845dcb09a99a55612a2b5db8762aa65a95593aa3cce86f3a01b8f8ff2a"
+
+
+def test_a_wrong_value_in_thm8s_pass_changes_the_canonical_scan(capsys, monkeypatch):
+    def digest() -> str:
+        assert main(["congruence-scan", "--format", "csv"]) == 1
+        return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    assert digest() == SCAN_CSV_SHA256
+    signed_sums = sequences._signed_sums
+
+    def mutant(rule, indices, params, rows):
+        nums, den = signed_sums(rule, indices, params, rows)
+        if len(indices) > 1:  # the pass, not a single value
+            nums[-1] += den  # s at the pass's last index, off by one
+        return nums, den
+
+    monkeypatch.setattr(sequences, "_signed_sums", mutant)
+    assert digest() != SCAN_CSV_SHA256
+    monkeypatch.undo()
+    assert digest() == SCAN_CSV_SHA256
 
 
 # The cauchy pair shares the halves of its sums, kept per coefficient

@@ -26,6 +26,7 @@ from hlpoly.sequences import (
     explicit_scaled,
     explicit_sequence,
     explicit_value,
+    explicit_values,
     oracle_sequence,
 )
 from hlpoly.series import PowerSeries, kernel
@@ -356,6 +357,57 @@ def test_a_shared_row_store_gives_the_values_of_a_fresh_one(params, indices):
             assert value == explicit_value(family, n, fresh)
             fresh = Params(params.k, params.alpha, params.a)
             assert value == explicit_sequence(family, n, fresh)[n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nonsingular_params,
+    st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True),
+    st.lists(st.integers(0, 30), max_size=3),
+)
+def test_explicit_values_makes_what_is_not_kept_in_one_pass(params, indices, kept):
+    # values kept first, by explicit_value, are returned as the very objects
+    # kept; the rest come from one sum pass and equal the one-index values
+    for family in FAMILIES:
+        params = Params(params.k, params.alpha, params.a)
+        held = {n: explicit_value(family, n, params) for n in kept}
+        values = explicit_values(family, indices, params, coefficient_rows(family))
+        for n, value in zip(indices, values, strict=True):
+            assert value is explicit_value(family, n, params)
+            assert n not in held or value is held[n]
+            fresh = Params(params.k, params.alpha, params.a)
+            assert type(value) is Fraction and value == explicit_value(family, n, fresh)
+    with pytest.raises(ValueError):
+        explicit_values(Family.CAUCHY1, [2, -1], params)
+    assert explicit_values(Family.CAUCHY1, [], params) == []
+
+
+def test_a_store_made_for_another_rule_is_refused_before_any_sum_is_kept():
+    # bernoulli's rows given to cauchy1 once gave a wrong value silently and
+    # left wrong halves, which cauchy2 then read as its own
+    params = Params(2, Fraction(1, 2), 1)
+    wrong = coefficient_rows(Family.BERNOULLI)
+    with pytest.raises(ValueError, match="another coefficient rule"):
+        explicit_value(Family.CAUCHY1, 3, params, wrong)
+    for call, family, rows in (
+        (explicit_sequence, Family.CAUCHY2, wrong),
+        (explicit_scaled, Family.BERNOULLI, coefficient_rows(Family.CAUCHY1)),
+        (deriv_coeffs_printed, Family.BERNOULLI, wrong),
+        (explicit_sequence, Family.CAUCHY1, derivative_rows(Family.CAUCHY1)),
+    ):
+        with pytest.raises(ValueError, match="another coefficient rule"):
+            call(family, 3, params, rows)
+    assert not any(params._halves.values()) and not any(params._values.values())
+    assert params._sums == {}
+    # the twin's halves stay clean: each family reads what a fresh Params gives
+    assert explicit_value(Family.CAUCHY2, 3, params) == Fraction(-1619, 900)
+    fresh = Params(2, Fraction(1, 2), 1)
+    assert explicit_value(Family.CAUCHY1, 3, params) == explicit_value(Family.CAUCHY1, 3, fresh)
+    # the cauchy pair shares one coefficient rule, so one store serves both
+    shared, twin = coefficient_rows(Family.CAUCHY1), Params(2, Fraction(1, 2), 1)
+    assert explicit_sequence(Family.CAUCHY2, 3, twin, shared) == explicit_sequence(
+        Family.CAUCHY2, 3, Params(2, Fraction(1, 2), 1)
+    )
 
 
 def test_a_row_store_builds_each_row_once(monkeypatch):
